@@ -1577,21 +1577,17 @@ let sta_scale () =
     exit 1
 
 (* ----------------------------------------------------------------- *)
-(* flow_scale: the full-chip optimization loop — incremental          *)
-(* slack-driven rounds vs the full-rebuild reference at 10k/100k      *)
-(* gates (BENCH_flow.json).  Per shape x size: end-to-end optimize    *)
-(* wall time, loop and per-round cost, the analysis portion           *)
-(* (Flow.analysis_ms: the directly-bracketed rebuild / critical-delay *)
-(* / cone-selection time the incremental engine accelerates),         *)
-(* allocation per gate, stale-decision counts, and a digest of the    *)
-(* final netlist.  The incremental and reference runs must agree on   *)
-(* every fingerprint, the incremental analysis portion must beat the  *)
-(* reference >= 5x at 100k gates (1 domain), and a parallel-pool      *)
-(* re-run must reproduce the 1-domain result bit for bit.             *)
+(* flow_scale: the full-chip optimization loop at 10k/100k gates      *)
+(* (BENCH_flow.json).  Per shape x size: end-to-end optimize wall     *)
+(* time, loop and per-round cost, the analysis portion                *)
+(* (Flow.analysis_ms: the directly-bracketed re-time / critical-delay *)
+(* / slack-sweep / cone-selection time), allocation per gate,         *)
+(* stale-decision counts, and a digest of the final netlist.  A       *)
+(* parallel-pool re-run must reproduce the 1-domain result bit for    *)
+(* bit.                                                               *)
 (* ----------------------------------------------------------------- *)
 
 type flow_record = {
-  fl_mode : string;  (* incremental | reference *)
   fl_shape : string;
   fl_gates : int;
   fl_domains : int;
@@ -1605,7 +1601,6 @@ type flow_record = {
   fl_words_per_gate : float;
   fl_stale : int;
   fl_fingerprint : string;
-  fl_speedup : float option;  (* analysis portion vs reference, per round *)
 }
 
 let flow_records : flow_record list ref = ref []
@@ -1622,18 +1617,15 @@ let write_flow_json () =
     List.iteri
       (fun i r ->
         Printf.fprintf oc
-          "  {\"mode\": %S, \"shape\": %S, \"gates\": %d, \"domains\": %d, \
+          "  {\"shape\": %S, \"gates\": %d, \"domains\": %d, \
            \"rounds\": %d, \"outcome\": %S, \"total_ms\": %.6g, \
            \"loop_ms\": %.6g, \"protocol_ms\": %.6g, \"ms_per_round\": %.6g, \
            \"analysis_ms_per_round\": %.6g, \"minor_words_per_gate\": %.6g, \
-           \"stale_decisions\": %d, \"fingerprint\": %S%s}%s\n"
-          r.fl_mode r.fl_shape r.fl_gates r.fl_domains r.fl_rounds r.fl_outcome
+           \"stale_decisions\": %d, \"fingerprint\": %S}%s\n"
+          r.fl_shape r.fl_gates r.fl_domains r.fl_rounds r.fl_outcome
           r.fl_total_ms r.fl_loop_ms r.fl_protocol_ms r.fl_ms_per_round
           r.fl_analysis_ms_per_round r.fl_words_per_gate r.fl_stale
           r.fl_fingerprint
-          (match r.fl_speedup with
-          | Some s -> Printf.sprintf ", \"analysis_speedup\": %.6g" s
-          | None -> "")
           (if i = List.length records - 1 then "" else ","))
       records;
     output_string oc "]}\n";
@@ -1678,23 +1670,14 @@ let flow_scale () =
   Printf.printf "host_cores = %d, ambient pool = %d\n%!" host ambient;
   let sizes = if !smoke then [ 10_000 ] else [ 10_000; 100_000 ] in
   let shapes = [ Generator.Grid; Generator.Iscas ] in
-  (* Whole-optimize minor words are dominated by the protocol solver,
-     which both modes share — an absolute per-gate budget would only
-     measure solver traffic.  The guard is relative instead: the
-     incremental analysis machinery (persistent heap, worklists,
-     bounded windows) must not allocate more than the full-rebuild
-     loop it replaces.  An O(V)-per-round allocation slipping into the
-     incremental path shows up immediately against the reference
-     baseline, which pays full rebuilds every round. *)
-  let words_ratio_budget = 1.15 in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let t = Table.create
-      ~title:"flow_scale - incremental slack-driven flow vs full-rebuild reference"
-      [ ("shape", Table.Left); ("gates", Table.Right); ("mode", Table.Left);
+      ~title:"flow_scale - slack-driven optimization loop"
+      [ ("shape", Table.Left); ("gates", Table.Right);
         ("domains", Table.Right); ("rounds", Table.Right);
         ("ms/round", Table.Right); ("analysis ms/round", Table.Right);
-        ("words/gate", Table.Right); ("speedup", Table.Right) ]
+        ("words/gate", Table.Right) ]
   in
   List.iter
     (fun gates ->
@@ -1708,12 +1691,13 @@ let flow_scale () =
               ~gates ~shape
           in
           let tc = 0.9 *. Timing.critical_delay (Timing.analyze ~lib nl) in
-          let run ~mode ~domains ~reference target =
+          let run ~domains =
+            let target = Netlist.copy nl in
             Pops_util.Pool.set_default_size domains;
             Gc.full_major ();
             let w0 = Gc.minor_words () in
             let t0 = Unix.gettimeofday () in
-            let r = Pops_flow.Flow.optimize ~reference ~lib ~tc target in
+            let r = Pops_flow.Flow.optimize ~lib ~tc target in
             let total_ms = 1000. *. (Unix.gettimeofday () -. t0) in
             let words = Gc.minor_words () -. w0 in
             Pops_util.Pool.set_default_size ambient;
@@ -1724,10 +1708,8 @@ let flow_scale () =
                 1 r.Pops_flow.Flow.iterations
             in
             let frounds = float_of_int rounds in
-            let analysis_ms = r.Pops_flow.Flow.analysis_ms /. frounds in
-            let rec_ =
+            let r =
               {
-                fl_mode = mode;
                 fl_shape = shape_name;
                 fl_gates = gates;
                 fl_domains = domains;
@@ -1738,95 +1720,47 @@ let flow_scale () =
                 fl_loop_ms = r.Pops_flow.Flow.loop_ms;
                 fl_protocol_ms = r.Pops_flow.Flow.protocol_ms;
                 fl_ms_per_round = r.Pops_flow.Flow.loop_ms /. frounds;
-                fl_analysis_ms_per_round = analysis_ms;
+                fl_analysis_ms_per_round = r.Pops_flow.Flow.analysis_ms /. frounds;
                 fl_words_per_gate = words /. float_of_int gates;
                 fl_stale = r.Pops_flow.Flow.stale_decisions;
                 fl_fingerprint =
                   netlist_fingerprint target ^ "|" ^ report_fingerprint r;
-                fl_speedup = None;
               }
             in
-            (r, rec_)
-          in
-          let t_inc = Netlist.copy nl and t_ref = Netlist.copy nl in
-          let _, rec_inc =
-            run ~mode:"incremental" ~domains:1 ~reference:false t_inc
-          in
-          let _, rec_ref =
-            run ~mode:"reference" ~domains:1 ~reference:true t_ref
-          in
-          (* bit-identity: same final circuit, same report *)
-          if rec_inc.fl_fingerprint <> rec_ref.fl_fingerprint then
-            fail "%s/%d: incremental and reference flows diverge (%s vs %s)"
-              shape_name gates rec_inc.fl_fingerprint rec_ref.fl_fingerprint;
-          if
-            rec_inc.fl_words_per_gate
-            > words_ratio_budget *. rec_ref.fl_words_per_gate
-          then
-            fail
-              "%s/%d: incremental allocates %.1f minor words/gate vs \
-               reference %.1f (budget %.2fx)"
-              shape_name gates rec_inc.fl_words_per_gate
-              rec_ref.fl_words_per_gate words_ratio_budget;
-          let speedup =
-            rec_ref.fl_analysis_ms_per_round
-            /. Float.max 1e-9 rec_inc.fl_analysis_ms_per_round
-          in
-          let round_speedup =
-            rec_ref.fl_ms_per_round /. Float.max 1e-9 rec_inc.fl_ms_per_round
-          in
-          if (not !smoke) && gates >= 100_000 && speedup < 5.0 then
-            fail
-              "%s/%d: incremental analysis only %.1fx faster than reference \
-               (floor 5.0x)"
-              shape_name gates speedup;
-          let rec_inc = { rec_inc with fl_speedup = Some speedup } in
-          flow_records := rec_ref :: rec_inc :: !flow_records;
-          let row (r : flow_record) =
+            flow_records := r :: !flow_records;
             Table.add_row t
-              [ r.fl_shape; string_of_int r.fl_gates; r.fl_mode;
+              [ r.fl_shape; string_of_int r.fl_gates;
                 string_of_int r.fl_domains; string_of_int r.fl_rounds;
                 Table.cell_f ~decimals:2 r.fl_ms_per_round;
                 Table.cell_f ~decimals:2 r.fl_analysis_ms_per_round;
-                Table.cell_f ~decimals:2 r.fl_words_per_gate;
-                (match r.fl_speedup with
-                | Some s -> Printf.sprintf "%.1fx" s
-                | None -> "-") ]
+                Table.cell_f ~decimals:2 r.fl_words_per_gate ];
+            r
           in
-          row rec_inc;
-          row rec_ref;
-          Printf.printf
-            "%s/%d: analysis %.1fx, whole round %.1fx, %d rounds, %d stale\n%!"
-            shape_name gates speedup round_speedup rec_inc.fl_rounds
-            rec_inc.fl_stale;
+          let one = run ~domains:1 in
+          Printf.printf "%s/%d: %d rounds, %s, %d stale\n%!" shape_name gates
+            one.fl_rounds one.fl_outcome one.fl_stale;
           (* the disjoint-cone protocol fan-out must be bit-identical at
-             any pool size: re-run the incremental flow on the ambient
-             pool (the POPS_DOMAINS CI leg runs this at 4 domains) *)
+             any pool size: re-run the flow on the ambient pool (the
+             POPS_DOMAINS CI leg runs this at 4 domains) *)
           if ambient <> 1 then begin
-            let t_par = Netlist.copy nl in
-            let _, rec_par =
-              run ~mode:"incremental" ~domains:ambient ~reference:false t_par
-            in
-            if rec_par.fl_fingerprint <> rec_inc.fl_fingerprint then
+            let par = run ~domains:ambient in
+            if par.fl_fingerprint <> one.fl_fingerprint then
               fail "%s/%d: %d-domain flow diverges from the 1-domain result"
-                shape_name gates ambient;
-            flow_records := rec_par :: !flow_records;
-            row rec_par
+                shape_name gates ambient
           end)
         shapes)
     sizes;
   Table.print t;
   write_flow_json ();
   Printf.printf
-    "shape check: the analysis portion of an incremental round (selection +\n\
-     re-timing + backward slacks) stays near-constant in round count and\n\
-     far below the reference's full rebuild; both modes end on identical\n\
-     netlists and reports at every pool size.\n";
+    "shape check: every shape x size ends on the same netlist and report at\n\
+     every pool size; the analysis portion of a round (re-timing, slack\n\
+     sweep, selection) stays a small share of the round.\n";
   match !failures with
   | [] -> ()
   | fs ->
     List.iter (Printf.eprintf "flow_scale regression: %s\n") fs;
-    Printf.eprintf "flow_scale: regression budget exceeded - failing the run\n";
+    Printf.eprintf "flow_scale: domain bit-identity broken - failing the run\n";
     exit 1
 
 (* ----------------------------------------------------------------- *)

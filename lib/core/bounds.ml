@@ -27,8 +27,7 @@ type t = {
 (* Entries carry the diagnostics their solves reported so that a miss
    can both cache and re-emit them; a hit deliberately does NOT re-emit
    (the characterisation was not re-run, and replaying the same warning
-   on every feasibility probe would drown real signal — the tradeoff is
-   documented on [compute_o]). *)
+   on every feasibility probe would drown real signal). *)
 let default_cache_capacity = 256
 
 let cache : (int, t * Diag.t list) Pops_util.Lru.t =
@@ -67,15 +66,6 @@ let compute_diags path =
     (b, diags)
 
 let compute path = fst (compute_diags path)
-
-let compute_o path =
-  match compute_diags path with
-  | b, diags -> Pops_robust.Outcome.make b diags
-  | exception Diag.Fatal d -> Pops_robust.Outcome.Failed d
-  | exception e ->
-    Pops_robust.Outcome.Failed
-      (Diag.makef Diag.Internal "Bounds.compute raised: %s"
-         (Printexc.to_string e))
 
 let tmin path = (compute path).tmin
 

@@ -49,16 +49,6 @@ val clear_cache : ?reset_stats:bool -> unit -> unit
 (** Drop every memo entry (benchmarks use this to measure cold starts);
     [reset_stats] (default false) also zeroes the counters. *)
 
-val compute_o : Pops_delay.Path.t -> t Pops_robust.Outcome.t
-(** {!compute} with the characterisation's diagnostics attached:
-    [Degraded] when any of the Tmin solves fell down the ladder (the
-    bounds then come from a fallback sizing and [tmin] may be
-    pessimistic), [Failed] instead of raising.  Diagnostics are cached
-    with the entry but {e re-emitted to the ambient
-    {!Pops_robust.Watch} collector only on a miss} — a cache hit did
-    not re-run the solves, and replaying the same warning on every
-    feasibility probe of a hot path would drown real signal. *)
-
 val tmin : Pops_delay.Path.t -> float
 (** [(compute path).tmin] — shares the cache. *)
 

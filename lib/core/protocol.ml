@@ -179,28 +179,6 @@ let run ?(allow_restructure = true) ~lib ~tc path =
   | Some best -> finalize ~tc ~bounds ~domain best
   | None -> finalize ~tc ~bounds ~domain (fastest_candidate ~lib path)
 
-let run_o ?allow_restructure ~lib ~tc path =
-  match
-    Watch.collect (fun () -> run ?allow_restructure ~lib ~tc path)
-  with
-  | r, diags ->
-    let diags =
-      if r.met then diags
-      else
-        diags
-        @ [
-            Diag.makef Diag.Constraint_infeasible
-              "constraint %.3f ps not met: achieved %.3f ps (tmin %.3f ps)"
-              tc r.delay r.tmin;
-          ]
-    in
-    Pops_robust.Outcome.make r diags
-  | exception Diag.Fatal d -> Pops_robust.Outcome.Failed d
-  | exception e ->
-    Pops_robust.Outcome.Failed
-      (Diag.makef Diag.Internal "Protocol.run raised: %s"
-         (Printexc.to_string e))
-
 let strategy_to_string = function
   | Sizing_only -> "sizing"
   | Local_buffers -> "local-buffers"

@@ -53,18 +53,5 @@ val run :
     Diagnostics flow to the ambient {!Pops_robust.Watch} collector in
     deterministic submission order. *)
 
-val run_o :
-  ?allow_restructure:bool ->
-  lib:Pops_cell.Library.t ->
-  tc:float ->
-  Pops_delay.Path.t ->
-  report Pops_robust.Outcome.t
-(** {!run} with its diagnostics collected into an
-    {!Pops_robust.Outcome}: [Exact] on a clean met constraint,
-    [Degraded] when any solver/candidate degradation was reported or the
-    constraint was not met (a {!Pops_robust.Diag.Constraint_infeasible}
-    diagnostic is appended in that case — the report still carries the
-    best-effort fastest structure), [Failed] instead of raising. *)
-
 val strategy_to_string : strategy -> string
 val pp_report : Format.formatter -> report -> unit

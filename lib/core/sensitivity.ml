@@ -604,15 +604,6 @@ let bisect_for_beta ?accel ~beta path ~tc =
     Some (refine a_lo d_lo 0. d0 x_lo (result_of path 0. x0) 0 false)
   end
 
-let bisect_for_beta_o ?accel ~beta path ~tc =
-  match Watch.collect (fun () -> bisect_for_beta ?accel ~beta path ~tc) with
-  | v, diags -> Pops_robust.Outcome.make v diags
-  | exception Diag.Fatal d -> Pops_robust.Outcome.Failed d
-  | exception e ->
-    Pops_robust.Outcome.Failed
-      (Diag.makef Diag.Internal "bisect_for_beta raised: %s"
-         (Printexc.to_string e))
-
 (* The constraint is on the worst polarity, so the minimum-area sizing
    satisfies the KKT conditions of "min area s.t. rise <= tc, fall <=
    tc": when one constraint binds, the pure single-polarity link

@@ -158,12 +158,6 @@ val bisect_for_beta :
     collapses with the best delay still well under target reports
     {!Pops_robust.Diag.Bracket_collapse} through {!Pops_robust.Watch}. *)
 
-val bisect_for_beta_o : ?accel:bool -> beta:float -> Pops_delay.Path.t ->
-  tc:float -> constraint_result option Pops_robust.Outcome.t
-(** {!bisect_for_beta} with its diagnostics collected: [Degraded] when
-    the bracket collapsed or any solver rung degraded during the
-    root-find, [Failed] instead of raising on internal errors. *)
-
 val size_for_constraint :
   ?tol_ps:float -> Pops_delay.Path.t -> tc:float ->
   (constraint_result, [ `Infeasible of float ]) result

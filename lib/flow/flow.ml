@@ -142,15 +142,14 @@ let size_critical ~size ~lib ~tc ~timing ~phase t =
 type best_state = Best_mark of int * float | Best_copy of Netlist.t * float
 
 let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
-    ?(k_paths = 3) ?(reference = false) ?(vt_assign = false) ~lib ~tc t =
+    ?(k_paths = 3) ?(vt_assign = false) ~lib ~tc t =
   let ref_nl = Netlist.copy t in
   let t_loop = Unix.gettimeofday () in
-  (* The analysis portion of the loop — (re)building or updating
+  (* The analysis portion of the loop — building or updating
      timing/slacks/selection and reading the critical delay — bracketed
-     directly, so the report can separate what the incremental engine
-     accelerates from solver time and from mode-independent bookkeeping
-     (best-state copies, journaling), which a loop-minus-protocol
-     subtraction would misattribute. *)
+     directly, so the report can separate it from solver time and from
+     bookkeeping (best-state copies, journaling), which a
+     loop-minus-protocol subtraction would misattribute. *)
   let analysis_ms = ref 0. in
   let in_analysis f =
     let t0 = Unix.gettimeofday () in
@@ -158,17 +157,14 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
     analysis_ms := !analysis_ms +. (1000. *. (Unix.gettimeofday () -. t0));
     r
   in
-  (* one persistent analysis + backward slack annotation + endpoint heap
-     for the whole run: every round re-propagates only the touched
-     fan-out cone forward (Timing.update) and the touched fan-in cones
-     backward (Timing.slacks_update), and re-examines only endpoints
-     whose slack moved (Paths.k_worst_incr).  [reference] mode rebuilds
-     all three from scratch every round — same policy, used by the
-     equivalence suite and the flow_scale baseline. *)
-  let timing = ref (in_analysis (fun () -> Timing.analyze ~lib t)) in
-  let slacks = ref (in_analysis (fun () -> Timing.slacks_make !timing ~tc)) in
-  let sel = ref (in_analysis (fun () -> Paths.incr_make t !slacks)) in
-  let initial_delay = Timing.critical_delay !timing in
+  (* one persistent analysis for the whole run: every round
+     re-propagates only the touched fan-out cone forward (Timing.update),
+     then re-sweeps the slacks and ranks the endpoints
+     (Paths.k_worst_incr) *)
+  let timing = in_analysis (fun () -> Timing.analyze ~lib t) in
+  let slacks = in_analysis (fun () -> Timing.slacks_make timing ~tc) in
+  let sel = Paths.incr_make t slacks in
+  let initial_delay = Timing.critical_delay timing in
   let initial_area = Netlist.total_area t lib in
   (* structural surgery is speculative: a De Morgan rewrite or shield can
      overshoot and the remaining rounds may never win the delay back.
@@ -226,12 +222,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
      before concluding the run is out of headroom *)
   let segments_avail = ref 1 in
   let rec loop round phase prev_delay =
-    if reference then
-      in_analysis (fun () ->
-          timing := Timing.analyze ~lib t;
-          slacks := Timing.slacks_make !timing ~tc;
-          sel := Paths.incr_make t !slacks);
-    let d = in_analysis (fun () -> Timing.critical_delay !timing) in
+    let d = in_analysis (fun () -> Timing.critical_delay timing) in
     if d < best_delay () then best := Best_mark (!journal_len, d);
     if d <= tc *. (1. +. 1e-6) +. 0.02 then Met
     else if round > max_rounds then Budget_exhausted
@@ -253,14 +244,14 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
       else begin
       let phase = if stalled then phase + 1 else phase in
       (* Phase 1 (sequential): select up to K worst gate-disjoint
-         critical cones off the endpoint heap.  Each [Paths.extracted]
+         critical cones by endpoint slack.  Each [Paths.extracted]
          is an immutable snapshot — stage geometry, branch loads and the
          sizes current at the start of the round — fully decoupled from
          the mutable netlist; disjointness means the protocol runs
          cannot claim each other's gates. *)
       let worst =
         in_analysis (fun () ->
-            Paths.k_worst_incr ~k:k_paths ~max_cone ~phase ~lib !sel)
+            Paths.k_worst_incr ~k:k_paths ~max_cone ~phase ~lib sel)
       in
       segments_avail :=
         List.fold_left
@@ -282,7 +273,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
             let tail = List.fold_left (fun _ id -> id) (-1) ex.Paths.nodes in
             let wtc =
               window_tc
-                ~slack:(Timing.node_slack !slacks tail)
+                ~slack:(Timing.node_slack slacks tail)
                 (Path.delay_worst ex.Paths.path sizing_now)
             in
             (ex, sizing_now, wtc))
@@ -350,11 +341,10 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
         snapshots decisions;
       (* after surgery the indices moved: re-size the fresh critical
          path.  Solver time, like the fan-out above — counted in
-         protocol_ms, not analysis_ms: it is identical in both modes
-         and would otherwise dilute the analysis comparison. *)
+         protocol_ms, not analysis_ms. *)
       if !structural_change then begin
         let t0 = Unix.gettimeofday () in
-        size_critical ~size ~lib ~tc ~timing:!timing ~phase t;
+        size_critical ~size ~lib ~tc ~timing ~phase t;
         protocol_ms := !protocol_ms +. (1000. *. (Unix.gettimeofday () -. t0))
       end;
       loop (round + 1) phase d
@@ -365,12 +355,12 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   (* rewind if the exploration ended worse than its best state; the
      persistent analysis resyncs off the rewind's dirty entries *)
   let final_delay =
-    let d = Timing.critical_delay !timing in
+    let d = Timing.critical_delay timing in
     if d > best_delay () then begin
       (match !best with
       | Best_mark (keep, _) -> undo_suffix t keep
       | Best_copy (snap, _) -> Netlist.restore t ~from:snap);
-      Timing.critical_delay !timing
+      Timing.critical_delay timing
     end
     else d
   in
@@ -378,7 +368,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
      a rolled-back surgery cannot strand accepted swaps, on the same
      persistent timing so every accept test is an incremental re-time *)
   let vt =
-    if vt_assign then Some (Vt_assign.run ~lib ~tc ~timing:!timing t)
+    if vt_assign then Some (Vt_assign.run ~lib ~tc ~timing t)
     else None
   in
   let loop_ms = 1000. *. (Unix.gettimeofday () -. t_loop) in
@@ -403,8 +393,8 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
    caller's bug, not a degradation), then run the flow under a Watch
    collector so every ladder descent, contained crash and budget trip
    surfaces in the returned Outcome. *)
-let optimize_o ?budget ?max_rounds ?allow_restructure ?k_paths ?reference
-    ?vt_assign ?name ~lib ~tc t =
+let optimize_o ?budget ?max_rounds ?allow_restructure ?k_paths ?vt_assign
+    ?name ~lib ~tc t =
   let problems =
     List.filter
       (fun d -> d.Diag.severity = Diag.Error)
@@ -415,8 +405,8 @@ let optimize_o ?budget ?max_rounds ?allow_restructure ?k_paths ?reference
   | [] -> (
     match
       Watch.collect (fun () ->
-          optimize ?budget ?max_rounds ?allow_restructure ?k_paths ?reference
-            ?vt_assign ~lib ~tc t)
+          optimize ?budget ?max_rounds ?allow_restructure ?k_paths ?vt_assign
+            ~lib ~tc t)
     with
     | r, diags ->
       let diags =

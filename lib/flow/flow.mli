@@ -47,14 +47,12 @@ type report = {
           critical-path re-size after structural surgery, summed over
           all rounds. *)
   analysis_ms : float;
-      (** wall-clock time of the timing-analysis portion the
-          incremental engine accelerates, bracketed directly: the
-          initial analyze/slack/selector build (and, in
-          [~reference:true] mode, the per-round full rebuilds), the
-          per-round critical-delay query, and the per-round worst-cone
-          selection with its backward slack sweep.  Everything else in
-          [loop_ms] — protocol fan-outs, structural surgery,
-          best-state bookkeeping — is mode-independent. *)
+      (** wall-clock time of the timing-analysis portion, bracketed
+          directly: the initial analyze and slack sweep, the per-round
+          critical-delay query, and the per-round worst-cone selection
+          with its backward slack sweep.  Everything else in [loop_ms]
+          is protocol fan-outs, structural surgery and best-state
+          bookkeeping. *)
   loop_ms : float;
       (** wall-clock time of the whole optimization loop — analysis,
           selection, protocol, apply, rewind — excluding the initial
@@ -69,7 +67,6 @@ val optimize :
   ?max_rounds:int ->
   ?allow_restructure:bool ->
   ?k_paths:int ->
-  ?reference:bool ->
   ?vt_assign:bool ->
   lib:Pops_cell.Library.t ->
   tc:float ->
@@ -81,14 +78,10 @@ val optimize :
     per round; [allow_restructure] defaults to true.  The equivalence
     check runs on a pre-flow copy kept internally.
 
-    The loop is {e incremental}: one {!Pops_sta.Timing.t}, one
-    {!Pops_sta.Timing.slacks} and one endpoint heap
-    ({!Pops_sta.Paths.incr_make}) persist across rounds, so each round
-    costs the touched forward/backward cones plus the changed endpoints
-    instead of a full re-analysis and path re-enumeration.  With
-    [reference] (default false) all three are rebuilt from scratch every
-    round — same policy, bit-identical final netlist and report, used by
-    the equivalence suite and as the [flow_scale] benchmark baseline.
+    One {!Pops_sta.Timing.t} persists across rounds, so each round
+    re-times only the fan-out cone of its edits; the backward slack
+    sweep and the endpoint ranking ({!Pops_sta.Paths.k_worst_incr}) are
+    recomputed in full every round.
 
     Resilience: the per-round protocol fan-out is {e contained} (a
     crashing path task degrades to a diagnostic, the other decisions
@@ -113,7 +106,6 @@ val optimize_o :
   ?max_rounds:int ->
   ?allow_restructure:bool ->
   ?k_paths:int ->
-  ?reference:bool ->
   ?vt_assign:bool ->
   ?name:(int -> string) ->
   lib:Pops_cell.Library.t ->

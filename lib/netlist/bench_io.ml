@@ -407,11 +407,6 @@ let parse_o tech ?out_load text =
       (Diag.makef Diag.Internal "Bench_io.parse raised: %s"
          (Printexc.to_string e))
 
-let parse_file tech ?out_load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse tech ?out_load text
-  | exception Sys_error msg -> Error msg
-
 let parse_file_o tech ?out_load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse_o tech ?out_load text

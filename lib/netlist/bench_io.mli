@@ -51,9 +51,6 @@ val parse_o : Pops_process.Tech.t -> ?out_load:float -> string ->
     zero-fanout gates) comes back [Degraded] with those diagnostics
     attached. *)
 
-val parse_file : Pops_process.Tech.t -> ?out_load:float -> string ->
-  (Netlist.t * names, string) result
-
 val parse_file_o : Pops_process.Tech.t -> ?out_load:float -> string ->
   (Netlist.t * names) Pops_robust.Outcome.t
 (** {!parse_o} on a file; an unreadable path is [Failed] with an

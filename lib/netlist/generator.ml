@@ -216,20 +216,3 @@ let generate_scale tech ~name ~gates ~shape =
     fst (generate tech (make_profile ~name ~path_gates ~total_gates:gates ()))
 
 let scale_trajectory = [ 100_000; 500_000; 1_000_000 ]
-
-module Diag = Pops_robust.Diag
-
-let generate_o tech profile =
-  match generate tech profile with
-  | v -> Pops_robust.Outcome.Exact v
-  | exception Invalid_argument msg ->
-    Pops_robust.Outcome.Failed (Diag.make Diag.Invalid_input msg)
-  | exception Diag.Fatal d -> Pops_robust.Outcome.Failed d
-  | exception Failure msg ->
-    Pops_robust.Outcome.Failed (Diag.make Diag.Internal msg)
-
-let make_profile_r ?total_gates ?out_load ?side_load ~name ~path_gates () =
-  match make_profile ?total_gates ?out_load ?side_load ~name ~path_gates () with
-  | p -> Ok p
-  | exception Invalid_argument msg ->
-    Error (Diag.make Diag.Invalid_input msg ~hint:"path_gates must be >= 2 and <= total_gates")

@@ -52,16 +52,3 @@ val generate_scale :
 
 val scale_trajectory : int list
 (** The benchmark gate-count trajectory: 100k, 500k, 1M. *)
-
-val make_profile_r :
-  ?total_gates:int -> ?out_load:float -> ?side_load:float ->
-  name:string -> path_gates:int -> unit ->
-  (profile, Pops_robust.Diag.t) result
-(** {!make_profile} returning an [Invalid_input] diagnostic instead of
-    raising on out-of-range gate counts. *)
-
-val generate_o :
-  Pops_process.Tech.t -> profile -> (Netlist.t * int list) Pops_robust.Outcome.t
-(** {!generate} as an {!Pops_robust.Outcome}: [Failed] with a typed
-    diagnostic instead of raising on an invalid profile or a
-    post-generation validation failure. *)

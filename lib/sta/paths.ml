@@ -197,7 +197,12 @@ let critical ?input_slope ?timing ?max_cone ?(phase = 0) ~lib t =
   let total = List.length nodes in
   let nodes =
     match max_cone with
-    | Some n -> cone_window ~max_cone:n ~phase nodes
+    | Some n -> (
+      (* the head window of a path one node longer than a multiple of
+         [n] holds only the primary input: wrap it to the endpoint side *)
+      match cone_window ~max_cone:n ~phase nodes with
+      | [ pi ] when not (is_gate t pi) -> cone_window ~max_cone:n ~phase:0 nodes
+      | w -> w)
     | None -> nodes
   in
   { (extract ?input_slope ~lib t nodes) with total_gates = total }
@@ -522,190 +527,99 @@ let k_worst_reference ?(k = 5) ?input_slope ~lib t =
   search ();
   rank_candidates ?input_slope ~lib t ~k (List.rev !results)
 
-(* Persistent endpoint heap for slack-driven selection: a lazy-deletion
-   min-heap over (slack, endpoint id), lexicographic so the pop sequence
-   over valid entries is exactly the endpoints sorted worst-slack-first.
-   Stale entries (endpoint deleted, undesignated, or slack moved since
-   the push) are detected on pop by comparing the stored priority
-   against the current {!Timing.node_slack} bitwise, and dropped;
-   {!Timing.slacks_changed_take} feeds fresh entries after every update,
-   so every output with a defined slack always has at least one live
-   entry.  Valid pops are re-pushed (after the selection loop, through a
-   buffer), keeping the heap correct across rounds without rebuilds. *)
-type incr = {
-  in_s : Timing.slacks;
-  in_nl : Netlist.t;
-  mutable in_hp : float array;  (* slack priorities *)
-  mutable in_hi : int array;  (* endpoint ids *)
-  mutable in_hn : int;
-}
+(* Slack-driven selection state: the slacks annotation endpoints are
+   ranked by, and the netlist whose outputs are ranked. *)
+type incr = { in_s : Timing.slacks; in_nl : Netlist.t }
 
-(* lexicographic (slack, id) min-order; unique per endpoint *)
-let incr_less p1 i1 p2 i2 = p1 < p2 || (p1 = p2 && i1 < i2)
+let incr_make nl slacks = { in_s = slacks; in_nl = nl }
 
-let incr_push q prio id =
-  if Float.is_nan prio then ()
-  else begin
-    if q.in_hn >= Array.length q.in_hp then begin
-      let n = Array.length q.in_hp in
-      let hp = Array.make (2 * n) 0. and hi = Array.make (2 * n) 0 in
-      Array.blit q.in_hp 0 hp 0 n;
-      Array.blit q.in_hi 0 hi 0 n;
-      q.in_hp <- hp;
-      q.in_hi <- hi
-    end;
-    let hp = q.in_hp and hi = q.in_hi in
-    hp.(q.in_hn) <- prio;
-    hi.(q.in_hn) <- id;
-    let i = ref q.in_hn in
-    q.in_hn <- q.in_hn + 1;
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      incr_less hp.(!i) hi.(!i) hp.(p) hi.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tp = hp.(p) and ti = hi.(p) in
-      hp.(p) <- hp.(!i);
-      hi.(p) <- hi.(!i);
-      hp.(!i) <- tp;
-      hi.(!i) <- ti;
-      i := p
-    done
-  end
+(* lexicographic (slack, id) order; unique per endpoint (typed, so the
+   comparisons are float and int ones, not the polymorphic compare) *)
+let[@inline] slack_less (p1 : float) (i1 : int) p2 i2 =
+  p1 < p2 || (p1 = p2 && i1 < i2)
 
-(* pops the minimum (slack, id); [None] when empty *)
-let incr_pop q =
-  if q.in_hn = 0 then None
-  else begin
-    let hp = q.in_hp and hi = q.in_hi in
-    let top = (hp.(0), hi.(0)) in
-    q.in_hn <- q.in_hn - 1;
-    hp.(0) <- hp.(q.in_hn);
-    hi.(0) <- hi.(q.in_hn);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.in_hn && incr_less hp.(l) hi.(l) hp.(!smallest) hi.(!smallest)
-      then smallest := l;
-      if r < q.in_hn && incr_less hp.(r) hi.(r) hp.(!smallest) hi.(!smallest)
-      then smallest := r;
-      if !smallest <> !i then begin
-        let tp = hp.(!i) and ti = hi.(!i) in
-        hp.(!i) <- hp.(!smallest);
-        hi.(!i) <- hi.(!smallest);
-        hp.(!smallest) <- tp;
-        hi.(!smallest) <- ti;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    Some top
-  end
-
-let incr_make nl slacks =
-  let q =
-    {
-      in_s = slacks;
-      in_nl = nl;
-      in_hp = Array.make 256 0.;
-      in_hi = Array.make 256 0;
-      in_hn = 0;
-    }
-  in
-  List.iter
-    (fun (id, _) -> incr_push q (Timing.node_slack slacks id) id)
-    (Netlist.outputs nl);
-  q
+(* The ids of the [limit] lowest (slack, id) outputs with slack below
+   [min_slack], ascending, in one pass over the ids: a sorted prefix of
+   at most [limit] entries, where a candidate that cannot enter a full
+   prefix costs one comparison.  NaN (undefined) slacks never compare
+   below [min_slack]. *)
+let worst_endpoints s t ~min_slack ~limit =
+  let ks = Array.make limit 0. and ki = Array.make limit 0 in
+  let n = ref 0 in
+  for id = 0 to Netlist.id_bound t - 1 do
+    let sl = Timing.node_slack s id in
+    if
+      sl < min_slack && Netlist.is_output t id
+      && (!n < limit || slack_less sl id ks.(limit - 1) ki.(limit - 1))
+    then begin
+      let rec pos j =
+        if j > 0 && slack_less sl id ks.(j - 1) ki.(j - 1) then pos (j - 1)
+        else j
+      in
+      let m = min !n (limit - 1) in
+      let p = pos m in
+      Array.blit ks p ks (p + 1) (m - p);
+      Array.blit ki p ki (p + 1) (m - p);
+      ks.(p) <- sl;
+      ki.(p) <- id;
+      if !n < limit then incr n
+    end
+  done;
+  List.init !n (fun i -> ki.(i))
 
 let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
     ?input_slope ~lib q =
   let s = q.in_s and t = q.in_nl in
   Timing.slacks_update s;
-  List.iter
-    (fun id ->
-      if Netlist.is_output t id then incr_push q (Timing.node_slack s id) id)
-    (Timing.slacks_changed_take s);
   let tm = Timing.slacks_timing s in
-  let seen = Hashtbl.create 16 in
-  let stamped = Hashtbl.create 64 in
-  let deferred = ref [] in
-  let defer prio id = deferred := (prio, id) :: !deferred in
-  let results = ref [] and n_results = ref 0 in
   (* Bound the candidates probed for disjointness, not just the winners:
      on high-fanout designs thousands of violating endpoints share one
      critical spine, and probing every one of them each round costs more
-     than the round's re-timing.  The bound counts only {e valid} pops
-     (stale entries evaporate for free), so a carried heap and a fresh
-     {!incr_make} heap — whose valid pop sequences are identical — give
-     up after the same candidates and select the same cones. *)
-  let probe_limit = max 64 (16 * k) in
-  let probes = ref 0 in
-  let rec select () =
-    if !n_results >= k || !probes >= probe_limit then ()
-    else
-      match incr_pop q with
-      | None -> ()
-      | Some (prio, id) ->
-        let cur = Timing.node_slack s id in
-        (* lazy deletion: entry must match the live slack bitwise (a NaN
-           current slack never matches — the endpoint left the defined
-           set and its entries just evaporate) *)
-        if not (Netlist.node_exists t id && Netlist.is_output t id && cur = prio)
-        then select ()
-        else if prio >= min_slack then
-          (* heap is sorted: nothing more critical remains *)
-          defer prio id
-        else if Hashtbl.mem seen id then select () (* duplicate entry *)
+     than the round's re-timing. *)
+  let candidates = worst_endpoints s t ~min_slack ~limit:(max 64 (16 * k)) in
+  let stamped = Hashtbl.create 64 in
+  let results = ref [] and n_results = ref 0 in
+  let rec probe = function
+    | [] -> ()
+    | _ when !n_results >= k -> ()
+    | id :: rest ->
+      (* bounded cone: the protocol underneath is a bounded-path
+         engine, so hand it one [max_cone]-node window of the critical
+         path — phase 0 is the endpoint-side window, each higher phase
+         walks one window upstream (the flow advances the phase when the
+         current windows saturate).  A bounded edit window also keeps
+         the next round's incremental re-time confined to a small
+         fan-out cone.  Only the window is ever materialized
+         ({!Timing.path_window}): most probes lose the disjointness test
+         below, and paying a full path walk per discarded probe
+         dominated the selection. *)
+      (* phase 0 needs no length: the endpoint-side window stops at
+         [max_cone] nodes (or the head) on its own, so losing probes
+         cost O(max_cone), not O(depth); the full-path walk is deferred
+         to the winners (and to walked phases, where the window index
+         depends on the path length) *)
+      let skip, len_ =
+        if phase = 0 then (0, max_cone)
         else begin
-          incr probes;
-          Hashtbl.replace seen id ();
-          defer prio id;
-          (* bounded cone: the protocol underneath is a bounded-path
-             engine, so hand it one [max_cone]-node window of the
-             critical path — phase 0 is the endpoint-side window, each
-             higher phase walks one window upstream (the flow advances
-             the phase when the current windows saturate).  A bounded
-             edit window also keeps the next round's incremental re-time
-             confined to a small fan-out cone.  Only the window is ever
-             materialized ({!Timing.path_window}): most pops lose the
-             disjointness test below, and paying a full path walk per
-             discarded probe dominated the selection. *)
-          (* phase 0 needs no length: the endpoint-side window stops at
-             [max_cone] nodes (or the head) on its own, so losing
-             probes cost O(max_cone), not O(depth); the full-path walk
-             is deferred to the winners (and to walked phases, where
-             the window index depends on the path length) *)
-          let skip, len_ =
-            if phase = 0 then (0, max_cone)
-            else begin
-              let total = Timing.path_length tm id in
-              let segments = (total + max_cone - 1) / max_cone in
-              let skip = phase mod segments * max_cone in
-              (skip, min max_cone (total - skip))
-            end
-          in
-          let nodes = Timing.path_window tm id ~skip ~len:len_ in
-          let gates = List.filter (is_gate t) nodes in
-          let disjoint =
-            not (List.exists (fun g -> Hashtbl.mem stamped g) gates)
-          in
-          (if disjoint then
-             match extract ?input_slope ~lib t nodes with
-             | e ->
-               List.iter (fun g -> Hashtbl.replace stamped g ()) gates;
-               results :=
-                 { e with total_gates = Timing.path_length tm id } :: !results;
-               incr n_results
-             | exception Invalid_argument _ -> ());
-          select ()
+          let total = Timing.path_length tm id in
+          let segments = (total + max_cone - 1) / max_cone in
+          let skip = phase mod segments * max_cone in
+          (skip, min max_cone (total - skip))
         end
+      in
+      let nodes = Timing.path_window tm id ~skip ~len:len_ in
+      let gates = List.filter (is_gate t) nodes in
+      let disjoint = not (List.exists (fun g -> Hashtbl.mem stamped g) gates) in
+      (if disjoint then
+         match extract ?input_slope ~lib t nodes with
+         | e ->
+           List.iter (fun g -> Hashtbl.replace stamped g ()) gates;
+           results := { e with total_gates = Timing.path_length tm id } :: !results;
+           incr n_results
+         | exception Invalid_argument _ -> ());
+      probe rest
   in
-  select ();
-  List.iter (fun (prio, id) -> incr_push q prio id) !deferred;
+  probe candidates;
   List.rev !results
 
 let apply_sizing t nodes sizing =

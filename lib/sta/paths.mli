@@ -35,8 +35,8 @@ val critical :
     date with {!Timing.update} instead of re-running {!Timing.analyze}
     from scratch.  [max_cone] windows the extraction to [max_cone] path
     nodes — [phase] (default 0) picks which window, counted from the
-    endpoint, wrapping past the head; by default the whole path is
-    extracted. *)
+    endpoint, wrapping past the head (a window holding only the primary
+    input wraps to phase 0); by default the whole path is extracted. *)
 
 type scratch
 (** Reusable enumeration state for {!k_worst}: the per-node metric
@@ -64,45 +64,37 @@ val k_worst :
     identical with or without it. *)
 
 type incr
-(** Persistent endpoint state for slack-driven path selection: a
-    lazy-deletion min-heap over (slack, endpoint id) entries, kept
-    current across netlist edits by the {!Timing.slacks} change feed.
-    Build once per optimization loop with {!incr_make}. *)
+(** Slack-driven path selection state: a {!Timing.slacks} annotation
+    bound to the netlist whose endpoints it ranks.  Build once per
+    optimization loop with {!incr_make}. *)
 
 val incr_make : Pops_netlist.Netlist.t -> Timing.slacks -> incr
-(** Seed the endpoint heap with every primary output whose slack is
-    defined.  The slacks annotation must belong to a timing of the same
-    netlist. *)
+(** Bind a slacks annotation to the netlist it times (it must belong to
+    a timing of that netlist). *)
 
 val k_worst_incr :
   ?k:int -> ?min_slack:float -> ?max_cone:int -> ?phase:int ->
   ?input_slope:float -> lib:Pops_cell.Library.t -> incr -> extracted list
 (** Up to [k] (default 5) {e gate-disjoint} critical cones through the
-    currently worst-slack endpoints, worst first: brings the slacks up
-    to date ({!Timing.slacks_update}), folds changed endpoints into the
-    heap, then pops endpoints in (slack, id) order — skipping stale
-    entries and any cone sharing a gate with an already selected one —
-    until [k] cones are selected, the next endpoint's slack is
-    [>= min_slack] (default [0.]: timing met there, nothing critical
-    remains), or [max 64 (16 k)] distinct candidates have been probed
-    (on high-fanout designs thousands of violating endpoints share one
-    spine; probing them all costs more than the round's re-timing, and
-    the flow only needs the worst few disjoint cones).  Each cone is
-    one window of at most [max_cone] (default
+    currently worst-slack endpoints, worst first.  Brings the slacks up
+    to date ({!Timing.slacks_update}), then ranks the primary outputs
+    whose slack is below [min_slack] (default [0.]: timing met there,
+    nothing critical remains) by (slack, id) in one pass, keeping the
+    [max 64 (16 k)] lowest — on high-fanout designs thousands of
+    violating endpoints share one spine, probing them all costs more
+    than the round's re-timing, and the flow only needs the worst few
+    disjoint cones.  It probes those in order, skipping any cone that
+    shares a gate with an already selected one, until [k] cones are
+    selected.  Each cone is one window of at most [max_cone] (default
     48) path nodes: the protocol underneath is a bounded-path engine,
     and a bounded edit window keeps the next round's incremental re-time
     confined to a small cone.  [phase] (default 0) picks the window —
     0 is the endpoint side, each higher phase one window further
     upstream, wrapping past the head; callers advance it when the
     current windows stop yielding improvement ({!extracted.total_gates}
-    tells how many windows a cone has).  Only endpoints whose slack
-    changed since the previous call cost heap work, so a converging
-    optimization round is [O(changed + k * depth)] instead of a full
-    re-enumeration.  The selection is deterministic: the probe bound
-    counts only valid, non-duplicate pops, and the valid pop sequence
-    of a carried heap equals a freshly built one's, so the result is
-    what sorting all endpoints by (slack, id) from scratch and probing
-    the same bounded prefix would pick. *)
+    tells how many windows a cone has).  The result is what sorting
+    every endpoint by (slack, id) and probing the same bounded prefix
+    picks. *)
 
 val k_worst_reference :
   ?k:int -> ?input_slope:float -> lib:Pops_cell.Library.t ->

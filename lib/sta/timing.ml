@@ -101,30 +101,9 @@ type t = {
   mutable rise_from : int array;
   mutable fall_from : int array;
   mutable cursor : int;
-  (* Arrival change log: ids whose stored (time, slope) moved during
-     {!update}, appended in processing order so a backward slack
-     observer can re-seed from exactly the nodes the forward wave
-     touched.  Off until a {!slacks} attaches ([log_enabled]); the
-     deep-spine fallback logs every swept id (conservative — the sweep
-     does not track per-node change). *)
-  mutable log_enabled : bool;
-  mutable change_log : int array;
-  mutable change_len : int;
-  (* per-entry classification of [change_log]: ['\001'] (heavy) when a
-     slope moved or an edge crossed defined/undefined — the moves that
-     can shift REQUIRED times downstream of the node; ['\000'] (light)
-     when only arrival time values moved on already-defined edges.  A
-     gate's output slope is [stau * cload / cin] — a function of its own
-     size and load, not of its inputs — so slope changes die out one
-     level past an edit and almost the whole forward wave is light: the
-     backward engine re-evaluates required times only from heavy
-     entries and patches the (req - arrival) slack of light ones in a
-     flat O(1)-per-node pass. *)
-  mutable change_heavy : Bytes.t;
-  (* worklist scratch: per-id queued marks, reused across updates (both
-     directions — the forward drain completes before the backward one
-     starts, and each drain unmarks every node it pops, so the buffer is
-     all-zero between uses) *)
+  (* worklist scratch: per-id queued marks, reused across updates (the
+     drain unmarks every node it pops, so the buffer is all-zero between
+     uses) *)
   mutable wl_mark : Bytes.t;
   (* eval scratch (running best per edge): one block reused across every
      {!eval_store_csr} call instead of a per-call allocation *)
@@ -133,9 +112,8 @@ type t = {
      for {!critical_delay}: a flat scan over all outputs costs O(P)
      plus an O(P) list allocation per query, which an optimization
      loop pays every round; the heap answers from the entries whose
-     arrivals actually moved.  Built on the third query (so a
-     one-shot/per-round-rebuilt [t] — the reference flow mode — never
-     pays the O(P) build), maintained by {!update} pushing every
+     arrivals actually moved.  Built on the third query (so a one-shot
+     [t] never pays the O(P) build), maintained by {!update} pushing every
      changed or dirtied output; stale entries are dropped on peek by
      comparing against the live arrival bitwise. *)
   mutable cd_hp : float array;
@@ -144,21 +122,6 @@ type t = {
   mutable cd_on : bool;
   mutable cd_queries : int;
 }
-
-let log_change t id ~heavy =
-  if t.log_enabled then begin
-    if t.change_len >= Array.length t.change_log then begin
-      let bigger = Array.make (2 * Array.length t.change_log) 0 in
-      Array.blit t.change_log 0 bigger 0 t.change_len;
-      t.change_log <- bigger;
-      let hv = Bytes.make (Array.length bigger) '\000' in
-      Bytes.blit t.change_heavy 0 hv 0 t.change_len;
-      t.change_heavy <- hv
-    end;
-    t.change_log.(t.change_len) <- id;
-    Bytes.set t.change_heavy t.change_len (if heavy then '\001' else '\000');
-    t.change_len <- t.change_len + 1
-  end
 
 (* slot offset of an edge's (time, slope) pair within a node's block *)
 let edge_off = function Edge.Rising -> 0 | Edge.Falling -> 2
@@ -468,20 +431,16 @@ let sweep_levels t (c : Netlist.Csr.t) ~from_level =
    counterpart of {!sweep_range}: the same hoisted coefficients, fan-in
    visit order and keep-first tie break (so stored bits match both the
    full sweep and the record-based {!eval_node}), with {!store_edge}'s
-   NaN-aware change test folded into the store.  Returns a move mask:
-   0 when neither edge's stored (time, slope) moved, bit 0 when an
-   arrival time value moved, bit 1 ({e heavy}) when a slope moved or an
-   edge crossed defined/undefined — the only moves that can shift
-   REQUIRED times downstream, since required reads a producer's slope
-   but never its time.  The event-driven {!update} runs this per popped
-   node; keeping the per-node cost at sweep constants (shared scratch
-   block, no boxed floats, no record or list traffic) is what lets the
-   incremental path beat the flat sweep on small cones instead of
-   losing its asymptotic win to per-node overhead. *)
+   NaN-aware change test folded into the store.  Returns true when
+   either edge's stored (time, slope) moved.  The event-driven {!update}
+   runs this per popped node; keeping the per-node cost at sweep
+   constants (shared scratch block, no boxed floats, no record or list
+   traffic) is what lets the incremental path beat the flat sweep on
+   small cones instead of losing its asymptotic win to per-node
+   overhead. *)
 
-(* store one edge with {!store_edge}'s change test and classify the
-   move as above.  Top-level (not a closure over the eval) so the hot
-   drain allocates nothing per node. *)
+(* store one edge with {!store_edge}'s change test.  Top-level (not a
+   closure over the eval) so the hot drain allocates nothing per node. *)
 let store_slot arr (fr : int array) id b time tau from =
   if from >= 0 then begin
     let old_t = Array.unsafe_get arr b in
@@ -489,15 +448,14 @@ let store_slot arr (fr : int array) id b time tau from =
     Array.unsafe_set arr b time;
     Array.unsafe_set arr (b + 1) tau;
     Array.unsafe_set fr id from;
-    if Float.is_nan old_t then 3
-    else (if old_t <> time then 1 else 0) lor (if old_s <> tau then 2 else 0)
+    Float.is_nan old_t || old_t <> time || old_s <> tau
   end
   else begin
     let was = not (Float.is_nan (Array.unsafe_get arr b)) in
     Array.unsafe_set arr b Float.nan;
     Array.unsafe_set arr (b + 1) Float.nan;
     Array.unsafe_set fr id (-1);
-    if was then 3 else 0
+    was
   end
 
 let eval_store_csr t (c : Netlist.Csr.t) id =
@@ -507,19 +465,18 @@ let eval_store_csr t (c : Netlist.Csr.t) id =
   if code = -1 then begin
     let b = 4 * id in
     let slot b0 =
-      if Float.is_nan arr.(b0) then 3
-      else
-        (if arr.(b0) <> t.input_arrival then 1 else 0)
-        lor if arr.(b0 + 1) <> t.input_slope then 2 else 0
+      Float.is_nan arr.(b0)
+      || arr.(b0) <> t.input_arrival
+      || arr.(b0 + 1) <> t.input_slope
     in
-    let mask = slot b lor slot (b + 2) in
+    let moved = slot b || slot (b + 2) in
     arr.(b) <- t.input_arrival;
     arr.(b + 1) <- t.input_slope;
     arr.(b + 2) <- t.input_arrival;
     arr.(b + 3) <- t.input_slope;
     t.rise_from.(id) <- -1;
     t.fall_from.(id) <- -1;
-    mask
+    moved
   end
   else if code = -2 || not tb.have.(code) then raise Not_found
   else begin
@@ -536,7 +493,7 @@ let eval_store_csr t (c : Netlist.Csr.t) id =
     let f_lo = Array.unsafe_get fanin_off id
     and f_hi = Array.unsafe_get fanin_off (id + 1) in
     let kl = Array.unsafe_get tb.klass code in
-    let mask = ref 0 in
+    let moved = ref false in
     let best = t.wl_best in
     let best_from = ref (-1) in
     let best_from2 = ref (-1) in
@@ -578,9 +535,9 @@ let eval_store_csr t (c : Netlist.Csr.t) id =
         end
       done;
       let b = 4 * id in
-      mask := store_slot arr t.rise_from id b best.(0) tau_r !best_from;
-      mask :=
-        !mask lor store_slot arr t.fall_from id (b + 2) best.(1) tau_f !best_from2
+      let r = store_slot arr t.rise_from id b best.(0) tau_r !best_from in
+      let f = store_slot arr t.fall_from id (b + 2) best.(1) tau_f !best_from2 in
+      moved := r || f
     end
     else
       for eo = 0 to 1 do
@@ -611,12 +568,10 @@ let eval_store_csr t (c : Netlist.Csr.t) id =
           done
         done;
         let fr = if eo = 0 then t.rise_from else t.fall_from in
-        mask :=
-          !mask
-          lor store_slot arr fr id ((4 * id) + (2 * eo)) best.(0) tau_out
-                !best_from
+        if store_slot arr fr id ((4 * id) + (2 * eo)) best.(0) tau_out !best_from
+        then moved := true
       done;
-    !mask
+    !moved
   end
 
 (* worst defined arrival over both edges of a node, NaN when neither
@@ -735,10 +690,6 @@ let update t =
         sweep_levels t c ~from_level:!lmin;
         let node_of = Netlist.Csr.node_of c in
         let level_off = Netlist.Csr.level_off c in
-        if t.log_enabled then
-          for i = level_off.(!lmin) to Netlist.Csr.length c - 1 do
-            log_change t node_of.(i) ~heavy:true
-          done;
         if t.cd_on then
           for i = level_off.(!lmin) to Netlist.Csr.length c - 1 do
             let id = node_of.(i) in
@@ -770,9 +721,7 @@ let update t =
         let node_of = Netlist.Csr.node_of c in
         let level_off = Netlist.Csr.level_off c in
         let process id =
-          let m = eval_store_csr t c id in
-          if m <> 0 then begin
-            log_change t id ~heavy:(m land 2 <> 0);
+          if eval_store_csr t c id then begin
             if t.cd_on && Netlist.is_output nl id then
               cd_push t (cd_worst_of t id) id;
             for p = fo_off.(id) to fo_off.(id + 1) - 1 do
@@ -790,8 +739,8 @@ let update t =
               (* dense level: one linear pass over the level's CSR
                  slice beats scattered evaluation — un-queued nodes
                  have unchanged fan-ins (any change would have queued
-                 them), so their re-evaluation stores the same bits,
-                 logs nothing and wakes nobody *)
+                 them), so their re-evaluation stores the same bits
+                 and wakes nobody *)
               List.iter (fun id -> Bytes.set mark id '\000') bucket;
               for i = lo to hi - 1 do
                 process node_of.(i)
@@ -845,10 +794,6 @@ let make ?input_slope ?(input_arrival = 0.) ?(level_par_min = 2048) ~lib netlist
     rise_from = Array.make cap (-1);
     fall_from = Array.make cap (-1);
     cursor = Netlist.revision netlist;
-    log_enabled = false;
-    change_log = Array.make 64 0;
-    change_len = 0;
-    change_heavy = Bytes.make 64 '\000';
     wl_mark = Bytes.make cap '\000';
     wl_best = [| Float.nan; Float.nan |];
     cd_hp = Array.make 256 0.;
@@ -1042,73 +987,66 @@ let slack t ~tc id =
 type slacks = {
   s_tm : t;
   s_tc : float;
-  mutable s_cap : int;
-  mutable req : float array;  (* 2 * s_cap required slots *)
-  mutable slk : float array;  (* s_cap worst-slack slots *)
-  mutable nl_cursor : int;  (* position in the netlist dirty log *)
-  mutable ch_cursor : int;  (* position in s_tm's arrival change log *)
-  mutable changed : int list;  (* endpoints touched since last take *)
-  (* per-id membership marks for [changed] (a hash set here costs a
-     lookup per popped worklist node on wide designs); unmarked by
-     {!slacks_changed_take} walking [changed], so all-zero between
-     drains *)
-  mutable changed_set : Bytes.t;
-  (* eval scratch (running min): one slot reused across every
-     {!eval_req_csr} call — a float ref would box every update, a
-     per-call array would allocate per popped node *)
-  s_scr : float array;
+  mutable req : float array;  (* two required slots per id *)
+  mutable slk : float array;  (* one worst-slack slot per id *)
+  mutable nl_cursor : int;  (* netlist revision the arrays reflect *)
 }
 
-let nan_ne a b = not (a = b || (Float.is_nan a && Float.is_nan b))
-
-let slacks_grow s =
-  let bound = Netlist.id_bound s.s_tm.netlist in
-  if bound > s.s_cap then begin
-    let cap = max bound (2 * s.s_cap) in
-    s.req <- Array.append s.req (Array.make (2 * (cap - s.s_cap)) Float.nan);
-    s.slk <- Array.append s.slk (Array.make (cap - s.s_cap) Float.nan);
-    let cs = Bytes.make cap '\000' in
-    Bytes.blit s.changed_set 0 cs 0 s.s_cap;
-    s.changed_set <- cs;
-    s.s_cap <- cap
-  end
-
-let slacks_clear_node s id =
-  s.req.(2 * id) <- Float.nan;
-  s.req.((2 * id) + 1) <- Float.nan;
-  s.slk.(id) <- Float.nan
-
-(* Recompute both required slots of one node from its consumers' stored
-   required times, straight off the CSR arrays — the backward
-   counterpart of {!eval_store_csr}.  The same coefficient tables and
-   float groupings as the forward {!sweep_range} (so [x /. 2.] is
-   [x *. 0.5] etc.), and min is commutative, so any evaluation order
-   over the same consumer set yields the same bits — full sweeps and
-   worklist re-evaluations agree bit for bit.  Per-node cost is sweep
-   constants: the CSR fanout slice replaces the consumer-list walk and
-   its per-consumer record reads, and the running min lives in a
-   one-slot scratch array (a float ref would box every update).
-   Returns true when either slot moved. *)
-let eval_req_csr s (c : Netlist.Csr.t) id =
+let eval_slack s id =
   let tm = s.s_tm in
+  let worst = ref Float.nan in
+  for eo = 0 to 1 do
+    let a = tm.arr.((4 * id) + (2 * eo)) in
+    let r = s.req.((2 * id) + eo) in
+    if not (Float.is_nan a || Float.is_nan r) then begin
+      let sl = r -. a in
+      if Float.is_nan !worst || sl < !worst then worst := sl
+    end
+  done;
+  s.slk.(id) <- !worst
+
+(* Full backward pass: every slot back to undefined (ids deleted since
+   the last pass must read nan), then the reverse levelized CSR order,
+   so every consumer's required time is stored before its producers
+   read it.  Per node this recomputes both required slots from the
+   consumers straight off the CSR arrays — the backward counterpart of
+   {!sweep_range}, with the same coefficient tables and float groupings
+   (so [x /. 2.] is [x *. 0.5] etc.).  Min is commutative, so any
+   evaluation order over the same consumer set yields the same bits as
+   the record-based {!slacks_reference}.  The running min lives in a
+   one-slot array: a float ref would box on every update. *)
+let slacks_sweep s =
+  let tm = s.s_tm in
+  let nl = tm.netlist in
+  let cap = max 64 (Netlist.id_bound nl) in
+  if cap > Array.length s.slk then begin
+    s.req <- Array.make (2 * cap) Float.nan;
+    s.slk <- Array.make cap Float.nan
+  end
+  else begin
+    Array.fill s.req 0 (Array.length s.req) Float.nan;
+    Array.fill s.slk 0 (Array.length s.slk) Float.nan
+  end;
+  s.nl_cursor <- Netlist.revision nl;
+  let c = Netlist.csr nl in
   let tb = tm.tables in
   let arr = tm.arr in
   let req = s.req in
+  let node_of = Netlist.Csr.node_of c in
   let kind_code = Netlist.Csr.kind_code c in
   let vt_code = Netlist.Csr.vt_code c in
   let cin = Netlist.Csr.cin c in
   let load = Netlist.Csr.load c in
   let fo_off = Netlist.Csr.fanout_off c in
   let fo = Netlist.Csr.fanout c in
-  let is_out = Netlist.is_output tm.netlist id in
-  let f_lo = fo_off.(id) and f_hi = fo_off.(id + 1) in
-  let acc = s.s_scr in
-  let changed = ref false in
-  for eo = 0 to 1 do
-    let a = arr.((4 * id) + (2 * eo)) in
-    let r =
-      if Float.is_nan a then Float.nan
-      else begin
+  let acc = [| Float.nan |] in
+  for i = Netlist.Csr.length c - 1 downto 0 do
+    let id = node_of.(i) in
+    let is_out = Netlist.is_output nl id in
+    let f_lo = fo_off.(id) and f_hi = fo_off.(id + 1) in
+    for eo = 0 to 1 do
+      let a = arr.((4 * id) + (2 * eo)) in
+      if not (Float.is_nan a) then begin
         let slope = arr.((4 * id) + (2 * eo) + 1) in
         acc.(0) <- (if is_out then s.s_tc else Float.nan);
         for p = f_lo to f_hi - 1 do
@@ -1164,68 +1102,15 @@ let eval_req_csr s (c : Netlist.Csr.t) id =
             done
           end
         done;
-        acc.(0)
+        req.((2 * id) + eo) <- acc.(0)
       end
-    in
-    let slot = (2 * id) + eo in
-    if nan_ne req.(slot) r then changed := true;
-    req.(slot) <- r
-  done;
-  !changed
-
-let eval_slack s id =
-  let tm = s.s_tm in
-  let worst = ref Float.nan in
-  for eo = 0 to 1 do
-    let a = tm.arr.((4 * id) + (2 * eo)) in
-    let r = s.req.((2 * id) + eo) in
-    if not (Float.is_nan a || Float.is_nan r) then begin
-      let sl = r -. a in
-      if Float.is_nan !worst || sl < !worst then worst := sl
-    end
-  done;
-  let changed = nan_ne s.slk.(id) !worst in
-  s.slk.(id) <- !worst;
-  changed
-
-let record_endpoint s id =
-  if
-    Netlist.is_output s.s_tm.netlist id
-    && Bytes.get s.changed_set id = '\000'
-  then begin
-    Bytes.set s.changed_set id '\001';
-    s.changed <- id :: s.changed
-  end
-
-(* full backward pass: reverse levelized CSR order, so every consumer's
-   required time is stored before its producers read it *)
-let slacks_sweep s =
-  let c = Netlist.csr s.s_tm.netlist in
-  let node_of = Netlist.Csr.node_of c in
-  for i = Netlist.Csr.length c - 1 downto 0 do
-    let id = node_of.(i) in
-    ignore (eval_req_csr s c id);
-    ignore (eval_slack s id)
+    done;
+    eval_slack s id
   done
 
 let slacks_make tm ~tc =
   update tm;
-  tm.log_enabled <- true;
-  let cap = max 64 (Netlist.id_bound tm.netlist) in
-  let s =
-    {
-      s_tm = tm;
-      s_tc = tc;
-      s_cap = cap;
-      req = Array.make (2 * cap) Float.nan;
-      slk = Array.make cap Float.nan;
-      nl_cursor = Netlist.revision tm.netlist;
-      ch_cursor = tm.change_len;
-      changed = [];
-      changed_set = Bytes.make cap '\000';
-      s_scr = [| Float.nan |];
-    }
-  in
+  let s = { s_tm = tm; s_tc = tc; req = [||]; slk = [||]; nl_cursor = 0 } in
   slacks_sweep s;
   s
 
@@ -1237,18 +1122,8 @@ let slacks_reference tm ~tc =
   let nl = tm.netlist in
   let cap = max 64 (Netlist.id_bound nl) in
   let s =
-    {
-      s_tm = tm;
-      s_tc = tc;
-      s_cap = cap;
-      req = Array.make (2 * cap) Float.nan;
-      slk = Array.make cap Float.nan;
-      nl_cursor = Netlist.revision nl;
-      ch_cursor = tm.change_len;
-      changed = [];
-      changed_set = Bytes.make cap '\000';
-      s_scr = [| Float.nan |];
-    }
+    { s_tm = tm; s_tc = tc; req = Array.make (2 * cap) Float.nan;
+      slk = Array.make cap Float.nan; nl_cursor = Netlist.revision nl }
   in
   List.iter
     (fun id ->
@@ -1305,115 +1180,25 @@ let slacks_reference tm ~tc =
           in
           s.req.((2 * id) + eo) <- r)
         [ Edge.Rising; Edge.Falling ];
-      ignore (eval_slack s id))
+      eval_slack s id)
     (List.rev (Netlist.topological_order nl));
   s
 
+(* a full backward sweep whenever the netlist moved: at the flow's
+   round rate the sweep is a small share of the round, and it leaves
+   nothing to keep consistent across edits *)
 let slacks_update s =
-  let tm = s.s_tm in
-  update tm;
-  let nl = tm.netlist in
-  let rev = Netlist.revision nl in
-  if rev <> s.nl_cursor || tm.change_len <> s.ch_cursor then begin
-    slacks_grow s;
-    grow tm;
-    (* Deepest-first drain over per-level buckets: required times flow
-       backward, so processing level [l] only wakes strictly shallower
-       levels and a node is re-evaluated only after all its touched
-       consumers settled.  Same bucket queue + byte-mark dedup as the
-       forward {!update} (the forward drain has completed and left the
-       marks all-zero), for the same reason: O(1) push/pop at sweep
-       constants instead of heap + hash overhead per popped node. *)
-    let c = Netlist.csr nl in
-    let depth = Netlist.Csr.depth c in
-    let buckets = Array.make (depth + 1) [] in
-    let mark = tm.wl_mark in
-    let enqueue id =
-      if Bytes.get mark id = '\000' && Netlist.node_exists nl id then begin
-        Bytes.set mark id '\001';
-        let l = Netlist.level nl id in
-        buckets.(l) <- id :: buckets.(l)
-      end
-    in
-    let fi_off = Netlist.Csr.fanin_off c in
-    let fi = Netlist.Csr.fanin c in
-    (* Seeds: (a) every {e heavy} arrival change — a slope move or a
-       defined/undefined transition: the delay consumers charge the node
-       (i.e. its own required time) reads its slope, never its time, so
-       only these can move required times.  A time-only move leaves
-       every required time in the design bitwise intact (a node's
-       required depends on its consumers' required and its own slope;
-       its fan-ins' on {e its} required) — those nodes skip the drain
-       and get their slack patched in the flat pass below.  Since a
-       gate's output slope is [stau * cload / cin] — its own size and
-       load, not its inputs — slope changes die out one level past an
-       edit and almost the whole forward wave is light.  (b) every
-       netlist-dirty node and its fan-ins (a resize or rewire changes
-       the delay {e through} the dirty node even when no slope moved
-       bitwise; output designation changes the base term).  Deleted
-       nodes are cleared; their fan-ins were marked dirty by the
-       deletion. *)
-    List.iter
-      (fun id ->
-        if Netlist.node_exists nl id then begin
-          enqueue id;
-          for p = fi_off.(id) to fi_off.(id + 1) - 1 do
-            enqueue fi.(p)
-          done
-        end
-        else if id < s.s_cap then slacks_clear_node s id)
-      (Netlist.dirty_since nl s.nl_cursor);
-    let ch_lo = s.ch_cursor in
-    for i = ch_lo to tm.change_len - 1 do
-      if Bytes.get tm.change_heavy i = '\001' then enqueue tm.change_log.(i)
-    done;
-    s.nl_cursor <- rev;
-    s.ch_cursor <- tm.change_len;
-    for l = depth downto 0 do
-      List.iter
-        (fun id ->
-          Bytes.set mark id '\000';
-          let req_moved = eval_req_csr s c id in
-          ignore (eval_slack s id);
-          (* conservative: every touched endpoint is reported, whether
-             or not its slack moved bitwise — consumers of the change
-             list tolerate duplicates (persistent heaps validate
-             against the current slack on pop) *)
-          record_endpoint s id;
-          if req_moved then
-            for p = fi_off.(id) to fi_off.(id + 1) - 1 do
-              enqueue fi.(p)
-            done)
-        buckets.(l)
-    done;
-    (* light pass: arrival-time-only moves — required times settled
-       above (bit-identical whether or not these ran through the
-       drain), so only [slk] and the endpoint report need refreshing,
-       at a handful of array reads per node *)
-    for i = ch_lo to tm.change_len - 1 do
-      if Bytes.get tm.change_heavy i = '\000' then begin
-        let id = tm.change_log.(i) in
-        if Netlist.node_exists nl id then begin
-          ignore (eval_slack s id);
-          record_endpoint s id
-        end
-      end
-    done
-  end
+  update s.s_tm;
+  if Netlist.revision s.s_tm.netlist <> s.nl_cursor then slacks_sweep s
 
 let slacks_timing s = s.s_tm
 let slacks_tc s = s.s_tc
 
 let required s id edge =
-  if id < 0 || id >= s.s_cap then raise Not_found;
+  if id < 0 || id >= Array.length s.slk then raise Not_found;
   let r = s.req.((2 * id) + edge_bit edge) in
   if Float.is_nan r then raise Not_found;
   r
 
-let node_slack s id = if id < 0 || id >= s.s_cap then Float.nan else s.slk.(id)
-
-let slacks_changed_take s =
-  let l = List.rev s.changed in
-  List.iter (fun id -> Bytes.set s.changed_set id '\000') s.changed;
-  s.changed <- [];
-  l
+let node_slack s id =
+  if id < 0 || id >= Array.length s.slk then Float.nan else s.slk.(id)

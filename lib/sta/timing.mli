@@ -114,18 +114,15 @@ val slack : t -> tc:float -> int -> float
     The backward mirror of the arrival engine: per-node, per-edge
     {e required} times propagated from the primary outputs (required
     [tc] there) against the signal flow, and the per-node worst slack
-    [required - arrival].  Like arrivals, slacks are {e incremental}: a
-    {!slacks} holds cursors into the netlist dirty log {e and} into its
-    timing's arrival change log, and {!slacks_update} re-propagates
-    required times backward only while they actually move bitwise. *)
+    [required - arrival].  Unlike arrivals, slacks are not incremental:
+    {!slacks_update} re-runs the full backward sweep whenever the
+    netlist has moved. *)
 
 type slacks
 (** Required-time/slack annotation bound to one {!t} and one [tc]. *)
 
 val slacks_make : t -> tc:float -> slacks
-(** Full backward sweep over the reverse levelized CSR order.  Attaches
-    the arrival change log to [t] (subsequent {!update}s record which
-    arrivals moved, feeding {!slacks_update}). *)
+(** Full backward sweep over the reverse levelized CSR order. *)
 
 val slacks_reference : t -> tc:float -> slacks
 (** The record-based from-scratch oracle (per-consumer
@@ -134,18 +131,11 @@ val slacks_reference : t -> tc:float -> slacks
     {!slacks_update} against.  Not for production use. *)
 
 val slacks_update : slacks -> unit
-(** Fold netlist edits and arrival changes since the last make/update
-    back into the required/slack arrays: runs {!update} first, seeds a
-    deepest-first worklist with every {e heavy} arrival change (slope
-    moved, or an edge crossed defined/undefined — a gate's output slope
-    depends only on its own size and load, so a time-only move cannot
-    shift any required time) plus every dirty node and its fan-ins,
-    re-evaluates required times backward, propagating to fan-ins only
-    on a bitwise change, then patches the slack of time-only moves in a
-    flat O(1)-per-node pass.  Results
-    are bit-identical to a fresh {!slacks_make} of the mutated
-    netlist.  Unlike arrivals this is {e not} called implicitly by the
-    accessors — call it once per round, then query. *)
+(** Bring the required/slack arrays up to date with the netlist: runs
+    {!update}, then the full {!slacks_make} sweep when the netlist has
+    been edited since the last make/update.  Unlike arrivals this is
+    {e not} called implicitly by the accessors — call it once per round,
+    then query. *)
 
 val slacks_timing : slacks -> t
 val slacks_tc : slacks -> float
@@ -159,9 +149,3 @@ val node_slack : slacks -> int -> float
 (** Worst [required - arrival] over both edges, as of the last
     make/update; negative means the node lies on a violating path.
     [nan] when undefined. *)
-
-val slacks_changed_take : slacks -> int list
-(** Drain the endpoint change list: primary outputs touched by
-    {!slacks_update} calls since the last take (conservative — a
-    touched endpoint's slack may be bitwise unchanged).  Feeds the
-    persistent endpoint heap of {!Paths.k_worst_incr}. *)

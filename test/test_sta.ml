@@ -273,6 +273,18 @@ let test_k1_matches_critical () =
     Alcotest.(check (list int)) "k=1 equals the critical path" crit.Paths.nodes ex.Paths.nodes
   | other -> Alcotest.failf "expected exactly one path, got %d" (List.length other))
 
+(* a 48-inverter chain's critical path is 49 nodes, so the upstream
+   window of 48 holds only the primary input: it wraps to the
+   endpoint-side window instead of raising *)
+let test_critical_window_wraps_input_only () =
+  let t = Builder.inverter_chain tech ~n:48 ~out_load:30. in
+  let w0 = Paths.critical ~max_cone:48 ~phase:0 ~lib t in
+  let w1 = Paths.critical ~max_cone:48 ~phase:1 ~lib t in
+  Alcotest.(check int) "full window" 48 (List.length w0.Paths.nodes);
+  Alcotest.(check (list int)) "phase 1 wraps to phase 0" w0.Paths.nodes
+    w1.Paths.nodes;
+  Alcotest.(check int) "total counts the input" 49 w1.Paths.total_gates
+
 (* --- power --- *)
 
 let test_power_report () =
@@ -429,7 +441,11 @@ let () =
           Alcotest.test_case "input slope propagates" `Quick test_input_slope_propagates;
         ] );
       ( "paths-extra",
-        [ Alcotest.test_case "k=1 equals critical" `Quick test_k1_matches_critical ] );
+        [
+          Alcotest.test_case "k=1 equals critical" `Quick test_k1_matches_critical;
+          Alcotest.test_case "input-only window wraps" `Quick
+            test_critical_window_wraps_input_only;
+        ] );
       ( "sequential",
         [ Alcotest.test_case "min clock period" `Quick test_min_clock_period ] );
       ( "report",
