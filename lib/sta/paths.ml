@@ -333,8 +333,11 @@ let scratch_fit sc bound =
   sc.sc_len <- 0
 
 (* max-heap on (priority, entry); same sift order as {!Pq}, so pop
-   sequences — and hence the surviving paths — are identical *)
-let q_push sc prio e =
+   sequences — and hence the surviving paths — are identical.  The
+   priority is the entry's distance plus its node's suffix bound, read
+   out of the arena rather than passed in: a float argument to a
+   function that is not inlined is boxed on every push. *)
+let q_push sc e =
   if sc.sc_qn >= Array.length sc.sc_qp then begin
     let n = Array.length sc.sc_qp in
     let qp = Array.make (2 * n) 0. and qe = Array.make (2 * n) 0 in
@@ -344,7 +347,7 @@ let q_push sc prio e =
     sc.sc_qe <- qe
   end;
   let qp = sc.sc_qp and qe = sc.sc_qe in
-  qp.(sc.sc_qn) <- prio;
+  qp.(sc.sc_qn) <- sc.sc_d.(e) +. sc.sc_suffix.(sc.sc_node.(e));
   qe.(sc.sc_qn) <- e;
   let i = ref sc.sc_qn in
   sc.sc_qn <- sc.sc_qn + 1;
@@ -387,7 +390,9 @@ let q_pop sc =
     top
   end
 
-let arena_push sc node parent d =
+(* appends an entry at distance 0; the caller stores any other
+   distance into [sc_d] itself, for the same boxing reason as {!q_push} *)
+let arena_push sc node parent =
   if sc.sc_len >= Array.length sc.sc_node then begin
     let n = Array.length sc.sc_node in
     let grow_i a =
@@ -404,7 +409,7 @@ let arena_push sc node parent d =
   let e = sc.sc_len in
   sc.sc_node.(e) <- node;
   sc.sc_parent.(e) <- parent;
-  sc.sc_d.(e) <- d;
+  sc.sc_d.(e) <- 0.;
   sc.sc_len <- e + 1;
   e
 
@@ -440,7 +445,7 @@ let k_worst ?scratch ?(k = 5) ?input_slope ~lib t =
   let outputs = Netlist.outputs t in
   List.iter (fun (id, _) -> output_flag.(id) <- true) outputs;
   List.iter
-    (fun pi -> q_push sc suffix.(pi) (arena_push sc pi (-1) 0.))
+    (fun pi -> q_push sc (arena_push sc pi (-1)))
     (Netlist.inputs t);
   let results = ref [] and n_results = ref 0 and pops = ref 0 in
   let want = 3 * k in
@@ -459,8 +464,9 @@ let k_worst ?scratch ?(k = 5) ?input_slope ~lib t =
         let d = sc.sc_d.(e) in
         for fo = fanout_off.(head) to fanout_off.(head + 1) - 1 do
           let cn = fanout.(fo) in
-          let d' = d +. est.(cn) in
-          q_push sc (d' +. suffix.(cn)) (arena_push sc cn e d')
+          let e' = arena_push sc cn e in
+          sc.sc_d.(e') <- d +. est.(cn);
+          q_push sc e'
         done;
         search ()
       end

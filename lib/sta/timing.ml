@@ -2,7 +2,6 @@ module Netlist = Pops_netlist.Netlist
 module Gk = Pops_cell.Gate_kind
 module Edge = Pops_delay.Edge
 module Model = Pops_delay.Model
-module Pool = Pops_util.Pool
 
 type arrival = { time : float; slope : float; from_ : (int * Edge.t) option }
 
@@ -95,7 +94,6 @@ type t = {
   tables : tables;
   input_slope : float;
   input_arrival : float;
-  level_par_min : int;  (* minimum level width to fan out across the pool *)
   mutable cap : int;  (* arrays valid for ids < cap *)
   mutable arr : float array;  (* 4 * cap arrival slots *)
   mutable rise_from : int array;
@@ -240,8 +238,7 @@ let store_node t id (rise, fall) =
    break, so results are bit-identical to the record-based evaluator.
 
    Nodes only read arrivals of strictly lower levels, so any partition
-   of one level into slices — including a concurrent one — stores the
-   same values.
+   of one level into slices stores the same values.
 
    The loop body uses [Array.unsafe_get]/[unsafe_set]: every index is
    in bounds by the CSR construction invariants — [node_of.(i)] for
@@ -411,21 +408,11 @@ let sweep_range t (c : Netlist.Csr.t) lo hi =
     end
   done
 
-(* level-by-level propagation from [from_level] to the sinks; a level
-   wider than [level_par_min] fans out across the shared pool (slices
-   write disjoint slots, see {!sweep_range}, so this is deterministic) *)
+(* propagation from [from_level] to the sinks: the levels from there on
+   are one contiguous slice of the CSR order *)
 let sweep_levels t (c : Netlist.Csr.t) ~from_level =
   let level_off = Netlist.Csr.level_off c in
-  let top = Array.length level_off - 2 in
-  for l = from_level to top do
-    let lo = level_off.(l) and hi = level_off.(l + 1) in
-    if hi - lo >= t.level_par_min && Pool.default_size () > 1 then
-      Pool.parallel_chunks
-        ~min_chunk:(max 1 (t.level_par_min / 2))
-        (fun a b -> sweep_range t c a b)
-        ~lo ~hi
-    else sweep_range t c lo hi
-  done
+  sweep_range t c level_off.(from_level) level_off.(Array.length level_off - 1)
 
 (* Single-node re-evaluation straight off the CSR arrays — the worklist
    counterpart of {!sweep_range}: the same hoisted coefficients, fan-in
@@ -765,7 +752,7 @@ let update t =
     end
   end
 
-let make ?input_slope ?(input_arrival = 0.) ?(level_par_min = 2048) ~lib netlist =
+let make ?input_slope ?(input_arrival = 0.) ~lib netlist =
   let tech = Netlist.tech netlist in
   let input_slope =
     Option.value input_slope ~default:(2. *. tech.Pops_process.Tech.tau)
@@ -788,7 +775,6 @@ let make ?input_slope ?(input_arrival = 0.) ?(level_par_min = 2048) ~lib netlist
     tables = build_tables ~lib;
     input_slope;
     input_arrival;
-    level_par_min = max 1 level_par_min;
     cap;
     arr;
     rise_from = Array.make cap (-1);
@@ -803,8 +789,8 @@ let make ?input_slope ?(input_arrival = 0.) ?(level_par_min = 2048) ~lib netlist
     cd_queries = 0;
   }
 
-let analyze ?input_slope ?input_arrival ?level_par_min ~lib netlist =
-  let t = make ?input_slope ?input_arrival ?level_par_min ~lib netlist in
+let analyze ?input_slope ?input_arrival ~lib netlist =
+  let t = make ?input_slope ?input_arrival ~lib netlist in
   sweep_levels t (Netlist.csr netlist) ~from_level:0;
   t
 

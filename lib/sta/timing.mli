@@ -34,18 +34,14 @@ type t
 (** Timing annotation of one netlist under one sizing state. *)
 
 val analyze :
-  ?input_slope:float -> ?input_arrival:float -> ?level_par_min:int ->
+  ?input_slope:float -> ?input_arrival:float ->
   lib:Pops_cell.Library.t -> Pops_netlist.Netlist.t -> t
 (** Run STA from scratch.  [input_slope] defaults to [2 * tau];
     [input_arrival] to 0 for every primary input.
 
     The pass sweeps the netlist's {!Pops_netlist.Netlist.Csr} snapshot
-    level by level with an allocation-free inner loop; levels wider than
-    [level_par_min] (default 2048) fan out across the shared
-    {!Pops_util.Pool}.  Parallel slices write disjoint arrival slots and
-    read only strictly lower levels, so the result is bit-identical to
-    the sequential sweep — and to {!analyze_reference} — at any domain
-    count. *)
+    level by level with an allocation-free inner loop, sequentially; the
+    result is bit-identical to {!analyze_reference}. *)
 
 val analyze_reference :
   ?input_slope:float -> ?input_arrival:float ->

@@ -172,29 +172,6 @@ let parallel_map ?pool f xs =
 let map_list ?pool f xs =
   Array.to_list (parallel_map ?pool f (Array.of_list xs))
 
-(* Split [lo, hi) into at most [size] contiguous chunks of at least
-   [min_chunk] indices and run [f a b] on each.  Chunk boundaries depend
-   only on the range, the pool size and [min_chunk] — never on
-   scheduling — so a caller whose chunks write disjoint slots gets
-   bit-identical results at any domain count. *)
-let parallel_chunks ?pool ~min_chunk f ~lo ~hi =
-  if hi > lo then begin
-    let pool = match pool with Some p -> p | None -> default () in
-    let len = hi - lo in
-    let pieces = min pool.size (max 1 (len / max 1 min_chunk)) in
-    if pieces <= 1 || pool.stopped then f lo hi
-    else begin
-      let base = len / pieces and rem = len mod pieces in
-      let bounds =
-        Array.init pieces (fun i ->
-            let a = lo + (i * base) + min i rem in
-            let b = a + base + (if i < rem then 1 else 0) in
-            (a, b))
-      in
-      ignore (parallel_map ~pool (fun (a, b) -> f a b) bounds)
-    end
-  end
-
 let parallel_reduce ?pool ~map ~combine ~init xs =
   Array.fold_left combine init (parallel_map ?pool map xs)
 

@@ -62,17 +62,6 @@ val parallel_map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map] for lists, preserving order. *)
 
-val parallel_chunks :
-  ?pool:t -> min_chunk:int -> (int -> int -> unit) -> lo:int -> hi:int -> unit
-(** [parallel_chunks ~min_chunk f ~lo ~hi] covers the index range
-    [lo, hi)] with disjoint contiguous chunks of at least [min_chunk]
-    indices (at most one per pool domain) and runs [f a b] on each,
-    possibly concurrently.  Chunk boundaries are a pure function of the
-    range, the pool size and [min_chunk], so when every [f a b] writes
-    only slots in [a, b) the combined result is bit-identical to the
-    sequential [f lo hi] at any domain count.  Runs [f lo hi] inline when
-    the range is too small to split or the pool is sequential. *)
-
 val parallel_reduce :
   ?pool:t -> map:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc ->
   'a array -> 'acc

@@ -836,50 +836,35 @@ let () =
       let _, c = Rng.split p in
       require (draws 16 p <> draws 16 c) "child stream mirrors the parent stream")
 
-(* the level-parallel CSR sweep must be bit-identical to the sequential
-   record-based reference at every domain count: slices write disjoint
-   arrival slots and read only strictly lower levels, and chunk
-   boundaries are a pure function of the range and the pool size *)
+(* the CSR level sweep must be bit-identical to the record-based
+   reference: same arithmetic grouping, same fan-in visit order, same
+   keep-first tie break *)
 let () =
-  Prop.register ~cases:25 ~name:"sta.level_parallel_equals_sequential" C.dag_spec
+  Prop.register ~cases:25 ~name:"sta.csr_sweep_equals_reference" C.dag_spec
     (fun d ->
       let nl = C.build_dag d in
       let lib = C.library (Netlist.tech nl) in
       let reference = Timing.analyze_reference ~lib nl in
-      let ids = Netlist.inputs nl @ Netlist.gate_ids nl in
-      let saved = Pool.default_size () in
-      Fun.protect
-        ~finally:(fun () -> Pool.set_default_size saved)
-        (fun () ->
+      let t = Timing.analyze ~lib nl in
+      requiref
+        (Timing.critical_delay t = Timing.critical_delay reference)
+        "critical delay %.17g <> reference %.17g" (Timing.critical_delay t)
+        (Timing.critical_delay reference);
+      List.iter
+        (fun id ->
           List.iter
-            (fun domains ->
-              Pool.set_default_size domains;
-              (* level_par_min 2 forces the parallel path on every level
-                 wider than one node, even on these small circuits *)
-              let t = Timing.analyze ~level_par_min:2 ~lib nl in
-              requiref
-                (Timing.critical_delay t = Timing.critical_delay reference)
-                "%d domains: critical delay %.17g <> sequential %.17g" domains
-                (Timing.critical_delay t) (Timing.critical_delay reference);
-              List.iter
-                (fun id ->
-                  List.iter
-                    (fun e ->
-                      let a = Timing.arrival t id e
-                      and b = Timing.arrival reference id e in
-                      if
-                        not
-                          (a.Timing.time = b.Timing.time
-                          && a.Timing.slope = b.Timing.slope
-                          && a.Timing.from_ = b.Timing.from_)
-                      then
-                        Prop.failf
-                          "%d domains: node %d %s arrival differs from sequential"
-                          domains id
-                          (match e with Edge.Rising -> "rise" | Edge.Falling -> "fall"))
-                    [ Edge.Rising; Edge.Falling ])
-                ids)
-            [ 1; 2; 4 ]))
+            (fun e ->
+              let a = Timing.arrival t id e and b = Timing.arrival reference id e in
+              if
+                not
+                  (a.Timing.time = b.Timing.time
+                  && a.Timing.slope = b.Timing.slope
+                  && a.Timing.from_ = b.Timing.from_)
+              then
+                Prop.failf "node %d %s arrival differs from the reference" id
+                  (match e with Edge.Rising -> "rise" | Edge.Falling -> "fall"))
+            [ Edge.Rising; Edge.Falling ])
+        (Netlist.inputs nl @ Netlist.gate_ids nl))
 
 let () =
   Prop.register ~name:"pool.parallel_map_ordered"
