@@ -32,7 +32,7 @@ let flow_scale () =
           let tc = 0.9 *. Timing.critical_delay (Timing.analyze ~lib nl) in
           let optimize () =
             let target = Netlist.copy nl in
-            (target, Flow.optimize ~lib ~tc target)
+            (target, Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc target))
           in
           let fingerprint (m : _ timed) =
             let target, r = m.value in

@@ -59,7 +59,7 @@ let delay_kernel () =
       bench ~iters:hot ~kernel:"gradient_into" ~circuit:name ~stages:n
         ~budget:alloc_budget (fun () -> Path.gradient_into path x g);
       bench ~iters:(if !smoke then 5 else 50) ~kernel:"sensitivity_solve"
-        ~circuit:name ~stages:n (fun () -> Sens.solve path);
+        ~circuit:name ~stages:n (fun () -> Sens.solve ~beta:1. ~tol:1e-6 path);
       let tc = 1.2 *. (bounds_of p).Bounds.tmin in
       bench ~iters:(if !smoke then 1 else 3) ~kernel:"bisect_for_beta"
         ~circuit:name ~stages:n (fun () -> Sens.bisect_for_beta ~beta:0.5 path ~tc))

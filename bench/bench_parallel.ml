@@ -39,8 +39,9 @@ let parallel () =
   in
   kernel ~name:"flow_rounds" ~circuit:flow_circuit ~fingerprint:report_fingerprint
     (fun () ->
-      Flow.optimize ~max_rounds:(if !smoke then 3 else 12) ~k_paths:4 ~lib ~tc:flow_tc
-        (Netlist.copy flow_base));
+      Pops_robust.Outcome.get
+        (Flow.optimize_o ~max_rounds:(if !smoke then 3 else 12) ~k_paths:4 ~lib
+           ~tc:flow_tc (Netlist.copy flow_base)));
   (* protocol candidates — sizing / buffering / restructuring evaluated
      concurrently per path (Protocol.run) *)
   let protocol_suite =

@@ -156,8 +156,8 @@ let bechamel_kernels () =
   let mk name f = Test.make ~name (Staged.stage f) in
   [
     mk "fig1/tmin-trace" (fun () -> ignore (Bounds.tmin_trace p));
-    mk "fig2/tmin-solve" (fun () -> ignore (Sens.solve_worst ~a:0. small_path));
-    mk "fig3/sensitivity-sample" (fun () -> ignore (Sens.solve_worst ~a:(-0.5) p));
+    mk "fig2/tmin-solve" (fun () -> ignore (Sens.solve small_path));
+    mk "fig3/sensitivity-sample" (fun () -> ignore (Sens.solve ~a:(-0.5) p));
     mk "fig4+table1/size-for-constraint" (fun () ->
         ignore (Sens.size_for_constraint small_path ~tc));
     mk "table2/flimit" (fun () ->
@@ -165,7 +165,7 @@ let bechamel_kernels () =
         ignore (Buffers.flimit ~lib ~driver:Gk.Inv ~gate:(Gk.Nor 3) ()));
     mk "table3/global-buffers" (fun () ->
         ignore (Buffers.insert_global ~objective:`Tmin ~lib p));
-    mk "fig6/tradeoff-point" (fun () -> ignore (Sens.solve_worst ~a:(-1.) p));
+    mk "fig6/tradeoff-point" (fun () -> ignore (Sens.solve ~a:(-1.) p));
     mk "fig8/protocol" (fun () -> ignore (Protocol.run ~lib ~tc:(1.3 *. Bounds.tmin p) p));
     mk "table4/restructure" (fun () -> ignore (Restructure.apply ~lib p));
     mk "substrate/sta" (fun () ->

@@ -26,7 +26,7 @@ let vt () =
       let tc = 1.25 *. Timing.critical_delay (Timing.analyze ~lib (Netlist.copy base)) in
       let run () =
         let nl = Netlist.copy base in
-        let r = Flow.optimize ~vt_assign:true ~lib ~tc nl in
+        let r = Pops_robust.Outcome.get (Flow.optimize_o ~vt_assign:true ~lib ~tc nl) in
         (netlist_fingerprint nl, Timing.critical_delay (Timing.analyze ~lib nl), r)
       in
       let runs = sweep ~what:("vt " ^ name) ~fingerprint:(fun (fp, _, _) -> fp) run in

@@ -84,7 +84,7 @@ let fig3 () =
         ("delay/Tmin", Table.Right) ]
   in
   let sample a =
-    let x = Sens.solve_worst ~a p in
+    let x = (Sens.solve ~a p).Sens.sizing in
     (Path.area p x, Path.delay_worst p x)
   in
   List.iter
@@ -196,7 +196,7 @@ let flimit_simulated ~gate =
     let p_buf = Path.of_kinds ~lib ~c_out:cload [ Gk.Inv; gate; Gk.Inv; Gk.Inv ] in
     let x0 = Path.min_sizing p_buf in
     x0.(1) <- gate_cin;
-    let x_buf = Sens.solve_worst ~a:0. ~frozen:[ 1 ] ~x0 p_buf in
+    let x_buf = (Sens.solve ~frozen:[ 1 ] ~x0 p_buf).Sens.sizing in
     let d_buf =
       (Transient.simulate_path_worst ~steps_per_stage:500 p_buf x_buf)
         .Transient.total_delay
@@ -708,7 +708,7 @@ let flow () =
         let nl = Netlist.copy nl in
         let d0 = Timing.critical_delay (Timing.analyze ~lib nl) in
         let tc = 0.8 *. d0 in
-        let r = Flow.optimize ~lib ~tc nl in
+        let r = Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc nl) in
         Table.add_row t
           [ name;
             Table.cell_f ~decimals:2 (ns r.Flow.initial_delay);

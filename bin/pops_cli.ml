@@ -689,8 +689,11 @@ let run_serve window tenant_sweeps job_sweeps job_wall_ms cache_cap bounds_cache
     prerr_endline "pops: give --socket or --listen, not both";
     exit_invalid
   | None, None ->
-    Server.serve engine ~summary:(not no_summary) ?idle_timeout ~log:report_diag
-      Unix.stdin stdout
+    (* per-job failures are result lines, not server failures *)
+    ignore
+      (Server.serve engine ~summary:(not no_summary) ?idle_timeout
+         ~log:report_diag Unix.stdin stdout);
+    0
   | _ -> (
     let session =
       { Session.queue_limit; idle_timeout; retry_after_ms;
@@ -912,7 +915,9 @@ let run_optimize jobs gates shape name tc_ps tc_ratio rounds vt_assign window
         bounds_cache no_times
     in
     let engine = Engine.create ~config tech in
-    Server.run_jobs_file engine ~summary jobs stdout
+    let fd = Unix.openfile jobs [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Server.serve engine ~summary fd stdout
 
 let optimize_cmd =
   let jobs =

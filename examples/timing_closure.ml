@@ -29,7 +29,7 @@ let () =
 
   let tc = 0.75 *. d0 in
   Printf.printf "target: %.1f ps (25%% faster)\n" tc;
-  let r = Flow.optimize ~lib ~tc nl in
+  let r = Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc nl) in
   Format.printf "%a@.@." Flow.pp_report r;
   List.iter
     (fun it ->

@@ -17,7 +17,7 @@ type t = {
   sizing_tmin : float array;  (** the sizing achieving [tmin] *)
   beta_tmin : float;
       (** the polarity weight whose link equations produced
-          [sizing_tmin] (see {!Sensitivity.solve_beta}) *)
+          [sizing_tmin] (see {!Sensitivity.solve}) *)
 }
 
 val compute : Pops_delay.Path.t -> t

@@ -28,7 +28,7 @@ let delay_buffered ?(style = Inverter_pair) ~lib ~driver ~gate ~gate_cin ~cload 
   let x0 = Path.min_sizing p in
   x0.(1) <- gate_cin;
   (* gate keeps its size; only the buffer stages are free *)
-  let x = Sensitivity.solve_worst ~a:0. ~frozen:[ 1 ] ~x0 p in
+  let x = (Sensitivity.solve ~frozen:[ 1 ] ~x0 p).sizing in
   (Path.delay_worst p x, x)
 
 (* Flimit is a pure function of (process, style, driver, gate); it is
@@ -166,7 +166,7 @@ let objective_eval ~objective p =
     | Error (`Infeasible tmin) ->
       (* infeasible: objective value = huge + tmin so that lower tmin
          still compares better among infeasible options *)
-      let x = Sensitivity.solve_worst ~a:0. p in
+      let x = (Sensitivity.solve p).sizing in
       (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x))
 
 type accum = {

@@ -186,7 +186,7 @@ let nonfinite_index x =
    result satisfies the same residual-< tol contract; acceleration can
    only change how many sweeps it takes to get there. *)
 let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
-    ~max_iter ~with_residual path x0 =
+    ~max_iter path x0 =
   let n = Path.length path in
   with_scratch n @@ fun sc ->
   let cur = sc.cur and prev = sc.prev in
@@ -204,6 +204,9 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
      slow ones) never trip them, so the watchdog cannot perturb the
      bit-identical healthy trajectory. *)
   let d_prev = ref Float.infinity in
+  (* max sizing change of the step that produced [cur]: the plain sweep,
+     or an accepted probe *)
+  let last_step = ref Float.nan in
   let grow = ref 0 in
   let diverged = ref false in
   while (not !converged) && (not !diverged) && !iter < max_iter && in_budget ()
@@ -221,6 +224,7 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
         cur.(i) <- prev.(i) +. (damping *. (cur.(i) -. prev.(i)))
       done;
     let d = dist_n n prev cur in
+    last_step := d;
     if d >= !d_prev then incr grow else grow := 0;
     d_prev := d;
     if (!grow >= 8 && d > 1e6) || d > 1e12 then diverged := true;
@@ -248,6 +252,7 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
         let dc = dist_n n cand cand_next in
         if dc < d then begin
           Array.blit cand_next 0 cur 0 n;
+          last_step := dc;
           if dc < tol then converged := true
         end;
         (* accepted or not, restart the history: Δ² needs three iterates
@@ -257,15 +262,6 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
       end
     end
   done;
-  let residual =
-    if not with_residual then Float.nan
-    else begin
-      Array.blit cur 0 sc.cand 0 n;
-      Path.clamp_into path sc.cand sc.cand;
-      sweep_kernel path ~w_own ~w_flip ~a ~skip sc.cand;
-      dist_n n cur sc.cand
-    end
-  in
   let x = Array.sub cur 0 n in
   let status =
     match nonfinite_index x with
@@ -275,7 +271,7 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
       else if !converged then `Converged
       else `Stalled
   in
-  (x, !iter, residual, status)
+  (x, !iter, !last_step, status)
 
 (* --- the fallback ladder ------------------------------------------- *)
 
@@ -294,11 +290,11 @@ let rung_tag = function
   | Damped -> "damped"
   | Tmax_safe -> "tmax-safe"
 
-type ladder_result = {
-  lx : float array;
-  lstats : solve_stats;
-  lrung : rung;
-  ldiags : Diag.t list;
+type report = {
+  sizing : float array;
+  stats : solve_stats;
+  fallback : rung;
+  diags : Diag.t list;
 }
 
 (* The Tmax-safe bottom of the ladder: every free interior stage at its
@@ -328,7 +324,7 @@ let tmax_safe_sizing ~skip path x0 =
    pre-ladder code.  Every event is recorded in the returned diagnostics
    and emitted to the ambient {!Watch} collector. *)
 let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
-    ~with_residual path x0 =
+    path x0 =
   let diags = ref [] in
   let note d =
     diags := d :: !diags;
@@ -361,7 +357,7 @@ let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
         solve_weighted ?budget
           ~damping:(if rung = Damped then 0.5 else 1.)
           ~accel:(rung = Accelerated) ~w_own ~w_flip ~a ~skip ~tol ~max_iter
-          ~with_residual path x0
+          path x0
       in
       let stats = { iterations; residual } in
       match status with
@@ -396,10 +392,10 @@ let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
         (Diag.make Diag.Solver_fallback ~subject:(rung_name Tmax_safe)
            "all solver rungs failed; using the Tmax-safe minimum-drive sizing");
       {
-        lx = tmax_safe_sizing ~skip path x0;
-        lstats = { iterations = 0; residual = Float.nan };
-        lrung = Tmax_safe;
-        ldiags = List.rev !diags;
+        sizing = tmax_safe_sizing ~skip path x0;
+        stats = { iterations = 0; residual = Float.nan };
+        fallback = Tmax_safe;
+        diags = List.rev !diags;
       }
     | rung :: rest -> (
       match attempt rung with
@@ -408,29 +404,20 @@ let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
           note
             (Diag.makef Diag.Solver_fallback ~subject:(rung_name rung)
                "solver degraded to the %s rung" (rung_name rung));
-        { lx = x; lstats = stats; lrung = rung; ldiags = List.rev !diags }
+        { sizing = x; stats; fallback = rung; diags = List.rev !diags }
       | None -> descend true rest)
   in
   descend false rungs
 
 let check_a a = if a > 0. then invalid_arg "Sensitivity: a must be <= 0."
 
-let solve ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0 ?(tol = 1e-6)
-    ?(max_iter = 300) path =
-  check_a a;
-  let x0 = Option.value x0 ~default:(Path.min_sizing path) in
-  let skip = match frozen with [] -> no_skip | l -> fun j -> List.mem j l in
-  let r =
-    solve_weighted_ladder ?budget ~accel ~w_own:1. ~w_flip:0. ~a ~skip ~tol
-      ~max_iter ~with_residual:true path x0
-  in
-  (r.lx, r.lstats)
-
-(* Weighted two-polarity solve: [beta] is the weight of the path's own
-   polarity (1 = pure own-polarity link equations, 0 = pure flipped,
-   0.5 = balanced). *)
-let solve_beta_ladder ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0
-    ~beta path =
+(* [beta] is the weight of the path's own polarity (1 = pure
+   own-polarity link equations, 0 = pure flipped, 0.5 = balanced).  The
+   default tolerance, 1e-4 fF, is ~0.004% of the minimum drive: far
+   below anything the delay model can resolve, at roughly half the
+   sweeps of 1e-6. *)
+let solve ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0 ?(beta = 0.5)
+    ?(tol = 1e-4) ?(max_iter = 300) path =
   check_a a;
   let x0 = Option.value x0 ~default:(Path.min_sizing path) in
   let skip = match frozen with [] -> no_skip | l -> fun j -> List.mem j l in
@@ -439,36 +426,10 @@ let solve_beta_ladder ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0
     else if beta <= 0.001 then (0., 1.)
     else (beta, 1. -. beta)
   in
-  (* 1e-4 fF is ~0.004% of the minimum drive: far below anything the
-     delay model can resolve, at roughly half the sweeps of 1e-6 *)
-  solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol:1e-4
-    ~max_iter:300 ~with_residual:false path x0
+  solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
+    path x0
 
-let solve_beta ?accel ?a ?frozen ?x0 ~beta path =
-  (solve_beta_ladder ?accel ?a ?frozen ?x0 ~beta path).lx
-
-let solve_worst ?accel ?a ?frozen ?x0 path =
-  solve_beta ?accel ?a ?frozen ?x0 ~beta:0.5 path
-
-(* --- robust entry points ------------------------------------------- *)
-
-type robust_report = {
-  sizing : float array;
-  stats : solve_stats;
-  fallback : rung;
-  diags : Diag.t list;
-}
-
-let solve_robust ?budget ?accel ?a ?frozen ?x0 ?(beta = 0.5) path =
-  let r = solve_beta_ladder ?budget ?accel ?a ?frozen ?x0 ~beta path in
-  { sizing = r.lx; stats = r.lstats; fallback = r.lrung; diags = r.ldiags }
-
-let solve_o ?budget ?accel ?a ?frozen ?x0 ?beta path =
-  match solve_robust ?budget ?accel ?a ?frozen ?x0 ?beta path with
-  | r -> Pops_robust.Outcome.make r.sizing r.diags
-  | exception Diag.Fatal d -> Pops_robust.Outcome.Failed d
-  | exception Invalid_argument msg ->
-    Pops_robust.Outcome.Failed (Diag.make Diag.Invalid_input msg)
+let solve_beta ?accel ?a ?x0 ~beta path = (solve ?accel ?a ?x0 ~beta path).sizing
 
 (* The minimum achievable worst-polarity delay: the minimax optimum may
    sit on either pure polarity or strictly between, so scan a small
@@ -511,9 +472,7 @@ let solve_trace ?(a = 0.) ?(tol = 1e-6) ?(max_iter = 300) path =
   in
   N.fixed_point_trace ~tol ~max_iter ~step ~distance:N.distance_inf x0
 
-let delay_of_a path a =
-  let x = solve_worst ~a path in
-  Path.delay_worst path x
+let delay_of_a path a = Path.delay_worst path (solve ~a path).sizing
 
 type constraint_result = {
   sizing : float array;

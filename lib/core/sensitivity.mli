@@ -22,60 +22,10 @@
 
 type solve_stats = {
   iterations : int;  (** fixed-point sweeps performed (probe sweeps included) *)
-  residual : float;  (** final max sizing change, fF *)
+  residual : float;
+      (** final max sizing change, fF: the step of the last sweep (or
+          accepted probe); below [tol] on convergence *)
 }
-
-(** All solvers run the backward Gauss–Seidel sweep directly on the
-    path's compiled {!Pops_delay.Path.kernel} tables with per-domain
-    scratch buffers, so a solve allocates only its result vector.
-
-    [?accel] (default [true]) enables Aitken Δ² extrapolation of the
-    fixed point: after every three plain iterates a component-wise Δ²
-    candidate is probed with one extra (counted) sweep and accepted only
-    if it contracts strictly better than the plain sequence; otherwise
-    the plain iterates continue bitwise-unchanged, so [~accel:false]
-    reproduces the unaccelerated trajectory exactly and acceleration can
-    only change how many sweeps convergence takes, not the contract the
-    result satisfies. *)
-
-val solve : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
-  ?frozen:int list -> ?x0:float array -> ?tol:float -> ?max_iter:int ->
-  Pops_delay.Path.t -> float array * solve_stats
-(** [solve ~a path] returns the sizing satisfying eq. (5) with sensitivity
-    [a] (default [0.], i.e. minimum delay), entries clamped to the
-    available drive range.  Stages listed in [frozen] keep their [x0]
-    size (default: the minimum drive) — used by local buffer insertion,
-    where only the buffer may be sized.
-
-    Every solver entry point runs under the fallback ladder (see
-    {!rung}): a rung whose iterate goes non-finite or whose residual
-    diverges is abandoned and the next rung retried, ending — in the
-    worst case — at the Tmax-safe minimum-drive sizing, so a valid
-    sizing always comes back.  Degradations are reported through
-    {!Pops_robust.Watch} and, for {!solve_robust}/{!solve_o}, returned
-    alongside the result.  A fault-free converging solve is
-    bit-identical to the pre-ladder solver.  [budget] caps the sweeps /
-    wall clock spent; an exhausted budget keeps the last iterate and
-    reports {!Pops_robust.Diag.Budget_exceeded}.
-    @raise Invalid_argument if [a > 0.]. *)
-
-val solve_worst : ?accel:bool -> ?a:float -> ?frozen:int list ->
-  ?x0:float array -> Pops_delay.Path.t -> float array
-(** Like {!solve} but for the balanced rise/fall objective
-    {!Pops_delay.Path.delay_avg}: the link equations keep their closed
-    form with the per-stage coefficient bundles averaged over the two
-    polarities.  All higher-level entry points (bounds, constraint
-    sizing, the protocol) use this, so NOR/NAND weak edges are never
-    hidden by a lucky polarity; results are then {e reported} against
-    {!Pops_delay.Path.delay_worst}. *)
-
-val solve_beta : ?accel:bool -> ?a:float -> ?frozen:int list ->
-  ?x0:float array -> beta:float -> Pops_delay.Path.t -> float array
-(** The generalised weighted solve behind {!solve_worst}: [beta] is the
-    weight of the path's own input polarity ([1] = pure own-polarity
-    link equations, [0] = pure flipped, [0.5] = balanced).  Constraint
-    sizing sweeps a small [beta] grid because the KKT-optimal weighting
-    depends on which polarity constraint binds. *)
 
 (** {2 Watchdogs and graceful degradation} *)
 
@@ -95,7 +45,7 @@ val rung_name : rung -> string
 (** Kebab-case rung name as it appears in diagnostics
     ([accelerated] / [plain] / [damped] / [tmax-safe]). *)
 
-type robust_report = {
+type report = {
   sizing : float array;  (** always valid: clamped, finite *)
   stats : solve_stats;  (** of the rung that produced [sizing] *)
   fallback : rung;  (** the rung that produced [sizing] *)
@@ -104,20 +54,51 @@ type robust_report = {
           clean first-rung convergence *)
 }
 
-val solve_robust : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
-  ?frozen:int list -> ?x0:float array -> ?beta:float -> Pops_delay.Path.t ->
-  robust_report
-(** {!solve_beta} (default [beta = 0.5], i.e. {!solve_worst}) with the
-    ladder's verdict attached.  Never raises on solver trouble — the
-    bottom rung always yields a sizing.
-    @raise Invalid_argument if [a > 0.]. *)
+(** The solver runs the backward Gauss–Seidel sweep directly on the
+    path's compiled {!Pops_delay.Path.kernel} tables with per-domain
+    scratch buffers, so a solve allocates only its result vector.
 
-val solve_o : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
-  ?frozen:int list -> ?x0:float array -> ?beta:float -> Pops_delay.Path.t ->
-  float array Pops_robust.Outcome.t
-(** {!solve_robust} as an {!Pops_robust.Outcome}: [Exact] on a clean
-    solve, [Degraded] when any warning-or-worse diagnostic was reported,
-    [Failed] instead of raising on invalid input. *)
+    [?accel] (default [true]) enables Aitken Δ² extrapolation of the
+    fixed point: after every three plain iterates a component-wise Δ²
+    candidate is probed with one extra (counted) sweep and accepted only
+    if it contracts strictly better than the plain sequence; otherwise
+    the plain iterates continue bitwise-unchanged, so [~accel:false]
+    reproduces the unaccelerated trajectory exactly and acceleration can
+    only change how many sweeps convergence takes, not the contract the
+    result satisfies. *)
+
+val solve : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
+  ?frozen:int list -> ?x0:float array -> ?beta:float -> ?tol:float ->
+  ?max_iter:int -> Pops_delay.Path.t -> report
+(** [solve ~a path] returns the sizing satisfying eq. (5) with
+    sensitivity [a] (default [0.], i.e. minimum delay), entries clamped
+    to the available drive range, with the ladder's verdict attached.
+    Stages listed in [frozen] keep their [x0] size (default: the minimum
+    drive) — used by local buffer insertion, where only the buffer may
+    be sized.  The sweep stops when the max sizing change falls below
+    [tol] (default [1e-4] fF) or after [max_iter] sweeps (default 300).
+
+    [beta] weights the path's own input polarity in the link equations
+    ([1] = pure own-polarity, [0] = pure flipped, default [0.5] =
+    balanced).  The balanced objective is {!Pops_delay.Path.delay_avg}:
+    the link equations keep their closed form with the per-stage
+    coefficient bundles averaged over the two polarities, so NOR/NAND
+    weak edges are never hidden by a lucky polarity; results are then
+    {e reported} against {!Pops_delay.Path.delay_worst}.  Constraint
+    sizing sweeps a small [beta] grid because the KKT-optimal weighting
+    depends on which polarity constraint binds.
+
+    The solve runs under the fallback ladder (see {!rung}): a rung whose
+    iterate goes non-finite or whose residual diverges is abandoned and
+    the next rung retried, ending — in the worst case — at the
+    Tmax-safe minimum-drive sizing, so a valid sizing always comes back.
+    Degradations are returned in [diags] and emitted to
+    {!Pops_robust.Watch}; [Pops_robust.Outcome.make r.sizing r.diags]
+    is the solve as an outcome.  A fault-free converging solve is
+    bit-identical to the pre-ladder solver.  [budget] caps the sweeps /
+    wall clock spent; an exhausted budget keeps the last iterate and
+    reports {!Pops_robust.Diag.Budget_exceeded}.
+    @raise Invalid_argument if [a > 0.]. *)
 
 val solve_trace : ?a:float -> ?tol:float -> ?max_iter:int -> Pops_delay.Path.t ->
   float array list

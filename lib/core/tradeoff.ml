@@ -4,7 +4,7 @@ type point = { a : float; delay : float; area : float }
 
 let curve ?(points = 40) ?(a_deep = 50.) path =
   let sample a =
-    let x = Sensitivity.solve_worst ~a path in
+    let x = (Sensitivity.solve ~a path).sizing in
     (* one fused both-polarity pass per point; the scratch is created
        inside the task closure so each pool domain owns its own *)
     let sc = Path.scratch () in

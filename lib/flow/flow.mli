@@ -14,7 +14,7 @@
     + iterate until timing is met, no progress is possible, or the
       iteration budget runs out.
 
-    Every structural surgery preserves the logic function; {!optimize}
+    Every structural surgery preserves the logic function; {!optimize_o}
     re-checks equivalence against the input netlist and reports it. *)
 
 type outcome = Met | No_progress | Budget_exhausted
@@ -62,21 +62,32 @@ type report = {
           runs after the sizing loop and the best-state rewind *)
 }
 
-val optimize :
+val optimize_o :
   ?budget:Pops_robust.Budget.t ->
   ?max_rounds:int ->
   ?allow_restructure:bool ->
   ?k_paths:int ->
   ?vt_assign:bool ->
+  ?name:(int -> string) ->
   lib:Pops_cell.Library.t ->
   tc:float ->
   Pops_netlist.Netlist.t ->
-  report
-(** [optimize ~lib ~tc netlist] mutates [netlist] in place and returns
-    the report.  [max_rounds] defaults to 20; [k_paths] (default 3) is
-    how many of the worst {e gate-disjoint} critical cones are optimised
-    per round; [allow_restructure] defaults to true.  The equivalence
-    check runs on a pre-flow copy kept internally.
+  report Pops_robust.Outcome.t
+(** [optimize_o ~lib ~tc netlist] mutates [netlist] in place and returns
+    the report as an {!Pops_robust.Outcome}.  [max_rounds] defaults to
+    20; [k_paths] (default 3) is how many of the worst {e gate-disjoint}
+    critical cones are optimised per round; [allow_restructure] defaults
+    to true.  The equivalence check runs on a pre-flow copy kept
+    internally.
+
+    It runs {!Pops_netlist.Netlist.validate_diags} first and returns
+    [Failed] with the first error-severity diagnostic (cycle, dangling
+    reference, bad cin) {e before} touching the netlist; [name] renders
+    node ids in those messages.  Otherwise the result is [Exact] on a
+    clean met constraint, and [Degraded] with the collected diagnostics
+    when anything degraded or the constraint finished unmet
+    ({!Pops_robust.Diag.Constraint_infeasible} appended); it returns
+    [Failed] instead of raising.
 
     One {!Pops_sta.Timing.t} persists across rounds, so each round
     re-times only the fan-out cone of its edits; the backward slack
@@ -91,35 +102,13 @@ val optimize :
     visited — in the worst case the untouched input, whose delay is the
     Tmax bound of its paths.  [budget] bounds the run (one unit per
     round plus the solver sweeps underneath); exhaustion ends the flow
-    with [Budget_exhausted] and the usual rollback.  Diagnostics flow to
-    the ambient {!Pops_robust.Watch} collector; {!optimize_o} returns
-    them directly.
+    with [Budget_exhausted] and the usual rollback.
 
     With [vt_assign] (default false) the {!Vt_assign} leakage pass runs
     once after the sizing loop and its best-state rewind, on the same
     persistent timing annotation, and its report lands in the [vt]
     field; it trades remaining positive slack for lower leakage and
     never un-meets a met constraint. *)
-
-val optimize_o :
-  ?budget:Pops_robust.Budget.t ->
-  ?max_rounds:int ->
-  ?allow_restructure:bool ->
-  ?k_paths:int ->
-  ?vt_assign:bool ->
-  ?name:(int -> string) ->
-  lib:Pops_cell.Library.t ->
-  tc:float ->
-  Pops_netlist.Netlist.t ->
-  report Pops_robust.Outcome.t
-(** {!optimize} as an {!Pops_robust.Outcome}.  Runs
-    {!Pops_netlist.Netlist.validate_diags} first and returns [Failed]
-    with the first error-severity diagnostic (cycle, dangling reference,
-    bad cin) {e before} touching the netlist; [name] renders node ids in
-    those messages.  Otherwise [Exact] on a clean met constraint,
-    [Degraded] with the collected diagnostics when anything degraded or
-    the constraint finished unmet ({!Pops_robust.Diag.Constraint_infeasible}
-    appended), [Failed] instead of raising. *)
 
 val outcome_to_string : outcome -> string
 val pp_report : Format.formatter -> report -> unit

@@ -374,16 +374,6 @@ let parse_diag tech ?out_load text =
                     (Diag.makef Diag.Internal
                        "invalid netlist after parse: %s" msg))))
 
-(* render a diagnostic exactly as the historical string errors read:
-   ["line N: message"] with a subject, bare message without *)
-let render_diag d =
-  match d.Diag.subject with
-  | Some s -> s ^ ": " ^ d.Diag.message
-  | None -> d.Diag.message
-
-let parse tech ?out_load text =
-  Result.map_error render_diag (parse_diag tech ?out_load text)
-
 let name_fn names =
   let tbl = Hashtbl.create 64 in
   List.iter (fun (name, id) -> Hashtbl.replace tbl id name) names;

@@ -29,20 +29,15 @@ type names = (string * int) list
 (** bench-file signal name → netlist node id (the id of the node that
     {e drives} the signal). *)
 
-val parse : Pops_process.Tech.t -> ?out_load:float -> string ->
-  (Netlist.t * names, string) result
-(** Parse a [.bench] text.  [out_load] (default [4 * cmin], fF) is the
-    terminal load attached to every [OUTPUT].  Errors carry a line
-    number.  Thin wrapper over {!parse_o} rendering the diagnostic to
-    the historical ["line N: message"] string. *)
-
 val parse_diag : Pops_process.Tech.t -> ?out_load:float -> string ->
   (Netlist.t * names, Pops_robust.Diag.t) result
-(** {!parse} with the structured diagnostic: [Bench_syntax] with a
-    [line N] subject on malformed statements, [Bench_truncated] when the
-    error sits on the last statement of the input with an unclosed call
-    (a file cut off mid-gate), [Netlist_cycle] naming the actual
-    combinational loop through the .bench signal names. *)
+(** Parse a [.bench] text.  [out_load] (default [4 * cmin], fF) is the
+    terminal load attached to every [OUTPUT].  Errors are structured
+    diagnostics: [Bench_syntax] with a [line N] subject on malformed
+    statements, [Bench_truncated] when the error sits on the last
+    statement of the input with an unclosed call (a file cut off
+    mid-gate), [Netlist_cycle] naming the actual combinational loop
+    through the .bench signal names. *)
 
 val parse_o : Pops_process.Tech.t -> ?out_load:float -> string ->
   (Netlist.t * names) Pops_robust.Outcome.t
@@ -58,9 +53,9 @@ val parse_file_o : Pops_process.Tech.t -> ?out_load:float -> string ->
 
 val to_string : ?names:names -> Netlist.t -> string
 (** Print a netlist in [.bench] syntax.  [names] (as returned by
-    {!parse}) preserves signal names; unnamed nodes get [n<id>].
+    {!parse_diag}) preserves signal names; unnamed nodes get [n<id>].
     AOI21/OAI21 are printed as the extension operators [AOI21]/[OAI21],
-    which {!parse} accepts back — round trips preserve structure,
+    which {!parse_diag} accepts back — round trips preserve structure,
     sizing and wire annotations. *)
 
 val write_file : ?names:names -> Netlist.t -> string -> unit

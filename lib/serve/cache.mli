@@ -25,7 +25,7 @@ type verdict = [ `Hit | `Miss ]
 
 val create :
   capacity:int -> ?out_load:float -> Pops_process.Tech.t -> t
-(** [out_load] is passed through to {!Pops_netlist.Bench_io.parse};
+(** [out_load] is passed through to {!Pops_netlist.Bench_io.parse_o};
     it is part of every cache key. *)
 
 val fetch :

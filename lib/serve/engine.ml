@@ -241,11 +241,6 @@ let exec_analyze t (job : Job.t) nl parse_diags =
   in
   (status, metrics, parse_diags)
 
-let flow_outcome_name = function
-  | Flow.Met -> "met"
-  | Flow.No_progress -> "no-progress"
-  | Flow.Budget_exhausted -> "budget-exhausted"
-
 let flow_metrics ~tc (r : Flow.report) =
   [ ("tc_ps", num3 tc); ("initial_delay_ps", num3 r.Flow.initial_delay);
     ("final_delay_ps", num3 r.Flow.final_delay);
@@ -254,7 +249,7 @@ let flow_metrics ~tc (r : Flow.report) =
     ("rounds", Json.Num (float_of_int (List.length r.Flow.iterations)));
     ("buffers", Json.Num (float_of_int r.Flow.buffers_added));
     ("rewrites", Json.Num (float_of_int r.Flow.rewrites));
-    ("flow", Json.Str (flow_outcome_name r.Flow.outcome));
+    ("flow", Json.Str (Flow.outcome_to_string r.Flow.outcome));
     ("met", Json.Bool (r.Flow.outcome = Flow.Met));
     ("equivalence", Json.Bool (Result.is_ok r.Flow.equivalence)) ]
   @

@@ -1,46 +1,15 @@
 module Diag = Pops_robust.Diag
 module Fdx = Pops_util.Fdx
 
+(* Buffered line reads over a raw descriptor, with a non-blocking probe:
+   [In_channel] cannot say whether bytes are already buffered, which is
+   exactly what adaptive batching needs. *)
 module Line_source = struct
-  type t = {
-    fd : Unix.file_descr;
-    buf : Buffer.t;
-    mutable scan_from : int;  (* no '\n' in buf before this offset *)
-    mutable eof : bool;
-  }
+  type t = { fd : Unix.file_descr; lines : Session.Linebuf.t; mutable eof : bool }
 
-  let of_fd fd = { fd; buf = Buffer.create 4096; scan_from = 0; eof = false }
+  let of_fd fd = { fd; lines = Session.Linebuf.create (); eof = false }
 
   let chunk = Bytes.create 65536
-
-  (* take the first complete line out of the buffer, if any *)
-  let pop_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_from_opt s t.scan_from '\n' with
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-      t.scan_from <- 0;
-      (* tolerate CRLF clients *)
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Some line
-    | None ->
-      t.scan_from <- String.length s;
-      None
-
-  let pop_residue t =
-    if Buffer.length t.buf = 0 then None
-    else begin
-      let line = Buffer.contents t.buf in
-      Buffer.clear t.buf;
-      t.scan_from <- 0;
-      Some line
-    end
 
   (* block in select (honouring [deadline]) before the blocking read, so
      an idle stream times out instead of parking in [Unix.read] forever *)
@@ -53,15 +22,19 @@ module Line_source = struct
         t.eof <- true;
         `Eof
       | n ->
-        Buffer.add_subbytes t.buf chunk 0 n;
+        Session.Linebuf.push t.lines chunk n;
         `Bytes
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Bytes)
 
   let residue_or_eof t =
-    match pop_residue t with Some line -> `Line line | None -> `Eof
+    match Session.Linebuf.pop_residue t.lines with
+    | Some line -> `Line line
+    | None -> `Eof
 
+  (* the next line, blocking until bytes arrive or [deadline] passes; a
+     final unterminated line is returned as a line *)
   let rec next ?deadline t =
-    match pop_line t with
+    match Session.Linebuf.pop_line t.lines with
     | Some line -> `Line line
     | None ->
       if t.eof then residue_or_eof t
@@ -71,24 +44,23 @@ module Line_source = struct
         | `Eof -> residue_or_eof t
         | `Timeout -> `Timeout)
 
+  (* non-blocking: [Some (Some line)] when a full line is available
+     without waiting, [Some None] at end of stream, [None] when a read
+     would block *)
   let rec next_ready t =
-    match pop_line t with
+    match Session.Linebuf.pop_line t.lines with
     | Some line -> Some (Some line)
     | None ->
-      if t.eof then Some (pop_residue t)
+      if t.eof then Some (Session.Linebuf.pop_residue t.lines)
       else if Fdx.readable_now t.fd then (
         match refill t with
         | `Bytes -> next_ready t
-        | `Eof -> Some (pop_residue t)
+        | `Eof -> Some (Session.Linebuf.pop_residue t.lines)
         | `Timeout -> None)
       else None
 end
 
 (* ------------------------------------------------------------------ *)
-
-let emit engine oc results =
-  List.iter (fun r -> output_string oc (Session.render engine r)) results;
-  flush oc
 
 let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
   let window = (Engine.config engine).Engine.window in
@@ -100,6 +72,7 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
     Session.decode ~seq:s line
   in
   let deadline () = Option.map (fun s -> Fdx.now () +. s) idle_timeout in
+  let worst = ref 0 in
   (* one batch: block for a first line, then drain what is already
      pending up to the window *)
   let rec fill acc n =
@@ -121,8 +94,10 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
            "stream idle past the deadline; treating as end of stream")
     | `Line line when Session.skippable line -> loop ()
     | `Line line ->
-      let items = fill [ decode_next line ] 1 in
-      emit engine oc (Session.run_items engine items);
+      let results = Session.run_items engine (fill [ decode_next line ] 1) in
+      List.iter (fun r -> output_string oc (Session.render engine r)) results;
+      flush oc;
+      worst := max !worst (Session.worst_exit results);
       loop ()
   in
   loop ();
@@ -130,38 +105,4 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
     output_string oc (Json.to_string (Engine.summary_json engine) ^ "\n");
     flush oc
   end;
-  0
-
-let run_jobs_file engine ?(summary = false) path oc =
-  let window = (Engine.config engine).Engine.window in
-  let lines = In_channel.with_open_bin path In_channel.input_lines in
-  let items =
-    List.filteri (fun _ line -> not (Session.skippable line)) lines
-    |> List.mapi (fun seq line -> Session.decode ~seq line)
-  in
-  let rec batches items =
-    match items with
-    | [] -> []
-    | _ ->
-      let rec split n = function
-        | x :: rest when n < window ->
-          let taken, rest = split (n + 1) rest in
-          (x :: taken, rest)
-        | rest -> ([], rest)
-      in
-      let batch, rest = split 0 items in
-      batch :: batches rest
-  in
-  let code =
-    List.fold_left
-      (fun acc batch ->
-        let results = Session.run_items engine batch in
-        emit engine oc results;
-        max acc (Session.worst_exit results))
-      0 (batches items)
-  in
-  if summary then begin
-    output_string oc (Json.to_string (Engine.summary_json engine) ^ "\n");
-    flush oc
-  end;
-  code
+  !worst

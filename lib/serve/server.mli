@@ -17,28 +17,6 @@
     lives in {!Session} and is shared with the socket {!Listener}, so
     the two transports return bit-identical result streams. *)
 
-module Line_source : sig
-  (** Buffered line reader over a raw descriptor, with a non-blocking
-      probe.  [In_channel] cannot say whether bytes are already
-      buffered, which is exactly what adaptive batching needs, so the
-      server owns its buffering. *)
-
-  type t
-
-  val of_fd : Unix.file_descr -> t
-
-  val next : ?deadline:float -> t -> [ `Line of string | `Eof | `Timeout ]
-  (** Blocking read of the next line.  Blocks in [select]
-      ({!Pops_util.Fdx.wait_readable}) until bytes arrive or the
-      absolute [deadline] passes — never parks in [read] past the
-      deadline.  A final unterminated line is returned as a line. *)
-
-  val next_ready : t -> string option option
-  (** Non-blocking: [Some (Some line)] when a full line is available
-      without waiting, [Some None] at end of stream, [None] when a read
-      would block. *)
-end
-
 val serve :
   Engine.t ->
   ?summary:bool ->
@@ -47,19 +25,14 @@ val serve :
   Unix.file_descr ->
   out_channel ->
   int
-(** Run the request loop until end of stream; returns the process exit
-    code (0 — per-job failures are result lines, not server failures;
-    see docs/serving.md).  [summary] (default true) appends the
-    {!Engine.summary_json} line at shutdown.  [idle_timeout] (seconds)
-    closes an idle stream through the same deadline path the socket
-    listener uses: the timeout is treated as end of stream and a
-    [deadline-exceeded] diagnostic goes to [log] (default: dropped). *)
-
-val run_jobs_file :
-  Engine.t -> ?summary:bool -> string -> out_channel -> int
-(** Batch mode ([pops optimize --jobs FILE]): feed every line of the
-    file through the engine in window-sized batches, print the result
-    lines, and return the {e worst} per-job exit code (the PR 5
-    contract: 3 internal > 2 invalid > 1 unmet/rejected > 0 ok).
-    Blank lines and [#] comment lines are skipped.  [summary] defaults
-    to false. *)
+(** Run the request loop until end of stream over a pipe, a socket or a
+    regular file ([pops optimize --jobs FILE]); returns the {e worst}
+    per-job exit code of the stream (3 failed > 2 invalid > 1 unmet,
+    rejected or overloaded > 0 ok).  [pops serve] exits 0 regardless, since
+    per-job failures are result lines, not server failures (see
+    docs/serving.md); [pops optimize --jobs] exits with it.  [summary]
+    (default true) appends the {!Engine.summary_json} line at shutdown.
+    [idle_timeout] (seconds) closes an idle stream through the same
+    deadline path the socket listener uses: the timeout is treated as
+    end of stream and a [deadline-exceeded] diagnostic goes to [log]
+    (default: dropped). *)

@@ -46,6 +46,25 @@ val render : Engine.t -> Job.result -> string
 
 val worst_exit : Job.result list -> int
 
+(** {1 Line buffer} *)
+
+module Linebuf : sig
+  (** Bytes in, lines out: the framing of every NDJSON transport. *)
+
+  type t
+
+  val create : unit -> t
+
+  val push : t -> Bytes.t -> int -> unit
+  (** [push t chunk n] appends the first [n] bytes of [chunk]. *)
+
+  val pop_line : t -> string option
+  (** The first complete line, without its ["\n"] (or ["\r\n"]). *)
+
+  val pop_residue : t -> string option
+  (** Everything left, as a final unterminated line (at end of stream). *)
+end
+
 (** {1 Sessions} *)
 
 type config = {

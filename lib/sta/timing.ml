@@ -106,19 +106,6 @@ type t = {
   (* eval scratch (running best per edge): one block reused across every
      {!eval_store_csr} call instead of a per-call allocation *)
   wl_best : float array;
-  (* Lazy-deletion max-heap over (worst output arrival, endpoint id),
-     for {!critical_delay}: a flat scan over all outputs costs O(P)
-     plus an O(P) list allocation per query, which an optimization
-     loop pays every round; the heap answers from the entries whose
-     arrivals actually moved.  Built on the third query (so a one-shot
-     [t] never pays the O(P) build), maintained by {!update} pushing every
-     changed or dirtied output; stale entries are dropped on peek by
-     comparing against the live arrival bitwise. *)
-  mutable cd_hp : float array;
-  mutable cd_hi : int array;
-  mutable cd_hn : int;
-  mutable cd_on : bool;
-  mutable cd_queries : int;
 }
 
 (* slot offset of an edge's (time, slope) pair within a node's block *)
@@ -561,70 +548,11 @@ let eval_store_csr t (c : Netlist.Csr.t) id =
     !moved
   end
 
-(* worst defined arrival over both edges of a node, NaN when neither
-   edge is defined — the value {!critical_delay} maximizes over the
-   outputs *)
-let cd_worst_of t id =
-  let r = t.arr.(4 * id) and f = t.arr.((4 * id) + 2) in
-  if Float.is_nan r then f else if Float.is_nan f then r else Float.max r f
-
-(* push one (arrival, id) entry onto the endpoint-arrival max-heap;
-   NaN arrivals (undefined endpoint) have no entry by construction *)
-let cd_push t v id =
-  if not (Float.is_nan v) then begin
-    if t.cd_hn >= Array.length t.cd_hp then begin
-      let n = Array.length t.cd_hp in
-      let hp = Array.make (2 * n) 0. and hi = Array.make (2 * n) 0 in
-      Array.blit t.cd_hp 0 hp 0 n;
-      Array.blit t.cd_hi 0 hi 0 n;
-      t.cd_hp <- hp;
-      t.cd_hi <- hi
-    end;
-    let hp = t.cd_hp and hi = t.cd_hi in
-    hp.(t.cd_hn) <- v;
-    hi.(t.cd_hn) <- id;
-    let i = ref t.cd_hn in
-    t.cd_hn <- t.cd_hn + 1;
-    while !i > 0 && hp.(!i) > hp.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tv = hp.(p) and ti = hi.(p) in
-      hp.(p) <- hp.(!i);
-      hi.(p) <- hi.(!i);
-      hp.(!i) <- tv;
-      hi.(!i) <- ti;
-      i := p
-    done
-  end
-
-(* drop the heap's top entry (stale) *)
-let cd_drop t =
-  let hp = t.cd_hp and hi = t.cd_hi in
-  t.cd_hn <- t.cd_hn - 1;
-  hp.(0) <- hp.(t.cd_hn);
-  hi.(0) <- hi.(t.cd_hn);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let largest = ref !i in
-    if l < t.cd_hn && hp.(l) > hp.(!largest) then largest := l;
-    if r < t.cd_hn && hp.(r) > hp.(!largest) then largest := r;
-    if !largest <> !i then begin
-      let tv = hp.(!i) and ti = hi.(!i) in
-      hp.(!i) <- hp.(!largest);
-      hi.(!i) <- hi.(!largest);
-      hp.(!largest) <- tv;
-      hi.(!largest) <- ti;
-      i := !largest
-    end
-    else continue := false
-  done
-
 (* Fraction of the levelized order past which the event-driven worklist
    is abandoned for a straight-line sweep, and the maximum average level
    width at which the level-population cone bound is trusted.  On a deep
    spine (width ~1) a mid-chain edit reaches half the design: paying
-   heap + dedup overhead per node there is slower than a plain pass over
+   bucket + mark overhead per node there is slower than a plain pass over
    the suffix of the topological order.  On wide circuits the bound
    wildly overestimates the true cone, so the worklist stays.  The
    dense-level factor governs the same trade within one worklist level:
@@ -673,15 +601,7 @@ let update t =
            order as a cold analyze restricted to the suffix, so arrivals
            stay bit-identical; nodes below lmin cannot have changed
            (dirt only propagates downstream, i.e. to higher levels). *)
-        let c = Netlist.csr nl in
-        sweep_levels t c ~from_level:!lmin;
-        let node_of = Netlist.Csr.node_of c in
-        let level_off = Netlist.Csr.level_off c in
-        if t.cd_on then
-          for i = level_off.(!lmin) to Netlist.Csr.length c - 1 do
-            let id = node_of.(i) in
-            if Netlist.is_output nl id then cd_push t (cd_worst_of t id) id
-          done
+        sweep_levels t (Netlist.csr nl) ~from_level:!lmin
       end
       else begin
         (* Event-driven drain in level order: a per-level bucket queue
@@ -708,13 +628,10 @@ let update t =
         let node_of = Netlist.Csr.node_of c in
         let level_off = Netlist.Csr.level_off c in
         let process id =
-          if eval_store_csr t c id then begin
-            if t.cd_on && Netlist.is_output nl id then
-              cd_push t (cd_worst_of t id) id;
+          if eval_store_csr t c id then
             for p = fo_off.(id) to fo_off.(id + 1) - 1 do
               enqueue fo.(p)
             done
-          end
         in
         for l = !lmin to depth do
           match buckets.(l) with
@@ -739,15 +656,7 @@ let update t =
                   Bytes.set mark id '\000';
                   process id)
                 bucket
-        done;
-        (* an output freshly (un)designated without an arrival move
-           never goes through [process]; its final arrival is live by
-           now, so push it directly (stale entries just evaporate) *)
-        if t.cd_on then
-          List.iter
-            (fun id ->
-              if Netlist.is_output nl id then cd_push t (cd_worst_of t id) id)
-            live_dirty
+        done
       end
     end
   end
@@ -782,11 +691,6 @@ let make ?input_slope ?(input_arrival = 0.) ~lib netlist =
     cursor = Netlist.revision netlist;
     wl_mark = Bytes.make cap '\000';
     wl_best = [| Float.nan; Float.nan |];
-    cd_hp = Array.make 256 0.;
-    cd_hi = Array.make 256 0;
-    cd_hn = 0;
-    cd_on = false;
-    cd_queries = 0;
   }
 
 let analyze ?input_slope ?input_arrival ~lib netlist =
@@ -841,56 +745,22 @@ let critical_endpoint t =
   !best
 
 (* Same value as [critical_endpoint]'s arrival time (max is
-   order-independent), without the per-output arrival records.  The
-   first two queries are a flat pass over the arrival slots; from the
-   third, the query comes off the lazy-deletion max-heap (see the
-   [cd_*] fields) — every output's current worst arrival has a live
-   entry (full build at activation, {!update} pushes every change
-   after), so the first top entry matching its live arrival bitwise is
-   the maximum.  Deleted or unreachable endpoints have NaN arrivals
-   and drop out exactly like their Not_found in the record walk; an
-   empty (or fully stale) heap means no defined endpoint, 0 like the
-   scan. *)
+   order-independent), from a flat pass over the outputs' arrival slots
+   without the per-output arrival records.  Deleted or unreachable
+   endpoints have NaN arrivals and drop out exactly like their Not_found
+   in the record walk; no defined endpoint reads 0. *)
 let critical_delay t =
   update t;
-  t.cd_queries <- t.cd_queries + 1;
-  if (not t.cd_on) && t.cd_queries >= 3 then begin
-    t.cd_on <- true;
-    List.iter
-      (fun (id, _) ->
-        if id >= 0 && id < t.cap then cd_push t (cd_worst_of t id) id)
-      (Netlist.outputs t.netlist)
-  end;
-  if t.cd_on then begin
-    let nl = t.netlist in
-    let rec top () =
-      if t.cd_hn = 0 then 0.
-      else begin
-        let v = t.cd_hp.(0) and id = t.cd_hi.(0) in
-        if
-          id < t.cap && Netlist.node_exists nl id && Netlist.is_output nl id
-          && cd_worst_of t id = v
-        then v
-        else begin
-          cd_drop t;
-          top ()
-        end
-      end
-    in
-    top ()
-  end
-  else begin
-    let best = ref Float.nan in
-    List.iter
-      (fun (id, _) ->
-        if id >= 0 && id < t.cap then begin
-          let r = t.arr.(4 * id) and f = t.arr.((4 * id) + 2) in
-          if (not (Float.is_nan r)) && not (r <= !best) then best := r;
-          if (not (Float.is_nan f)) && not (f <= !best) then best := f
-        end)
-      (Netlist.outputs t.netlist);
-    if Float.is_nan !best then 0. else !best
-  end
+  let best = ref Float.nan in
+  List.iter
+    (fun (id, _) ->
+      if id >= 0 && id < t.cap then begin
+        let r = t.arr.(4 * id) and f = t.arr.((4 * id) + 2) in
+        if (not (Float.is_nan r)) && not (r <= !best) then best := r;
+        if (not (Float.is_nan f)) && not (f <= !best) then best := f
+      end)
+    (Netlist.outputs t.netlist);
+  if Float.is_nan !best then 0. else !best
 
 let backtrack t id edge =
   let rec go id edge acc =

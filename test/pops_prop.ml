@@ -295,7 +295,7 @@ let () =
          negative a trades delay for area).  delay_of_a's worst-polarity
          composite is only checked against the absolute lower bound:
          on skewed corners the beta = 0.5 weighting makes it wiggle. *)
-      let d_at a = Path.delay p (fst (Sens.solve ~a p)) in
+      let d_at a = Path.delay p (Sens.solve ~a ~beta:1. ~tol:1e-6 p).Sens.sizing in
       let d_hi = d_at a_hi and d_lo = d_at a_lo in
       requiref (d_lo >= d_hi -. (1e-3 *. d_hi) -. 0.05)
         "delay(a=%.4g) = %.6g < delay(a=%.4g) = %.6g: not monotone" a_lo d_lo a_hi d_hi;
@@ -308,7 +308,7 @@ let () =
     (fun (s, (u, v)) ->
       let p = path_of s in
       let a_hi = -.Float.min u v and a_lo = -.Float.max u v in
-      let area_of a = Path.area p (Sens.solve_worst ~a p) in
+      let area_of a = Path.area p (Sens.solve ~a p).Sens.sizing in
       let ar_hi = area_of a_hi and ar_lo = area_of a_lo in
       requiref (ar_lo <= ar_hi +. (1e-4 *. ar_hi) +. 0.01)
         "area(a=%.4g) = %.6g > area(a=%.4g) = %.6g: not monotone" a_lo ar_lo a_hi ar_hi)
@@ -319,8 +319,8 @@ let () =
     (fun (s, mag) ->
       let p = path_of s in
       let a = -.mag in
-      let x_acc = Sens.solve_worst ~accel:true ~a p in
-      let x_plain = Sens.solve_worst ~accel:false ~a p in
+      let x_acc = (Sens.solve ~accel:true ~a p).Sens.sizing in
+      let x_plain = (Sens.solve ~accel:false ~a p).Sens.sizing in
       close_to ~rtol:1e-3 ~atol:1e-6 "accelerated vs plain fixed point (delay)"
         (Path.delay_avg p x_plain) (Path.delay_avg p x_acc))
 
@@ -635,8 +635,9 @@ let () =
   Prop.register ~name:"bench.roundtrip" C.dag_spec (fun d ->
       let nl = C.build_dag d in
       let text = Bench_io.to_string nl in
-      match Bench_io.parse (Netlist.tech nl) text with
-      | Error e -> Prop.failf "netlist failed to parse back: %s" e
+      match Bench_io.parse_diag (Netlist.tech nl) text with
+      | Error d ->
+        Prop.failf "netlist failed to parse back: %s" (Pops_robust.Diag.one_line d)
       | Ok (b, _) ->
         (match Netlist.validate b with
         | Ok () -> ()
@@ -672,7 +673,7 @@ let () =
   Prop.register ~name:"bench.rejects_malformed"
     (Gen.pick ~print:(Printf.sprintf "%S") malformed_benches)
     (fun text ->
-      match Bench_io.parse Tech.cmos025 text with
+      match Bench_io.parse_diag Tech.cmos025 text with
       | Error _ -> ()
       | Ok _ -> Prop.failf "malformed input parsed successfully: %S" text)
 
@@ -799,7 +800,7 @@ let () =
       let lib = C.library Tech.cmos025 in
       let t0 = Timing.critical_delay (Timing.analyze ~lib nl) in
       let tc = t0 *. factor in
-      let r = Flow.optimize ~max_rounds:3 ~lib ~tc nl in
+      let r = Pops_robust.Outcome.get (Flow.optimize_o ~max_rounds:3 ~lib ~tc nl) in
       requiref (r.Flow.final_delay <= (r.Flow.initial_delay *. (1. +. 1e-9)) +. 1e-6)
         "flow worsened the critical delay: %.6g -> %.6g" r.Flow.initial_delay
         r.Flow.final_delay;
@@ -1001,7 +1002,7 @@ let () =
       let r =
         Fault.with_spec
           (Fault.solver_spec (Rng.create seed))
-          (fun () -> Sens.solve_robust p)
+          (fun () -> Sens.solve p)
       in
       require
         (Array.for_all Float.is_finite r.Sens.sizing)
@@ -1018,7 +1019,7 @@ let () =
       let r =
         Fault.with_spec
           (Fault.solver_spec (Rng.create seed))
-          (fun () -> Sens.solve_robust p)
+          (fun () -> Sens.solve p)
       in
       if r.Sens.fallback <> Sens.Accelerated then begin
         require (r.Sens.diags <> []) "silent ladder descent";
@@ -1041,7 +1042,7 @@ let () =
       let r =
         Fault.with_spec
           (Printf.sprintf "solver.diverge,seed=%Ld" seed)
-          (fun () -> Sens.solve_robust p)
+          (fun () -> Sens.solve p)
       in
       requiref
         (r.Sens.fallback = Sens.Tmax_safe)
@@ -1054,13 +1055,13 @@ let () =
         b.Bounds.tmax)
 
 let () =
-  Prop.register ~name:"fault.solve_o_never_fails" spec_and_seed (fun (s, seed) ->
+  Prop.register ~name:"fault.solve_outcome_never_fails" spec_and_seed
+    (fun (s, seed) ->
       let p = path_of s in
-      match
-        Fault.with_spec
-          (Fault.solver_spec (Rng.create seed))
-          (fun () -> Sens.solve_o p)
-      with
+      let r =
+        Fault.with_spec (Fault.solver_spec (Rng.create seed)) (fun () -> Sens.solve p)
+      in
+      match Outcome.make r.Sens.sizing r.Sens.diags with
       | Outcome.Failed d ->
         Prop.failf "solver fault escalated to Failed: %s" (Diag.one_line d)
       | Outcome.Exact x ->
@@ -1073,7 +1074,7 @@ let () =
   Prop.register ~name:"fault.deterministic_replay" spec_and_seed (fun (s, seed) ->
       let p = path_of s in
       let spec = Fault.solver_spec (Rng.create seed) in
-      let run () = Fault.with_spec spec (fun () -> Sens.solve_robust p) in
+      let run () = Fault.with_spec spec (fun () -> Sens.solve p) in
       let r1 = run () and r2 = run () in
       require (r1.Sens.fallback = r2.Sens.fallback) "replay changed the rung";
       require (r1.Sens.sizing = r2.Sens.sizing)
@@ -1179,7 +1180,7 @@ let () =
       Fault.with_spec
         (Fault.case_spec (Rng.create seed))
         (fun () ->
-          let r = Sens.solve_robust p in
+          let r = Sens.solve p in
           require
             (Array.for_all Float.is_finite r.Sens.sizing)
             "solve under an arbitrary fault point lost finiteness";

@@ -82,10 +82,10 @@ let test_tmin_independent_of_start () =
   (* the paper: "the final value Tmin is conserved whatever is the initial
      solution".  Start the balanced fixed point from a random point and
      from the minimum-drive point: same optimum. *)
-  let x_ref = Sens.solve_worst ~a:0. path11 in
+  let x_ref = (Sens.solve path11).Sens.sizing in
   let rng = Pops_util.Rng.create 7L in
   let x0 = Array.map (fun s -> s *. Pops_util.Rng.log_range rng 0.5 8.) x_ref in
-  let x = Sens.solve_worst ~a:0. ~x0:(Path.clamp_sizing path11 x0) path11 in
+  let x = (Sens.solve ~x0:(Path.clamp_sizing path11 x0) path11).Sens.sizing in
   Alcotest.(check bool) "same Tmin from random start" true
     (Float.abs (Path.delay_worst path11 x -. Path.delay_worst path11 x_ref) < 0.1)
 
@@ -117,8 +117,7 @@ let test_delay_monotone_in_a () =
 
 let test_area_monotone_in_a () =
   let area_of a =
-    let x, _ = Sens.solve ~a path11 in
-    Path.area path11 x
+    Path.area path11 (Sens.solve ~a ~beta:1. ~tol:1e-6 path11).Sens.sizing
   in
   let areas = List.map area_of [ 0.; -0.05; -0.5; -5. ] in
   let rec check = function
@@ -159,7 +158,7 @@ let test_size_for_constraint_loose () =
 let test_frozen_stages_kept () =
   let x0 = Path.min_sizing path5 in
   x0.(2) <- 17.;
-  let x, _ = Sens.solve ~a:0. ~frozen:[ 2 ] ~x0 path5 in
+  let x = (Sens.solve ~frozen:[ 2 ] ~x0 ~beta:1. ~tol:1e-6 path5).Sens.sizing in
   Alcotest.(check bool) "frozen stage untouched" true (x.(2) = 17.)
 
 let test_sutherland_vs_sensitivity_area () =
@@ -711,26 +710,25 @@ module Diag = Pops_robust.Diag
 let has_code code diags = List.exists (fun d -> d.Diag.code = code) diags
 
 let test_ladder_healthy_first_rung () =
-  (* faults disabled: the ladder never descends and its result is
-     bit-identical to the plain entry point *)
+  (* faults disabled: the ladder never descends, repeats bit for bit and
+     its outcome is Exact *)
   Fault.clear ();
-  let baseline = Sens.solve_worst path11 in
-  let r = Sens.solve_robust path11 in
+  let r = Sens.solve path11 in
   Alcotest.(check bool) "accelerated rung" true (r.Sens.fallback = Sens.Accelerated);
   Alcotest.(check bool) "no warnings" true
     (List.for_all (fun d -> d.Diag.severity = Diag.Info) r.Sens.diags);
-  Alcotest.(check bool) "bit-identical to solve_worst" true (baseline = r.Sens.sizing);
-  match Sens.solve_o path11 with
-  | Pops_robust.Outcome.Exact x ->
-    Alcotest.(check bool) "solve_o Exact, same sizing" true (x = baseline)
-  | _ -> Alcotest.fail "healthy solve_o must be Exact"
+  Alcotest.(check bool) "bit-identical on repeat" true
+    ((Sens.solve path11).Sens.sizing = r.Sens.sizing);
+  match Pops_robust.Outcome.make r.Sens.sizing r.Sens.diags with
+  | Pops_robust.Outcome.Exact _ -> ()
+  | _ -> Alcotest.fail "a healthy solve must be Exact"
 
 let forced_rung spec =
-  Fault.with_spec spec (fun () -> Sens.solve_robust path11)
+  Fault.with_spec spec (fun () -> Sens.solve path11)
 
-let check_near_healthy (r : Sens.robust_report) =
+let check_near_healthy (r : Sens.report) =
   (* intermediate rungs converge to the same fixed point *)
-  let healthy = Sens.solve_worst path11 in
+  let healthy = (Sens.solve path11).Sens.sizing in
   Array.iteri
     (fun i x ->
       Alcotest.(check bool) "close to healthy solve" true
@@ -769,7 +767,8 @@ let test_ladder_nan_poisoning () =
   check_near_healthy r
 
 let test_ladder_degraded_outcome () =
-  match Fault.with_spec "solver.diverge.accel" (fun () -> Sens.solve_o path11) with
+  let r = forced_rung "solver.diverge.accel" in
+  match Pops_robust.Outcome.make r.Sens.sizing r.Sens.diags with
   | Pops_robust.Outcome.Degraded (x, diags) ->
     Alcotest.(check bool) "diags attached" true (diags <> []);
     Alcotest.(check bool) "sizing finite" true
@@ -779,7 +778,7 @@ let test_ladder_degraded_outcome () =
 
 let test_ladder_budget_keeps_iterate () =
   let budget = Pops_robust.Budget.create ~sweeps:2 () in
-  let r = Sens.solve_robust ~budget path11 in
+  let r = Sens.solve ~budget path11 in
   Alcotest.(check bool) "sizing finite under a starved budget" true
     (Array.for_all Float.is_finite r.Sens.sizing);
   Alcotest.(check bool) "budget trip reported" true

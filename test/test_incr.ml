@@ -195,7 +195,9 @@ let test_flow_final_delay_matches_cold_sta () =
       let nl, _ = Profiles.circuit tech p in
       let nl = Netlist.copy nl in
       let d0 = Timing.critical_delay (Timing.analyze ~lib nl) in
-      let r = Pops_flow.Flow.optimize ~lib ~tc:(0.8 *. d0) nl in
+      let r =
+        Pops_robust.Outcome.get (Pops_flow.Flow.optimize_o ~lib ~tc:(0.8 *. d0) nl)
+      in
       let cold = Timing.critical_delay (Timing.analyze ~lib nl) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: persistent STA == cold STA (%.17g vs %.17g)" name

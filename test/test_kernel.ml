@@ -300,13 +300,13 @@ let test_solve_plain_bitwise () =
       List.iter
         (fun a ->
           let x_ref, iters_ref = ref_solve ~a path in
-          let x, stats = Sens.solve ~accel:false ~a path in
+          let r = Sens.solve ~accel:false ~a ~beta:1. ~tol:1e-6 path in
           check_bits_arr
             (Printf.sprintf "%s solve a=%g" name a)
-            x_ref x;
+            x_ref r.Sens.sizing;
           Alcotest.(check int)
             (Printf.sprintf "%s solve a=%g iterations" name a)
-            iters_ref stats.Sens.iterations)
+            iters_ref r.Sens.stats.Sens.iterations)
         [ 0.; -0.01; -1. ])
     solver_circuits
 
@@ -315,8 +315,12 @@ let test_accel_agrees_when_converged () =
      result must satisfy the same residual contract and land on the
      same fixed point to solver tolerance *)
   let path = profile_path "fpd" in
-  let x_plain, st_plain = Sens.solve ~accel:false path in
-  let x_acc, st_acc = Sens.solve ~accel:true path in
+  let solve accel =
+    let r = Sens.solve ~accel ~beta:1. ~tol:1e-6 path in
+    (r.Sens.sizing, r.Sens.stats)
+  in
+  let x_plain, st_plain = solve false in
+  let x_acc, st_acc = solve true in
   Alcotest.(check bool) "both converged" true
     (st_plain.Sens.iterations < 300 && st_acc.Sens.iterations < 300);
   Alcotest.(check bool) "acceleration does not slow convergence" true
@@ -332,8 +336,8 @@ let test_solver_entry_points_unaffected () =
   (* the higher-level entry points run accelerated by default; their
      results must stay interchangeable with the plain ones *)
   let path = profile_path "c880" in
-  let x_acc = Sens.solve_worst path in
-  let x_plain = Sens.solve_worst ~accel:false path in
+  let x_acc = (Sens.solve path).Sens.sizing in
+  let x_plain = (Sens.solve ~accel:false path).Sens.sizing in
   let d_acc = Path.delay_worst path x_acc
   and d_plain = Path.delay_worst path x_plain in
   Alcotest.(check bool) "accelerated at least as optimal" true
@@ -395,7 +399,7 @@ let test_bisect_for_beta () =
     Alcotest.(check bool) "close to constraint (minimum area)" true
       (r.Sens.delay >= tc *. 0.99);
     Alcotest.(check bool) "cheaper than the a=0 sizing" true
-      (r.Sens.area <= Path.area path (Sens.solve_beta ~beta:0.5 path)));
+      (r.Sens.area <= Path.area path (Sens.solve path).Sens.sizing));
   (* infeasible for this weighting *)
   Alcotest.(check bool) "infeasible returns None" true
     (Sens.bisect_for_beta ~beta:0.5 path ~tc:(0.5 *. b.Bounds.tmin) = None)

@@ -365,9 +365,9 @@ OUTPUT(23)
 |}
 
 let parse_ok text =
-  match Bench_io.parse tech text with
+  match Bench_io.parse_diag tech text with
   | Ok r -> r
-  | Error m -> Alcotest.failf "parse failed: %s" m
+  | Error d -> Alcotest.failf "parse failed: %s" (Pops_robust.Diag.one_line d)
 
 let test_bench_parse_c17 () =
   let t, names = parse_ok c17_bench_text in
@@ -448,8 +448,8 @@ let test_bench_roundtrip_adder () =
 
 let test_bench_errors () =
   let err text =
-    match Bench_io.parse tech text with
-    | Error m -> m
+    match Bench_io.parse_diag tech text with
+    | Error d -> Pops_robust.Diag.one_line d
     | Ok _ -> Alcotest.failf "expected error for %S" text
   in
   Alcotest.(check bool) "undefined signal" true
@@ -605,7 +605,7 @@ let prop_bench_roundtrip_fuzz =
           (Generator.make_profile ~name:(Printf.sprintf "fz%d" path_gates)
              ~path_gates ())
       in
-      match Bench_io.parse tech (Bench_io.to_string t) with
+      match Bench_io.parse_diag tech (Bench_io.to_string t) with
       | Error _ -> false
       | Ok (t2, _) ->
         Netlist.validate t2 = Ok () && Logic.equivalent ~vectors:192 t t2 = Ok ())

@@ -145,7 +145,8 @@ let flow_report (p : Profiles.t) =
   let nl, _ = Profiles.circuit tech p in
   let nl = Netlist.copy nl in
   let d0 = Timing.critical_delay (Timing.analyze ~lib nl) in
-  Flow.optimize ~max_rounds:2 ~k_paths:3 ~lib ~tc:(0.85 *. d0) nl
+  Pops_robust.Outcome.get
+    (Flow.optimize_o ~max_rounds:2 ~k_paths:3 ~lib ~tc:(0.85 *. d0) nl)
 
 let test_flow_deterministic () =
   List.iter

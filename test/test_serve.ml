@@ -326,6 +326,42 @@ let test_fault_all_tasks () =
 
 (* --- server line handling ------------------------------------------- *)
 
+(* [Server.serve] over [fd] against a fresh engine: its return code and
+   every byte it wrote *)
+let serve_fd ~summary fd =
+  let fname = Filename.temp_file "pops_serve_test" ".ndjson" in
+  let oc = open_out_bin fname in
+  let code = Server.serve (Engine.create ~config tech) ~summary fd oc in
+  close_out oc;
+  let out = In_channel.with_open_bin fname In_channel.input_all in
+  Sys.remove fname;
+  (code, out)
+
+(* the input fits the pipe buffer, so write it all up front and close
+   the write end before serving — no writer thread needed *)
+let serve_pipe ~summary input =
+  let r_in, w_in = Unix.pipe () in
+  let bytes = Bytes.of_string input in
+  let n = Bytes.length bytes in
+  let rec write_all off =
+    if off < n then write_all (off + Unix.write w_in bytes off (n - off))
+  in
+  write_all 0;
+  Unix.close w_in;
+  Fun.protect ~finally:(fun () -> Unix.close r_in) (fun () ->
+      serve_fd ~summary r_in)
+
+(* the same loop over a regular file, as [pops optimize --jobs] runs it *)
+let serve_file ~summary input =
+  let fname = Filename.temp_file "pops_jobs_test" ".ndjson" in
+  Out_channel.with_open_bin fname (fun oc -> output_string oc input);
+  let fd = Unix.openfile fname [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove fname)
+    (fun () -> serve_fd ~summary fd)
+
 let test_server_stream () =
   (* end-to-end over a real pipe: mixed good, invalid and non-JSON
      lines; one result per line in order, then the summary *)
@@ -340,25 +376,9 @@ let test_server_stream () =
       ]
     ^ "\n"
   in
-  (* the input fits the pipe buffer, so write it all up front and close
-     the write end before serving — no writer thread needed *)
-  let r_in, w_in = Unix.pipe () in
-  let fname = Filename.temp_file "pops_serve_test" ".ndjson" in
-  let oc = open_out fname in
-  let bytes = Bytes.of_string input in
-  let n = Bytes.length bytes in
-  let rec write_all off =
-    if off < n then write_all (off + Unix.write w_in bytes off (n - off))
-  in
-  write_all 0;
-  Unix.close w_in;
-  let engine = Engine.create ~config tech in
-  let code = Server.serve engine ~summary:true r_in oc in
-  Unix.close r_in;
-  close_out oc;
-  let lines = In_channel.with_open_bin fname In_channel.input_lines in
-  Sys.remove fname;
-  Alcotest.(check int) "server exit 0" 0 code;
+  let code, out = serve_pipe ~summary:true input in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' out) in
+  Alcotest.(check int) "worst exit: invalid" 2 code;
   Alcotest.(check int) "3 results + summary" 4 (List.length lines);
   let statuses =
     List.filteri (fun i _ -> i < 3) lines
@@ -376,6 +396,44 @@ let test_server_stream () =
     Alcotest.(check bool) "summary line" true
       (Json.member "summary" j <> None)
   | Error e -> Alcotest.failf "bad summary: %s" e
+
+let test_server_multi_window () =
+  (* 40 jobs, more than two engine windows: analyze (ok), optimize at an
+     unreachable tc (unmet) and invalid lines, through the one stdio
+     loop over a pipe and over a regular file.  No summary: its
+     bounds_cache counters are process-wide, so the second run's differ *)
+  let chain =
+    Json.to_string
+      (Json.Str "INPUT(a)\nOUTPUT(y)\nb = NOT(a)\nc = NOT(b)\ny = NOT(c)\n")
+  in
+  let line i =
+    match i mod 5 with
+    | 0 | 1 -> Printf.sprintf {|{"bench":%s,"action":"analyze","id":"ok%d"}|} chain i
+    | 2 -> Printf.sprintf {|{"bench":%s,"tc_ps":1,"max_rounds":1,"id":"unmet%d"}|} chain i
+    | 3 -> Printf.sprintf {|{"bench":"garbage","action":"analyze","id":"bad%d"}|} i
+    | _ -> "not json"
+  in
+  let input = String.concat "\n" (List.init 40 line) ^ "\n" in
+  Alcotest.(check bool) "longer than two windows" true
+    (40 > 2 * config.Engine.window);
+  let pipe_code, pipe_out = serve_pipe ~summary:false input in
+  let file_code, file_out = serve_file ~summary:false input in
+  Alcotest.(check int) "pipe: worst exit" 2 pipe_code;
+  Alcotest.(check int) "file: worst exit" 2 file_code;
+  Alcotest.(check string) "pipe and file streams byte-identical" pipe_out
+    file_out;
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' pipe_out) in
+  Alcotest.(check int) "40 results" 40 (List.length lines);
+  let status l =
+    match Json.parse l with
+    | Ok j ->
+      Option.value ~default:"?" (Option.bind (Json.member "status" j) Json.to_str)
+    | Error e -> Alcotest.failf "bad result line %s: %s" l e
+  in
+  Alcotest.(check (list string)) "statuses in order"
+    (List.init 40 (fun i ->
+         match i mod 5 with 0 | 1 -> "ok" | 2 -> "unmet" | _ -> "invalid"))
+    (List.map status lines)
 
 (* -------------------------------------------------------------------- *)
 
@@ -420,5 +478,9 @@ let () =
           Alcotest.test_case "all tasks fail" `Quick test_fault_all_tasks;
         ] );
       ( "server",
-        [ Alcotest.test_case "stream" `Quick test_server_stream ] );
+        [
+          Alcotest.test_case "stream" `Quick test_server_stream;
+          Alcotest.test_case "multi-window pipe == file" `Quick
+            test_server_multi_window;
+        ] );
     ]

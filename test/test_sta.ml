@@ -221,8 +221,8 @@ let test_min_clock_period () =
     "INPUT(a)\nOUTPUT(q2)\nq1 = DFF(d1)\nq2 = DFF(d2)\n\
      d1 = NAND(a, q1)\nd2 = NOR(q1, a)\n"
   in
-  match Pops_netlist.Bench_io.parse tech text with
-  | Error m -> Alcotest.failf "parse: %s" m
+  match Pops_netlist.Bench_io.parse_diag tech text with
+  | Error d -> Alcotest.failf "parse: %s" (Pops_robust.Diag.one_line d)
   | Ok (t, _) ->
     let timing = Timing.analyze ~lib t in
     let period = Timing.min_clock_period timing in
