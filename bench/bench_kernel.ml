@@ -1,7 +1,7 @@
 (* BENCH_kernel.json: the compiled path kernel — ns/op and minor
-   words/op for the allocation-free primitives and the accelerated
-   solvers.  Doubles as the allocation regression guard: the fused
-   kernels must stay under a pinned minor-words/op budget or the run
+   words/op for the allocation-free primitives and the solvers.  Doubles
+   as the allocation regression guard: the fused kernels and the fpd
+   solve must stay under pinned minor-words/op budgets or the run
    fails. *)
 
 open Harness
@@ -10,6 +10,9 @@ let delay_kernel () =
   (* the budget covers the probe's own accounting (storing a returned
      boxed float costs 2 words); the kernels themselves allocate 0 *)
   let alloc_budget = 8. in
+  (* a solve allocates its result, its report and the boxed floats of
+     its passes; the Newton vectors live in the per-domain scratch *)
+  let solve_budget = 300. in
   let t = Table.create
       ~title:"delay_kernel - compiled path kernel (ns/op, minor words/op)"
       [ ("kernel", Table.Left); ("circuit", Table.Left); ("stages", Table.Right);
@@ -59,7 +62,9 @@ let delay_kernel () =
       bench ~iters:hot ~kernel:"gradient_into" ~circuit:name ~stages:n
         ~budget:alloc_budget (fun () -> Path.gradient_into path x g);
       bench ~iters:(if !smoke then 5 else 50) ~kernel:"sensitivity_solve"
-        ~circuit:name ~stages:n (fun () -> Sens.solve ~beta:1. ~tol:1e-6 path);
+        ~circuit:name ~stages:n
+        ?budget:(if name = "fpd" then Some solve_budget else None)
+        (fun () -> Sens.solve ~beta:1. ~tol:1e-6 path);
       let tc = 1.2 *. (bounds_of p).Bounds.tmin in
       bench ~iters:(if !smoke then 1 else 3) ~kernel:"bisect_for_beta"
         ~circuit:name ~stages:n (fun () -> Sens.bisect_for_beta ~beta:0.5 path ~tc))
@@ -68,5 +73,7 @@ let delay_kernel () =
   Printf.printf
     "shape check: the fused kernels (delay_worst, delay_both, gradient_into)\n\
      stay within the %g minor-words/op accounting budget - i.e. they allocate\n\
-     nothing; solver cost is dominated by sweep count (see solve_stats).\n"
-    alloc_budget
+     nothing; sensitivity_solve on fpd stays within %g words/op (its working\n\
+     vectors are reused per domain); solver cost is dominated by sweep count\n\
+     (see solve_stats).\n"
+    alloc_budget solve_budget

@@ -89,19 +89,20 @@ let tmin_trace path =
 
 let feasible path ~tc = tc >= tmin path
 
-let verify_stationary ?(tol = 5e-3) ?(beta = 0.5) path sizing =
+let verify_stationary ?(tol = 5e-3) ?(a = 0.) ?(beta = 0.5) path sizing =
   let x = Path.clamp_sizing path sizing in
+  let k = path.Path.kernel in
   (* the exact stationarity condition is on the beta-weighted polarity
-     gradient that the solver minimised *)
+     gradient that the solver minimised, less the constant-sensitivity
+     target a * aw_j *)
   let flipped = Path.with_input_edge path (Pops_delay.Edge.flip path.Path.input_edge) in
   let g1 = Path.gradient path x and g2 = Path.gradient flipped x in
   let ok = ref true in
   for j = 1 to Path.length path - 1 do
-    let cell = path.Path.stages.(j).Path.cell in
-    let lo = Pops_cell.Cell.min_cin cell in
-    let hi = 4096. *. lo in
-    let at_bound = x.(j) <= lo *. (1. +. 1e-6) || x.(j) >= hi *. (1. -. 1e-6) in
-    let g = (beta *. g1.(j)) +. ((1. -. beta) *. g2.(j)) in
+    let at_bound =
+      x.(j) <= k.Path.lo.(j) *. (1. +. 1e-6) || x.(j) >= k.Path.hi.(j) *. (1. -. 1e-6)
+    in
+    let g = (beta *. g1.(j)) +. ((1. -. beta) *. g2.(j)) -. (a *. k.Path.aw.(j)) in
     if (not at_bound) && Float.abs g > tol then ok := false
   done;
   !ok

@@ -5,8 +5,9 @@
       drive (no upper bound exists without a size limit, so the paper
       takes the realistic minimum-area configuration);
     - [Tmin]: the lower bound, reached when every interior gate satisfies
-      the link equations (eq. 4, i.e. zero delay sensitivity), computed by
-      the backward fixed-point iteration of {!Sensitivity.solve}. *)
+      the link equations (eq. 4, i.e. zero delay sensitivity), solved by
+      {!Sensitivity.solve} (projected Newton on the same equations; the
+      Gauss–Seidel fixed point is the fallback and the Fig. 1 trace). *)
 
 type t = {
   tmin : float;
@@ -71,9 +72,11 @@ val feasible : Pops_delay.Path.t -> tc:float -> bool
     ([tc >= tmin]). *)
 
 val verify_stationary :
-  ?tol:float -> ?beta:float -> Pops_delay.Path.t -> float array -> bool
+  ?tol:float -> ?a:float -> ?beta:float -> Pops_delay.Path.t -> float array -> bool
 (** True when the [beta]-weighted polarity gradient (default balanced,
-    0.5) vanishes at [sizing] for every interior entry — i.e. the sizing
-    really is the optimum of that objective.  Entries clamped at the
-    drive bounds are exempt (their optimum may lie outside the box).
-    Used by tests and the CLI's [--check] flag. *)
+    0.5) equals the constant-sensitivity target [a * aw_j] (default
+    [a = 0.], the minimum-delay link equations) within [tol] ps/fF at
+    every interior entry of [sizing] — i.e. the sizing really is the
+    {!Sensitivity.solve} optimum for that [a] and [beta].  Entries at the
+    path kernel's drive bounds ([lo]/[hi]) are exempt (their optimum may
+    lie outside the box).  Used by tests and the CLI's [--check] flag. *)

@@ -33,9 +33,10 @@ let delay_buffered ?(style = Inverter_pair) ~lib ~driver ~gate ~gate_cin ~cload 
 
 (* Flimit is a pure function of (process, style, driver, gate); it is
    queried once per path stage, so memoise it.  The table is shared by
-   every pool domain evaluating buffer candidates, hence the lock; a
-   cache miss computes outside the lock (flimit is deterministic, so a
-   racing duplicate computation stores the same value). *)
+   every pool domain evaluating buffer candidates, hence the lock.  A
+   miss computes under the lock (a few short solves), so each key is
+   characterised exactly once and the sweep counter reads the same at
+   any domain count. *)
 let flimit_cache : (string * string * string * string, float) Hashtbl.t =
   Hashtbl.create 64
 
@@ -65,20 +66,13 @@ let flimit ?(style = Inverter_pair) ~lib ~driver ~gate () =
       Gk.name driver,
       Gk.name gate )
   in
-  let cached =
-    Mutex.lock flimit_lock;
-    let r = Hashtbl.find_opt flimit_cache key in
-    Mutex.unlock flimit_lock;
-    r
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-    let v = flimit_uncached ~style ~lib ~driver ~gate () in
-    Mutex.lock flimit_lock;
-    if not (Hashtbl.mem flimit_cache key) then Hashtbl.add flimit_cache key v;
-    Mutex.unlock flimit_lock;
-    v
+  Mutex.protect flimit_lock (fun () ->
+      match Hashtbl.find_opt flimit_cache key with
+      | Some v -> v
+      | None ->
+        let v = flimit_uncached ~style ~lib ~driver ~gate () in
+        Hashtbl.add flimit_cache key v;
+        v)
 
 let characterize_library ?style ~lib ~driver kinds =
   List.map (fun gate -> (gate, flimit ?style ~lib ~driver ~gate ())) kinds

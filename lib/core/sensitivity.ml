@@ -93,61 +93,48 @@ let sweep_kernel (path : Path.t) ~w_own ~w_flip ~a ~skip x =
 
 (* --- per-domain scratch ------------------------------------------- *)
 
-(* The fixed point needs a handful of working vectors (current and
-   previous iterate, the Aitken history and candidate).  One scratch
-   lives per domain (Domain.DLS), sized to the largest path seen there,
-   so repeated solves — the constraint bisection warm-starts dozens per
-   path — allocate nothing after the first.  The busy flag covers the
-   (currently impossible) re-entrant case by falling back to a fresh
-   scratch instead of corrupting the one in flight; tasks on the PR 2
-   domain pool each run on their own domain, so scratches are never
-   shared. *)
-type scratch = {
-  mutable cap : int;
-  mutable cur : float array;
-  mutable prev : float array;
-  mutable h0 : float array;
-  mutable h1 : float array;
-  mutable h2 : float array;
-  mutable cand : float array;
-  mutable cand_next : float array;
-  mutable busy : bool;
+(* The solvers need a handful of working vectors: the iterate and, for
+   Gauss-Seidel, the previous one; for Newton, the trial point, the
+   gradient and its coloured perturbations, the tridiagonal Hessian and
+   the step.  One scratch lives per domain (Domain.DLS), sized to the
+   largest path seen there, so repeated solves — the constraint
+   bisection warm-starts dozens per path — allocate nothing after the
+   first.  The busy flag covers the (currently impossible) re-entrant
+   case by falling back to a fresh scratch instead of corrupting the one
+   in flight; tasks on the domain pool each run on their own domain, so
+   scratches are never shared. *)
+type vectors = {
+  cur : float array;  (** the iterate *)
+  prev : float array;  (** previous iterate / Newton trial point *)
+  grad : float array;  (** objective gradient at [cur] *)
+  gflip : float array;  (** flipped-polarity gradient *)
+  xp : float array;  (** coloured perturbation of [cur] *)
+  gp : float array;  (** gradient at [xp]; Thomas multipliers *)
+  diag : float array;  (** Hessian diagonal *)
+  off : float array;  (** Hessian super-diagonal, symmetrised *)
+  dir : float array;  (** Newton step *)
 }
 
-let make_scratch cap =
-  {
-    cap;
-    cur = Array.make cap 0.;
-    prev = Array.make cap 0.;
-    h0 = Array.make cap 0.;
-    h1 = Array.make cap 0.;
-    h2 = Array.make cap 0.;
-    cand = Array.make cap 0.;
-    cand_next = Array.make cap 0.;
-    busy = false;
-  }
+let make_vectors cap =
+  let v () = Array.make cap 0. in
+  { cur = v (); prev = v (); grad = v (); gflip = v (); xp = v (); gp = v ();
+    diag = v (); off = v (); dir = v () }
 
-let scratch_key = Domain.DLS.new_key (fun () -> make_scratch 0)
+type scratch = { mutable cap : int; mutable vec : vectors; mutable busy : bool }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { cap = 0; vec = make_vectors 0; busy = false })
 
 let with_scratch n f =
   let sc = Domain.DLS.get scratch_key in
-  if sc.busy then f (make_scratch n)
+  if sc.busy then f (make_vectors n)
   else begin
     if sc.cap < n then begin
-      let fresh = make_scratch (max n (2 * sc.cap)) in
-      fresh.busy <- sc.busy;
-      Domain.DLS.set scratch_key fresh;
-      sc.cap <- fresh.cap;
-      sc.cur <- fresh.cur;
-      sc.prev <- fresh.prev;
-      sc.h0 <- fresh.h0;
-      sc.h1 <- fresh.h1;
-      sc.h2 <- fresh.h2;
-      sc.cand <- fresh.cand;
-      sc.cand_next <- fresh.cand_next
+      sc.cap <- max n (2 * sc.cap);
+      sc.vec <- make_vectors sc.cap
     end;
     sc.busy <- true;
-    Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
+    Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc.vec)
   end
 
 let dist_n n a b =
@@ -168,32 +155,24 @@ let nonfinite_index x =
   in
   go 0
 
-(* --- the accelerated fixed point ----------------------------------- *)
+let solve_status x ~diverged ~converged =
+  match nonfinite_index x with
+  | i when i >= 0 -> `Nonfinite i
+  | _ ->
+    if diverged then `Diverged else if converged then `Converged else `Stalled
 
-(* Plain mode ([accel = false]) replicates Numerics.fixed_point over the
-   clamp-then-sweep step exactly: same iterates bit for bit, same
-   iteration count, same stopping rule (max sizing change < tol, or
-   max_iter sweeps).
+(* --- Gauss-Seidel: the plain and damped rungs ---------------------- *)
 
-   Accelerated mode additionally tries a component-wise Aitken Δ²
-   extrapolation after every three consecutive plain iterates.  The
-   candidate is accepted only if one sweep from it contracts strictly
-   better than the plain sequence's latest step (its residual is
-   smaller); otherwise it is discarded and the plain sequence continues
-   from its own, bitwise-untouched iterate — so when no candidate is
-   ever accepted the accelerated solver walks the exact plain
-   trajectory, just with extra (counted) probe sweeps.  Either way the
-   result satisfies the same residual-< tol contract; acceleration can
-   only change how many sweeps it takes to get there. *)
-let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
-    ~max_iter path x0 =
+(* Replicates Numerics.fixed_point over the clamp-then-sweep step
+   exactly: same iterates bit for bit, same iteration count, same
+   stopping rule (max sizing change < tol, or max_iter sweeps). *)
+let gauss_seidel ?budget ~damping ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
   let n = Path.length path in
-  with_scratch n @@ fun sc ->
-  let cur = sc.cur and prev = sc.prev in
+  with_scratch n @@ fun v ->
+  let cur = v.cur and prev = v.prev in
   Array.blit x0 0 cur 0 n;
   let iter = ref 0 in
   let converged = ref false in
-  let hist = ref 0 in
   let in_budget () =
     match budget with None -> true | Some b -> not (Budget.exhausted b)
   in
@@ -204,8 +183,6 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
      slow ones) never trip them, so the watchdog cannot perturb the
      bit-identical healthy trajectory. *)
   let d_prev = ref Float.infinity in
-  (* max sizing change of the step that produced [cur]: the plain sweep,
-     or an accepted probe *)
   let last_step = ref Float.nan in
   let grow = ref 0 in
   let diverged = ref false in
@@ -229,49 +206,237 @@ let solve_weighted ?budget ?(damping = 1.) ~accel ~w_own ~w_flip ~a ~skip ~tol
     d_prev := d;
     if (!grow >= 8 && d > 1e6) || d > 1e12 then diverged := true;
     if d < tol then converged := true
-    else if accel then begin
-      let t = sc.h0 in
-      sc.h0 <- sc.h1;
-      sc.h1 <- sc.h2;
-      sc.h2 <- t;
-      Array.blit cur 0 sc.h2 0 n;
-      incr hist;
-      if !hist >= 3 && !iter < max_iter then begin
-        let cand = sc.cand and cand_next = sc.cand_next in
-        for i = 0 to n - 1 do
-          let x0i = sc.h0.(i) and x1i = sc.h1.(i) and x2i = sc.h2.(i) in
-          let dden = x2i -. (2. *. x1i) +. x0i in
-          let dx = x2i -. x1i in
-          let y = x2i -. (dx *. dx /. dden) in
-          cand.(i) <- (if Float.is_finite y then y else x2i)
-        done;
-        Path.clamp_into path cand cand;
-        Array.blit cand 0 cand_next 0 n;
-        sweep_kernel path ~w_own ~w_flip ~a ~skip cand_next;
-        incr iter;
-        let dc = dist_n n cand cand_next in
-        if dc < d then begin
-          Array.blit cand_next 0 cur 0 n;
-          last_step := dc;
-          if dc < tol then converged := true
-        end;
-        (* accepted or not, restart the history: Δ² needs three iterates
-           of a single geometric tail, and probing every window turned
-           out to burn more sweeps than the extra attempts recover *)
-        hist := 0
-      end
-    end
   done;
   let x = Array.sub cur 0 n in
-  let status =
-    match nonfinite_index x with
-    | i when i >= 0 -> `Nonfinite i
-    | _ ->
-      if !diverged then `Diverged
-      else if !converged then `Converged
-      else `Stalled
+  (x, !iter, !last_step, solve_status x ~diverged:!diverged ~converged:!converged)
+
+(* --- Newton: the first rung ---------------------------------------- *)
+
+(* The link equations are the stationarity conditions of
+
+     L(x) = w_own T_own(x) + w_flip T_flip(x) - a sum_j aw_j x_j
+
+   (the sweep solves dL/dx_j = 0 for x_j with its neighbours frozen), so
+   the first rung minimises L directly by projected Newton in
+   log-sizing coordinates u_j = ln x_j, where the delay's posynomial
+   terms are convex.  dT/dx_j reads only x_{j-1}, x_j and x_{j+1}, so
+   the Hessian is tridiagonal: three gradient passes with the stages
+   j mod 3 = c perturbed together (one colour per pass) give every
+   entry, and the step is one O(n) Thomas solve.
+
+   - Stages at a drive bound whose gradient points out of the box, and
+     frozen stages, leave the active set (identity row, zero step).
+   - A non-positive Thomas pivot adds a Levenberg shift to the active
+     diagonal until the factorisation goes through.
+   - The step is projected onto the bounds and backtracked until L
+     passes an Armijo test.
+   - The solve stops when the accepted step changes no size by [tol]
+     or more — the sweep's contract — or after [max_iter] passes.
+
+   Every kernel pass counts as one sweep: a gradient evaluation (both
+   polarities), one coloured Hessian column set, or one evaluation of
+   L.  The cap can fall anywhere in an iteration: the iterate is then
+   the last accepted one, and the reported step the max sizing change
+   of the last trial point (the pending one when the cap fell inside a
+   line search), so it is finite once one direction has been formed. *)
+
+exception Pass_cap
+
+(* coloured-difference step, in u *)
+let fd_step = 1e-6
+
+(* one both-polarity pass: [g] := dL/dx at [x] *)
+let objective_gradient path flip ~w_own ~w_flip ~a x g gflip =
+  let k = path.Path.kernel in
+  let n = k.Path.n in
+  if w_flip = 0. then Path.gradient_into path x g
+  else if w_own = 0. then Path.gradient_into flip x g
+  else begin
+    Path.gradient_into path x g;
+    Path.gradient_into flip x gflip;
+    for j = 1 to n - 1 do
+      g.(j) <- (w_own *. g.(j)) +. (w_flip *. gflip.(j))
+    done
+  end;
+  if a <> 0. then
+    for j = 1 to n - 1 do
+      g.(j) <- g.(j) -. (a *. k.Path.aw.(j))
+    done
+
+(* one pass: L at [x] *)
+let objective path flip ps ~w_own ~w_flip ~a x =
+  let t =
+    if w_flip = 0. then Path.delay path x
+    else if w_own = 0. then Path.delay flip x
+    else begin
+      Path.delay_both path ps x;
+      (w_own *. ps.Path.own) +. (w_flip *. ps.Path.flip)
+    end
   in
-  (x, !iter, !last_step, status)
+  if a = 0. then t
+  else begin
+    let k = path.Path.kernel in
+    let area = ref 0. in
+    for j = 1 to k.Path.n - 1 do
+      area := !area +. (k.Path.aw.(j) *. x.(j))
+    done;
+    t -. (a *. !area)
+  end
+
+let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
+  let n = Path.length path in
+  let k = path.Path.kernel in
+  let lo = k.Path.lo and hi = k.Path.hi in
+  let flip =
+    if w_flip = 0. then path
+    else Path.with_input_edge path (Pops_delay.Edge.flip path.Path.input_edge)
+  in
+  let ps = Path.scratch () in
+  with_scratch n @@ fun v ->
+  let x = v.cur and trial = v.prev and g = v.grad and gflip = v.gflip in
+  let xp = v.xp and gp = v.gp and diag = v.diag and off = v.off in
+  let dir = v.dir in
+  Path.clamp_into path x0 x;
+  let iter = ref 0 in
+  let pass () =
+    if !iter >= max_iter then raise_notrace Pass_cap;
+    (match budget with
+    | Some b ->
+      if Budget.exhausted b then raise_notrace Pass_cap;
+      Budget.spend b 1
+    | None -> ());
+    incr iter;
+    Atomic.incr sweep_counter
+  in
+  let free j =
+    not
+      (skip j
+      || (x.(j) <= lo.(j) && g.(j) > 0.)
+      || (x.(j) >= hi.(j) && g.(j) < 0.))
+  in
+  let eh = exp fd_step in
+  let up j = x.(j) *. eh <= hi.(j) in
+  let last_step = ref Float.nan in
+  let converged = ref false and stuck = ref false in
+  (try
+     pass ();
+     let l_cur = ref (objective path flip ps ~w_own ~w_flip ~a x) in
+     (* a poisoned start ends the rung at once; the status scan reports
+        the non-finite stage *)
+     while Float.is_finite !l_cur && not (!converged || !stuck) do
+       pass ();
+       objective_gradient path flip ~w_own ~w_flip ~a x g gflip;
+       (* the tridiagonal Hessian of L in u, one colour per pass *)
+       Array.fill off 0 n 0.;
+       for c = 0 to 2 do
+         Array.blit x 0 xp 0 n;
+         let any = ref false in
+         for j = 1 to n - 1 do
+           if j mod 3 = c && free j then begin
+             any := true;
+             xp.(j) <- (if up j then x.(j) *. eh else x.(j) /. eh)
+           end
+         done;
+         if !any then begin
+           pass ();
+           objective_gradient path flip ~w_own ~w_flip ~a xp gp gflip;
+           for j = 1 to n - 1 do
+             if j mod 3 = c && free j then begin
+               let s = if up j then fd_step else -.fd_step in
+               diag.(j) <- ((xp.(j) *. gp.(j)) -. (x.(j) *. g.(j))) /. s;
+               if j > 1 then
+                 off.(j - 1) <-
+                   off.(j - 1) +. (0.5 *. x.(j - 1) *. (gp.(j - 1) -. g.(j - 1)) /. s);
+               if j < n - 1 then
+                 off.(j) <-
+                   off.(j) +. (0.5 *. x.(j + 1) *. (gp.(j + 1) -. g.(j + 1)) /. s)
+             end
+           done
+         end
+       done;
+       (* inactive stages: identity rows, decoupled *)
+       let scale = ref 0. in
+       for j = 1 to n - 1 do
+         if free j then scale := Float.max !scale (Float.abs diag.(j))
+         else begin
+           diag.(j) <- 1.;
+           off.(j - 1) <- 0.;
+           off.(j) <- 0.
+         end
+       done;
+       off.(0) <- 0.;
+       off.(n - 1) <- 0.;
+       (* Thomas: multipliers into [gp], forward-eliminated right-hand
+          side then the step into [dir]; a non-positive pivot retries
+          with a larger Levenberg shift *)
+       let shift = ref 0. and factored = ref false in
+       while not (!factored || !stuck) do
+         let ok = ref true and j = ref 1 in
+         while !ok && !j < n do
+           let i = !j in
+           let sub = if i > 1 then off.(i - 1) else 0. in
+           let cprev = if i > 1 then gp.(i - 1) else 0. in
+           let dprev = if i > 1 then dir.(i - 1) else 0. in
+           let piv =
+             diag.(i) +. (if free i then !shift else 0.) -. (sub *. cprev)
+           in
+           if piv > 0. && Float.is_finite piv then begin
+             gp.(i) <- off.(i) /. piv;
+             let rhs = if free i then -.(x.(i) *. g.(i)) else 0. in
+             dir.(i) <- (rhs -. (sub *. dprev)) /. piv
+           end
+           else ok := false;
+           incr j
+         done;
+         if !ok then begin
+           for i = n - 2 downto 1 do
+             dir.(i) <- dir.(i) -. (gp.(i) *. dir.(i + 1))
+           done;
+           factored := true
+         end
+         else if !shift = 0. then shift := 1e-6 *. Float.max !scale 1e-12
+         else if !shift > 1e30 *. Float.max !scale 1. then stuck := true
+         else shift := 10. *. !shift
+       done;
+       (* projected backtracking line search on L *)
+       let t = ref 1. and accepted = ref (!stuck) in
+       while not !accepted do
+         let step = ref 0. and slope = ref 0. in
+         trial.(0) <- x.(0);
+         for j = 1 to n - 1 do
+           let d = if free j then dir.(j) else 0. in
+           if d = 0. then trial.(j) <- x.(j)
+           else begin
+             let y = Float.min hi.(j) (Float.max lo.(j) (x.(j) *. exp (!t *. d))) in
+             trial.(j) <- y;
+             let du =
+               if y = hi.(j) || y = lo.(j) then log (y /. x.(j)) else !t *. d
+             in
+             slope := !slope +. (x.(j) *. g.(j) *. du);
+             step := Float.max !step (Float.abs (y -. x.(j)))
+           end
+         done;
+         last_step := !step;
+         if !step < tol then begin
+           Array.blit trial 0 x 0 n;
+           converged := true;
+           accepted := true
+         end
+         else begin
+           pass ();
+           let l_t = objective path flip ps ~w_own ~w_flip ~a trial in
+           if l_t <= !l_cur +. (1e-4 *. Float.min !slope 0.) then begin
+             Array.blit trial 0 x 0 n;
+             l_cur := l_t;
+             accepted := true
+           end
+           else t := 0.5 *. !t
+         end
+       done
+     done
+   with Pass_cap -> ());
+  let x = Array.sub x 0 n in
+  (x, !iter, !last_step, solve_status x ~diverged:!stuck ~converged:!converged)
 
 (* --- the fallback ladder ------------------------------------------- *)
 
@@ -315,14 +480,14 @@ let tmax_safe_sizing ~skip path x0 =
   done;
   y
 
-(* Walk the documented fallback ladder: Aitken-accelerated -> plain
-   Gauss-Seidel -> damped (under-relaxed, 0.5) sweep -> Tmax-safe
-   minimum-drive sizing.  A rung fails on a non-finite iterate or a
-   diverging residual (or a forced [solver.*] fault); a rung that merely
-   runs out of sweeps keeps the historical contract — report and return
-   the last iterate — so fault-free solves stay bit-identical to the
-   pre-ladder code.  Every event is recorded in the returned diagnostics
-   and emitted to the ambient {!Watch} collector. *)
+(* Walk the documented fallback ladder: Newton -> plain Gauss-Seidel ->
+   damped (under-relaxed, 0.5) sweep -> Tmax-safe minimum-drive sizing.
+   A rung fails on a non-finite iterate, a diverging residual (for
+   Newton: a system no Levenberg shift can factor, unreachable for a
+   finite objective) or a forced [solver.*] fault; a rung that merely
+   runs out of passes reports and returns its last iterate.  Every event
+   is recorded in the returned diagnostics and emitted to the ambient
+   {!Watch} collector. *)
 let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
     path x0 =
   let diags = ref [] in
@@ -354,10 +519,12 @@ let solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
         else x0
       in
       let x, iterations, residual, status =
-        solve_weighted ?budget
-          ~damping:(if rung = Damped then 0.5 else 1.)
-          ~accel:(rung = Accelerated) ~w_own ~w_flip ~a ~skip ~tol ~max_iter
-          path x0
+        match rung with
+        | Accelerated -> newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0
+        | _ ->
+          gauss_seidel ?budget
+            ~damping:(if rung = Damped then 0.5 else 1.)
+            ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0
       in
       let stats = { iterations; residual } in
       match status with
@@ -463,8 +630,8 @@ let minimum_delay path =
 let solve_trace ?(a = 0.) ?(tol = 1e-6) ?(max_iter = 300) path =
   check_a a;
   let x0 = Path.min_sizing path in
-  (* the plain (unaccelerated) balanced iteration: the trace reproduces
-     the paper's Fig. 1 trajectory, so no probe sweeps may appear in it *)
+  (* the paper's balanced Gauss-Seidel iteration: the trace reproduces
+     its Fig. 1 trajectory, so the Newton rung never runs here *)
   let step x =
     let y = Path.clamp_sizing path x in
     sweep_kernel path ~w_own:0.5 ~w_flip:0.5 ~a ~skip:no_skip y;

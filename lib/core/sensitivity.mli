@@ -8,10 +8,12 @@
     For [a = 0] this is the minimum-delay condition (the link equations of
     eq. 4); decreasing [a] below zero trades delay for area, sweeping the
     entire Pareto front of the convex sizing problem (the paper's Fig. 3).
-    The solution of the resulting system (eq. 6) is computed by the
-    backward Gauss–Seidel fixed point the paper describes: starting from
-    the minimum-drive initial solution and processing from the output
-    (where the terminal load is known) towards the input.
+    The paper solves the resulting system (eq. 6) by a backward
+    Gauss–Seidel fixed point: starting from the minimum-drive initial
+    solution and processing from the output (where the terminal load is
+    known) towards the input.  That sweep is kept for the Fig. 1 trace
+    ({!solve_trace}) and the lower rungs of the fallback ladder; the first
+    rung solves the same equations by projected Newton (see {!solve}).
 
     The sensitivity is expressed per unit of {e transistor width}
     ([a = dT/dW_i], ps/um): with the paper's [Sigma W] area objective the
@@ -21,10 +23,14 @@
     negative. *)
 
 type solve_stats = {
-  iterations : int;  (** fixed-point sweeps performed (probe sweeps included) *)
+  iterations : int;
+      (** kernel passes performed: Gauss–Seidel sweeps, or Newton's
+          gradient, Hessian-column and objective evaluations *)
   residual : float;
-      (** final max sizing change, fF: the step of the last sweep (or
-          accepted probe); below [tol] on convergence *)
+      (** final max sizing change, fF: the step of the last sweep, or of
+          the last Newton trial point (the pending one when the cap fell
+          inside a line search); below [tol] on convergence, [nan] only
+          when the cap fell before the first step was formed *)
 }
 
 (** {2 Watchdogs and graceful degradation} *)
@@ -36,8 +42,8 @@ type solve_stats = {
     minimum-drive sizing whose delay {e defines} the path's Tmax bound —
     needs no solver and cannot fail. *)
 type rung =
-  | Accelerated  (** Aitken-accelerated Gauss–Seidel (the default) *)
-  | Plain  (** unaccelerated Gauss–Seidel *)
+  | Accelerated  (** projected Newton on the link equations (the default) *)
+  | Plain  (** Gauss–Seidel sweep (the paper's iteration) *)
   | Damped  (** under-relaxed sweep, blend factor 0.5 *)
   | Tmax_safe  (** minimum-drive sizing, no iteration *)
 
@@ -54,18 +60,22 @@ type report = {
           clean first-rung convergence *)
 }
 
-(** The solver runs the backward Gauss–Seidel sweep directly on the
-    path's compiled {!Pops_delay.Path.kernel} tables with per-domain
-    scratch buffers, so a solve allocates only its result vector.
+(** Both solvers run directly on the path's compiled
+    {!Pops_delay.Path.kernel} tables with per-domain scratch buffers, so
+    a solve allocates only its result vector (plus, for a balanced
+    [beta], the O(1) flipped-path record).
 
-    [?accel] (default [true]) enables Aitken Δ² extrapolation of the
-    fixed point: after every three plain iterates a component-wise Δ²
-    candidate is probed with one extra (counted) sweep and accepted only
-    if it contracts strictly better than the plain sequence; otherwise
-    the plain iterates continue bitwise-unchanged, so [~accel:false]
-    reproduces the unaccelerated trajectory exactly and acceleration can
-    only change how many sweeps convergence takes, not the contract the
-    result satisfies. *)
+    [?accel] (default [true]) starts the ladder at the Newton rung.  The
+    link equations are the stationarity conditions of
+    [L(x) = beta T_own(x) + (1 - beta) T_flip(x) - a sum_j aw_j x_j];
+    Newton minimises [L] in log-sizing coordinates.  [dT/dx_j] couples
+    only [x_(j-1)], [x_j] and [x_(j+1)], so the Hessian is tridiagonal:
+    three coloured differences of the gradient give it and each step is
+    one O(n) Thomas solve, with a Levenberg shift on a non-positive
+    pivot, an Armijo backtrack on [L], and stages at a drive bound (or
+    [frozen]) held out of the active set.  [~accel:false] runs plain
+    Gauss–Seidel.  Both rungs stop on the same contract (max sizing
+    change below [tol]) and land on the same fixed point. *)
 
 val solve : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
   ?frozen:int list -> ?x0:float array -> ?beta:float -> ?tol:float ->
@@ -75,8 +85,11 @@ val solve : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
     to the available drive range, with the ladder's verdict attached.
     Stages listed in [frozen] keep their [x0] size (default: the minimum
     drive) — used by local buffer insertion, where only the buffer may
-    be sized.  The sweep stops when the max sizing change falls below
-    [tol] (default [1e-4] fF) or after [max_iter] sweeps (default 300).
+    be sized.  The solve stops when the max sizing change of a step
+    falls below [tol] (default [1e-4] fF) or after [max_iter] kernel
+    passes (default 300; see {!solve_stats}); a solve cut by the cap
+    keeps its last iterate and reports
+    {!Pops_robust.Diag.Solver_stalled}.
 
     [beta] weights the path's own input polarity in the link equations
     ([1] = pure own-polarity, [0] = pure flipped, default [0.5] =
@@ -94,8 +107,7 @@ val solve : ?budget:Pops_robust.Budget.t -> ?accel:bool -> ?a:float ->
     Tmax-safe minimum-drive sizing, so a valid sizing always comes back.
     Degradations are returned in [diags] and emitted to
     {!Pops_robust.Watch}; [Pops_robust.Outcome.make r.sizing r.diags]
-    is the solve as an outcome.  A fault-free converging solve is
-    bit-identical to the pre-ladder solver.  [budget] caps the sweeps /
+    is the solve as an outcome.  [budget] caps the kernel passes /
     wall clock spent; an exhausted budget keeps the last iterate and
     reports {!Pops_robust.Diag.Budget_exceeded}.
     @raise Invalid_argument if [a > 0.]. *)
@@ -104,8 +116,7 @@ val solve_trace : ?a:float -> ?tol:float -> ?max_iter:int -> Pops_delay.Path.t -
   float array list
 (** Every fixed-point iterate (first is the minimum-drive initial
     solution); reproduces the convergence trajectory of Fig. 1.  Always
-    runs the plain (unaccelerated) iteration, so no probe iterates
-    appear in the trace. *)
+    runs the paper's Gauss–Seidel sweep, never the Newton rung. *)
 
 val minimum_delay : Pops_delay.Path.t -> float * float array * float
 (** [(tmin, sizing, beta)]: the minimum achievable worst-polarity delay,
@@ -149,10 +160,12 @@ val size_for_constraint :
     minimum-drive delay the all-minimum sizing is returned. *)
 
 val sweeps_performed : unit -> int
-(** Total link-equation sweeps executed by this process so far — one
-    sweep costs one whole-path retiming, making this the
-    hardware-independent cost metric the Table 1 benchmark reports.
-    Monotone counter; sample before/after the work to measure. *)
+(** Total kernel passes executed by this process so far — a
+    Gauss–Seidel sweep, or one of Newton's gradient (both polarities),
+    Hessian-column or objective evaluations.  Each costs one whole-path
+    retiming, making this the hardware-independent cost metric the
+    Table 1 benchmark reports.  Monotone counter; sample before/after the
+    work to measure. *)
 
 val sutherland : ?iters:int -> Pops_delay.Path.t -> tc:float -> float array
 (** The equal-delay-per-stage constraint distribution (Sutherland/Mead,

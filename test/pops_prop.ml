@@ -325,6 +325,29 @@ let () =
         (Path.delay_avg p x_plain) (Path.delay_avg p x_acc))
 
 let () =
+  (* long windows were where the sweep stalled at its cap: every solve
+     must converge on the first rung to a stationary point of its own
+     (beta, a) objective *)
+  let draw_a = Gen.pair Gen.bool (Gen.log_float_range 1e-3 3.) in
+  let beta = Gen.pick ~print:string_of_float [| 0.; 0.5; 1. |] in
+  Prop.register ~name:"sens.long_path_converges"
+    (Gen.triple (C.path_spec ~min_stages:24 ~max_stages:64 ()) beta draw_a)
+    (fun (s, beta, (zero, mag)) ->
+      let p = path_of s in
+      let a = if zero then 0. else -.mag in
+      let r = Sens.solve ~a ~beta p in
+      requiref (r.Sens.fallback = Sens.Accelerated) "solve fell back to the %s rung"
+        (Sens.rung_name r.Sens.fallback);
+      List.iter
+        (fun d ->
+          requiref (d.Pops_robust.Diag.code <> Pops_robust.Diag.Solver_stalled)
+            "stalled: %s" d.Pops_robust.Diag.message)
+        r.Sens.diags;
+      requiref (Bounds.verify_stationary ~a ~beta p r.Sens.sizing)
+        "not stationary at a=%g beta=%g after %d sweeps" a beta
+        r.Sens.stats.Sens.iterations)
+
+let () =
   Prop.register ~name:"sens.constraint_met"
     (Gen.pair spec (Gen.float_range 0.05 1.))
     (fun (s, margin) ->

@@ -248,16 +248,16 @@ let check_flow ~what ~tc_ratio ~expect t =
 let profile_digests =
   [
     ("Adder16", "e83740ae9054d1b75c31244d6da42e1c");
-    ("fpd", "629f0758cb7082c9d4a45bb2dc66a585");
-    ("c432", "1cd28242279fcbe164092f06c2174739");
-    ("c499", "6b9781253de2938bbefeac5123d165a0");
-    ("c880", "68e3bd5e1a5b88a453dcd31b61e015e4");
-    ("c1355", "31ffa5a3bf125af46a01f4e679eda2bb");
-    ("c1908", "92cca61e6a77785dddfd13b4170c94cf");
-    ("c3540", "10f06d1d56354936ae7cf4737e47f197");
-    ("c5315", "01c740ad3be1642e8623dd72b74ca967");
-    ("c6288", "9e9cb7b6361b6fc61d5faa2071df0d42");
-    ("c7552", "8bb5c8772e56c840e4c07ca2a1a74f4d");
+    ("fpd", "a79756822dc3d4d26c2730ef94a83e6b");
+    ("c432", "94ffbf661ba216f5fa3f05de929bfa4c");
+    ("c499", "f306fdbe763070e5de750dd85440312f");
+    ("c880", "c711dcc86927be1db451b19a02e3c9c6");
+    ("c1355", "ef1bd735b87eb19d5acf93c4fc0e52a5");
+    ("c1908", "dd7049b1adcf4019f59311f4dcd20405");
+    ("c3540", "4f5013122f924d7dab56b4e2a38cdd23");
+    ("c5315", "409e2a3c420b4b4ef2954999b008d6e8");
+    ("c6288", "da82cb40cfd314c3aecf610d6c8125c6");
+    ("c7552", "b3d2d42708bb3d6334d1b77045d380f8");
   ]
 
 let test_flow_profiles () =

@@ -5,8 +5,8 @@
    boxed API (Model.stage_delay, Path.stage_coeffs).  Any divergence —
    a reordered operand, a lost clamp, a polarity mix-up in the
    precomputed tables — fails an exact comparison here, not a tolerance
-   check.  The accelerated fixed point is additionally pinned to the
-   plain trajectory through its bitwise fallback contract. *)
+   check.  The Newton rung is additionally pinned to the plain
+   Gauss-Seidel fixed point at convergence. *)
 
 module Tech = Pops_process.Tech
 module Gk = Pops_cell.Gate_kind
@@ -311,9 +311,9 @@ let test_solve_plain_bitwise () =
     solver_circuits
 
 let test_accel_agrees_when_converged () =
-  (* fpd converges well inside max_iter both ways; the accelerated
-     result must satisfy the same residual contract and land on the
-     same fixed point to solver tolerance *)
+  (* fpd converges well inside max_iter both ways; the Newton rung must
+     satisfy the same residual contract and land on the same fixed point
+     to solver tolerance *)
   let path = profile_path "fpd" in
   let solve accel =
     let r = Sens.solve ~accel ~beta:1. ~tol:1e-6 path in
@@ -333,8 +333,8 @@ let test_accel_agrees_when_converged () =
     (Float.round (Path.delay_worst path x_acc *. 1e6))
 
 let test_solver_entry_points_unaffected () =
-  (* the higher-level entry points run accelerated by default; their
-     results must stay interchangeable with the plain ones *)
+  (* the higher-level entry points start on the Newton rung by default;
+     their results must stay interchangeable with the plain ones *)
   let path = profile_path "c880" in
   let x_acc = (Sens.solve path).Sens.sizing in
   let x_plain = (Sens.solve ~accel:false path).Sens.sizing in
