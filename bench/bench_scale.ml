@@ -1,8 +1,9 @@
 (* BENCH_scale.json: the full-chip trajectory — the arena/CSR core at
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
    analyze vs the pre-refactor reference, incremental update under edit
-   traffic, and the arena k-worst.  Minor-words-per-gate budgets guard
-   the allocation-free inner loops: a regression fails the run. *)
+   traffic, the arena k-worst, and (up to 100k) logic equivalence and
+   power on the snapshot.  Minor-words-per-gate budgets guard the
+   allocation-free inner loops: a regression fails the run. *)
 
 open Harness
 
@@ -14,6 +15,9 @@ let sta_scale () =
      or a cons cell per node in an inner loop costs 2-3 words/gate and
      trips these immediately. *)
   let analyze_budget = 24. and k_worst_budget = 48. in
+  (* the power pass allocates only the area folds' boxed cell areas (2
+     words/gate each): a per-node list (8 words/gate) must trip it *)
+  let power_budget = 8. in
   let t = Table.create
       ~title:"sta_scale - arena/CSR core across the size trajectory"
       [ ("kernel", Table.Left); ("gates", Table.Right);
@@ -96,10 +100,24 @@ let sta_scale () =
       let scratch = Paths.make_scratch () in
       let kw = (time ~rounds:3 [| (fun () -> Paths.k_worst ~scratch ~k:5 ~lib nl) |]).(0) in
       record ~kernel:"k_worst" ~shape ~gates ~words:(per_gate kw.words)
-        ~budget:k_worst_budget kw.ns)
+        ~budget:k_worst_budget kw.ns;
+      (* logic simulation on the snapshot: equivalence against a copy
+         (the warm-up run builds the copy's snapshot; a boxed word costs
+         48 words/gate over its 8 sweeps of 2 netlists) and the power pass *)
+      if gates <= 100_000 then begin
+        let copy = Netlist.copy nl in
+        let eq = (time ~rounds:3 [| (fun () -> Logic.equivalent nl copy) |]).(0) in
+        if eq.value <> Ok () then fail "sta_scale: %s/%d differs from its copy" shape gates;
+        record ~kernel:"logic_equivalent" ~shape ~gates ~words:(per_gate eq.words)
+          ~budget:analyze_budget eq.ns;
+        let pw = (time ~rounds [| (fun () -> ignore (Power.analyze ~lib nl)) |]).(0) in
+        record ~kernel:"power_analyze" ~shape ~gates ~words:(per_gate pw.words)
+          ~budget:power_budget pw.ns
+      end)
     cases;
   Table.print t;
   Printf.printf
     "shape check: analyze cost grows linearly in gate count while minor\n\
      words/gate stay flat (the inner loops allocate nothing per node);\n\
-     incremental update stays orders of magnitude under a full analyze.\n"
+     incremental update stays orders of magnitude under a full analyze;\n\
+     logic equivalence and power stay within their word budgets.\n"

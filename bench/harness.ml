@@ -15,6 +15,8 @@ module Path = Pops_delay.Path
 module Netlist = Pops_netlist.Netlist
 module Generator = Pops_netlist.Generator
 module Bench_io = Pops_netlist.Bench_io
+module Logic = Pops_netlist.Logic
+module Power = Pops_sta.Power
 module Paths = Pops_sta.Paths
 module Timing = Pops_sta.Timing
 module Transient = Pops_spice.Transient

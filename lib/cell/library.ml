@@ -18,10 +18,14 @@ let make ?(kinds = Gate_kind.all) tech =
 
 let tech t = t.tech
 
-let find_variants t kind =
-  match List.find_opt (fun (k, _) -> Gate_kind.equal k kind) t.cells with
-  | Some (_, variants) -> variants
-  | None -> raise Not_found
+(* a plain recursive scan: no closure or option per lookup, so the
+   per-gate folds over a netlist (area, power) allocate nothing here *)
+let rec variants_of kind = function
+  | [] -> raise Not_found
+  | (k, variants) :: rest ->
+    if Gate_kind.equal k kind then variants else variants_of kind rest
+
+let find_variants t kind = variants_of kind t.cells
 
 let find t kind = (find_variants t kind).(0)
 

@@ -4,7 +4,6 @@ module Watch = Pops_robust.Watch
 
 type strategy =
   | Sizing_only
-  | Local_buffers
   | Buffers_and_sizing
   | Restructure_and_sizing
 
@@ -181,7 +180,6 @@ let run ?(allow_restructure = true) ~lib ~tc path =
 
 let strategy_to_string = function
   | Sizing_only -> "sizing"
-  | Local_buffers -> "local-buffers"
   | Buffers_and_sizing -> "buffers+sizing"
   | Restructure_and_sizing -> "restructure+sizing"
 

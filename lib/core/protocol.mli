@@ -14,7 +14,6 @@
 
 type strategy =
   | Sizing_only
-  | Local_buffers
   | Buffers_and_sizing
   | Restructure_and_sizing
 

@@ -384,23 +384,6 @@ let sum_cin_ratio t x =
   let x = clamp_sizing t x in
   Array.fold_left ( +. ) 0. x /. t.tech.Pops_process.Tech.cmin
 
-let fast_input_violations t x =
-  let x = clamp_sizing t x in
-  let per_stage = delay_per_stage t x in
-  let viol = ref [] in
-  let tau_in = ref t.input_slope in
-  Array.iteri
-    (fun i (_, tau_out) ->
-      let cload = load t x i in
-      if
-        not
-          (Model.fast_input_range t.stages.(i).cell ~edge_out:t.edges.(i)
-             ~tau_in:!tau_in ~cin:x.(i) ~cload)
-      then viol := i :: !viol;
-      tau_in := tau_out)
-    per_stage;
-  List.rev !viol
-
 let rebuild t stages =
   let edges = compute_edges t.input_edge stages in
   { t with stages; edges; kernel = compile_kernel t.opts stages edges }

@@ -184,9 +184,6 @@ val sum_cin_ratio : t -> float array -> float
 val loads : t -> float array -> float array
 (** Per-stage output load (fF) under sizing [x]. *)
 
-val fast_input_violations : t -> float array -> int list
-(** Stages whose input transition falls outside the fast-input range. *)
-
 val with_stage_inserted : t -> at:int -> stage -> t
 (** Path with [stage] inserted {e after} position [at] (so it drives what
     stage [at] used to drive).  Used by buffer insertion. *)

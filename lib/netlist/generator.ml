@@ -214,5 +214,3 @@ let generate_scale tech ~name ~gates ~shape =
        spends it *)
     let path_gates = max 16 (min 2048 (gates / 48)) in
     fst (generate tech (make_profile ~name ~path_gates ~total_gates:gates ()))
-
-let scale_trajectory = [ 100_000; 500_000; 1_000_000 ]

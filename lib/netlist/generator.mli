@@ -49,6 +49,3 @@ val generate_scale :
     work on dense arrays — so million-gate circuits build in linear time
     and memory.  Every sink-less gate is promoted to a primary output.
     @raise Invalid_argument when [gates < 8]. *)
-
-val scale_trajectory : int list
-(** The benchmark gate-count trajectory: 100k, 500k, 1M. *)

@@ -3,7 +3,12 @@
     Used to prove that structural transforms (buffering, De Morgan
     restructuring) preserve the circuit function: exhaustively for up to
     {!exhaustive_limit} primary inputs, by seeded random vectors beyond
-    that. *)
+    that.
+
+    Every evaluation is one bit-parallel sweep over the netlist's
+    {!Netlist.csr} snapshot: 64 vectors per pass, one word per node in a
+    flat buffer.  A cyclic netlist raises the
+    {!Pops_robust.Diag.Fatal} of {!Netlist.csr}. *)
 
 val eval : Netlist.t -> bool array -> (int * bool) list
 (** [eval t inputs] evaluates the netlist for one input vector (ordered
@@ -12,20 +17,17 @@ val eval : Netlist.t -> bool array -> (int * bool) list
     @raise Invalid_argument if the vector length differs from the input
     count. *)
 
-val eval_node : Netlist.t -> bool array -> int -> bool
-(** Value of an arbitrary node under an input vector. *)
-
 val eval_packed : Netlist.t -> int64 array -> (int * int64) list
 (** Bit-parallel evaluation: input [i]'s 64 bits are 64 independent
     vectors, evaluated simultaneously with word-wide boolean algebra.
     Returns the primary outputs' packed values.  This is what
-    {!equivalent} runs on — a 64x speedup over scalar evaluation. *)
+    {!equivalent} runs on. *)
 
 val word_of_kind : Pops_cell.Gate_kind.t -> int64 array -> int64
 (** The bit-parallel boolean function of a gate: the packed counterpart
-    of {!Pops_cell.Gate_kind.eval}, applied to 64 vectors at once.
-    Exposed for the property suite, which checks it bit-for-bit against
-    the scalar evaluation. *)
+    of {!Pops_cell.Gate_kind.eval}, applied to 64 vectors at once.  The
+    sweep evaluates gates with this same function; the property suite
+    checks it bit-for-bit against the scalar evaluation. *)
 
 val exhaustive_limit : int
 (** Maximum input count for exhaustive equivalence (12). *)
@@ -63,21 +65,13 @@ val equivalent :
 (** [equivalent a b] checks that both netlists compute the same function
     on the same number of inputs and outputs — exhaustively when the
     input count allows, otherwise with [vectors] (default 512) seeded
-    random vectors.  The error message names the first mismatching
+    random vectors.  Inputs are matched by position, outputs in
+    designation order.  The error message names the first mismatching
     vector. *)
 
-val signal_probabilities :
-  Netlist.t -> ?input_prob:float -> unit -> (int, float) Hashtbl.t
-(** One forward propagation pass; the table maps every live node to its
-    one-probability.  Use this instead of {!signal_probability} when
-    querying many nodes. *)
-
-val signal_probability : Netlist.t -> ?input_prob:float -> int -> float
-(** [signal_probability t id] is the probability that node [id] is 1
-    when every primary input is 1 with probability [input_prob]
-    (default 0.5), computed by forward propagation under the standard
-    independence approximation. *)
-
-val switching_activity : Netlist.t -> ?input_prob:float -> int -> float
-(** [2 p (1 - p)] for the node's signal probability — the expected
-    transitions per cycle used by the power estimate. *)
+val signal_probabilities : Netlist.t -> ?input_prob:float -> unit -> float array
+(** One forward pass: indexed by node id, each live node's probability of
+    being 1 when every primary input is 1 with probability [input_prob]
+    (default 0.5), under the standard independence approximation (nan
+    at dead ids).  The power estimate's switching activity is
+    [2 p (1 - p)]. *)

@@ -498,6 +498,11 @@ let set_output t id ~load =
   invalidate_load t id;
   mark_dirty t id
 
+let gate_kind t id =
+  match (node t id).kind with
+  | Cell k -> k
+  | Primary_input -> invalid_arg (Printf.sprintf "Netlist.gate_kind: %d is an input" id)
+
 let inputs t = List.rev t.input_ids
 let outputs t = List.rev t.output_loads
 
@@ -1026,30 +1031,31 @@ let kind_histogram t =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (Gk.name a) (Gk.name b))
 
+(* gate ids ascending, the order the fingerprints fix, into one unboxed
+   accumulator: no id list and no closure per gate *)
 let total_area t lib =
-  List.fold_left
-    (fun acc id ->
-      let n = node t id in
-      match n.kind with
-      | Cell kind ->
-        acc +. Pops_cell.Cell.area (Pops_cell.Library.find lib kind) ~cin:n.cin
-      | Primary_input -> acc)
-    0. (gate_ids t)
+  let acc = ref 0. in
+  for id = 0 to t.next_id - 1 do
+    match t.nodes.(id) with
+    | Some { kind = Cell kind; cin; _ } ->
+      acc := !acc +. Pops_cell.Cell.area (Pops_cell.Library.find lib kind) ~cin
+    | Some { kind = Primary_input; _ } | None -> ()
+  done;
+  !acc
 
 (* Same fold as {!total_area} (same order, so an all-LVT netlist weighs
    bit-identically to its plain area), each gate's width scaled by its Vt
    class's leakage factor. *)
 let total_leakage_area t lib =
-  List.fold_left
-    (fun acc id ->
-      let n = node t id in
-      match n.kind with
-      | Cell kind ->
-        let cell = Pops_cell.Library.find_vt lib kind n.vt in
-        acc
-        +. Pops_cell.Cell.area cell ~cin:n.cin *. cell.Pops_cell.Cell.leak_factor
-      | Primary_input -> acc)
-    0. (gate_ids t)
+  let acc = ref 0. in
+  for id = 0 to t.next_id - 1 do
+    match t.nodes.(id) with
+    | Some { kind = Cell kind; cin; vt; _ } ->
+      let cell = Pops_cell.Library.find_vt lib kind vt in
+      acc := !acc +. (Pops_cell.Cell.area cell ~cin *. cell.Pops_cell.Cell.leak_factor)
+    | Some { kind = Primary_input; _ } | None -> ()
+  done;
+  !acc
 
 let copy t =
   {

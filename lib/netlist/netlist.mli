@@ -55,6 +55,9 @@ val node : t -> int -> node
 
 val node_exists : t -> int -> bool
 
+val gate_kind : t -> int -> Pops_cell.Gate_kind.t
+(** @raise Invalid_argument on a primary input or an unknown id. *)
+
 val inputs : t -> int list
 (** Primary input ids in creation order. *)
 

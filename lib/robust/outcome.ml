@@ -10,10 +10,6 @@ let make v diags =
   | [] -> Exact v
   | _ :: _ -> Degraded (v, diags)
 
-let of_result ?(diags = []) = function
-  | Ok v -> make v diags
-  | Error d -> Failed d
-
 let value = function Exact v | Degraded (v, _) -> Some v | Failed _ -> None
 
 let get = function
@@ -31,11 +27,6 @@ let map f = function
   | Exact v -> Exact (f v)
   | Degraded (v, ds) -> Degraded (f v, ds)
   | Failed d -> Failed d
-
-let to_result = function
-  | Exact v -> Ok (v, [])
-  | Degraded (v, ds) -> Ok (v, ds)
-  | Failed d -> Error d
 
 let pp pp_v ppf = function
   | Exact v -> Format.fprintf ppf "@[<v>exact: %a@]" pp_v v

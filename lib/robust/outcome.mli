@@ -20,8 +20,6 @@ val make : 'a -> Diag.t list -> 'a t
 (** [Exact] when the list carries no warning/error, [Degraded] otherwise
     (info-only diagnostics do not demote an exact result). *)
 
-val of_result : ?diags:Diag.t list -> ('a, Diag.t) result -> 'a t
-
 val value : 'a t -> 'a option
 val get : 'a t -> 'a
 (** @raise Diag.Fatal on [Failed] — the legacy-wrapper bridge. *)
@@ -29,5 +27,4 @@ val get : 'a t -> 'a
 val diags : 'a t -> Diag.t list
 val degraded : 'a t -> bool
 val map : ('a -> 'b) -> 'a t -> 'b t
-val to_result : 'a t -> ('a * Diag.t list, Diag.t) result
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

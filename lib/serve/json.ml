@@ -107,10 +107,17 @@ let parse_number c =
   | Some f -> Num f
   | None -> fail start ("bad number " ^ text)
 
-let rec parse_value c =
+(* arrays and objects nest at most this deep: requests nest 2 deep and
+   result lines 3, and the bound keeps one hostile line from recursing
+   through the serving thread's stack *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c.pos "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail c.pos (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
     advance c;
     skip_ws c;
@@ -125,7 +132,7 @@ let rec parse_value c =
         let key = parse_string_body c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -147,7 +154,7 @@ let rec parse_value c =
     end
     else begin
       let rec elements acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -171,7 +178,7 @@ let rec parse_value c =
 
 let parse s =
   let c = { s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos <> String.length s then

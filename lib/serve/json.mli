@@ -19,7 +19,9 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed; trailing
-    garbage is an error).  The error names the byte offset. *)
+    garbage is an error).  Arrays and objects nest at most 512 deep;
+    deeper input is an error too, found in time linear in its prefix.
+    The error names the byte offset. *)
 
 val to_string : t -> string
 (** Compact (no whitespace), fields in the order given.  Numbers print

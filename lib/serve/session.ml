@@ -85,40 +85,61 @@ let worst_exit results =
 (* ------------------------------------------------------------------ *)
 
 module Linebuf = struct
+  (* One byte buffer: bytes [start, len) are unread and none of
+     [start, scan) is a newline.  A pop costs the line it returns: the
+     consumed prefix is compacted away only once it passes half the
+     buffer, and a push that does not fit doubles it. *)
   type t = {
-    buf : Buffer.t;
-    mutable scan_from : int;  (* no '\n' in buf before this offset *)
+    mutable buf : Bytes.t;
+    mutable start : int;
+    mutable scan : int;
+    mutable len : int;
   }
 
-  let create () = { buf = Buffer.create 4096; scan_from = 0 }
+  let create () = { buf = Bytes.create 4096; start = 0; scan = 0; len = 0 }
 
-  let push t bytes len = Buffer.add_subbytes t.buf bytes 0 len
+  (* move the unread bytes to the front of a buffer of [cap] bytes *)
+  let compact t cap =
+    let live = t.len - t.start in
+    let dst = if cap = Bytes.length t.buf then t.buf else Bytes.create cap in
+    Bytes.blit t.buf t.start dst 0 live;
+    t.buf <- dst;
+    t.scan <- t.scan - t.start;
+    t.start <- 0;
+    t.len <- live
+
+  let push t bytes n =
+    if t.len + n > Bytes.length t.buf then
+      compact t (max (2 * Bytes.length t.buf) (t.len - t.start + n));
+    Bytes.blit bytes 0 t.buf t.len n;
+    t.len <- t.len + n
 
   let pop_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_from_opt s t.scan_from '\n' with
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-      t.scan_from <- 0;
-      (* tolerate CRLF clients *)
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Some line
-    | None ->
-      t.scan_from <- String.length s;
+    let i = ref t.scan in
+    while !i < t.len && Bytes.get t.buf !i <> '\n' do
+      incr i
+    done;
+    if !i = t.len then begin
+      t.scan <- t.len;
       None
+    end
+    else begin
+      (* tolerate CRLF clients *)
+      let stop = if !i > t.start && Bytes.get t.buf (!i - 1) = '\r' then !i - 1 else !i in
+      let line = Bytes.sub_string t.buf t.start (stop - t.start) in
+      t.start <- !i + 1;
+      t.scan <- t.start;
+      if t.start > Bytes.length t.buf / 2 then compact t (Bytes.length t.buf);
+      Some line
+    end
 
   let pop_residue t =
-    if Buffer.length t.buf = 0 then None
+    if t.len = t.start then None
     else begin
-      let line = Buffer.contents t.buf in
-      Buffer.clear t.buf;
-      t.scan_from <- 0;
+      let line = Bytes.sub_string t.buf t.start (t.len - t.start) in
+      t.start <- 0;
+      t.scan <- 0;
+      t.len <- 0;
       Some line
     end
 end

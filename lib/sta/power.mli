@@ -2,14 +2,14 @@
 
     Combines the activity propagation of {!Pops_netlist.Logic} with the
     capacitance model: each node contributes
-    [activity * (C_fanout + C_par + C_wire + C_load) * Vdd^2 * f]. *)
+    [activity * (C_fanout + C_par + C_wire + C_load) * Vdd^2 * f], read
+    from the netlist's {!Pops_netlist.Netlist.csr} snapshot. *)
 
 type report = {
   dynamic_uw : float;  (** total dynamic power, uW *)
   leakage_uw : float;  (** subthreshold leakage over all gates, uW *)
   switched_cap : float;  (** activity-weighted capacitance, fF *)
   area : float;  (** [Sigma W] over all gates, um *)
-  per_node : (int * float) list;  (** dynamic power per node, uW *)
 }
 
 val analyze :

@@ -515,24 +515,83 @@ let () =
             (bit packed) scalar
       done)
 
+(* a dag edited by the transforms — De Morgan, buffer insertion and
+   inverter-pair cleanup, which deletes nodes — and widened by gates
+   that have no CSR kind code ([Nand n]/[Nor n] with n = 1, 5, 7) *)
+let edited_dag (d, edits) =
+  let nl = C.build_dag d in
+  List.iter
+    (fun e ->
+      let gates = Array.of_list (Netlist.gate_ids nl) in
+      let pick = gates.((e / 4) mod Array.length gates) in
+      match e mod 4 with
+      | 0 -> ignore (Transform.de_morgan nl pick)
+      | 1 -> ignore (Transform.insert_buffer nl ~after:pick)
+      | 2 -> ignore (Transform.cleanup_inverter_pairs nl)
+      | _ ->
+        let nodes = Array.of_list (Netlist.inputs nl @ Netlist.gate_ids nl) in
+        let n = [| 1; 5; 7 |].((e / 4) mod 3) in
+        let fanins = Array.init n (fun i -> nodes.(((e / 12) + (7 * i)) mod Array.length nodes)) in
+        let kind = if e / 12 mod 2 = 0 then Gate_kind.Nand n else Gate_kind.Nor n in
+        Netlist.set_output nl (Netlist.add_gate nl kind fanins) ~load:1.)
+    edits;
+  nl
+
 let () =
-  Prop.register ~name:"logic.packed_matches_scalar"
-    (Gen.pair C.dag_spec Gen.int64)
-    (fun (d, seed) ->
-      let nl = C.build_dag d in
+  Prop.register ~name:"logic.csr_matches_oracle"
+    (Gen.pair
+       (Gen.pair C.dag_spec (Gen.list_sized (Gen.int_range 0 4095)))
+       (Gen.pair Gen.int64 (Gen.int_range 0 1023)))
+    (fun (spec, (seed, pick)) ->
+      let nl = edited_dag spec in
+      (match Netlist.validate nl with
+      | Ok () -> ()
+      | Error e -> Prop.failf "edited netlist invalid: %s" e);
+      (* packed outputs, lane by lane *)
       let rng = Rng.create seed in
       let words = Array.init (Netlist.input_count nl) (fun _ -> Rng.int64 rng) in
       let packed = Logic.eval_packed nl words in
       for j = 0 to 63 do
         let vec = Array.map (fun w -> Int64.logand (Int64.shift_right_logical w j) 1L = 1L) words in
-        let scalar = Logic.eval nl vec in
         List.iter2
           (fun (id, w) (id', b) ->
             require (id = id') "output order mismatch";
             if (Int64.logand (Int64.shift_right_logical w j) 1L = 1L) <> b then
-              Prop.failf "output %d lane %d: packed and scalar evaluation disagree" id j)
-          packed scalar
-      done)
+              Prop.failf "output %d lane %d: sweep and oracle disagree" id j)
+          packed (Logic_oracle.eval nl vec)
+      done;
+      (* one node's cone table, on every assignment of its support *)
+      let live = Array.of_list (Netlist.gate_ids nl) in
+      let id = live.(pick mod Array.length live) in
+      let support = Logic.cone_support nl id in
+      let k = List.length support in
+      if k <= 10 then begin
+        let _, table = Logic.cone_function nl id in
+        let inputs = Array.of_list (Netlist.inputs nl) in
+        for pat = 0 to (1 lsl k) - 1 do
+          let vec =
+            Array.map
+              (fun pid ->
+                match List.find_index (fun s -> s = pid) support with
+                | Some i -> pat land (1 lsl i) <> 0
+                | None -> false)
+              inputs
+          in
+          let tabled =
+            Int64.logand (Int64.shift_right_logical table.(pat lsr 6) (pat land 63)) 1L = 1L
+          in
+          if tabled <> Logic_oracle.eval_node nl vec id then
+            Prop.failf "node %d assignment %d: cone table %b disagrees with the oracle" id pat
+              tabled
+        done
+      end;
+      (* probabilities, bit for bit on every live node *)
+      let probs = Logic.signal_probabilities nl () in
+      Hashtbl.iter
+        (fun id p ->
+          if Int64.bits_of_float probs.(id) <> Int64.bits_of_float p then
+            Prop.failf "node %d: probability %h, oracle %h" id probs.(id) p)
+        (Logic_oracle.signal_probabilities nl))
 
 let () =
   Prop.register ~name:"logic.cone_table_matches_eval"
@@ -553,7 +612,7 @@ let () =
           List.iteri
             (fun i pid -> vec.(Hashtbl.find pos pid) <- pat land (1 lsl i) <> 0)
             support;
-          let direct = Logic.eval_node nl vec id in
+          let direct = Logic_oracle.eval_node nl vec id in
           let tabled =
             Int64.logand (Int64.shift_right_logical table.(pat lsr 6) (pat land 63)) 1L = 1L
           in

@@ -140,9 +140,24 @@ let test_equivalent_detects_difference () =
   (* flip one gate kind: NAND -> NOR changes the function *)
   let g = List.hd (Netlist.gate_ids u) in
   Netlist.replace_kind u g (Gk.Nor 2);
-  match Logic.equivalent t u with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "must detect the difference"
+  (* 5 inputs: exhaustive, so the first mismatch is the lowest vector *)
+  Alcotest.(check (result unit string)) "first mismatch" (Error "mismatch on 10000")
+    (Logic.equivalent t u)
+
+let test_mismatch_on_random_vectors () =
+  (* 15 inputs: seeded random vectors; the text pins the vector stream
+     (seed 0x5EED, draws chunk by chunk) and the lowest-lane choice *)
+  let t = Generator.generate_scale tech ~name:"mismatch" ~gates:3000 ~shape:Generator.Iscas in
+  let u = Netlist.copy t in
+  let g =
+    List.find
+      (fun id -> (Netlist.node u id).Netlist.kind = Netlist.Cell (Gk.Nand 2))
+      (Netlist.gate_ids u)
+  in
+  Alcotest.(check int) "first nand2" 21 g;
+  Netlist.replace_kind u g (Gk.Nor 2);
+  Alcotest.(check (result unit string)) "first mismatch"
+    (Error "mismatch on 111010011000100") (Logic.equivalent t u)
 
 let test_signal_probability () =
   let t = Netlist.create tech in
@@ -150,9 +165,11 @@ let test_signal_probability () =
   let b = Netlist.add_input t in
   let g = Netlist.add_gate t (Gk.Nand 2) [| a; b |] in
   Netlist.set_output t g ~load:1.;
-  let p = Logic.signal_probability t g in
+  let probs = Logic.signal_probabilities t () in
+  Alcotest.(check (float 0.)) "P(input=1)" 0.5 probs.(a);
+  let p = probs.(g) in
   Alcotest.(check bool) "P(nand=1)=0.75" true (Float.abs (p -. 0.75) < 1e-9);
-  let act = Logic.switching_activity t g in
+  let act = 2. *. p *. (1. -. p) in
   Alcotest.(check bool) "activity 2*0.75*0.25" true (Float.abs (act -. 0.375) < 1e-9)
 
 (* --- transforms --- *)
@@ -482,7 +499,9 @@ let test_eval_packed_matches_scalar () =
       Array.init n_in (fun i ->
           Int64.logand (Int64.shift_right_logical words.(i) j) 1L = 1L)
     in
-    let scalar = Logic.eval t v in
+    (* the record-based walker, not Logic.eval: both Logic entry points
+       run the same sweep *)
+    let scalar = Logic_oracle.eval t v in
     List.iter2
       (fun (id1, w) (id2, b) ->
         assert (id1 = id2);
@@ -633,6 +652,8 @@ let () =
           Alcotest.test_case "adder matches reference" `Quick test_adder_matches_reference;
           Alcotest.test_case "self equivalence" `Quick test_equivalent_self;
           Alcotest.test_case "detects difference" `Quick test_equivalent_detects_difference;
+          Alcotest.test_case "mismatch on random vectors" `Quick
+            test_mismatch_on_random_vectors;
           Alcotest.test_case "signal probability" `Quick test_signal_probability;
           Alcotest.test_case "cone support" `Quick test_cone_support;
           Alcotest.test_case "cone function table" `Quick test_cone_function_table;

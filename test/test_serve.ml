@@ -54,7 +54,70 @@ let test_json_errors () =
       match Json.parse s with
       | Ok _ -> Alcotest.failf "expected parse error for %s" s
       | Error _ -> ())
-    [ ""; "{"; {|{"a":}|}; "[1,]"; "{} trailing"; "nul"; {|"unterminated|} ]
+    [ ""; "{"; {|{"a":}|}; "[1,]"; "{} trailing"; "nul"; {|"unterminated|} ];
+  (* nesting is bounded: an over-deep line is an error, not a stack
+     overflow, and is rejected at the first bracket past the bound *)
+  (match Json.parse (String.make 10_000_000 '[') with
+  | Error e -> Alcotest.(check string) "depth error" "byte 512: nesting deeper than 512" e
+  | Ok _ -> Alcotest.fail "10M brackets parsed");
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Json.parse (nested 512) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "512-deep array: %s" e);
+  match Json.parse (nested 513) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "513-deep array parsed"
+
+(* --- line framing --------------------------------------------------- *)
+
+(* random chunk splits against a split_on_char oracle: every complete
+   line comes out once, CR-trimmed, and the unterminated tail is the
+   residue *)
+let test_linebuf_chunks () =
+  let module Linebuf = Pops_serve.Session.Linebuf in
+  let rng = Pops_util.Rng.create 11L in
+  let long = String.init 150_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let lines =
+    List.init 400 (fun i ->
+        match i mod 7 with
+        | 0 -> ""
+        | 1 -> "crlf " ^ string_of_int i ^ "\r"
+        | 2 when i = 100 -> long
+        | _ -> String.make (Pops_util.Rng.int rng 300) 'x' ^ string_of_int i)
+  in
+  let text = String.concat "\n" lines ^ "\nunterminated tail" in
+  let expect =
+    match List.rev (String.split_on_char '\n' text) with
+    | tail :: rev_lines ->
+      let trim l =
+        let n = String.length l in
+        if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+      in
+      (List.rev_map trim rev_lines, tail)
+    | [] -> assert false
+  in
+  for trial = 1 to 20 do
+    let buf = Linebuf.create () in
+    let got = ref [] in
+    let pos = ref 0 in
+    while !pos < String.length text do
+      let n = min (String.length text - !pos) (1 + Pops_util.Rng.int rng 100_000) in
+      Linebuf.push buf (Bytes.of_string (String.sub text !pos n)) n;
+      pos := !pos + n;
+      let rec drain () =
+        match Linebuf.pop_line buf with
+        | Some l ->
+          got := l :: !got;
+          drain ()
+        | None -> ()
+      in
+      drain ()
+    done;
+    Alcotest.(check (list string)) (Printf.sprintf "lines (trial %d)" trial) (fst expect)
+      (List.rev !got);
+    Alcotest.(check (option string)) "residue" (Some (snd expect)) (Linebuf.pop_residue buf);
+    Alcotest.(check (option string)) "drained" None (Linebuf.pop_residue buf)
+  done
 
 (* --- job decoding --------------------------------------------------- *)
 
@@ -446,6 +509,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "linebuf chunk splits" `Quick test_linebuf_chunks;
         ] );
       ( "job",
         [
