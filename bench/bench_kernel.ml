@@ -1,8 +1,8 @@
-(* BENCH_kernel.json: the compiled path kernel — ns/op and minor
-   words/op for the allocation-free primitives and the solvers.  Doubles
-   as the allocation regression guard: the fused kernels and the fpd
-   solve must stay under pinned minor-words/op budgets or the run
-   fails. *)
+(* BENCH_kernel.json: the compiled path kernel — ns/op, minor words/op
+   and kernel passes/op for the allocation-free primitives and the
+   solvers.  Doubles as a regression guard: the fused kernels and the
+   fpd solve must stay under pinned minor-words/op budgets, and the fpd
+   constraint sizing under a kernel-pass budget, or the run fails. *)
 
 open Harness
 
@@ -13,12 +13,16 @@ let delay_kernel () =
   (* a solve allocates its result, its report and the boxed floats of
      its passes; the Newton vectors live in the per-domain scratch *)
   let solve_budget = 300. in
+  (* one constraint costs a few hundred passes as a KKT case analysis;
+     the nested beta x a search it replaced took 4,335 on fpd *)
+  let passes_budget = 1000 in
   let t = Table.create
-      ~title:"delay_kernel - compiled path kernel (ns/op, minor words/op)"
+      ~title:"delay_kernel - compiled path kernel (ns/op, minor words/op, kernel passes/op)"
       [ ("kernel", Table.Left); ("circuit", Table.Left); ("stages", Table.Right);
-        ("ns/op", Table.Right); ("words/op", Table.Right); ("budget", Table.Left) ]
+        ("ns/op", Table.Right); ("words/op", Table.Right); ("passes", Table.Right);
+        ("budget", Table.Left) ]
   in
-  let bench ~iters ~kernel ~circuit ~stages ?budget f =
+  let bench ~iters ~kernel ~circuit ~stages ?budget ?max_passes f =
     let loop () =
       for _ = 1 to iters do
         ignore (Sys.opaque_identity (f ()))
@@ -26,21 +30,34 @@ let delay_kernel () =
     in
     let m = (time ~rounds:3 [| loop |]).(0) in
     let ns = m.ns /. float_of_int iters and words = m.words /. float_of_int iters in
+    (* deterministic, so one untimed call counts them *)
+    let passes =
+      let s0 = Sens.sweeps_performed () in
+      ignore (Sys.opaque_identity (f ()));
+      Sens.sweeps_performed () - s0
+    in
     let budget_cell =
-      match budget with
-      | None -> "-"
-      | Some b when words <= b -> Printf.sprintf "<= %.0f ok" b
-      | Some b ->
+      match (budget, max_passes) with
+      | Some b, _ when words > b ->
         fail "delay_kernel: %s/%s: %.1f minor words/op exceeds budget %.0f" kernel
           circuit words b;
         Printf.sprintf "EXCEEDED (%.0f)" b
+      | _, Some p when passes > p ->
+        fail "delay_kernel: %s/%s: %d kernel passes exceed budget %d" kernel circuit
+          passes p;
+        Printf.sprintf "EXCEEDED (%d passes)" p
+      | Some b, _ -> Printf.sprintf "<= %.0f ok" b
+      | None, Some p -> Printf.sprintf "<= %d passes ok" p
+      | None, None -> "-"
     in
     emit "BENCH_kernel.json"
       [ ("kernel", str kernel); ("circuit", str circuit); ("stages", int stages);
-        ("ns_per_op", num ns); ("minor_words_per_op", num words) ];
+        ("ns_per_op", num ns); ("minor_words_per_op", num words);
+        ("kernel_passes", int passes) ];
     Table.add_row t
       [ kernel; circuit; string_of_int stages;
-        Table.cell_f ~decimals:1 ns; Table.cell_f ~decimals:1 words; budget_cell ]
+        Table.cell_f ~decimals:1 ns; Table.cell_f ~decimals:1 words;
+        string_of_int passes; budget_cell ]
   in
   let circuits = if !smoke then [ "fpd" ] else [ "fpd"; "c880"; "Adder16" ] in
   List.iter
@@ -66,14 +83,17 @@ let delay_kernel () =
         ?budget:(if name = "fpd" then Some solve_budget else None)
         (fun () -> Sens.solve ~beta:1. ~tol:1e-6 path);
       let tc = 1.2 *. (bounds_of p).Bounds.tmin in
-      bench ~iters:(if !smoke then 1 else 3) ~kernel:"bisect_for_beta"
-        ~circuit:name ~stages:n (fun () -> Sens.bisect_for_beta ~beta:0.5 path ~tc))
+      bench ~iters:(if !smoke then 1 else 3) ~kernel:"size_for_constraint"
+        ~circuit:name ~stages:n
+        ?max_passes:(if name = "fpd" then Some passes_budget else None)
+        (fun () -> Sens.size_for_constraint path ~tc))
     circuits;
   Table.print t;
   Printf.printf
     "shape check: the fused kernels (delay_worst, delay_both, gradient_into)\n\
      stay within the %g minor-words/op accounting budget - i.e. they allocate\n\
      nothing; sensitivity_solve on fpd stays within %g words/op (its working\n\
-     vectors are reused per domain); solver cost is dominated by sweep count\n\
-     (see solve_stats).\n"
-    alloc_budget solve_budget
+     vectors are reused per domain); size_for_constraint at 1.2 Tmin on fpd\n\
+     stays within %d kernel passes; solver cost is dominated by the pass\n\
+     count (see solve_stats).\n"
+    alloc_budget solve_budget passes_budget

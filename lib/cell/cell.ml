@@ -23,7 +23,6 @@ type t = {
    ranks nor2 below nand3. *)
 let stack_factor_n = 0.70
 let stack_factor_p = 1.35
-let stack_factor = stack_factor_n
 
 let weight_of_stack factor n = 1. +. (factor *. float_of_int (n - 1))
 

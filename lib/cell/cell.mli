@@ -6,8 +6,8 @@
     - logical weights [DW_HL] / [DW_LH]: ratio of the current available in
       an inverter to that of the cell's series transistor array (paper
       ref. [14]).  A stack of [n] transistors has weight
-      [1 + stack_factor * (n - 1)] — slightly below [n] because velocity
-      saturation softens stacking at 0.25 um;
+      [1 + f * (n - 1)], [f] the stack factor of its polarity — below
+      [n] for NMOS because velocity saturation softens stacking;
     - symmetry factors [S_HL] / [S_LH] (eq. 3), built from the P/N
       configuration ratio [k], the N/P current ratio [R] and the weights;
     - the parasitic (drain-junction) output capacitance, proportional to
@@ -49,9 +49,6 @@ val stack_factor_p : float
 (** Per-stage weight increment of PMOS series stacks (~1: holes are barely
     velocity saturated, so P stacks pay the full price — this is what
     makes NOR gates the inefficient ones, cf. the paper's Table 2). *)
-
-val stack_factor : float
-(** Alias for {!stack_factor_n} (kept for the simulator's stack model). *)
 
 val make : ?k:float -> ?vt:Pops_process.Vt.t -> Pops_process.Tech.t -> Gate_kind.t -> t
 (** [make tech kind] builds the cell model; [k] defaults to the process

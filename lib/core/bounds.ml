@@ -9,9 +9,8 @@ type t = {
   beta_tmin : float;
 }
 
-(* Characterising a path costs dozens of fixed-point solves (the Tmin
-   grid scan plus golden-section refinement), and the protocol asks for
-   the same path's bounds repeatedly — feasibility check, then the
+(* Characterising a path costs the Tmin solves, and the protocol asks
+   for the same path's bounds repeatedly — feasibility check, then the
    constraint sizer, then reporting.  Memoize by the path's construction
    uid: a Path.t is immutable and every edit/flip makes a fresh uid, so
    a hit is always exact.  The table is mutex-guarded for the PR 2

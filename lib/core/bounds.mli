@@ -11,9 +11,8 @@
 
 type t = {
   tmin : float;
-      (** minimum achievable worst-polarity delay, ps.  Evaluated on a
-          small polarity-weight grid (balanced and both pure polarities),
-          so it upper-bounds the exact minimax by well under 1%. *)
+      (** minimum achievable worst-polarity delay, ps
+          ({!Sensitivity.minimum_delay}) *)
   tmax : float;  (** worst-polarity delay at minimum drive, ps *)
   sizing_tmin : float array;  (** the sizing achieving [tmin] *)
   beta_tmin : float;
@@ -25,7 +24,7 @@ val compute : Pops_delay.Path.t -> t
 (** Memoized by {!Pops_delay.Path.uid}: a path value is immutable and
     every structural edit or polarity flip constructs a fresh uid, so
     repeated characterisations of the same path — feasibility check,
-    constraint sizing, reporting — pay the grid-scan solves once.
+    constraint sizing, reporting — pay the Tmin solves once.
     Thread-safe (the table is mutex-guarded; the solve itself runs
     outside the lock).
 

@@ -97,9 +97,8 @@ let sweep_kernel (path : Path.t) ~w_own ~w_flip ~a ~skip x =
    Gauss-Seidel, the previous one; for Newton, the trial point, the
    gradient and its coloured perturbations, the tridiagonal Hessian and
    the step.  One scratch lives per domain (Domain.DLS), sized to the
-   largest path seen there, so repeated solves — the constraint
-   bisection warm-starts dozens per path — allocate nothing after the
-   first.  The busy flag covers the (currently impossible) re-entrant
+   largest path seen there, so repeated solves — the constraint search
+   warm-starts dozens per path — allocate nothing after the first.  The busy flag covers the (currently impossible) re-entrant
    case by falling back to a fresh scratch instead of corrupting the one
    in flight; tasks on the domain pool each run on their own domain, so
    scratches are never shared. *)
@@ -588,44 +587,10 @@ let solve ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0 ?(beta = 0.5)
   check_a a;
   let x0 = Option.value x0 ~default:(Path.min_sizing path) in
   let skip = match frozen with [] -> no_skip | l -> fun j -> List.mem j l in
-  let w_own, w_flip =
-    if beta >= 0.999 then (1., 0.)
-    else if beta <= 0.001 then (0., 1.)
-    else (beta, 1. -. beta)
-  in
+  let beta = Float.min 1. (Float.max 0. beta) in
+  let w_own, w_flip = (beta, 1. -. beta) in
   solve_weighted_ladder ?budget ~accel ~w_own ~w_flip ~a ~skip ~tol ~max_iter
     path x0
-
-let solve_beta ?accel ?a ?x0 ~beta path = (solve ?accel ?a ?x0 ~beta path).sizing
-
-(* The minimum achievable worst-polarity delay: the minimax optimum may
-   sit on either pure polarity or strictly between, so scan a small
-   weight grid and refine by golden section. *)
-let minimum_delay path =
-  (* warm-start each solve from the previous optimum: nearby weights have
-     nearby fixed points, so convergence takes a few sweeps instead of a
-     cold-start descent *)
-  let warm = ref None in
-  let eval beta =
-    let x = solve_beta ~a:0. ?x0:!warm ~beta path in
-    warm := Some x;
-    (Path.delay_worst path x, x, beta)
-  in
-  let best_of =
-    List.fold_left
-      (fun ((db, _, _) as best) ((d, _, _) as cand) -> if d < db then cand else best)
-  in
-  let candidates = List.map eval [ 0.5; 1.0; 0.0 ] in
-  let _, _, beta_grid = best_of (List.hd candidates) (List.tl candidates) in
-  let lo = Float.max 0. (beta_grid -. 0.5) and hi = Float.min 1. (beta_grid +. 0.5) in
-  let beta_refined, _ =
-    N.golden_section_min ~tol:0.02 ~max_iter:10
-      ~f:(fun beta ->
-        let d, _, _ = eval beta in
-        d)
-      ~lo ~hi ()
-  in
-  best_of (eval beta_refined) candidates
 
 let solve_trace ?(a = 0.) ?(tol = 1e-6) ?(max_iter = 300) path =
   check_a a;
@@ -639,151 +604,220 @@ let solve_trace ?(a = 0.) ?(tol = 1e-6) ?(max_iter = 300) path =
   in
   N.fixed_point_trace ~tol ~max_iter ~step ~distance:N.distance_inf x0
 
-let delay_of_a path a = Path.delay_worst path (solve ~a path).sizing
+(* --- the KKT case analysis ------------------------------------------ *)
+
+(* min sum W s.t. T_own <= t, T_flip <= t: with multipliers l_own,
+   l_flip, stationarity is eq. 6 weighted by beta = l_own / (l_own +
+   l_flip) at a = -1 / (l_own + l_flip), i.e. a [solve ~a ~beta].  A
+   pure polarity is the answer when its delay is the worse one at its
+   optimum; otherwise both bind at the root of h = T_own - T_flip, which
+   falls as beta rises.  [minimum_delay] is the case a = 0. *)
+
+(* a solved point; s = ln (-a), [neg_infinity] at a = 0 *)
+type point = { x : float array; own : float; flip : float; beta : float; s : float }
+
+let worst p = Float.max p.own p.flip
+
+let h_of p = p.own -. p.flip
+
+let a_of_s s = if s = Float.neg_infinity then 0. else -.exp s
+
+let eval_point path ps ?x0 ~beta s =
+  let x = (solve ~a:(a_of_s s) ?x0 ~beta path).sizing in
+  Path.delay_both path ps x;
+  { x; own = ps.Path.own; flip = ps.Path.flip; beta; s }
+
+(* Anderson-Bjorck regula falsi on a bracket of opposite signs: an end
+   kept twice has its value scaled by 1 - f_new / f_old (else 1/2), a
+   secant through the last two points; a step equal to the value it
+   replaced (a flat stretch: sizes at a bound) makes the next one
+   bisect.  True when [f] meets its tolerance ([None]) within [steps]
+   evaluations and above a bracket [width]. *)
+let regula_falsi ~steps ~width f (lo, f_lo) (hi, f_hi) =
+  let scale r = if r < 1. then 1. -. r else 0.5 in
+  (* [side]: the end the last step replaced *)
+  let rec go lo f_lo hi f_hi side flat k =
+    if k >= steps || Float.abs (hi -. lo) < width then false
+    else
+      let m =
+        if flat then 0.5 *. (lo +. hi) else ((lo *. f_hi) -. (hi *. f_lo)) /. (f_hi -. f_lo)
+      in
+      match f m with
+      | None -> true
+      | Some f_m when f_m > 0. = (f_lo > 0.) ->
+        let f_hi = if side = `Lo then f_hi *. scale (f_m /. f_lo) else f_hi in
+        go m f_m hi f_hi `Lo (f_m = f_lo) (k + 1)
+      | Some f_m ->
+        let f_lo = if side = `Hi then f_lo *. scale (f_m /. f_hi) else f_lo in
+        go lo f_lo m f_m `Hi (f_m = f_hi) (k + 1)
+  in
+  go lo f_lo hi f_hi `Start false 0
+
+let least score = function
+  | [] -> invalid_arg "Sensitivity.least"
+  | p :: ps -> List.fold_left (fun b q -> if score q < score b then q else b) p ps
+
+(* the best point and every point solved, most recent first *)
+let minimum_delay_points path =
+  let ps = Path.scratch () in
+  let seen = ref [] in
+  let eval ?x0 beta =
+    let p = eval_point path ps ?x0 ~beta Float.neg_infinity in
+    seen := p :: !seen;
+    p
+  in
+  let p1 = eval 1. in
+  (if h_of p1 < 0. then
+     let p0 = eval ~x0:p1.x 0. in
+     if h_of p0 > 0. then begin
+       let last = ref p0 in
+       let h beta =
+         last := eval ~x0:!last.x beta;
+         if Float.abs (h_of !last) <= 1e-5 *. worst !last then None else Some (h_of !last)
+       in
+       ignore (regula_falsi ~steps:12 ~width:1e-4 h (0., h_of p0) (1., h_of p1))
+     end);
+  (least worst !seen, !seen)
+
+let minimum_delay path = match minimum_delay_points path with p, _ -> (worst p, p.x, p.beta)
 
 type constraint_result = {
   sizing : float array;
   a : float;
+  beta : float;
   delay : float;
   area : float;
 }
 
-let result_of path a sizing =
-  { sizing; a; delay = Path.delay_worst path sizing; area = Path.area path sizing }
+let result_of path ~beta a sizing =
+  { sizing; a; beta; delay = Path.delay_worst path sizing; area = Path.area path sizing }
 
-(* For one polarity weight [beta]: root-find on [a] so the worst-polarity
-   delay meets [tc] at minimum area; returns the best feasible candidate
-   seen, or [None] when even [a = 0] misses [tc] under this weighting.
-   The fixed point is warm-started from the previous iterate.
+(* sizes off their bounds rounded up onto the write-back grid: at a
+   solved point the weighted gradient a * aw_j <= 0 there, so the
+   weighted delay cannot rise to first order *)
+let grid_up path x =
+  let k = path.Path.kernel in
+  Array.mapi
+    (fun j v ->
+      if j = 0 || v <= k.Path.lo.(j) || v >= k.Path.hi.(j) then v
+      else Float.min k.Path.hi.(j) (Path.grid ~round:Float.ceil v))
+    x
 
-   The bracket step is a safeguarded regula falsi on delay(a) - tc
-   (delay is monotone non-increasing in [a], so both bracket delays are
-   tracked): the secant point homes in on the constraint in a couple of
-   solves where plain bisection pays its full log2 schedule, and the
-   midpoint fallback fires whenever the secant step degenerates, pins to
-   an endpoint, or the previous step failed to halve the bracket — so
-   the worst case stays the bisection bound.  The stopping rules are
-   unchanged (60 iterations, relative bracket width, or a feasible delay
-   within 0.1% of the constraint). *)
-let bisect_for_beta ?accel ~beta path ~tc =
-  let solve_at ?x0 a = solve_beta ?accel ~a ?x0 ~beta path in
-  let x0 = solve_at 0. in
-  let d0 = Path.delay_worst path x0 in
-  if d0 > tc then None
-  else begin
-    let rec expand a_lo x =
-      if a_lo < -1e6 then (a_lo, x)
-      else
-        let x' = solve_at ~x0:x a_lo in
-        if Path.delay_worst path x' >= tc then (a_lo, x')
-        else expand (a_lo *. 4.) x'
-    in
-    let a_lo, x_lo = expand (-1e-3) x0 in
-    let d_lo = Path.delay_worst path x_lo in
-    (* invariant: delay(a_hi) <= tc (feasible), delay(a_lo) >= tc
-       (or a_lo is the expansion cap) *)
-    let rec refine a_lo d_lo a_hi d_hi x_prev best iter force_bisect =
-      if
-        iter >= 60
-        || a_hi -. a_lo < 1e-9 *. Float.max 1. (Float.abs a_lo)
-        || best.delay >= tc *. 0.999
-      then begin
-        (* a bracket that shrank to nothing while the best delay is still
-           well under target means delay(a) jumped across [tc] (a clamp
-           kicked in, or the fixed point changed basin): the result is
-           valid but conservative, so surface it *)
-        if
-          a_hi -. a_lo < 1e-9 *. Float.max 1. (Float.abs a_lo)
-          && best.delay < tc *. 0.99
-        then
-          Watch.emit
-            (Diag.makef Diag.Bracket_collapse ~subject:"bisect_for_beta"
-               "sensitivity bracket collapsed at a = %g with delay %.3f ps \
-                well under the %.3f ps target"
-               a_lo best.delay tc);
-        best
-      end
-      else begin
-        let w = a_hi -. a_lo in
-        let a_mid =
-          if force_bisect then 0.5 *. (a_lo +. a_hi)
-          else
-            let f_lo = d_lo -. tc and f_hi = d_hi -. tc in
-            let denom = f_lo -. f_hi in
-            let a_int = a_lo +. (f_lo /. denom *. w) in
-            if
-              Float.is_finite a_int
-              && a_int > a_lo +. (0.01 *. w)
-              && a_int < a_hi -. (0.01 *. w)
-            then a_int
-            else 0.5 *. (a_lo +. a_hi)
-        in
-        let x = solve_at ~x0:x_prev a_mid in
-        let d = Path.delay_worst path x in
-        if d <= tc then
-          let cand = result_of path a_mid x in
-          let best = if cand.area < best.area then cand else best in
-          refine a_lo d_lo a_mid d x best (iter + 1) (a_mid -. a_lo > 0.5 *. w)
-        else refine a_mid d a_hi d_hi x best (iter + 1) (a_hi -. a_mid > 0.5 *. w)
-      end
-    in
-    Some (refine a_lo d_lo 0. d0 x_lo (result_of path 0. x0) 0 false)
-  end
-
-(* The constraint is on the worst polarity, so the minimum-area sizing
-   satisfies the KKT conditions of "min area s.t. rise <= tc, fall <=
-   tc": when one constraint binds, the pure single-polarity link
-   equations are exact; when both bind, the optimal weighting lies
-   between — area(beta) is unimodal, so after a coarse grid a short
-   golden-section refinement on [beta] finds it. *)
+(* [fit beta s] puts the weighted delay beta T_own + (1 - beta) T_flip,
+   monotone in s = ln (-a), in a window under the target: doubling steps
+   in s from [s] until the window is bracketed, then regula falsi; each
+   solve warm-starts from the nearest s solved.  beta = 1 fitted to tc
+   is the answer when T_flip <= T_own there, likewise beta = 0; else
+   regula falsi on beta finds the root of h, with fits eps under tc and
+   |h| <= eps tc so the worse delay meets tc.  A search short of its
+   tolerance falls back on the least-area point meeting tc.  The answer
+   is rounded up onto the grid, and reruns under tc if that breaks it. *)
 let size_for_constraint ?(tol_ps = 0.01) path ~tc =
-  let tmin, x_tmin, beta_tmin = minimum_delay path in
-  let grid = [ 1.0; 0.0; 0.5; beta_tmin ] in
+  let p_tmin, seen0 = minimum_delay_points path in
+  let tmin = worst p_tmin in
+  let x_min = Path.min_sizing path in
+  let tmax = Path.delay_worst path x_min in
   if tc < tmin -. tol_ps then Error (`Infeasible tmin)
+  else if tc >= tmax then Ok (result_of path ~beta:0.5 Float.neg_infinity x_min)
+  else if tc <= tmin then Ok (result_of path ~beta:p_tmin.beta 0. p_tmin.x)
   else begin
-    let x_min_area = Path.min_sizing path in
-    let tmax = Path.delay_worst path x_min_area in
-    if tc >= tmax then Ok (result_of path Float.neg_infinity x_min_area)
-    else begin
-      let cache = Hashtbl.create 16 in
-      let candidate beta =
-        let key = int_of_float (beta *. 1000.) in
-        match Hashtbl.find_opt cache key with
-        | Some c -> c
-        | None ->
-          let c = bisect_for_beta ~beta path ~tc in
-          Hashtbl.replace cache key c;
-          c
+    let ps = Path.scratch () in
+    let seen = ref seen0 in
+    let solve_at ~beta s =
+      let near = least (fun p -> Float.abs (p.s -. s)) !seen in
+      let p = eval_point path ps ~x0:near.x ~beta s in
+      seen := p :: !seen;
+      p
+    in
+    (* the first fit starts from the slope of the Pareto chord *)
+    let s0 =
+      let r = (tmax -. tmin) /. (Path.area path p_tmin.x -. Path.area path x_min) in
+      if Float.is_finite r && r > 0. then log r else 0.
+    in
+    let weighted (p : point) = (p.beta *. p.own) +. ((1. -. p.beta) *. p.flip) in
+    (* the weighted delay rises with s up to its minimum-drive value *)
+    let at_min =
+      Path.delay_both path ps x_min;
+      let own = ps.Path.own and flip = ps.Path.flip in
+      fun beta -> { x = x_min; own; flip; beta; s = Float.infinity }
+    in
+    (* relative window; finer near Tmin, where area is steep in delay *)
+    let w = Float.min 1e-4 (0.01 *. (tc -. tmin) /. tc) in
+    let fit ?(target = tc) ?(window = w) ?(step0 = 1.) beta s_start =
+      let s_start = if Float.is_finite s_start then s_start else s0 in
+      let lower = target *. (1. -. window) and hit = ref None in
+      (* [None] in the window, else the distance from its middle *)
+      let g p =
+        let t = weighted p in
+        if t >= lower && t <= target then begin
+          hit := Some p;
+          None
+        end
+        else Some (t -. (target *. (1. -. (0.5 *. window))))
       in
-      let area_of beta =
-        match candidate beta with Some c -> c.area | None -> Float.infinity
+      let rec step p gp d =
+        let q = solve_at ~beta (if gp > 0. then p.s -. d else p.s +. d) in
+        match g q with
+        | Some gq when gq > 0. <> (gp > 0.) ->
+          let fast = ref (if gq < 0. then q else p) in
+          let f s =
+            let r = solve_at ~beta s in
+            let gr = g r in
+            (match gr with Some x when x < 0. -> fast := r | _ -> ());
+            gr
+          in
+          let width = 1e-9 *. Float.max 1. (Float.abs !fast.s) in
+          if regula_falsi ~steps:30 ~width f (p.s, gp) (q.s, gq) then Option.get !hit
+          else begin
+            if weighted !fast < 0.99 *. target then
+              Watch.emit
+                (Diag.makef Diag.Bracket_collapse ~subject:"size_for_constraint"
+                   "sensitivity bracket collapsed at a = %g with delay %.3f ps well \
+                    under the %.3f ps target"
+                   (a_of_s !fast.s) (weighted !fast) target);
+            !fast
+          end
+        | Some gq when Float.abs (q.s -. s_start) <= 30. -> step q gq (2. *. d)
+        | _ -> q
       in
-      let best_beta_on_grid =
-        List.fold_left
-          (fun best beta -> if area_of beta < area_of best then beta else best)
-          1.0 grid
+      if weighted (at_min beta) < lower then at_min beta
+      else
+        let p = solve_at ~beta s_start in
+        match g p with None -> p | Some gp -> step p gp step0
+    in
+    let search target =
+      let p1 = fit ~target 1. s0 in
+      if h_of p1 >= 0. then Some p1
+      else
+        let p0 = fit ~target 0. p1.s in
+        if h_of p0 <= 0. then Some p0
+        else begin
+          let eps = 0.3 *. w and hit = ref None and last = ref p0 in
+          let h beta =
+            last := fit ~target:(target *. (1. -. eps)) ~window:(0.1 *. w) ~step0:0.25 beta !last.s;
+            if Float.abs (h_of !last) > eps *. target then Some (h_of !last)
+            else begin
+              hit := Some !last;
+              None
+            end
+          in
+          ignore (regula_falsi ~steps:24 ~width:1e-6 h (0., h_of p0) (1., h_of p1));
+          !hit
+        end
+    in
+    let rec answer k target =
+      let p =
+        match search target with
+        | Some p -> p
+        | None -> least (fun p -> Path.area path p.x) (List.filter (fun p -> worst p <= tc) !seen)
       in
-      (* golden-section refinement around the best grid point *)
-      let lo = Float.max 0. (best_beta_on_grid -. 0.5) in
-      let hi = Float.min 1. (best_beta_on_grid +. 0.5) in
-      let refined_beta, _ =
-        Pops_util.Numerics.golden_section_min ~tol:0.04 ~max_iter:8 ~f:area_of ~lo
-          ~hi ()
-      in
-      let all_candidates =
-        List.filter_map candidate (refined_beta :: grid)
-        @ List.filter_map Fun.id (Hashtbl.fold (fun _ c acc -> c :: acc) cache [])
-      in
-      match all_candidates with
-      | [] ->
-        (* tc within tol of tmin: return the fastest sizing *)
-        Ok (result_of path 0. x_tmin)
-      | first :: rest ->
-        Ok
-          (List.fold_left
-             (fun best c -> if c.area < best.area then c else best)
-             first rest)
-    end
+      let y = grid_up path p.x in
+      let over = Path.delay_worst path y -. tc in
+      if over <= 0. || k = 0 then (p, if over <= 0. then y else p.x)
+      else answer (k - 1) (target -. over -. (0.5 *. w *. tc))
+    in
+    let p, y = answer 2 tc in
+    Ok (result_of path ~beta:p.beta (a_of_s p.s) y)
   end
 
 let sutherland ?(iters = 4) path ~tc =

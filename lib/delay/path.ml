@@ -144,6 +144,10 @@ let length t = Array.length t.stages
 
 let[@inline] clamp_at k i v = Float.min k.hi.(i) (Float.max k.lo.(i) v)
 
+let grid ~round x =
+  let m, e = Float.frexp x in
+  Float.ldexp (round (m *. 4096.) /. 4096.) e
+
 let min_sizing t =
   let x = Array.copy t.kernel.lo in
   x.(0) <- t.drive_cin;
@@ -313,12 +317,6 @@ let with_input_edge t edge =
         };
     }
   end
-
-let worst_edge t x =
-  let sc = scratch () in
-  delay_both t sc x;
-  if sc.own >= sc.flip then (t.input_edge, sc.own)
-  else (Edge.flip t.input_edge, sc.flip)
 
 let delay_avg t x =
   let sc = scratch () in

@@ -113,6 +113,10 @@ val clamp_into : t -> float array -> float array -> unit
     place).  Allocation-free: the in-place variant of
     {!clamp_sizing}. *)
 
+val grid : round:(float -> float) -> float -> float
+(** The write-back grid of 12 significant bits that the flow stores
+    sizes on; [round] ([Float.round], [Float.ceil]) picks the point. *)
+
 type scratch = private { mutable own : float; mutable flip : float }
 (** Caller-owned result cell for {!delay_both}.  All-float mutable
     record, so writing results allocates nothing.  Not synchronised:
@@ -149,9 +153,6 @@ val delay_avg : t -> float array -> float
     objective the sizing optimizers minimise (optimising a single
     polarity under-sizes the other's weak gates; minimising the average
     is the standard practice and a convex proxy for the minimax). *)
-
-val worst_edge : t -> float array -> Edge.t * float
-(** The input polarity achieving {!delay_worst}, with its delay. *)
 
 val delay_per_stage : t -> float array -> (float * float) array
 (** Per-stage [(delay, tau_out)] pairs, for reports and the simulator

@@ -97,9 +97,7 @@ let apply_decision ~size t (nodes : int array) (r : Protocol.report) =
    skips the write, and the incremental re-time never hears about it —
    without the snap, sub-ULP solver churn re-dirties the full fan-out
    cone of every sized gate every round. *)
-let quantize x =
-  let m, e = Float.frexp x in
-  Float.ldexp (Float.round (m *. 4096.) /. 4096.) e
+let quantize = Path.grid ~round:Float.round
 
 (* the edit window handed to the bounded-path protocol and to the
    end-of-round re-size; see {!Pops_sta.Paths.k_worst_incr} *)

@@ -57,7 +57,10 @@ type t = {
   mutable nodes : node option array;
   mutable next_id : int;
   mutable input_ids : int list;  (* reversed *)
+  mutable n_inputs : int;
   mutable output_loads : (int * float) list;  (* reversed designation order *)
+  mutable inputs_fwd : int list option;  (* designation-order views, *)
+  mutable outputs_fwd : (int * float) list option;  (* dropped on change *)
   mutable out_load : float array;
       (* dense terminal loads, nan = not an output; mirrors
          [output_loads] so {!load_on} and {!set_output} stay O(1) on
@@ -88,7 +91,10 @@ let create tech =
     nodes = Array.make 64 None;
     next_id = 0;
     input_ids = [];
+    n_inputs = 0;
     output_loads = [];
+    inputs_fwd = None;
+    outputs_fwd = None;
     out_load = Array.make 64 Float.nan;
     load_cache = Array.make 64 Float.nan;
     level = Array.make 64 0;
@@ -466,6 +472,8 @@ let add_input ?name t =
   ignore name;
   let id = alloc t Primary_input [||] 0. 0. in
   t.input_ids <- id :: t.input_ids;
+  t.n_inputs <- t.n_inputs + 1;
+  t.inputs_fwd <- None;
   id
 
 let add_gate ?cin ?(wire = 0.) t kind fanins =
@@ -494,6 +502,7 @@ let set_output t id ~load =
   else
     t.output_loads <-
       List.map (fun (i, l) -> if i = id then (i, load) else (i, l)) t.output_loads;
+  t.outputs_fwd <- None;
   t.out_load.(id) <- load;
   invalidate_load t id;
   mark_dirty t id
@@ -503,8 +512,15 @@ let gate_kind t id =
   | Cell k -> k
   | Primary_input -> invalid_arg (Printf.sprintf "Netlist.gate_kind: %d is an input" id)
 
-let inputs t = List.rev t.input_ids
-let outputs t = List.rev t.output_loads
+let rec inputs t =
+  match t.inputs_fwd with
+  | Some l -> l
+  | None -> t.inputs_fwd <- Some (List.rev t.input_ids); inputs t
+
+let rec outputs t =
+  match t.outputs_fwd with
+  | Some l -> l
+  | None -> t.outputs_fwd <- Some (List.rev t.output_loads); outputs t
 
 let is_output t id =
   id >= 0 && id < t.next_id && not (Float.is_nan t.out_load.(id))
@@ -519,7 +535,7 @@ let gate_ids t =
   !acc
 
 let gate_count t = t.n_gates
-let input_count t = List.length t.input_ids
+let input_count t = t.n_inputs
 
 (* --- mutators ------------------------------------------------------- *)
 
@@ -612,6 +628,7 @@ let rewire_fanouts t ~from_ ~to_ ~except =
   if not (Float.is_nan t.out_load.(from_)) then begin
     t.output_loads <-
       List.map (fun (i, l) -> if i = from_ then (to_, l) else (i, l)) t.output_loads;
+    t.outputs_fwd <- None;
     t.out_load.(to_) <- t.out_load.(from_);
     t.out_load.(from_) <- Float.nan;
     invalidate_load t from_;
@@ -1058,6 +1075,17 @@ let total_leakage_area t lib =
   !acc
 
 let copy t =
+  (* a synced snapshot carries over, sharing the structure arrays only
+     [build_csr] writes, owning the scalar ones [csr] resyncs in place *)
+  let csr_cache, csr_struct_rev =
+    match t.csr_cache with
+    | Some _ when t.csr_struct_rev = t.struct_rev ->
+      let c = csr t and cp = Array.copy in
+      ( Some { c with c_kind_code = cp c.c_kind_code; c_vt = cp c.c_vt;
+               c_cin = cp c.c_cin; c_load = cp c.c_load },
+        t.struct_rev )
+    | Some _ | None -> (None, -1)
+  in
   {
     t with
     nodes =
@@ -1072,10 +1100,8 @@ let copy t =
        must not see the copy's edits and vice versa *)
     dirty_log = Array.make 64 0;
     dirty_len = 0;
-    (* the adjacency snapshot is synced in place — sharing it would let
-       one netlist corrupt the other's view *)
-    csr_cache = None;
-    csr_struct_rev = -1;
+    csr_cache;
+    csr_struct_rev;
     csr_cursor = 0;
   }
 
@@ -1093,7 +1119,10 @@ let restore t ~from =
       from.nodes;
   t.next_id <- from.next_id;
   t.input_ids <- from.input_ids;
+  t.n_inputs <- from.n_inputs;
   t.output_loads <- from.output_loads;
+  t.inputs_fwd <- from.inputs_fwd;
+  t.outputs_fwd <- from.outputs_fwd;
   t.out_load <- Array.copy from.out_load;
   t.load_cache <- Array.copy from.load_cache;
   t.level <- Array.copy from.level;

@@ -59,10 +59,11 @@ val gate_kind : t -> int -> Pops_cell.Gate_kind.t
 (** @raise Invalid_argument on a primary input or an unknown id. *)
 
 val inputs : t -> int list
-(** Primary input ids in creation order. *)
+(** Primary input ids in creation order; cached, so a query allocates
+    nothing. *)
 
 val outputs : t -> (int * float) list
-(** Primary output ids with terminal loads, in designation order. *)
+(** Primary output ids with terminal loads, in designation order; cached. *)
 
 val is_output : t -> int -> bool
 (** O(1) test against the dense terminal-load mirror; false for unknown
@@ -265,7 +266,8 @@ val total_leakage_area : t -> Pops_cell.Library.t -> float
     exactly 1.0) weighs bit-identically to its plain area. *)
 
 val copy : t -> t
-(** Deep copy (transforms mutate; benchmarks compare variants). *)
+(** Deep copy (transforms mutate; benchmarks compare variants).  A
+    current {!csr} snapshot carries over, its scalar arrays copied. *)
 
 val restore : t -> from:t -> unit
 (** [restore t ~from] rewinds [t] in place to the state captured earlier

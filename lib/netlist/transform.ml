@@ -44,7 +44,7 @@ let de_morgan t id =
                  absorbing it at one pin would delete it out from under
                  the others *)
               && feeds_one_pin
-              && not (List.mem_assoc src (Netlist.outputs t))
+              && not (Netlist.is_output t src)
             | Netlist.Cell
                 ( Gk.Buf | Gk.Nand _ | Gk.Nor _ | Gk.Aoi21 | Gk.Oai21 | Gk.Aoi22
                 | Gk.Oai22 | Gk.Xor2 | Gk.Xnor2 )
@@ -84,7 +84,7 @@ let cleanup_inverter_pairs t =
       List.filter
         (fun id ->
           Netlist.node_exists t id && is_inv id
-          && (not (List.mem_assoc id (Netlist.outputs t)))
+          && (not (Netlist.is_output t id))
           &&
           let src = (Netlist.node t id).Netlist.fanins.(0) in
           is_inv src)
@@ -96,7 +96,7 @@ let cleanup_inverter_pairs t =
           let first = (Netlist.node t second).Netlist.fanins.(0) in
           if
             Netlist.node_exists t first && is_inv first
-            && not (List.mem_assoc second (Netlist.outputs t))
+            && not (Netlist.is_output t second)
           then begin
             let origin = (Netlist.node t first).Netlist.fanins.(0) in
             Netlist.rewire_fanouts t ~from_:second ~to_:origin ~except:[];
@@ -105,7 +105,7 @@ let cleanup_inverter_pairs t =
               incr removed;
               if
                 (Netlist.node t first).Netlist.fanouts = []
-                && not (List.mem_assoc first (Netlist.outputs t))
+                && not (Netlist.is_output t first)
               then begin
                 Netlist.delete_gate t first;
                 incr removed

@@ -43,9 +43,9 @@ let parse_entry t text =
 
 let result_of_entry = function
   | Parsed (nl, names, diags) ->
-    (* the copy inherits the pristine's warmed level/load caches; the
-       CSR snapshot itself is rebuilt per copy (it is synced in place
-       and must not be shared across mutating owners) *)
+    (* the copy inherits the pristine's warmed level/load caches and its
+       CSR snapshot: the structure arrays shared, the scalar arrays that
+       are synced in place copied (see Netlist.copy) *)
     Ok (Netlist.copy nl, names, diags)
   | Malformed d -> Error d
 

@@ -107,8 +107,6 @@ let gradient ~f ?(h = 1e-5) x =
   done;
   g
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. x
-
 let distance_inf a b =
   assert (Array.length a = Array.length b);
   let d = ref 0. in

@@ -54,9 +54,6 @@ val gradient : f:(float array -> float) -> ?h:float -> float array -> float arra
     1e-5) scaled by [max 1. |x_i|].  Reference implementation used by
     property tests to validate analytic gradients. *)
 
-val norm_inf : float array -> float
-(** L-infinity norm. *)
-
 val distance_inf : float array -> float array -> float
 (** L-infinity distance between two vectors of equal length. *)
 

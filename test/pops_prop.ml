@@ -256,9 +256,9 @@ let () =
 (* bounds and constant-sensitivity sizing                              *)
 (* ================================================================== *)
 
-(* Bounds.tmin is evaluated on a small polarity-weight grid, so it upper
-   bounds the exact minimax by < 1%; every bracketing check carries that
-   tolerance. *)
+(* Bounds.tmin stops its search on the polarity weight at a 1e-5
+   relative delay mismatch, so it may sit marginally above the exact
+   minimax; every bracketing check carries a 1% tolerance. *)
 let grid_tol = 1.01
 
 let () =
@@ -292,15 +292,17 @@ let () =
       let a_hi = -.Float.min u v and a_lo = -.Float.max u v in
       (* the pure-polarity constant-sensitivity fixed point: its own
          delay is the monotone object (a = 0 is the delay optimum, more
-         negative a trades delay for area).  delay_of_a's worst-polarity
-         composite is only checked against the absolute lower bound:
+         negative a trades delay for area).  The balanced solve's
+         worst-polarity delay is only checked against the absolute lower bound:
          on skewed corners the beta = 0.5 weighting makes it wiggle. *)
       let d_at a = Path.delay p (Sens.solve ~a ~beta:1. ~tol:1e-6 p).Sens.sizing in
       let d_hi = d_at a_hi and d_lo = d_at a_lo in
       requiref (d_lo >= d_hi -. (1e-3 *. d_hi) -. 0.05)
         "delay(a=%.4g) = %.6g < delay(a=%.4g) = %.6g: not monotone" a_lo d_lo a_hi d_hi;
-      requiref (Sens.delay_of_a p a_lo >= (Bounds.tmin p /. grid_tol) -. 1e-9)
-        "delay_of_a(%.4g) beat the path lower bound tmin = %.6g" a_lo (Bounds.tmin p))
+      let worst = Path.delay_worst p (Sens.solve ~a:a_lo p).Sens.sizing in
+      requiref (worst >= (Bounds.tmin p /. grid_tol) -. 1e-9)
+        "balanced solve at a = %.4g beat the path lower bound tmin = %.6g" a_lo
+        (Bounds.tmin p))
 
 let () =
   Prop.register ~name:"sens.area_monotone_in_a"
@@ -374,6 +376,65 @@ let () =
           "reported tmin %.6g far above grid tmin %.6g" t tmin
       | Ok r ->
         Prop.failf "tc=%.6g below tmin=%.6g accepted with delay %.6g" tc tmin r.Sens.delay)
+
+(* the KKT sizer against the nested search it replaced
+   (test/sizing_oracle.ml) *)
+let () =
+  Prop.register ~name:"sens.kkt_matches_oracle" ~cases:60
+    (Gen.pair spec (Gen.float_range 1.0 3.0))
+    (fun (s, ratio) ->
+      let p = path_of s in
+      let tmin, _, _ = Sizing_oracle.minimum_delay p in
+      let tc = ratio *. tmin in
+      match (Sens.size_for_constraint p ~tc, Sizing_oracle.size_for_constraint p ~tc) with
+      | Ok r, Ok o ->
+        requiref (r.Sens.delay <= tc) "delay %.6g over tc %.6g" r.Sens.delay tc;
+        requiref (r.Sens.area <= o.Sens.area *. 1.002) "area %.6g over the oracle's %.6g"
+          r.Sens.area o.Sens.area
+      | Error _, Error _ -> ()
+      | Ok _, Error _ -> Prop.failf "tc=%.6g met, the oracle calls it infeasible" tc
+      | Error _, Ok _ -> Prop.failf "tc=%.6g infeasible, the oracle meets it" tc)
+
+(* At a returned point with a finite a < 0: complementary slackness
+   (every polarity with weight binds, within 1e-3 tc), stationarity of
+   the weighted link equations at the solve the point came from (the
+   re-solve from the returned sizing undoes the grid rounding), and every
+   size off its drive bounds on the write-back grid. *)
+let () =
+  Prop.register ~name:"sens.kkt_conditions" ~cases:60
+    (Gen.pair spec (Gen.float_range 1.0 3.0))
+    (fun (s, ratio) ->
+      let p = path_of s in
+      let tc = ratio *. Bounds.tmin p in
+      match Sens.size_for_constraint p ~tc with
+      | Error _ -> Prop.failf "tc=%.6g at %.3g Tmin declared infeasible" tc ratio
+      | Ok r when r.Sens.a < 0. && Float.is_finite r.Sens.a ->
+        let flip = Path.with_input_edge p (Edge.flip p.Path.input_edge) in
+        let own = Path.delay p r.Sens.sizing and fl = Path.delay flip r.Sens.sizing in
+        let beta = r.Sens.beta in
+        if beta > 0. then
+          requiref (Float.abs (own -. tc) <= 1e-3 *. tc)
+            "beta %.4g but the own delay %.6g does not bind tc %.6g" beta own tc;
+        if beta < 1. then
+          requiref (Float.abs (fl -. tc) <= 1e-3 *. tc)
+            "beta %.4g but the flipped delay %.6g does not bind tc %.6g" beta fl tc;
+        let x = (Sens.solve ~a:r.Sens.a ~beta ~x0:r.Sens.sizing p).Sens.sizing in
+        requiref (Bounds.verify_stationary ~a:r.Sens.a ~beta p x)
+          "not stationary at a=%g beta=%g" r.Sens.a beta;
+        let k = p.Path.kernel in
+        Array.iteri
+          (fun j v ->
+            if j > 0 && v > k.Path.lo.(j) && v < k.Path.hi.(j) then
+              requiref (Path.grid ~round:Float.round v = v) "size %d (%h) off the grid" j v)
+          r.Sens.sizing
+      | Ok _ -> ())
+
+let () =
+  Prop.register ~name:"bounds.tmin_matches_oracle" spec (fun s ->
+      let p = path_of s in
+      let tmin, _, _ = Sens.minimum_delay p in
+      let tmin_o, _, _ = Sizing_oracle.minimum_delay p in
+      requiref (tmin <= tmin_o +. 0.01) "tmin %.6g above the oracle's %.6g" tmin tmin_o)
 
 let () =
   Prop.register ~name:"numerics.bisect_finds_root"

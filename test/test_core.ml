@@ -105,7 +105,9 @@ let test_solve_rejects_positive_a () =
 
 let test_delay_monotone_in_a () =
   let ds =
-    List.map (fun a -> Sens.delay_of_a path11 a) [ 0.; -0.01; -0.05; -0.2; -1.; -5. ]
+    List.map
+      (fun a -> Path.delay_worst path11 (Sens.solve ~a path11).Sens.sizing)
+      [ 0.; -0.01; -0.05; -0.2; -1.; -5. ]
   in
   let rec check = function
     | d1 :: (d2 :: _ as rest) ->

@@ -166,6 +166,80 @@ let prop_csr_matches_legacy =
       done;
       true)
 
+(* --- copies carry the snapshot ------------------------------------------ *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* every array of a snapshot, floats by their bits (dead ids hold nan) *)
+let snapshot c =
+  let module C = Netlist.Csr in
+  ( [ C.node_of c; C.pos c; C.level_off c; C.kind_code c; C.vt_code c;
+      C.fanin_off c; C.fanin c; C.fanout_off c; C.fanout c; C.fanout_pins c ],
+    [ bits (C.cin c); bits (C.load c) ],
+    (C.bound c, C.length c) )
+
+(* the snapshot a rebuild gives: [restore] into a fresh netlist carries
+   no snapshot, so its first [csr] builds one *)
+let rebuilt t =
+  let s = Netlist.create tech in
+  Netlist.restore s ~from:t;
+  Netlist.csr s
+
+let check_snapshot ~what t =
+  if snapshot (Netlist.csr t) <> snapshot (rebuilt t) then
+    Alcotest.failf "%s: snapshot differs from a rebuild" what
+
+(* the carried timing, updated, must equal a fresh analysis bit for bit *)
+let check_timing ~what timing t =
+  Timing.update timing;
+  let fresh = Timing.critical_delay (Timing.analyze ~lib t) in
+  let carried = Timing.critical_delay timing in
+  if Int64.bits_of_float fresh <> Int64.bits_of_float carried then
+    Alcotest.failf "%s: carried critical delay %h, fresh %h" what carried fresh
+
+let copy_shape () =
+  Generator.generate_scale tech ~name:"copy5k" ~gates:5_000 ~shape:Generator.Iscas
+
+let test_copy_carries_snapshot () =
+  let t = copy_shape () in
+  ignore (Netlist.csr t);
+  let g = List.nth (Netlist.gate_ids t) 7 in
+  (* a resize the source's snapshot has not synced yet *)
+  Netlist.set_cin t g (3. *. tech.Tech.cmin);
+  let c = Netlist.copy t in
+  let module C = Netlist.Csr in
+  Alcotest.(check bool) "structure shared" true
+    (C.node_of (Netlist.csr c) == C.node_of (Netlist.csr t));
+  Alcotest.(check bool) "scalars owned" true (C.cin (Netlist.csr c) != C.cin (Netlist.csr t));
+  check_snapshot ~what:"copy" c;
+  check_snapshot ~what:"source" t
+
+let test_copy_edits_stay_apart () =
+  let t = copy_shape () in
+  let tm_t = Timing.analyze ~lib t in
+  let c = Netlist.copy t in
+  let tm_c = Timing.analyze ~lib c in
+  let gates = Array.of_list (Netlist.gate_ids t) in
+  let cmin = tech.Tech.cmin in
+  Netlist.set_cin c gates.(11) (6. *. cmin);
+  check_timing ~what:"copy after its resize" tm_c c;
+  check_snapshot ~what:"source after the copy's resize" t;
+  check_timing ~what:"source after the copy's resize" tm_t t;
+  Netlist.set_cin t gates.(23) (4. *. cmin);
+  check_timing ~what:"source after its resize" tm_t t;
+  check_snapshot ~what:"copy after the source's resize" c;
+  check_timing ~what:"copy after the source's resize" tm_c c;
+  ignore (Transform.insert_buffer t ~after:gates.(37));
+  check_timing ~what:"source after its surgery" tm_t t;
+  check_snapshot ~what:"copy after the source's surgery" c;
+  check_timing ~what:"copy after the source's surgery" tm_c c;
+  ignore (Transform.insert_buffer c ~after:gates.(41));
+  check_timing ~what:"copy after its surgery" tm_c c;
+  check_snapshot ~what:"source after the copy's surgery" t;
+  check_timing ~what:"source after the copy's surgery" tm_t t;
+  check_sta_equiv ~what:"source" t;
+  check_sta_equiv ~what:"copy" c
+
 (* --- full-chip scale -------------------------------------------------- *)
 
 (* a 100k-gate grid is the largest size where running the legacy
@@ -218,6 +292,11 @@ let () =
         [
           Alcotest.test_case "paper benchmark suite" `Quick test_profile_suite;
           qtest prop_csr_matches_legacy;
+        ] );
+      ( "copy",
+        [
+          Alcotest.test_case "copy carries the snapshot" `Quick test_copy_carries_snapshot;
+          Alcotest.test_case "edits stay on their side" `Quick test_copy_edits_stay_apart;
         ] );
       ( "scale",
         [

@@ -247,17 +247,17 @@ let check_flow ~what ~tc_ratio ~expect t =
 (* a digest change is a change to the flow's output *)
 let profile_digests =
   [
-    ("Adder16", "e83740ae9054d1b75c31244d6da42e1c");
-    ("fpd", "a79756822dc3d4d26c2730ef94a83e6b");
-    ("c432", "94ffbf661ba216f5fa3f05de929bfa4c");
-    ("c499", "f306fdbe763070e5de750dd85440312f");
-    ("c880", "c711dcc86927be1db451b19a02e3c9c6");
-    ("c1355", "ef1bd735b87eb19d5acf93c4fc0e52a5");
-    ("c1908", "dd7049b1adcf4019f59311f4dcd20405");
-    ("c3540", "4f5013122f924d7dab56b4e2a38cdd23");
-    ("c5315", "409e2a3c420b4b4ef2954999b008d6e8");
-    ("c6288", "da82cb40cfd314c3aecf610d6c8125c6");
-    ("c7552", "b3d2d42708bb3d6334d1b77045d380f8");
+    ("Adder16", "21f4dbdf86c2333be52933ad0215607b");
+    ("fpd", "a454240bbfb18285bd3971ae5f3c3a4f");
+    ("c432", "b1292592f3773a9f9afc67c4ae5616bb");
+    ("c499", "9b75a37b54bec06946582dba011f8ac6");
+    ("c880", "1dcbee290e08b3f3c9469d9831ca918c");
+    ("c1355", "c6b1f9d277e99e72042b499b8c170259");
+    ("c1908", "6b90dcb4a5a8b41ec461e7451c307a92");
+    ("c3540", "5abed6d2c45d183048e9df1184dcdb18");
+    ("c5315", "36d291d3644931d2c6ad6192e1b84a1e");
+    ("c6288", "19e4c5c2937028842950956690dee85e");
+    ("c7552", "0a99d06a1251d08675ff7008f91a6da3");
   ]
 
 let test_flow_profiles () =
@@ -286,7 +286,7 @@ let test_selection_10k () =
 
 let test_flow_scale_10k () =
   check_flow ~what:"iscas10k" ~tc_ratio:0.9
-    ~expect:"7c15e25e6f0e9bc33764aaf4b3306fb4" (iscas10k ())
+    ~expect:"ae65bba24c6c3d9bc8f35797ce222802" (iscas10k ())
 
 (* a stray POPS_FAULT must not perturb this deterministic suite;
    fault behaviour is covered by pops_prop and test_core's ladder *)

@@ -388,11 +388,13 @@ let test_bisect_roots () =
     (N.No_bracket "bisect: f(1)=1, f(2)=4")
     (fun () -> ignore (N.bisect ~f:(fun x -> x *. x) ~lo:1. ~hi:2. ()))
 
+(* the nested search the KKT sizer replaced, kept as its oracle
+   (test/sizing_oracle.ml): one regula falsi on [a] for a fixed weight *)
 let test_bisect_for_beta () =
   let path = profile_path "fpd" in
   let b = Bounds.compute path in
   let tc = 1.2 *. b.Bounds.tmin in
-  (match Sens.bisect_for_beta ~beta:0.5 path ~tc with
+  (match Sizing_oracle.bisect_for_beta ~beta:0.5 path ~tc with
   | None -> Alcotest.fail "feasible constraint returned None"
   | Some r ->
     Alcotest.(check bool) "meets constraint" true (r.Sens.delay <= tc);
@@ -402,7 +404,50 @@ let test_bisect_for_beta () =
       (r.Sens.area <= Path.area path (Sens.solve path).Sens.sizing));
   (* infeasible for this weighting *)
   Alcotest.(check bool) "infeasible returns None" true
-    (Sens.bisect_for_beta ~beta:0.5 path ~tc:(0.5 *. b.Bounds.tmin) = None)
+    (Sizing_oracle.bisect_for_beta ~beta:0.5 path ~tc:(0.5 *. b.Bounds.tmin) = None)
+
+(* kernel passes [f] performs, with its result *)
+let passes f =
+  let s0 = Sens.sweeps_performed () in
+  let r = f () in
+  (r, Sens.sweeps_performed () - s0)
+
+(* The KKT sizer on the 11 profile paths at seven constraints: each call
+   within its pass cap, every row as good as the nested search it
+   replaced (test/sizing_oracle.ml), and at least 5x cheaper in all. *)
+let test_kkt_profile_rows () =
+  let total = ref 0 and total_oracle = ref 0 in
+  List.iter
+    (fun (p : Profiles.t) ->
+      let name = p.Profiles.name in
+      let path = profile_path name in
+      let (tmin, _, _), md = passes (fun () -> Sens.minimum_delay path) in
+      let tmin_o, _, _ = Sizing_oracle.minimum_delay path in
+      if md > 250 then Alcotest.failf "%s: minimum_delay took %d passes" name md;
+      if tmin > tmin_o +. 0.01 then
+        Alcotest.failf "%s: tmin %.4f above the oracle's %.4f" name tmin tmin_o;
+      List.iter
+        (fun ratio ->
+          let tc = ratio *. tmin_o in
+          let r, n = passes (fun () -> Sens.size_for_constraint path ~tc) in
+          let o, n_o = passes (fun () -> Sizing_oracle.size_for_constraint path ~tc) in
+          total := !total + n;
+          total_oracle := !total_oracle + n_o;
+          if n > 1200 then
+            Alcotest.failf "%s at %.2f Tmin: %d passes" name ratio n;
+          match (r, o) with
+          | Ok r, Ok o ->
+            if r.Sens.delay > tc then
+              Alcotest.failf "%s at %.2f Tmin: delay %.4f over tc %.4f" name ratio
+                r.Sens.delay tc;
+            if r.Sens.area > o.Sens.area *. 1.002 then
+              Alcotest.failf "%s at %.2f Tmin: area %.3f over the oracle's %.3f" name
+                ratio r.Sens.area o.Sens.area
+          | _ -> Alcotest.failf "%s at %.2f Tmin: feasibility verdicts differ" name ratio)
+        [ 1.02; 1.05; 1.1; 1.2; 1.5; 2.0; 2.5 ])
+    Profiles.all;
+  if 5 * !total > !total_oracle then
+    Alcotest.failf "%d passes in all, the oracle %d" !total !total_oracle
 
 (* a stray POPS_FAULT must not perturb this deterministic suite;
    fault behaviour is covered by pops_prop and test_core's ladder *)
@@ -432,5 +477,6 @@ let () =
           Alcotest.test_case "bounds memoized" `Quick test_bounds_cached;
           Alcotest.test_case "regula falsi roots" `Quick test_bisect_roots;
           Alcotest.test_case "constraint bisection" `Quick test_bisect_for_beta;
+          Alcotest.test_case "KKT sizer on the profile paths" `Quick test_kkt_profile_rows;
         ] );
     ]

@@ -97,6 +97,35 @@ let test_copy_independent () =
   Netlist.set_cin t g 42.;
   Alcotest.(check bool) "copy unaffected" true ((Netlist.node c g).Netlist.cin <> 42.)
 
+(* the cached designation-order views follow every mutator of the two
+   lists, and a repeated query returns the same list *)
+let test_designation_views () =
+  let t = Netlist.create tech in
+  let a = Netlist.add_input t in
+  let g = Netlist.add_gate t Gk.Inv [| a |] in
+  let h = Netlist.add_gate t Gk.Inv [| g |] in
+  Netlist.set_output t g ~load:5.;
+  let ins = Netlist.inputs t and outs = Netlist.outputs t in
+  Alcotest.(check bool) "inputs shared" true (Netlist.inputs t == ins);
+  Alcotest.(check bool) "outputs shared" true (Netlist.outputs t == outs);
+  let snap = Netlist.copy t in
+  let b = Netlist.add_input t in
+  Alcotest.(check (list int)) "add_input" [ a; b ] (Netlist.inputs t);
+  Alcotest.(check int) "input_count" 2 (Netlist.input_count t);
+  Netlist.set_output t h ~load:7.;
+  Netlist.set_output t g ~load:6.;
+  Alcotest.(check (list (pair int (float 0.)))) "set_output" [ (g, 6.); (h, 7.) ]
+    (Netlist.outputs t);
+  let _, b2 = Transform.insert_buffer t ~after:h in
+  Alcotest.(check (list (pair int (float 0.)))) "designation moved" [ (g, 6.); (b2, 7.) ]
+    (Netlist.outputs t);
+  Netlist.restore t ~from:snap;
+  Alcotest.(check (list int)) "restored inputs" [ a ] (Netlist.inputs t);
+  Alcotest.(check int) "restored input_count" 1 (Netlist.input_count t);
+  Alcotest.(check (list (pair int (float 0.)))) "restored outputs" [ (g, 5.) ]
+    (Netlist.outputs t);
+  Alcotest.(check (list int)) "copy untouched" [ a ] (Netlist.inputs snap)
+
 (* --- logic --- *)
 
 let test_c17_truth () =
@@ -645,6 +674,7 @@ let () =
           Alcotest.test_case "delete guards" `Quick test_delete_guards;
           Alcotest.test_case "topological order" `Quick test_topological_order;
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
+          Alcotest.test_case "designation-order views" `Quick test_designation_views;
         ] );
       ( "logic",
         [

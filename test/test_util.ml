@@ -311,8 +311,6 @@ let test_cell_formats () =
 
 (* --- units --- *)
 
-module Units = Pops_util.Units
-
 let fmt_to_string pp v = Format.asprintf "%a" pp v
 
 let test_units_conversions () =
