@@ -1,7 +1,7 @@
 (* BENCH_scale.json: the full-chip trajectory — the arena/CSR core at
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
-   analyze vs the pre-refactor reference, incremental update under edit
-   traffic, the arena k-worst, and (up to 100k) logic equivalence and
+   analyze vs the pre-refactor reference, incremental update under resize
+   and buffer-insertion traffic, the arena k-worst, and (up to 100k) logic equivalence and
    power on the snapshot.  Minor-words-per-gate budgets guard the
    allocation-free inner loops: a regression fails the run. *)
 
@@ -94,6 +94,27 @@ let sta_scale () =
       in
       let incr = (time ~rounds:3 [| storm |]).(0) in
       record ~kernel:"sta_incr_set_cin" ~shape ~gates (incr.ns /. float_of_int edits);
+      (* incremental update after surgery: a buffer after a spread gate,
+         on a copy so the rows below still measure [nl].  The update
+         derives the snapshot anew, which must cost under 3 cold
+         analyses *)
+      let surgery_nl = Netlist.copy nl in
+      let surgery_timing = Timing.analyze ~lib surgery_nl in
+      let buffers = if gates > 200_000 then 10 else 20 and k = ref 0 in
+      let surgery () =
+        for _ = 1 to buffers do
+          k := !k + 1;
+          let g = gate_arr.(!k * 7919 mod Array.length gate_arr) in
+          ignore (Pops_netlist.Transform.insert_buffer surgery_nl ~after:g);
+          Timing.update surgery_timing
+        done
+      in
+      let buf = (time ~rounds:3 [| surgery |]).(0) in
+      let per_buffer = buf.ns /. float_of_int buffers in
+      if per_buffer > 3. *. m.(0).ns then
+        fail "sta_scale: %s at %d gates: a buffer insertion + update costs %.1fx a cold analyze (budget 3x)"
+          shape gates (per_buffer /. m.(0).ns);
+      record ~kernel:"sta_incr_buffer" ~shape ~gates per_buffer;
       (* arena k-worst with a persistent scratch: metric arrays, arena
          and queue are reused across calls, so steady-state minor words
          cover only the materialized winner paths *)
@@ -119,5 +140,6 @@ let sta_scale () =
   Printf.printf
     "shape check: analyze cost grows linearly in gate count while minor\n\
      words/gate stay flat (the inner loops allocate nothing per node);\n\
-     incremental update stays orders of magnitude under a full analyze;\n\
+     incremental update stays orders of magnitude under a full analyze,\n\
+     and under 3 full analyses after a buffer insertion;\n\
      logic equivalence and power stay within their word budgets.\n"

@@ -117,6 +117,9 @@ let fig4 () =
       | Error (`Infeasible _) -> ()
       | Ok r ->
         let amps = Amps.size_for_constraint path ~tc in
+        if r.Sens.area > amps.Amps.area then
+          fail "fig4: %s: POPS needs %.1f um at 1.2 Tmin, more than AMPS's %.1f um"
+            p.Profiles.name r.Sens.area amps.Amps.area;
         Table.add_row t
           [ p.Profiles.name;
             Table.cell_f ~decimals:0 r.Sens.area;

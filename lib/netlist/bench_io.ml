@@ -367,8 +367,9 @@ let parse_diag tech ?out_load text =
             Result.bind (outputs_result ()) (fun () ->
                 match Netlist.validate t with
                 | Ok () ->
+                  (* names are unique keys: they alone order the pairs *)
                   let names = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-                  Ok (t, List.sort compare names)
+                  Ok (t, List.sort (fun (a, _) (b, _) -> String.compare a b) names)
                 | Error msg ->
                   Error
                     (Diag.makef Diag.Internal

@@ -49,7 +49,6 @@ type csr = {
   c_fanin : int array;  (* packed fan-in ids in pin order *)
   c_fanout_off : int array;
   c_fanout : int array;  (* consumer ids, fanout-list order *)
-  c_fanout_pins : int array;  (* pins the consumer reads this net on *)
 }
 
 type t = {
@@ -186,13 +185,10 @@ let live_ids t =
   done;
   !acc
 
-(* Kahn residual: nodes never reaching indegree 0 sit on or downstream
-   of a combinational loop.  Walking fan-ins restricted to those nodes
-   must revisit one — that revisit is an actual cycle, reported in
-   signal-flow order so the user can follow the loop driver to driver. *)
-let find_cycle t =
+(* per live id, its number of distinct live fan-in ids: a gate may read
+   one source on several pins, but that source lists it once *)
+let live_indegrees t ids =
   let indegree = Array.make (max 1 t.next_id) 0 in
-  let ids = live_ids t in
   List.iter
     (fun id ->
       let n = node t id in
@@ -209,6 +205,15 @@ let find_cycle t =
         n.fanins;
       indegree.(id) <- !deg)
     ids;
+  indegree
+
+(* Kahn residual: nodes never reaching indegree 0 sit on or downstream
+   of a combinational loop.  Walking fan-ins restricted to those nodes
+   must revisit one — that revisit is an actual cycle, reported in
+   signal-flow order so the user can follow the loop driver to driver. *)
+let find_cycle t =
+  let ids = live_ids t in
+  let indegree = live_indegrees t ids in
   let queue = Queue.create () in
   List.iter (fun id -> if indegree.(id) = 0 then Queue.add id queue) ids;
   while not (Queue.is_empty queue) do
@@ -272,26 +277,8 @@ let cycle_diag ?name t = cycle_diag_of ?name (find_cycle t)
 (* full Kahn rebuild: the fallback when local level patching bailed out,
    and the only place a cycle is diagnosed *)
 let rebuild_levels t =
-  let indegree = Array.make (max 1 t.next_id) 0 in
   let ids = live_ids t in
-  List.iter
-    (fun id ->
-      (* count distinct fan-in ids: a gate may read one source on several
-         pins, but that source appears once in the fanout list *)
-      let n = node t id in
-      let deg = ref 0 in
-      Array.iteri
-        (fun i f ->
-          if node_exists t f then begin
-            let dup = ref false in
-            for j = 0 to i - 1 do
-              if n.fanins.(j) = f then dup := true
-            done;
-            if not !dup then incr deg
-          end)
-        n.fanins;
-      indegree.(id) <- !deg)
-    ids;
+  let indegree = live_indegrees t ids in
   let queue = Queue.create () in
   List.iter
     (fun id ->
@@ -311,7 +298,7 @@ let rebuild_levels t =
       | Cell _ ->
         1
         + Array.fold_left
-            (fun acc f -> if node_exists t f then max acc t.level.(f) else acc)
+            (fun acc f -> if node_exists t f then Int.max acc t.level.(f) else acc)
             0 n.fanins
     in
     t.level.(id) <- lvl;
@@ -334,7 +321,7 @@ let compute_level t (n : node) =
   | Cell _ ->
     1
     + Array.fold_left
-        (fun acc f -> if node_exists t f then max acc t.level.(f) else acc)
+        (fun acc f -> if node_exists t f then Int.max acc t.level.(f) else acc)
         0 n.fanins
 
 (* re-propagate levels over the fan-out cone of [id] while they change;
@@ -376,7 +363,7 @@ let level_sorted_live t =
   ensure_levels t;
   let d = ref 0 in
   for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then d := max !d t.level.(id)
+    if t.nodes.(id) <> None then d := Int.max !d t.level.(id)
   done;
   let off = Array.make (!d + 2) 0 in
   for id = 0 to t.next_id - 1 do
@@ -413,7 +400,7 @@ let level_suffix_counts t =
     ensure_levels t;
     let d = ref 0 in
     for id = 0 to t.next_id - 1 do
-      if t.nodes.(id) <> None then d := max !d t.level.(id)
+      if t.nodes.(id) <> None then d := Int.max !d t.level.(id)
     done;
     let counts = Array.make (!d + 2) 0 in
     for id = 0 to t.next_id - 1 do
@@ -728,67 +715,104 @@ module Csr = struct
   let fanin c = c.c_fanin
   let fanout_off c = c.c_fanout_off
   let fanout c = c.c_fanout
-  let fanout_pins c = c.c_fanout_pins
   let depth c = Array.length c.c_level_off - 2
 end
 
-(* full O(V + E) snapshot build: levels via the (possibly rebuilt) level
-   cache, order via counting sort, fan-ins packed in pin order, fan-outs
-   packed in fanout-list order with per-consumer pin multiplicities, and
-   loads through {!load_on} (cached or recomputed with the canonical
-   fold, so snapshot loads are bit-identical to queries) *)
-let build_csr t =
+(* the snapshot of the empty id range: deriving from it reads every id
+   from its record, which is the cold build *)
+let empty_csr =
+  { c_bound = 0; c_n = 0; c_node_of = [||]; c_pos = [||]; c_level_off = [||];
+    c_kind_code = [||]; c_vt = [||]; c_cin = [||]; c_load = [||];
+    c_fanin_off = [| 0 |]; c_fanin = [||]; c_fanout_off = [| 0 |]; c_fanout = [||] }
+
+(* [Array.blit] into a major-heap int array pays a write barrier per
+   element; a typed loop stores plain words *)
+let blit_ints (src : int array) so (dst : int array) d len =
+  for k = 0 to len - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+(* The snapshot of the current structure, derived from [prev] (synced to
+   [csr_cursor]).  The order comes from the level cache by counting sort.
+   Every mutator that changes an id's fan-ins, fan-out list, kind, Vt,
+   cin or load logs the id, so an id below [prev]'s bound and absent from
+   the log suffix kept all of them: its scalar entries stay, its
+   adjacency segments are copied from [prev] in runs of consecutive ids.
+   Only logged ids and ids past the old bound are read from their
+   records, loads through {!load_on} (the canonical fold, so
+   bit-identical to queries).  [prev]'s structure arrays are never
+   written, since copies share them. *)
+let build_csr t prev =
   let bound = t.next_id in
   let order, level_off = level_sorted_live t in
-  let n = Array.length order in
   let pos = Array.make (max 1 bound) (-1) in
   Array.iteri (fun i id -> pos.(id) <- i) order;
-  let kind_code = Array.make (max 1 bound) (-1)
-  and vt = Array.make (max 1 bound) 0
-  and cin = Array.make (max 1 bound) Float.nan
-  and load = Array.make (max 1 bound) Float.nan in
-  let fanin_off = Array.make (bound + 1) 0
-  and fanout_off = Array.make (bound + 1) 0 in
-  for id = 0 to bound - 1 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some nd ->
-      fanin_off.(id + 1) <- Array.length nd.fanins;
-      fanout_off.(id + 1) <- List.length nd.fanouts
+  let fresh = Bytes.make (max 1 bound) '\001' in
+  Bytes.fill fresh 0 (min prev.c_bound bound) '\000';
+  for i = t.csr_cursor to t.dirty_len - 1 do
+    if t.dirty_log.(i) < bound then Bytes.set fresh t.dirty_log.(i) '\001'
   done;
+  let fanin_off = Array.make (bound + 1) 0 and fanout_off = Array.make (bound + 1) 0 in
   for id = 0 to bound - 1 do
-    fanin_off.(id + 1) <- fanin_off.(id + 1) + fanin_off.(id);
-    fanout_off.(id + 1) <- fanout_off.(id + 1) + fanout_off.(id)
+    let fi, fo =
+      if Bytes.get fresh id = '\000' then
+        ( prev.c_fanin_off.(id + 1) - prev.c_fanin_off.(id),
+          prev.c_fanout_off.(id + 1) - prev.c_fanout_off.(id) )
+      else
+        match t.nodes.(id) with
+        | None -> (0, 0)
+        | Some nd -> (Array.length nd.fanins, List.length nd.fanouts)
+    in
+    fanin_off.(id + 1) <- fanin_off.(id) + fi;
+    fanout_off.(id + 1) <- fanout_off.(id) + fo
   done;
+  (* the scalar arrays are this netlist's own (copies copy them), sized
+     by the node capacity: kept in place, ids below [prev]'s bound
+     included, until the capacity grows *)
+  let own a default =
+    if Array.length a = Array.length t.nodes then a
+    else begin
+      let b = Array.make (Array.length t.nodes) default in
+      Array.blit a 0 b 0 (min prev.c_bound bound);
+      b
+    end
+  in
+  let kind_code = own prev.c_kind_code (-1) and vt = own prev.c_vt 0
+  and cin = own prev.c_cin Float.nan and load = own prev.c_load Float.nan in
   let fanin = Array.make (max 1 fanin_off.(bound)) 0
-  and fanout = Array.make (max 1 fanout_off.(bound)) 0
-  and fanout_pins = Array.make (max 1 fanout_off.(bound)) 0 in
+  and fanout = Array.make (max 1 fanout_off.(bound)) 0 in
+  (* ids [a, b) kept their adjacency since [prev] *)
+  let copy_run a b =
+    if b > a then begin
+      let fi = prev.c_fanin_off.(a) and fo = prev.c_fanout_off.(a) in
+      blit_ints prev.c_fanin fi fanin fanin_off.(a) (prev.c_fanin_off.(b) - fi);
+      blit_ints prev.c_fanout fo fanout fanout_off.(a) (prev.c_fanout_off.(b) - fo)
+    end
+  in
+  let run = ref 0 in
   for id = 0 to bound - 1 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some nd ->
-      kind_code.(id) <- Csr.code_of_kind nd.kind;
-      vt.(id) <- Pops_process.Vt.to_int nd.vt;
-      cin.(id) <- nd.cin;
-      load.(id) <- load_on t id;
-      let fi = fanin_off.(id) in
-      Array.iteri (fun pin f -> fanin.(fi + pin) <- f) nd.fanins;
-      let fo = ref (fanout_off.(id)) in
-      List.iter
-        (fun c ->
-          fanout.(!fo) <- c;
-          let pins = ref 0 in
-          (match t.nodes.(c) with
-          | Some cn ->
-            Array.iter (fun f -> if f = id then incr pins) cn.fanins
-          | None -> ());
-          fanout_pins.(!fo) <- !pins;
-          incr fo)
-        nd.fanouts
+    if Bytes.get fresh id <> '\000' then begin
+      copy_run !run id;
+      run := id + 1;
+      match t.nodes.(id) with
+      | None ->
+        kind_code.(id) <- -1;
+        vt.(id) <- 0;
+        cin.(id) <- Float.nan;
+        load.(id) <- Float.nan
+      | Some nd ->
+        kind_code.(id) <- Csr.code_of_kind nd.kind;
+        vt.(id) <- Pops_process.Vt.to_int nd.vt;
+        cin.(id) <- nd.cin;
+        load.(id) <- load_on t id;
+        blit_ints nd.fanins 0 fanin fanin_off.(id) (Array.length nd.fanins);
+        List.iteri (fun i c -> fanout.(fanout_off.(id) + i) <- c) nd.fanouts
+    end
   done;
+  copy_run !run bound;
   {
     c_bound = bound;
-    c_n = n;
+    c_n = Array.length order;
     c_node_of = order;
     c_pos = pos;
     c_level_off = level_off;
@@ -800,15 +824,14 @@ let build_csr t =
     c_fanin = fanin;
     c_fanout_off = fanout_off;
     c_fanout = fanout;
-    c_fanout_pins = fanout_pins;
   }
 
 let csr t =
   let c =
     match t.csr_cache with
     | Some c when t.csr_struct_rev = t.struct_rev -> c
-    | Some _ | None ->
-      let c = build_csr t in
+    | prev ->
+      let c = build_csr t (Option.value prev ~default:empty_csr) in
       t.csr_cache <- Some c;
       t.csr_struct_rev <- t.struct_rev;
       t.csr_cursor <- t.dirty_len;
@@ -1134,11 +1157,12 @@ let restore t ~from =
   t.struct_rev <- t.struct_rev + 1;
   t.csr_cache <- None;
   t.csr_struct_rev <- -1;
-  t.csr_cursor <- 0;
   List.iter (mark_dirty t) !pre;
   for id = 0 to t.next_id - 1 do
     if t.nodes.(id) <> None then mark_dirty t id
-  done
+  done;
+  (* no snapshot to sync: the next [csr] reads every record anyway *)
+  t.csr_cursor <- t.dirty_len
 
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>netlist: %d inputs, %d gates, %d outputs, depth %d@ "

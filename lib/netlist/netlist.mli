@@ -145,10 +145,11 @@ val load_on : t -> int -> float
 
     The snapshot is owned by the netlist and {e synced in place}: after
     pure scalar edits (sizes, wires, kinds, terminal loads) {!csr}
-    refreshes only the dirtied entries from the dirty log; a structural
-    edit (adding, rewiring or deleting nodes) triggers a full O(V + E)
-    rebuild on the next call.  Do not hold a [Csr.t] across structural
-    edits. *)
+    refreshes only the dirtied entries from the dirty log; after a
+    structural edit (adding, rewiring or deleting nodes) the next call
+    derives a new snapshot, re-sorting the order and re-reading only the
+    logged nodes, and leaves the old one's structure arrays untouched.
+    Do not hold a [Csr.t] across structural edits. *)
 module Csr : sig
   type t
 
@@ -180,8 +181,10 @@ module Csr : sig
   val depth : t -> int
 
   val kind_code : t -> int array
-  (** By id: [-1] for primary inputs, [-2] for cells outside
-      {!code_kinds}, else an index into {!code_kinds}. *)
+  (** By id: [-1] for primary inputs and dead ids, [-2] for cells outside
+      {!code_kinds}, else an index into {!code_kinds}.  This array and
+      {!vt_code}, {!cin} and {!load} span the netlist's node capacity,
+      at least {!bound}. *)
 
   val vt_code : t -> int array
   (** By id: {!Pops_process.Vt.to_int} of the node's threshold class
@@ -206,10 +209,6 @@ module Csr : sig
       bit-identically. *)
 
   val fanout : t -> int array
-
-  val fanout_pins : t -> int array
-  (** Parallel to {!fanout}: how many pins that consumer reads the net
-      on. *)
 end
 
 val csr : t -> Csr.t

@@ -556,6 +556,52 @@ let () =
           "count_level_ge %d = %d, direct count %d" l (Netlist.count_level_ge nl l) direct
       done)
 
+(* every array of a CSR snapshot, floats by their bits (dead ids hold nan) *)
+let csr_arrays c =
+  let module K = Netlist.Csr in
+  let bits a = Array.map Int64.bits_of_float a in
+  ( [ K.node_of c; K.pos c; K.level_off c; K.kind_code c; K.vt_code c;
+      K.fanin_off c; K.fanin c; K.fanout_off c; K.fanout c ],
+    [ bits (K.cin c); bits (K.load c) ],
+    (K.bound c, K.length c) )
+
+(* a netlist restored into a fresh one carries no snapshot, so its first
+   [csr] is a cold build *)
+let cold_csr nl =
+  let s = Netlist.create (Netlist.tech nl) in
+  Netlist.restore s ~from:nl;
+  Netlist.csr s
+
+(* the snapshot derived across edits equals a cold build: each step's
+   code decides what follows its edit — 0-2 nothing (so [csr] sees a
+   random prefix of edits at once), 3 a check, 4 a check and a switch to
+   a copy sharing the snapshot, 5 a restore to the start first.  Every
+   netlist left behind must keep its own snapshot intact. *)
+let () =
+  Prop.register ~name:"netlist.csr_resync_matches_rebuild"
+    (Gen.pair C.dag_spec (Gen.list_sized ~min_len:1 (Gen.pair C.edit (Gen.int_range 0 5))))
+    (fun (d, steps) ->
+      let nl = ref (C.build_dag d) in
+      ignore (Netlist.csr !nl);
+      let start = Netlist.copy !nl and left = ref [] in
+      let check what nl =
+        if csr_arrays (Netlist.csr nl) <> csr_arrays (cold_csr nl) then
+          Prop.failf "%s: snapshot differs from a cold build" what
+      in
+      List.iteri
+        (fun i (e, code) ->
+          if code = 5 then Netlist.restore !nl ~from:start;
+          C.apply_edit !nl e;
+          let what = Printf.sprintf "step %d (%s)" i (C.print_edit e) in
+          if code >= 3 then check what !nl;
+          if code = 4 then begin
+            left := !nl :: !left;
+            nl := Netlist.copy !nl
+          end)
+        steps;
+      check "last step" !nl;
+      List.iter (check "a netlist left for its copy") !left)
+
 let () =
   Prop.register ~name:"logic.word_matches_scalar"
     (Gen.make

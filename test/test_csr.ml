@@ -174,7 +174,7 @@ let bits a = Array.map Int64.bits_of_float a
 let snapshot c =
   let module C = Netlist.Csr in
   ( [ C.node_of c; C.pos c; C.level_off c; C.kind_code c; C.vt_code c;
-      C.fanin_off c; C.fanin c; C.fanout_off c; C.fanout c; C.fanout_pins c ],
+      C.fanin_off c; C.fanin c; C.fanout_off c; C.fanout c ],
     [ bits (C.cin c); bits (C.load c) ],
     (C.bound c, C.length c) )
 
