@@ -1,11 +1,12 @@
 (* BENCH_flow.json: the full-chip optimization loop at 10k/100k gates.
    Per shape x size: end-to-end optimize wall time, loop and per-round
    cost, the analysis portion (Flow.analysis_ms: the directly-bracketed
-   re-time / critical-delay / slack-sweep / cone-selection time),
-   allocation per gate, stale-decision counts, and a digest of the final
-   netlist.  A re-run on the ambient pool must reproduce the 1-domain
-   result bit for bit.  One more row is the closure rate: how many of 24
-   generated 10k grids the default flow closes at 0.9x their delay. *)
+   re-time / critical-delay / slack-sweep / cone-selection time), minor
+   and major allocation per gate, stale-decision counts, and a digest of
+   the final netlist.  A re-run on the ambient pool must reproduce the
+   1-domain result bit for bit.  One more row is the closure rate: how
+   many of 24 generated 10k grids the default flow closes at 0.9x their
+   delay. *)
 
 open Harness
 
@@ -18,7 +19,7 @@ let flow_scale () =
       [ ("shape", Table.Left); ("gates", Table.Right);
         ("domains", Table.Right); ("rounds", Table.Right);
         ("ms/round", Table.Right); ("analysis ms/round", Table.Right);
-        ("words/gate", Table.Right) ]
+        ("words/gate", Table.Right); ("major words/gate", Table.Right) ]
   in
   List.iter
     (fun gates ->
@@ -31,18 +32,21 @@ let flow_scale () =
               ~shape:shape_kind
           in
           let tc = 0.9 *. Timing.critical_delay (Timing.analyze ~lib nl) in
+          (* the closure's major-heap words, promoted ones included *)
           let optimize () =
             let target = Netlist.copy nl in
-            (target, Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc target))
+            let major0 = (Gc.quick_stat ()).Gc.major_words in
+            let r = Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc target) in
+            (target, r, (Gc.quick_stat ()).Gc.major_words -. major0)
           in
           let fingerprint (m : _ timed) =
-            let target, r = m.value in
+            let target, r, _ = m.value in
             netlist_fingerprint target ^ "|" ^ report_fingerprint r
           in
           List.iter
             (fun (a : _ at) ->
               let m = a.result in
-              let r = snd m.value in
+              let _, r, major = m.value in
               let rounds =
                 List.fold_left
                   (fun acc (it : Flow.iteration) -> max acc it.Flow.round)
@@ -50,6 +54,7 @@ let flow_scale () =
               in
               let per_round x = x /. float_of_int rounds in
               let words_per_gate = m.words /. float_of_int gates in
+              let major_per_gate = major /. float_of_int gates in
               if a.domains = 1 then
                 Printf.printf "%s/%d: %d rounds, %s, %d stale\n%!" shape gates rounds
                   (Flow.outcome_to_string r.Flow.outcome) r.Flow.stale_decisions;
@@ -62,6 +67,7 @@ let flow_scale () =
                   ("ms_per_round", num (per_round r.Flow.loop_ms));
                   ("analysis_ms_per_round", num (per_round r.Flow.analysis_ms));
                   ("minor_words_per_gate", num words_per_gate);
+                  ("major_words_per_gate", num major_per_gate);
                   ("stale_decisions", int r.Flow.stale_decisions);
                   ("fingerprint", str (fingerprint m)) ];
               Table.add_row t
@@ -69,7 +75,8 @@ let flow_scale () =
                   string_of_int rounds;
                   Table.cell_f ~decimals:2 (per_round r.Flow.loop_ms);
                   Table.cell_f ~decimals:2 (per_round r.Flow.analysis_ms);
-                  Table.cell_f ~decimals:2 words_per_gate ])
+                  Table.cell_f ~decimals:2 words_per_gate;
+                  Table.cell_f ~decimals:2 major_per_gate ])
             (sweep ~counts ~what:(Printf.sprintf "flow_scale %s/%d" shape gates)
                ~fingerprint
                (fun () -> (time ~rounds:1 [| optimize |]).(0))))

@@ -38,13 +38,38 @@ type report = {
   vt : Vt_assign.report option;
 }
 
+(* One edit the loop applies to the netlist, its arguments resolved when
+   it was made: the written size, the off-path consumers a shield takes
+   over.  The log of them is the best-state bookkeeping: replaying a
+   prefix onto the pre-flow copy rebuilds the state it led to, ids and
+   all, because {!Netlist.alloc} hands ids out in order. *)
+type edit =
+  | Resize of int * float
+  | Shield of { after : int; only : int list; cin1 : float; cin2 : float }
+  | Pair of int
+  | De_morgan of int
+
+(* the one place an edit touches the netlist, live and on replay; false
+   when a De Morgan rewrite declines, which changes nothing *)
+let apply t = function
+  | Resize (id, cin) ->
+    Netlist.set_cin t id cin;
+    true
+  | Shield { after; only; cin1; cin2 } ->
+    ignore (Transform.insert_buffer_for ~cin1 ~cin2 t ~after ~only);
+    true
+  | Pair after ->
+    ignore (Transform.insert_buffer t ~after);
+    true
+  | De_morgan id -> Result.is_ok (Transform.de_morgan t id)
+
 (* Map one path-level protocol decision back onto the netlist.  Sizing is
-   a direct write-back through [size] (monotone, journaled by the
-   caller); structural moves go through the logic-preserving Transform
-   surgeries at the node the stage index points to.  After a structural
-   change the stage indexing is stale, so the caller re-runs STA and
-   sizes the fresh critical path on the next round. *)
-let apply_decision ~size t (nodes : int array) (r : Protocol.report) =
+   a direct write-back through [size] (monotone, logged by the caller);
+   structural moves go through [record] (apply and log) at the node the
+   stage index points to.  After a structural change the stage indexing
+   is stale, so the caller re-runs STA and sizes the fresh critical path
+   on the next round. *)
+let apply_decision ~record ~size t (nodes : int array) (r : Protocol.report) =
   let buffers = ref 0 and rewrites = ref 0 in
   if r.Protocol.strategy = Protocol.Sizing_only then
     size (Array.to_list nodes) r.Protocol.sizing
@@ -62,8 +87,10 @@ let apply_decision ~size t (nodes : int array) (r : Protocol.report) =
           in
           if off_path <> [] then begin
             ignore
-              (Transform.insert_buffer_for ~cin1:sh.Buffers.b1 ~cin2:sh.Buffers.b2 t
-                 ~after:node ~only:off_path);
+              (record
+                 (Shield
+                    { after = node; only = off_path; cin1 = sh.Buffers.b1;
+                      cin2 = sh.Buffers.b2 }));
             buffers := !buffers + 2
           end
         end)
@@ -73,7 +100,7 @@ let apply_decision ~size t (nodes : int array) (r : Protocol.report) =
     List.iter
       (fun stage ->
         if stage < Array.length nodes then begin
-          ignore (Transform.insert_buffer t ~after:nodes.(stage));
+          ignore (record (Pair nodes.(stage)));
           buffers := !buffers + 2
         end)
       r.Protocol.pairs;
@@ -83,17 +110,18 @@ let apply_decision ~size t (nodes : int array) (r : Protocol.report) =
     List.iter
       (fun (rw : Pops_core.Restructure.rewrite) ->
         let stage = rw.Pops_core.Restructure.stage in
-        if stage < Array.length nodes && Netlist.node_exists t nodes.(stage) then
-          match Transform.de_morgan t nodes.(stage) with
-          | Ok _ -> incr rewrites
-          | Error _ -> ())
+        if
+          stage < Array.length nodes
+          && Netlist.node_exists t nodes.(stage)
+          && record (De_morgan nodes.(stage))
+        then incr rewrites)
       r.Protocol.rewrites
   end;
   (!buffers, !rewrites)
 
 (* Write-backs are snapped to a 2^-12 relative grid (~0.02%, far below
    any physical sizing precision): once a solver has converged on a
-   gate, the next round's re-solve rewrites the same bits, the journal
+   gate, the next round's re-solve rewrites the same bits, the write-back
    skips the write, and the incremental re-time never hears about it —
    without the snap, sub-ULP solver churn re-dirties the full fan-out
    cone of every sized gate every round. *)
@@ -131,14 +159,6 @@ let size_critical ~size ~lib ~tc ~timing ~phase t =
   in
   size ex.Paths.nodes sizing
 
-(* Best-state bookkeeping without a copy per improving round.  Sizing
-   writes are journaled as (gate, old size); as long as only sizing
-   happened since the best state was seen, that state is [Best_mark]
-   (undo the journal suffix to get back).  The first structural surgery
-   of a round materializes the mark into a real [Best_copy] before the
-   netlist diverges unjournalably. *)
-type best_state = Best_mark of int * float | Best_copy of Netlist.t * float
-
 let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
     ?(k_paths = 3) ?(vt_assign = false) ~lib ~tc t =
   let ref_nl = Netlist.copy t in
@@ -146,7 +166,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   (* The analysis portion of the loop — building or updating
      timing/slacks/selection and reading the critical delay — bracketed
      directly, so the report can separate it from solver time and from
-     bookkeeping (best-state copies, journaling), which a
+     bookkeeping (the edit log, the rewind), which a
      loop-minus-protocol subtraction would misattribute. *)
   let analysis_ms = ref 0. in
   let in_analysis f =
@@ -167,36 +187,12 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   (* structural surgery is speculative: a De Morgan rewrite or shield can
      overshoot and the remaining rounds may never win the delay back.
      Track the best state seen so the run can rewind instead of returning
-     something worse than it ever had.  The initial best IS the reference
-     snapshot — both are only ever read, so no second O(V) copy. *)
-  let journal = ref [] and journal_len = ref 0 in
-  let best = ref (Best_copy (ref_nl, initial_delay)) in
-  let best_delay () =
-    match !best with Best_mark (_, d) | Best_copy (_, d) -> d
-  in
-  (* rewind the journaled sizing writes made after the [keep] mark onto
-     [nl]; newest first, so re-sized gates land on their oldest value *)
-  let undo_suffix nl keep =
-    let n = !journal_len - keep in
-    let rec go i = function
-      | (id, old) :: rest when i < n ->
-        Netlist.set_cin nl id old;
-        go (i + 1) rest
-      | _ -> ()
-    in
-    go 0 !journal
-  in
-  let materialize () =
-    match !best with
-    | Best_copy _ -> ()
-    | Best_mark (keep, d) ->
-      let snap = Netlist.copy t in
-      undo_suffix snap keep;
-      best := Best_copy (snap, d);
-      journal := [];
-      journal_len := 0
-  in
-  (* monotone journaled write-back: never shrink a gate below its current
+     something worse than it ever had.  The best state is a prefix of the
+     edit log (newest first), replayed onto the reference copy the
+     equivalence check keeps anyway: no copy per improving round. *)
+  let log = ref [] and best = ref (0, initial_delay) in
+  let record e = apply t e && (log := e :: !log; true) in
+  (* monotone logged write-back: never shrink a gate below its current
      size, so cones sharing a gate cannot degrade each other across
      rounds; bitwise no-op writes are skipped (no dirty-log traffic) *)
   let size nodes sizing =
@@ -204,11 +200,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
       (fun i id ->
         let current = (Netlist.node t id).Netlist.cin in
         let v = Float.max current (quantize sizing.(i)) in
-        if v <> current then begin
-          journal := (id, current) :: !journal;
-          incr journal_len;
-          Netlist.set_cin t id v
-        end)
+        if v <> current then ignore (record (Resize (id, v))))
       nodes
   in
   let buffers_added = ref 0 and rewrites_total = ref 0 in
@@ -221,7 +213,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   let segments_avail = ref 1 in
   let rec loop round phase prev_delay =
     let d = in_analysis (fun () -> Timing.critical_delay timing) in
-    if d < best_delay () then best := Best_mark (!journal_len, d);
+    if d < snd !best then best := (List.length !log, d);
     if d <= tc *. (1. +. 1e-6) +. 0.02 then Met
     else if round > max_rounds then Budget_exhausted
     else if
@@ -323,8 +315,9 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
           | Some _ when not (List.for_all (Netlist.node_exists t) ex.Paths.nodes)
             -> incr stale_decisions
           | Some r ->
-            if r.Protocol.strategy <> Protocol.Sizing_only then materialize ();
-            let b, rw = apply_decision ~size t (Array.of_list ex.Paths.nodes) r in
+            let b, rw =
+              apply_decision ~record ~size t (Array.of_list ex.Paths.nodes) r
+            in
             buffers_added := !buffers_added + b;
             rewrites_total := !rewrites_total + rw;
             if b > 0 || rw > 0 then structural_change := true;
@@ -350,14 +343,19 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
     end
   in
   let outcome = loop 1 0 Float.infinity in
-  (* rewind if the exploration ended worse than its best state; the
-     persistent analysis resyncs off the rewind's dirty entries *)
+  (* rewind if the exploration ended worse than its best state: back to
+     the reference, then the log's oldest edits up to the best mark, in
+     order; the persistent analysis resyncs off the rewind's dirty
+     entries *)
   let final_delay =
     let d = Timing.critical_delay timing in
-    if d > best_delay () then begin
-      (match !best with
-      | Best_mark (keep, _) -> undo_suffix t keep
-      | Best_copy (snap, _) -> Netlist.restore t ~from:snap);
+    let keep, best_delay = !best in
+    if d > best_delay then begin
+      Netlist.restore t ~from:ref_nl;
+      let newer = List.length !log - keep in
+      List.iter
+        (fun e -> ignore (apply t e))
+        (List.rev (List.filteri (fun i _ -> i >= newer) !log));
       Timing.critical_delay timing
     end
     else d

@@ -857,6 +857,15 @@ let csr t =
 
 (* --- validation ------------------------------------------------------ *)
 
+(* whether [f] is among the first [i] entries of [fi] *)
+let rec read_before (fi : int array) f i =
+  i > 0 && (fi.(i - 1) = f || read_before fi f (i - 1))
+
+(* pin [i] is the first to read its driver, an id below [bound] *)
+let distinct_pin (fi : int array) i bound =
+  let f = fi.(i) in
+  f >= 0 && f < bound && not (read_before fi f i)
+
 (* Consumers-by-driver CSR derived from the fanin arrays, each distinct
    (driver, consumer) pair once — the same dedup contract the fanout
    lists maintain.  Flat int arrays only, so the two-way fanout-list /
@@ -865,21 +874,15 @@ let csr t =
    see test_csr). *)
 let consumer_csr t =
   let bound = max 1 t.next_id in
-  let distinct_iter (n : node) k =
-    Array.iteri
-      (fun i f ->
-        let dup = ref false in
-        for j = 0 to i - 1 do
-          if n.fanins.(j) = f then dup := true
-        done;
-        if (not !dup) && f >= 0 && f < bound then k f)
-      n.fanins
-  in
   let off = Array.make (bound + 1) 0 in
   for id = 0 to t.next_id - 1 do
     match t.nodes.(id) with
     | None -> ()
-    | Some n -> distinct_iter n (fun f -> off.(f + 1) <- off.(f + 1) + 1)
+    | Some n ->
+      for i = 0 to Array.length n.fanins - 1 do
+        if distinct_pin n.fanins i bound then
+          off.(n.fanins.(i) + 1) <- off.(n.fanins.(i) + 1) + 1
+      done
   done;
   for f = 0 to bound - 1 do
     off.(f + 1) <- off.(f + 1) + off.(f)
@@ -890,105 +893,75 @@ let consumer_csr t =
     match t.nodes.(id) with
     | None -> ()
     | Some n ->
-      distinct_iter n (fun f ->
+      for i = 0 to Array.length n.fanins - 1 do
+        if distinct_pin n.fanins i bound then begin
+          let f = n.fanins.(i) in
           consumers.(cur.(f)) <- id;
-          cur.(f) <- cur.(f) + 1)
+          cur.(f) <- cur.(f) + 1
+        end
+      done
   done;
   (off, consumers)
+
+(* stamp [f] on the in-range consumers a fanout list names; returns how
+   many entries it names *)
+let rec stamp_listed stamp f bound listed = function
+  | [] -> listed
+  | c :: rest ->
+    if c >= 0 && c < bound then stamp.(c) <- f;
+    stamp_listed stamp f bound (listed + 1) rest
 
 (* The forward direction of fanout-list consistency: every actual
    consumer (per the fanin arrays) must be named by its driver's fanout
    list, and the list must not name anyone twice.  [emit] receives
-   [`Missing (driver, consumer)] or [`Duplicate driver] and returns
-   [true] to stop early (fail-fast validate) or [false] to keep
-   sweeping (validate_diags).  Listed-but-wrong entries are the backward
-   direction, checked per node by the callers. *)
+   [`Missing (driver, consumer)] or [`Duplicate driver].  Listed-but-wrong
+   entries are the backward direction, checked per node by the caller. *)
 let check_fanout_sync t emit =
   let off, consumers = consumer_csr t in
   let bound = max 1 t.next_id in
   (* stamp = f marks the consumers f's fanout list names this round *)
   let stamp = Array.make bound (-1) in
-  try
-    for f = 0 to t.next_id - 1 do
-      match t.nodes.(f) with
-      | None -> ()
-      | Some n ->
-        let listed = ref 0 in
-        List.iter
-          (fun c ->
-            if c >= 0 && c < bound then stamp.(c) <- f;
-            incr listed)
-          n.fanouts;
-        for i = off.(f) to off.(f + 1) - 1 do
-          let c = consumers.(i) in
-          if stamp.(c) <> f && emit (`Missing (f, c)) then raise Exit
-        done;
-        if !listed > off.(f + 1) - off.(f) && emit (`Duplicate f) then
-          raise Exit
-    done
-  with Exit -> ()
+  for f = 0 to t.next_id - 1 do
+    match t.nodes.(f) with
+    | None -> ()
+    | Some n ->
+      let listed = stamp_listed stamp f bound 0 n.fanouts in
+      for i = off.(f) to off.(f + 1) - 1 do
+        if stamp.(consumers.(i)) <> f then emit (`Missing (f, consumers.(i)))
+      done;
+      if listed > off.(f + 1) - off.(f) then emit (`Duplicate f)
+  done
 
-let validate t =
-  let ids = live_ids t in
-  let check_node id =
-    let n = node t id in
-    let arity_ok =
-      match n.kind with
-      | Primary_input -> Array.length n.fanins = 0
-      | Cell kind -> Array.length n.fanins = Gk.arity kind
-    in
-    if not arity_ok then Error (Printf.sprintf "node %d: arity mismatch" id)
-    else if Array.exists (fun f -> not (node_exists t f)) n.fanins then
-      Error (Printf.sprintf "node %d: dangling fanin" id)
-    else if List.exists (fun c -> not (node_exists t c)) n.fanouts then
-      Error (Printf.sprintf "node %d: dangling fanout" id)
-    else if
-      List.exists
-        (fun c -> not (Array.exists (fun f -> f = id) (node t c).fanins))
-        n.fanouts
-    then Error (Printf.sprintf "node %d: fanout without matching fanin" id)
-    else if (match n.kind with Cell _ -> n.cin <= 0. | Primary_input -> false) then
-      Error (Printf.sprintf "node %d: non-positive cin" id)
-    else Ok ()
-  in
-  let rec all = function
-    | [] -> Ok ()
-    | id :: rest -> ( match check_node id with Ok () -> all rest | Error _ as e -> e)
-  in
-  match all ids with
-  | Error _ as e -> e
-  | Ok () -> (
-    let sync = ref None in
-    check_fanout_sync t (fun problem ->
-        (sync :=
-           match problem with
-           | `Missing (_, c) ->
-             Some (Printf.sprintf "node %d: fanout list out of sync" c)
-           | `Duplicate f ->
-             Some (Printf.sprintf "node %d: duplicate fanout entries" f));
-        true);
-    match !sync with
-    | Some e -> Error e
-    | None -> (
-      match topological_order t with
-      | (_ : int list) -> Ok ()
-      | exception Failure msg -> Error msg
-      | exception Diag.Fatal d -> Error (Diag.one_line d)))
-
-(* The diagnostic validation pass: unlike {!validate} it does not stop
-   at the first problem — every violation becomes one {!Diag.t}, so a
-   front end can report the whole state of a malformed netlist at once.
-   [name] renders node ids (the CLI passes the .bench signal names). *)
+(* The validation pass: it does not stop at the first problem — every
+   violation becomes one {!Diag.t}, so a front end can report the whole
+   state of a malformed netlist at once.  [name] renders node ids (the
+   CLI passes the .bench signal names). *)
 let validate_diags ?name t =
   let render id =
     match name with Some f -> f id | None -> Printf.sprintf "n%d" id
   in
   let diags = ref [] in
   let add d = diags := d :: !diags in
+  (* the backward direction: each listed consumer exists and reads [id] *)
+  let rec check_listed id = function
+    | [] -> ()
+    | c :: rest ->
+      (if not (node_exists t c) then
+         add
+           (Diag.makef Diag.Netlist_dangling ~subject:(render id)
+              "fan-out references deleted node %d" c)
+       else
+         let fi = (node t c).fanins in
+         if not (read_before fi id (Array.length fi)) then
+           add
+             (Diag.makef Diag.Netlist_dangling ~subject:(render id)
+                "fan-out %s does not read this net" (render c)));
+      check_listed id rest
+  in
   (* [render] allocates per call — only pay for it on nodes that
      actually produce a diagnostic, never per visited node.  A direct id
-     sweep (no live_ids list) keeps the pass allocation-free on a clean
-     netlist. *)
+     sweep (no live_ids list), loops and top-level helpers instead of a
+     closure per node keep the pass allocation-free on a clean netlist. *)
   for id = 0 to t.next_id - 1 do
     match t.nodes.(id) with
     | None -> ()
@@ -1010,24 +983,13 @@ let validate_diags ?name t =
           add
             (Diag.makef Diag.Netlist_bad_cin ~subject:(render id)
                "non-positive input capacitance %g fF" n.cin));
-      Array.iter
-        (fun f ->
-          if not (node_exists t f) then
-            add
-              (Diag.makef Diag.Netlist_dangling ~subject:(render id)
-                 "fan-in references deleted node %d" f))
-        n.fanins;
-      List.iter
-        (fun c ->
-          if not (node_exists t c) then
-            add
-              (Diag.makef Diag.Netlist_dangling ~subject:(render id)
-                 "fan-out references deleted node %d" c)
-          else if not (Array.exists (fun f -> f = id) (node t c).fanins) then
-            add
-              (Diag.makef Diag.Netlist_dangling ~subject:(render id)
-                 "fan-out %s does not read this net" (render c)))
-        n.fanouts;
+      for i = 0 to Array.length n.fanins - 1 do
+        if not (node_exists t n.fanins.(i)) then
+          add
+            (Diag.makef Diag.Netlist_dangling ~subject:(render id)
+               "fan-in references deleted node %d" n.fanins.(i))
+      done;
+      check_listed id n.fanouts;
       (match n.kind with
       | Cell _ when n.fanouts = [] && Float.is_nan t.out_load.(id) ->
         add
@@ -1035,17 +997,15 @@ let validate_diags ?name t =
              "gate drives nothing and is not a primary output")
       | _ -> ())
   done;
-  check_fanout_sync t (fun problem ->
-      (match problem with
-      | `Missing (f, c) ->
-        add
-          (Diag.makef Diag.Netlist_dangling ~subject:(render c)
-             "fan-out list of %s misses this consumer" (render f))
-      | `Duplicate f ->
-        add
-          (Diag.makef Diag.Internal ~subject:(render f)
-             "fan-out list names a consumer twice"));
-      false);
+  check_fanout_sync t (function
+    | `Missing (f, c) ->
+      add
+        (Diag.makef Diag.Netlist_dangling ~subject:(render c)
+           "fan-out list of %s misses this consumer" (render f))
+    | `Duplicate f ->
+      add
+        (Diag.makef Diag.Internal ~subject:(render f)
+           "fan-out list names a consumer twice"));
   (* the level cache doubles as an acyclicity certificate: rebuilding it
      raises on a cycle, and on a clean netlist it is already valid — so
      the expensive residual-Kahn cycle walk only runs when needed *)
@@ -1056,6 +1016,12 @@ let validate_diags ?name t =
     | Some _ as cycle -> add (cycle_diag_of ?name cycle)
     | None -> add (Diag.make Diag.Netlist_cycle "combinational cycle detected")));
   List.rev !diags
+
+(* the first error among the diagnostics, on one line *)
+let validate t =
+  match List.find_opt (fun d -> d.Diag.severity = Diag.Error) (validate_diags t) with
+  | Some d -> Error (Diag.one_line d)
+  | None -> Ok ()
 
 let kind_histogram t =
   let tbl = Hashtbl.create 16 in

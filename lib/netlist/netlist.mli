@@ -236,7 +236,8 @@ val live_count : t -> int
 
 val validate : t -> (unit, string) result
 (** Full invariant check: arities, dangling ids, fanin/fanout symmetry,
-    acyclicity, positive sizes.  Stops at the first violation. *)
+    acyclicity, positive sizes.  The first error-severity diagnostic of
+    {!validate_diags}, on one line. *)
 
 val validate_diags : ?name:(int -> string) -> t -> Pops_robust.Diag.t list
 (** The diagnostic validation pass behind {!validate}: reports {e every}

@@ -730,37 +730,37 @@ let node_worst t id =
   | true, false -> (Edge.Falling, arrival t id Edge.Falling)
   | true, true -> raise Not_found
 
+(* The first output, in [Netlist.outputs] order, whose worst arrival is
+   the maximum: [node_worst]'s edge pick (rising on ties and when falling
+   is undefined) read straight from the slots, so no arrival record is
+   built per output.  Deleted or unreachable endpoints have NaN arrivals
+   and drop out like [node_worst]'s Not_found. *)
 let critical_endpoint t =
   update t;
-  let best = ref None in
-  List.iter
-    (fun (id, _) ->
-      match node_worst t id with
-      | edge, a -> (
-        match !best with
-        | Some (_, _, b) when b.time >= a.time -> ()
-        | Some _ | None -> best := Some (id, edge, a))
-      | exception Not_found -> ())
-    (Netlist.outputs t.netlist);
-  !best
-
-(* Same value as [critical_endpoint]'s arrival time (max is
-   order-independent), from a flat pass over the outputs' arrival slots
-   without the per-output arrival records.  Deleted or unreachable
-   endpoints have NaN arrivals and drop out exactly like their Not_found
-   in the record walk; no defined endpoint reads 0. *)
-let critical_delay t =
-  update t;
-  let best = ref Float.nan in
+  let best = ref (-1) and time = ref Float.nan in
   List.iter
     (fun (id, _) ->
       if id >= 0 && id < t.cap then begin
         let r = t.arr.(4 * id) and f = t.arr.((4 * id) + 2) in
-        if (not (Float.is_nan r)) && not (r <= !best) then best := r;
-        if (not (Float.is_nan f)) && not (f <= !best) then best := f
+        (* a strictly later arrival on either edge takes over; the
+           edge is picked only then, off the hot comparison *)
+        if
+          r > !time || f > !time
+          || (!best < 0 && not (Float.is_nan r && Float.is_nan f))
+        then begin
+          best := id;
+          time := if Float.is_nan f || r >= f then r else f
+        end
       end)
     (Netlist.outputs t.netlist);
-  if Float.is_nan !best then 0. else !best
+  if !best < 0 then None
+  else Some (!best, if t.arr.(4 * !best) = !time then Edge.Rising else Edge.Falling)
+
+(* the critical endpoint's arrival; 0 when no output has one *)
+let critical_delay t =
+  match critical_endpoint t with
+  | Some (id, edge) -> t.arr.((4 * id) + edge_off edge)
+  | None -> 0.
 
 let backtrack t id edge =
   let rec go id edge acc =
@@ -773,7 +773,7 @@ let backtrack t id edge =
 
 let critical_path t =
   match critical_endpoint t with
-  | Some (id, edge, _) -> backtrack t id edge
+  | Some (id, edge) -> backtrack t id edge
   | None -> []
 
 let path_through t id =

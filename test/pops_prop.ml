@@ -24,6 +24,7 @@ module Netlist = Pops_netlist.Netlist
 module Logic = Pops_netlist.Logic
 module Transform = Pops_netlist.Transform
 module Bench_io = Pops_netlist.Bench_io
+module Generator = Pops_netlist.Generator
 module Timing = Pops_sta.Timing
 module Flow = Pops_flow.Flow
 module Transient = Pops_spice.Transient
@@ -947,9 +948,37 @@ let () =
             Prop.failf "node %d: incremental slack %.17g <> fresh %.17g" id a b)
         (Netlist.inputs nl @ Netlist.gate_ids nl))
 
+(* two disjoint copies of [nl] in one netlist, each output designated
+   right after its twin: every arrival has a bit-identical twin, so the
+   worst endpoint is always a tie *)
+let twin nl =
+  let d = Netlist.create (Netlist.tech nl) in
+  let copy () =
+    let map = Array.make (Netlist.id_bound nl) (-1) in
+    List.iter
+      (fun id ->
+        let n = Netlist.node nl id in
+        map.(id) <-
+          (match n.Netlist.kind with
+          | Netlist.Primary_input -> Netlist.add_input d
+          | Netlist.Cell k ->
+            Netlist.add_gate ~cin:n.Netlist.cin ~wire:n.Netlist.wire d k
+              (Array.map (fun f -> map.(f)) n.Netlist.fanins)))
+      (Netlist.topological_order nl);
+    map
+  in
+  let a = copy () in
+  let b = copy () in
+  List.iter
+    (fun (id, load) ->
+      Netlist.set_output d a.(id) ~load;
+      Netlist.set_output d b.(id) ~load)
+    (Netlist.outputs nl);
+  d
+
 let () =
   Prop.register ~name:"sta.critical_path_consistent" C.dag_spec (fun d ->
-      let nl = C.build_dag d in
+      let nl = twin (C.build_dag d) in
       let lib = C.library (Netlist.tech nl) in
       let t = Timing.analyze ~lib nl in
       let path = Timing.critical_path t in
@@ -975,7 +1004,15 @@ let () =
       in
       requiref (worst = Timing.critical_delay t)
         "critical delay %.17g is not the max over outputs %.17g" (Timing.critical_delay t)
-        worst)
+        worst;
+      (* ties go to the first output in designation order *)
+      let first, _ =
+        List.find
+          (fun (id, _) -> (snd (Timing.node_worst t id)).Timing.time = worst)
+          (Netlist.outputs nl)
+      in
+      requiref (last = first)
+        "critical path ends at %d, the first output at the max is %d" last first)
 
 (* ================================================================== *)
 (* flow                                                                *)
@@ -1001,6 +1038,44 @@ let () =
         requiref (r.Flow.final_delay <= tc +. 1e-6)
           "outcome Met but final delay %.6g > tc %.6g" r.Flow.final_delay tc
       | Flow.No_progress | Flow.Budget_exhausted -> ())
+
+(* The rewind replays a prefix of the flow's edit log onto the pre-flow
+   copy; most of these closures overshoot and rewind.  The netlist it
+   lands on must be the best state the run saw: a cold analysis reads
+   the reported final delay bit for bit, and no round started faster. *)
+let () =
+  let shape =
+    Gen.pick ~print:Generator.scale_shape_name [| Generator.Grid; Generator.Iscas |]
+  in
+  Prop.register ~cases:240 ~name:"flow.rewind_lands_on_best"
+    (Gen.pair
+       (Gen.triple (Gen.int_range 1 1_000_000) (Gen.int_range 100 300)
+          (Gen.float_range 0.5 0.85))
+       shape)
+    (fun ((seed, gates, ratio), shape) ->
+      let nl =
+        Generator.generate_scale Tech.cmos025 ~name:(Printf.sprintf "r%d" seed) ~gates
+          ~shape
+      in
+      let lib = C.library Tech.cmos025 in
+      let tc = ratio *. Timing.critical_delay (Timing.analyze ~lib nl) in
+      let r = Pops_robust.Outcome.get (Flow.optimize_o ~lib ~tc nl) in
+      let cold = Timing.critical_delay (Timing.analyze ~lib nl) in
+      requiref
+        (Int64.bits_of_float cold = Int64.bits_of_float r.Flow.final_delay)
+        "final delay %.17g, a cold analysis reads %.17g" r.Flow.final_delay cold;
+      requiref (r.Flow.final_delay <= r.Flow.initial_delay)
+        "final delay %.17g above the initial %.17g" r.Flow.final_delay
+        r.Flow.initial_delay;
+      List.iter
+        (fun (it : Flow.iteration) ->
+          requiref (r.Flow.final_delay <= it.Flow.critical_delay)
+            "final delay %.17g above round %d's start %.17g" r.Flow.final_delay
+            it.Flow.round it.Flow.critical_delay)
+        r.Flow.iterations;
+      match r.Flow.equivalence with
+      | Ok () -> ()
+      | Error e -> Prop.failf "flow broke logic equivalence: %s" e)
 
 (* ================================================================== *)
 (* rng and pool                                                        *)

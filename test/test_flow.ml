@@ -131,6 +131,28 @@ let test_flow_no_stalls () =
   in
   Alcotest.(check int) "solver-stalled diagnostics" 0 (List.length stalls)
 
+(* the rewind to the best state: this grid overshoots at 0.8x and ends
+   no-progress after rewinding to a state the log replays onto the
+   pre-flow copy.  The digest of the final netlist is the one the
+   best-state copies gave before the edit log replaced them. *)
+let test_flow_rewind_golden () =
+  let t = Generator.generate_scale tech ~name:"g1" ~gates:500 ~shape:Generator.Grid in
+  let tc = 0.8 *. sta_delay t in
+  let r = optimize ~lib ~tc t in
+  Alcotest.(check string) "outcome" "no-progress" (Flow.outcome_to_string r.Flow.outcome);
+  Alcotest.(check int) "buffer inverters" 46 r.Flow.buffers_added;
+  Alcotest.(check int) "rewrites" 13 r.Flow.rewrites;
+  Alcotest.(check int) "iterations" 15 (List.length r.Flow.iterations);
+  List.iter
+    (fun (it : Flow.iteration) ->
+      if r.Flow.final_delay > it.Flow.critical_delay then
+        Alcotest.failf "final %.17g above round %d's start %.17g" r.Flow.final_delay
+          it.Flow.round it.Flow.critical_delay)
+    r.Flow.iterations;
+  Alcotest.(check bool) "equivalence kept" true (r.Flow.equivalence = Ok ());
+  Alcotest.(check string) "final netlist digest" "aa6a82741e42e949833fcf811e712e72"
+    (Digest.to_hex (Digest.string (Pops_netlist.Bench_io.to_string t)))
+
 (* a stray POPS_FAULT must not perturb this deterministic suite;
    fault behaviour is covered by pops_prop and test_core's ladder *)
 let () = Pops_check.Fault.clear ()
@@ -149,6 +171,8 @@ let () =
             test_stall_diagnostics_carry_step;
           Alcotest.test_case "no solver stalls on c1908 at 0.75x" `Quick
             test_flow_no_stalls;
+          Alcotest.test_case "rewind golden: g1 500-gate grid at 0.8x" `Quick
+            test_flow_rewind_golden;
           qtest prop_flow_keeps_logic_and_validity;
         ] );
     ]

@@ -97,6 +97,24 @@ let test_copy_independent () =
   Netlist.set_cin t g 42.;
   Alcotest.(check bool) "copy unaffected" true ((Netlist.node c g).Netlist.cin <> 42.)
 
+(* a clean netlist validates without a minor-heap word per node: the
+   sweep runs loops and top-level helpers, not a closure per fan-in or
+   fan-out list; only the consumer CSR's arrays, on the major heap, are
+   left *)
+let test_validate_diags_allocation () =
+  List.iter
+    (fun shape ->
+      let t = Generator.generate_scale tech ~name:"valloc" ~gates:10_000 ~shape in
+      let w0 = Gc.minor_words () in
+      let diags = Netlist.validate_diags t in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "clean" 0 (List.length diags);
+      let nodes = Netlist.live_count t in
+      if words >= float_of_int nodes then
+        Alcotest.failf "%s: validate_diags allocated %.0f minor words for %d nodes"
+          (Generator.scale_shape_name shape) words nodes)
+    [ Generator.Grid; Generator.Iscas ]
+
 (* the cached designation-order views follow every mutator of the two
    lists, and a repeated query returns the same list *)
 let test_designation_views () =
@@ -675,6 +693,8 @@ let () =
           Alcotest.test_case "topological order" `Quick test_topological_order;
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "designation-order views" `Quick test_designation_views;
+          Alcotest.test_case "validate_diags allocation" `Quick
+            test_validate_diags_allocation;
         ] );
       ( "logic",
         [
