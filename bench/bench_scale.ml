@@ -2,8 +2,11 @@
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
    analyze vs the pre-refactor reference, incremental update under resize
    and buffer-insertion traffic, the arena k-worst, and (up to 100k) logic equivalence and
-   power on the snapshot.  Minor-words-per-gate budgets guard the
-   allocation-free inner loops: a regression fails the run. *)
+   power on the snapshot, and (up to 100k, plus an inverter chain) the
+   .bench parse with the text written either way round.  Minor-words-
+   per-gate budgets guard the allocation-free inner loops: a regression
+   fails the run, and so does an outputs-first parse over 2x the
+   inputs-first one. *)
 
 open Harness
 
@@ -136,10 +139,75 @@ let sta_scale () =
           ~budget:power_budget pw.ns
       end)
     cases;
+  (* intake: Bench_io.parse_o on a text written inputs-first (each
+     definition before its uses, as to_string prints) and outputs-first
+     (its lines reversed).  The parse is linear in either order, so
+     outputs-first must cost under 2x inputs-first. *)
+  let chain gates =
+    let b = Buffer.create (16 * gates) in
+    Buffer.add_string b "INPUT(a)\n";
+    for i = 0 to gates - 1 do
+      Printf.bprintf b "g%d = NOT(%s)\n" i (if i = 0 then "a" else Printf.sprintf "g%d" (i - 1))
+    done;
+    Printf.bprintf b "OUTPUT(g%d)\n" (gates - 1);
+    Buffer.contents b
+  in
+  let parse_cases =
+    List.concat_map
+      (fun gates ->
+        if gates > 100_000 then []
+        else
+          List.map
+            (fun shape_kind ->
+              ( Generator.scale_shape_name shape_kind,
+                gates,
+                fun () ->
+                  Bench_io.to_string
+                    (Generator.generate_scale tech ~name:(Printf.sprintf "scale%d" gates)
+                       ~gates ~shape:shape_kind) ))
+            [ Generator.Grid; Generator.Iscas ])
+      sizes
+    @ List.map
+        (fun gates -> ("chain", gates, fun () -> chain gates))
+        (if !smoke then [ 8_000 ] else [ 8_000; 100_000 ])
+  in
+  List.iter
+    (fun (shape, gates, text) ->
+      let text = text () in
+      let reversed = String.concat "\n" (List.rev (String.split_on_char '\n' text)) in
+      let parse text () =
+        match Bench_io.parse_o tech text with
+        | Pops_robust.Outcome.Failed d -> Error (Pops_robust.Diag.one_line d)
+        | Pops_robust.Outcome.Exact (nl, _) | Pops_robust.Outcome.Degraded ((nl, _), _) ->
+          Ok (Netlist.gate_count nl)
+      in
+      let m = time ~rounds:7 [| parse text; parse reversed |] in
+      if m.(0).value <> m.(1).value || Result.is_error m.(0).value then
+        fail "sta_scale: bench_parse %s/%d: the two orders parse differently" shape gates;
+      let ratio = m.(1).ns /. m.(0).ns in
+      if ratio > 2. then
+        fail "sta_scale: bench_parse %s/%d: outputs-first costs %.2fx inputs-first (budget 2x)"
+          shape gates ratio;
+      List.iteri
+        (fun k order ->
+          emit "BENCH_scale.json"
+            ([ ("kernel", str "bench_parse"); ("shape", str shape); ("order", str order);
+               ("gates", int gates); ("domains", int 1); ("ns_per_op", num m.(k).ns);
+               ("minor_words_per_gate", num (m.(k).words /. float_of_int gates)) ]
+            @ (if k = 1 then [ ("vs_inputs_first", num ratio) ] else [])
+            @ [ ("unmeasurable", Json.Bool false) ]);
+          Table.add_row t
+            [ Printf.sprintf "bench_parse %s %s" shape order; string_of_int gates;
+              Table.cell_f ~decimals:2 (m.(k).ns /. 1e6);
+              Table.cell_f ~decimals:2 (m.(k).words /. float_of_int gates);
+              (if k = 1 then Printf.sprintf "%.2fx" ratio else "-") ])
+        [ "inputs-first"; "outputs-first" ])
+    parse_cases;
   Table.print t;
   Printf.printf
     "shape check: analyze cost grows linearly in gate count while minor\n\
      words/gate stay flat (the inner loops allocate nothing per node);\n\
      incremental update stays orders of magnitude under a full analyze,\n\
      and under 3 full analyses after a buffer insertion;\n\
-     logic equivalence and power stay within their word budgets.\n"
+     logic equivalence and power stay within their word budgets;\n\
+     a .bench text parses outputs-first within 2x of inputs-first.\n"

@@ -493,14 +493,6 @@ let flow_cmd =
 (* bench-file: work on ISCAS .bench netlists                           *)
 (* ------------------------------------------------------------------ *)
 
-let name_fn names =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (name, id) -> Hashtbl.replace tbl id name) names;
-  fun id ->
-    match Hashtbl.find_opt tbl id with
-    | Some n -> n
-    | None -> Printf.sprintf "n%d" id
-
 let run_bench_file file do_flow tc_ps tc_ratio vt_assign out =
   match Pops_netlist.Bench_io.parse_file_o tech file with
   | Outcome.Failed d ->
@@ -521,8 +513,8 @@ let run_bench_file file do_flow tc_ps tc_ratio vt_assign out =
         let tc = match tc_ps with Some tc -> tc | None -> tc_ratio *. d0 in
         Printf.printf "optimizing to Tc = %.1f ps ...\n" tc;
         finish_flow
-          (Pops_flow.Flow.optimize_o ~vt_assign ~name:(name_fn names) ~lib ~tc
-             nl)
+          (Pops_flow.Flow.optimize_o ~vt_assign
+             ~name:(Pops_netlist.Bench_io.name_fn names) ~lib ~tc nl)
       end
       else 0
     in

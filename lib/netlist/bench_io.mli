@@ -37,19 +37,32 @@ val parse_diag : Pops_process.Tech.t -> ?out_load:float -> string ->
     statements, [Bench_truncated] when the error sits on the last
     statement of the input with an unclosed call (a file cut off
     mid-gate), [Netlist_cycle] naming the actual combinational loop
-    through the .bench signal names. *)
+    through the .bench signal names.
+
+    The parse is linear in the text whatever order its statements are
+    in.  Node ids follow the sources (INPUTs and DFF outputs, in line
+    order), then the gates in (pass, line) order: the order repeated
+    line-order passes over the not-yet-built gates would build them. *)
 
 val parse_o : Pops_process.Tech.t -> ?out_load:float -> string ->
   (Netlist.t * names) Pops_robust.Outcome.t
 (** {!parse_diag} as an {!Pops_robust.Outcome}: a netlist that parses
     but carries quality warnings from {!Netlist.validate_diags} (e.g.
     zero-fanout gates) comes back [Degraded] with those diagnostics
-    attached. *)
+    attached, named through the signal names.  Both run the validation
+    sweep once: its first error fails the parse, its warnings are the
+    degradation. *)
 
 val parse_file_o : Pops_process.Tech.t -> ?out_load:float -> string ->
   (Netlist.t * names) Pops_robust.Outcome.t
 (** {!parse_o} on a file; an unreadable path is [Failed] with an
     [Invalid_input] diagnostic instead of a raised [Sys_error]. *)
+
+val name_fn : names -> int -> string
+(** [name_fn names] renders node ids as their signal names, for
+    diagnostics ({!Netlist.validate_diags}'s [name]) and printing: a
+    node with several names gets the last one in list order, an unnamed
+    node [n<id>]. *)
 
 val to_string : ?names:names -> Netlist.t -> string
 (** Print a netlist in [.bench] syntax.  [names] (as returned by

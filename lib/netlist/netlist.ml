@@ -163,18 +163,17 @@ let dirty_since t cursor =
 let invalidate_load t id = if id < t.next_id then t.load_cache.(id) <- Float.nan
 
 (* mark every distinct fan-in source of [n]: their driven load changed *)
+let rec read_before (fi : int array) f i =
+  i > 0 && (fi.(i - 1) = f || read_before fi f (i - 1))
+
 let touch_fanin_loads t (n : node) =
-  Array.iteri
-    (fun i f ->
-      let dup = ref false in
-      for j = 0 to i - 1 do
-        if n.fanins.(j) = f then dup := true
-      done;
-      if not !dup then begin
-        invalidate_load t f;
-        mark_dirty t f
-      end)
-    n.fanins
+  for i = 0 to Array.length n.fanins - 1 do
+    let f = n.fanins.(i) in
+    if not (read_before n.fanins f i) then begin
+      invalidate_load t f;
+      mark_dirty t f
+    end
+  done
 
 (* --- levels and order ----------------------------------------------- *)
 
@@ -319,10 +318,12 @@ let compute_level t (n : node) =
   match n.kind with
   | Primary_input -> 0
   | Cell _ ->
-    1
-    + Array.fold_left
-        (fun acc f -> if node_exists t f then Int.max acc t.level.(f) else acc)
-        0 n.fanins
+    let l = ref 0 in
+    for i = 0 to Array.length n.fanins - 1 do
+      let f = n.fanins.(i) in
+      if node_exists t f then l := Int.max !l t.level.(f)
+    done;
+    1 + !l
 
 (* re-propagate levels over the fan-out cone of [id] while they change;
    if a level climbs past the live-node count something is cyclic, so
@@ -434,19 +435,15 @@ let alloc t kind fanins cin wire =
   (* fanout lists hold each consumer once, even when it reads the same
      source on several pins; dedup scans the (tiny) fanin prefix instead
      of the source's whole fanout list *)
-  Array.iteri
-    (fun i f ->
-      let dup = ref false in
-      for j = 0 to i - 1 do
-        if fanins.(j) = f then dup := true
-      done;
-      if not !dup then begin
-        let src = node t f in
-        src.fanouts <- id :: src.fanouts;
-        invalidate_load t f;
-        mark_dirty t f
-      end)
-    fanins;
+  for i = 0 to Array.length fanins - 1 do
+    let f = fanins.(i) in
+    if not (read_before fanins f i) then begin
+      let src = node t f in
+      src.fanouts <- id :: src.fanouts;
+      invalidate_load t f;
+      mark_dirty t f
+    end
+  done;
   t.load_cache.(id) <- Float.nan;
   if t.levels_valid then t.level.(id) <- compute_level t n;
   (* a fresh node has no consumers, so appending keeps any cached order
@@ -469,11 +466,10 @@ let add_gate ?cin ?(wire = 0.) t kind fanins =
     invalid_arg
       (Printf.sprintf "Netlist.add_gate: %s expects %d fanins, got %d" (Gk.name kind)
          (Gk.arity kind) (Array.length fanins));
-  Array.iter
-    (fun f ->
-      if not (node_exists t f) then
-        invalid_arg (Printf.sprintf "Netlist.add_gate: unknown fanin %d" f))
-    fanins;
+  for i = 0 to Array.length fanins - 1 do
+    if not (node_exists t fanins.(i)) then
+      invalid_arg (Printf.sprintf "Netlist.add_gate: unknown fanin %d" fanins.(i))
+  done;
   if cin <= 0. then invalid_arg "Netlist.add_gate: cin <= 0";
   alloc t (Cell kind) (Array.copy fanins) cin wire
 
@@ -858,9 +854,6 @@ let csr t =
 (* --- validation ------------------------------------------------------ *)
 
 (* whether [f] is among the first [i] entries of [fi] *)
-let rec read_before (fi : int array) f i =
-  i > 0 && (fi.(i - 1) = f || read_before fi f (i - 1))
-
 (* pin [i] is the first to read its driver, an id below [bound] *)
 let distinct_pin (fi : int array) i bound =
   let f = fi.(i) in

@@ -1,4 +1,5 @@
 module Netlist = Pops_netlist.Netlist
+module Bench_io = Pops_netlist.Bench_io
 module Timing = Pops_sta.Timing
 module NPower = Pops_sta.Power
 module Flow = Pops_flow.Flow
@@ -202,14 +203,6 @@ let admit t (job : Job.t) =
 (* execution: one contained pool task per job                          *)
 (* ------------------------------------------------------------------ *)
 
-let name_fn names =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (name, id) -> Hashtbl.replace tbl id name) names;
-  fun id ->
-    match Hashtbl.find_opt tbl id with
-    | Some n -> n
-    | None -> Printf.sprintf "n%d" id
-
 let num3 x = Json.Num (Job.round3 x)
 
 let shape_metrics nl =
@@ -276,7 +269,7 @@ let exec_optimize t (job : Job.t) ~budget nl names parse_diags =
   in
   let outcome =
     Flow.optimize_o ~budget ~max_rounds ?k_paths:job.Job.k_paths
-      ~vt_assign:job.Job.vt_assign ~name:(name_fn names) ~lib:t.lib ~tc nl
+      ~vt_assign:job.Job.vt_assign ~name:(Bench_io.name_fn names) ~lib:t.lib ~tc nl
   in
   match outcome with
   | Outcome.Failed d ->

@@ -40,58 +40,69 @@ let literal c word value =
   end
   else fail c.pos (Printf.sprintf "expected %s" word)
 
+(* the value of one escape, its backslash just consumed *)
+let parse_escape c b =
+  match peek c with
+  | None -> fail c.pos "unterminated escape"
+  | Some e -> (
+    advance c;
+    match e with
+    | '"' -> Buffer.add_char b '"'
+    | '\\' -> Buffer.add_char b '\\'
+    | '/' -> Buffer.add_char b '/'
+    | 'b' -> Buffer.add_char b '\b'
+    | 'f' -> Buffer.add_char b '\012'
+    | 'n' -> Buffer.add_char b '\n'
+    | 'r' -> Buffer.add_char b '\r'
+    | 't' -> Buffer.add_char b '\t'
+    | 'u' ->
+      if c.pos + 4 > String.length c.s then fail c.pos "truncated \\u escape";
+      let hex = String.sub c.s c.pos 4 in
+      let code =
+        try int_of_string ("0x" ^ hex)
+        with _ -> fail c.pos "bad \\u escape"
+      in
+      c.pos <- c.pos + 4;
+      (* UTF-8 encode the code point (surrogate pairs not recombined:
+         the protocol's payloads are ASCII) *)
+      if code < 0x80 then Buffer.add_char b (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+    | _ -> fail (c.pos - 1) "unknown escape")
+
+(* the cursor sits just past the opening quote; each run up to the next
+   quote or backslash is copied whole *)
 let parse_string_body c =
-  (* cursor sits just past the opening quote *)
+  let s = c.s in
+  let len = String.length s in
   let b = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c.pos "unterminated string"
-    | Some '"' ->
+  let rec run () =
+    let start = c.pos in
+    let i = ref start in
+    while !i < len && String.unsafe_get s !i <> '"' && String.unsafe_get s !i <> '\\' do
+      incr i
+    done;
+    Buffer.add_substring b s start (!i - start);
+    c.pos <- !i;
+    if !i = len then fail c.pos "unterminated string"
+    else if String.unsafe_get s !i = '"' then begin
       advance c;
       Buffer.contents b
-    | Some '\\' -> (
+    end
+    else begin
       advance c;
-      match peek c with
-      | None -> fail c.pos "unterminated escape"
-      | Some e ->
-        advance c;
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if c.pos + 4 > String.length c.s then fail c.pos "truncated \\u escape";
-          let hex = String.sub c.s c.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail c.pos "bad \\u escape"
-          in
-          c.pos <- c.pos + 4;
-          (* UTF-8 encode the code point (surrogate pairs not recombined:
-             the protocol's payloads are ASCII) *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | _ -> fail (c.pos - 1) "unknown escape");
-        go ())
-    | Some ch ->
-      advance c;
-      Buffer.add_char b ch;
-      go ()
+      parse_escape c b;
+      run ()
+    end
   in
-  go ()
+  run ()
 
 let parse_number c =
   let start = c.pos in

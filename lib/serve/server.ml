@@ -32,7 +32,8 @@ module Line_source = struct
     | None -> `Eof
 
   (* the next line, blocking until bytes arrive or [deadline] passes; a
-     final unterminated line is returned as a line *)
+     final unterminated line is returned as a line, an oversize one as
+     [Oversize] *)
   let rec next ?deadline t =
     match Session.Linebuf.pop_line t.lines with
     | Some line -> `Line line
@@ -66,10 +67,10 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
   let window = (Engine.config engine).Engine.window in
   let src = Line_source.of_fd fd in
   let seq = ref 0 in
-  let decode_next line =
+  let slot_of line =
     let s = !seq in
     incr seq;
-    Session.decode ~seq:s line
+    Session.slot_of_line ~seq:s line
   in
   let deadline () = Option.map (fun s -> Fdx.now () +. s) idle_timeout in
   let worst = ref 0 in
@@ -79,8 +80,8 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
     if n >= window then List.rev acc
     else
       match Line_source.next_ready src with
-      | Some (Some line) when Session.skippable line -> fill acc n
-      | Some (Some line) -> fill (decode_next line :: acc) (n + 1)
+      | Some (Some line) when not (Session.takes_slot line) -> fill acc n
+      | Some (Some line) -> fill (slot_of line :: acc) (n + 1)
       | Some None | None -> List.rev acc
   in
   let rec loop () =
@@ -92,9 +93,9 @@ let serve engine ?(summary = true) ?idle_timeout ?(log = fun _ -> ()) fd oc =
       log
         (Diag.makef ~subject:"stdin" Diag.Deadline_exceeded
            "stream idle past the deadline; treating as end of stream")
-    | `Line line when Session.skippable line -> loop ()
+    | `Line line when not (Session.takes_slot line) -> loop ()
     | `Line line ->
-      let results = Session.run_items engine (fill [ decode_next line ] 1) in
+      let results = Session.run_items engine (fill [ slot_of line ] 1) in
       List.iter (fun r -> output_string oc (Session.render engine r)) results;
       flush oc;
       worst := max !worst (Session.worst_exit results);

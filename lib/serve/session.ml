@@ -8,6 +8,9 @@ module Fdx = Pops_util.Fdx
 
 type item = (Job.t, int * string) result
 
+(* an intake slot: a job for the engine, or a result decided at intake *)
+type slot = (Job.t, Job.result) result
+
 let skippable line =
   let line = String.trim line in
   line = "" || line.[0] = '#'
@@ -34,11 +37,33 @@ let bad_line_result ~seq error =
     ms = 0.;
   }
 
-let overloaded_result ~retry_after_ms item =
+let slot_of_item = function
+  | Ok job -> Ok job
+  | Error (seq, e) -> Error (bad_line_result ~seq e)
+
+(* a request line is buffered up to this many bytes; a longer one is
+   discarded unread and answered with one invalid result *)
+let in_limit = 64 * 1024 * 1024
+
+let oversize_result ~seq =
+  {
+    Job.seq;
+    id = Printf.sprintf "job-%d" seq;
+    tenant = "default";
+    status = Job.Invalid;
+    cache = `None;
+    metrics = [];
+    diags =
+      [ Diag.makef Diag.Invalid_input ~subject:"request"
+          "line longer than %d bytes, discarded unread" in_limit ];
+    ms = 0.;
+  }
+
+let overloaded_result ~retry_after_ms slot =
   let seq, id, tenant =
-    match item with
+    match slot with
     | Ok (j : Job.t) -> (j.Job.seq, j.Job.id, j.Job.tenant)
-    | Error (seq, _) -> (seq, Printf.sprintf "job-%d" seq, "default")
+    | Error (r : Job.result) -> (r.Job.seq, r.Job.id, r.Job.tenant)
   in
   {
     Job.seq;
@@ -53,23 +78,21 @@ let overloaded_result ~retry_after_ms item =
     ms = 0.;
   }
 
-(* run one batch of decoded items: good jobs go through the engine
-   together, bad lines become Invalid results, and the merged output is
-   in submission order *)
-let run_items engine items =
+(* run one batch of slots: jobs go through the engine together, the
+   results decided at intake slot in between, all in submission order *)
+let run_items engine slots =
   let jobs =
-    List.filter_map (function Ok job -> Some job | Error _ -> None) items
+    List.filter_map (function Ok job -> Some job | Error _ -> None) slots
   in
   let results = Engine.run_batch engine jobs in
-  let rec merge items results =
-    match (items, results) with
+  let rec merge slots results =
+    match (slots, results) with
     | [], [] -> []
-    | Error (seq, e) :: items, results ->
-      bad_line_result ~seq e :: merge items results
-    | Ok _ :: items, r :: results -> r :: merge items results
+    | Error r :: slots, results -> r :: merge slots results
+    | Ok _ :: slots, r :: results -> r :: merge slots results
     | Ok _ :: _, [] | [], _ :: _ -> assert false
   in
-  merge items results
+  merge slots results
 
 let render engine r =
   let times = (Engine.config engine).Engine.times in
@@ -88,15 +111,26 @@ module Linebuf = struct
   (* One byte buffer: bytes [start, len) are unread and none of
      [start, scan) is a newline.  A pop costs the line it returns: the
      consumed prefix is compacted away only once it passes half the
-     buffer, and a push that does not fit doubles it. *)
+     buffer, and a push that does not fit doubles it.
+
+     A line longer than [limit] bytes is popped as [Oversize] as soon as
+     that many of its bytes are buffered (or when it ends, whichever is
+     first), so whether a line is too long does not depend on how its
+     bytes were chunked.  Its buffered bytes are dropped, and until its
+     newline arrives pushes are scanned for it and not kept. *)
+  type line = Line of string | Oversize
+
   type t = {
+    limit : int;
     mutable buf : Bytes.t;
     mutable start : int;
     mutable scan : int;
     mutable len : int;
+    mutable discarding : bool;  (* inside an oversize line *)
   }
 
-  let create () = { buf = Bytes.create 4096; start = 0; scan = 0; len = 0 }
+  let create ?(limit = in_limit) () =
+    { limit; buf = Bytes.create 4096; start = 0; scan = 0; len = 0; discarding = false }
 
   (* move the unread bytes to the front of a buffer of [cap] bytes *)
   let compact t cap =
@@ -108,18 +142,50 @@ module Linebuf = struct
     t.start <- 0;
     t.len <- live
 
-  let push t bytes n =
+  let append t bytes off n =
     if t.len + n > Bytes.length t.buf then
       compact t (max (2 * Bytes.length t.buf) (t.len - t.start + n));
-    Bytes.blit bytes 0 t.buf t.len n;
+    Bytes.blit bytes off t.buf t.len n;
     t.len <- t.len + n
+
+  let rec newline_in bytes i n =
+    if i >= n then -1 else if Bytes.get bytes i = '\n' then i else newline_in bytes (i + 1) n
+
+  let push t bytes n =
+    if not t.discarding then append t bytes 0 n
+    else
+      match newline_in bytes 0 n with
+      | -1 -> ()
+      | i ->
+        t.discarding <- false;
+        append t bytes (i + 1) (n - i - 1)
+
+  (* drop every buffered byte, and the grown buffer with them *)
+  let reset t =
+    t.buf <- Bytes.create 4096;
+    t.start <- 0;
+    t.scan <- 0;
+    t.len <- 0
 
   let pop_line t =
     let i = ref t.scan in
     while !i < t.len && Bytes.get t.buf !i <> '\n' do
       incr i
     done;
-    if !i = t.len then begin
+    if !i - t.start > t.limit then begin
+      (* too long, ended or not *)
+      if !i = t.len then begin
+        reset t;
+        t.discarding <- true
+      end
+      else begin
+        t.start <- !i + 1;
+        t.scan <- t.start;
+        compact t (max 4096 (t.len - t.start))
+      end;
+      Some Oversize
+    end
+    else if !i = t.len then begin
       t.scan <- t.len;
       None
     end
@@ -130,19 +196,33 @@ module Linebuf = struct
       t.start <- !i + 1;
       t.scan <- t.start;
       if t.start > Bytes.length t.buf / 2 then compact t (Bytes.length t.buf);
-      Some line
+      Some (Line line)
     end
 
   let pop_residue t =
-    if t.len = t.start then None
+    if t.discarding then begin
+      (* the rest of a line already answered *)
+      t.discarding <- false;
+      None
+    end
+    else if t.len = t.start then None
     else begin
       let line = Bytes.sub_string t.buf t.start (t.len - t.start) in
       t.start <- 0;
       t.scan <- 0;
       t.len <- 0;
-      Some line
+      Some (Line line)
     end
 end
+
+(* a popped line takes a sequence slot unless it is blank or a comment *)
+let takes_slot = function
+  | Linebuf.Line l -> not (skippable l)
+  | Linebuf.Oversize -> true
+
+let slot_of_line ~seq = function
+  | Linebuf.Line l -> slot_of_item (decode ~seq l)
+  | Linebuf.Oversize -> Error (oversize_result ~seq)
 
 (* ------------------------------------------------------------------ *)
 (* the per-connection state machine                                    *)
@@ -178,7 +258,7 @@ type t = {
   engine : Engine.t;
   inbuf : Linebuf.t;
   chunk : Bytes.t;
-  queue : item Queue.t;
+  queue : slot Queue.t;
   outq : Buffer.t;  (* rendered lines not yet moved to [pending] *)
   mutable pending : Bytes.t;  (* being written *)
   mutable pos : int;
@@ -252,10 +332,10 @@ let emit t r =
            out_limit)
 
 let intake t line =
-  if not (skippable line) then begin
+  if takes_slot line then begin
     let seq = t.seq in
     t.seq <- seq + 1;
-    let item = decode ~seq line in
+    let slot = slot_of_line ~seq line in
     if Queue.length t.queue >= t.config.queue_limit then begin
       (* explicit load-shedding: a typed response with a retry hint
          instead of a silently growing queue *)
@@ -264,9 +344,9 @@ let intake t line =
         (Diag.makef ~subject:t.peer_label Diag.Overloaded
            "shed job seq %d: in-flight queue full at %d" seq
            t.config.queue_limit);
-      emit t (overloaded_result ~retry_after_ms:t.config.retry_after_ms item)
+      emit t (overloaded_result ~retry_after_ms:t.config.retry_after_ms slot)
     end
-    else Queue.add item t.queue
+    else Queue.add slot t.queue
   end
 
 let handle_readable t =

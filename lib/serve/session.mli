@@ -21,23 +21,30 @@ type item = (Job.t, int * string) result
     failed JSON or job decoding — either way the slot renders exactly
     one result line in sequence position. *)
 
-val skippable : string -> bool
-(** Blank lines and [#] comments — skipped without consuming a seq. *)
+type slot = (Job.t, Job.result) result
+(** What an intake slot runs as: a job for the engine, or a result
+    decided at intake (a bad line's, an oversize line's). *)
+
+val in_limit : int
+(** The longest request line a transport buffers, in bytes (64 MiB,
+    above the ~57 MB line of a 1M-gate netlist).  A longer line is
+    discarded unread and answered with one result: status [invalid],
+    exit 2, one {!Pops_robust.Diag.Invalid_input} diagnostic. *)
 
 val decode : seq:int -> string -> item
 
 val bad_line_result : seq:int -> string -> Job.result
 
-val overloaded_result : retry_after_ms:int -> item -> Job.result
+val overloaded_result : retry_after_ms:int -> slot -> Job.result
 (** The typed load-shed response for an intake slot: status
     [overloaded], exit 1, a [retry_after_ms] metric and an
     {!Pops_robust.Diag.Overloaded} diagnostic.  Echoes the decoded
     job's [id]/[tenant] when the line parsed; the job never reaches
     the engine. *)
 
-val run_items : Engine.t -> item list -> Job.result list
-(** Run one batch: good jobs go through the engine together, bad lines
-    become [invalid] results, and the merged output is in submission
+val run_items : Engine.t -> slot list -> Job.result list
+(** Run one batch: the jobs go through the engine together, and their
+    results merge with the ones decided at intake in submission
     order. *)
 
 val render : Engine.t -> Job.result -> string
@@ -51,19 +58,39 @@ val worst_exit : Job.result list -> int
 module Linebuf : sig
   (** Bytes in, lines out: the framing of every NDJSON transport. *)
 
+  type line =
+    | Line of string
+    | Oversize  (** a line longer than the limit, discarded unread *)
+
   type t
 
-  val create : unit -> t
+  val create : ?limit:int -> unit -> t
+  (** [limit] (default {!in_limit}) bounds a line in bytes, before its
+      ["\n"]; the buffer holds at most that plus what was pushed since
+      the last {!pop_line}. *)
 
   val push : t -> Bytes.t -> int -> unit
-  (** [push t chunk n] appends the first [n] bytes of [chunk]. *)
+  (** [push t chunk n] appends the first [n] bytes of [chunk] (inside an
+      oversize line, only what follows its newline). *)
 
-  val pop_line : t -> string option
-  (** The first complete line, without its ["\n"] (or ["\r\n"]). *)
+  val pop_line : t -> line option
+  (** The first complete line, without its ["\n"] (or ["\r\n"]); or
+      [Oversize] once the first line is known to be longer than the
+      limit, whether it has ended or not.  Either way exactly once per
+      line. *)
 
-  val pop_residue : t -> string option
-  (** Everything left, as a final unterminated line (at end of stream). *)
+  val pop_residue : t -> line option
+  (** Everything left, as a final unterminated line (at end of stream);
+      [None] inside an oversize line, which has been answered. *)
 end
+
+val takes_slot : Linebuf.line -> bool
+(** Everything but blank lines and [#] comments takes a sequence slot;
+    an oversize line always does. *)
+
+val slot_of_line : seq:int -> Linebuf.line -> slot
+(** What a line runs as in slot [seq]: its decoded job, its
+    {!bad_line_result}, or the result of an oversize line. *)
 
 (** {1 Sessions} *)
 

@@ -867,6 +867,228 @@ let () =
       | Error _ -> ()
       | Ok _ -> Prop.failf "malformed input parsed successfully: %S" text)
 
+(* The one-scan parser against the line-list one it replaced
+   (test/bench_oracle.ml): random statement orders of generated netlists,
+   with the dialect's corners mixed in and one defect planted in most
+   cases, must parse to the same node ids, names and diagnostics. *)
+
+(* one .bench text: the statements of a generated dag, grid or iscas
+   netlist plus extra ones, shuffled, with comments, blank lines and
+   CRLF endings *)
+let bench_text_gen =
+  Gen.make ~print:(Printf.sprintf "%S") (fun rng size ->
+      let nl =
+        match Rng.int rng 3 with
+        | 0 -> C.build_dag (C.dag_spec.Gen.gen rng size)
+        | k ->
+          Generator.generate_scale Tech.cmos025
+            ~name:(Printf.sprintf "bp%Ld" (Rng.int64 rng))
+            ~gates:(64 + Rng.int rng (1 + (10 * size)))
+            ~shape:(if k = 1 then Generator.Grid else Generator.Iscas)
+      in
+      let signals =
+        Array.of_list
+          (List.map (Printf.sprintf "n%d") (Netlist.inputs nl @ Netlist.gate_ids nl))
+      in
+      let sig_ () = Rng.pick rng signals in
+      let args n = String.concat ", " (List.init n (fun _ -> sig_ ())) in
+      let spell op = if Rng.int rng 4 = 0 then String.lowercase_ascii op else op in
+      let extra = ref [] in
+      let add line = extra := line :: !extra in
+      for k = 1 to Rng.int rng 4 do
+        let op = Rng.pick rng [| "NAND"; "AND"; "OR"; "NOR"; "XOR"; "XNOR" |] in
+        add (Printf.sprintf "wide_output_%d = %s(%s)" k (spell op) (args (1 + Rng.int rng 7)))
+      done;
+      (* names that share their first seven bytes (NULs included) or
+         their non-blank bytes *)
+      if Rng.int rng 4 = 0 then
+        List.iter
+          (fun name -> add (Printf.sprintf "%s = NOT(%s)" name (sig_ ())))
+          [ "tie"; "tie\000"; "tie\000\000x"; "tie\001"; "ti e"; "t\tie x" ];
+      for k = 1 to Rng.int rng 3 do
+        add (Printf.sprintf "q%d = %s(%s)" k (spell "DFF") (sig_ ()));
+        add (Printf.sprintf "u%d = NAND(q%d, %s)" k k (sig_ ()))
+      done;
+      if Rng.bool rng then add (Printf.sprintf "x1 = AOI21(%s)" (args 3));
+      if Rng.bool rng then add (Printf.sprintf "x2 = OAI22(%s)" (args 4));
+      if Rng.bool rng then
+        add (Printf.sprintf "x3 = %s(%s)" (Rng.pick rng [| "BUF"; "BUFF"; "INV" |]) (sig_ ()));
+      (* one defect, in most cases *)
+      (match Rng.int rng 12 with
+      | 0 ->
+        add
+          (Rng.pick rng
+             [| Printf.sprintf "m1 = NAND(%s, zz_undefined)" (sig_ ());
+                Printf.sprintf "m1 = NAND(zz_b, %s, zz_a, zz_b)" (sig_ ()) |])
+      | 1 -> add (Printf.sprintf "%s = NOT(%s)" (Rng.pick rng signals) (sig_ ()))
+      | 2 ->
+        (* a duplicate whose first definition is stuck *)
+        add "m2 = NOT(zz_later)";
+        add (Printf.sprintf "m2 = NOT(%s)" (sig_ ()))
+      | 3 ->
+        add "c1 = NOT(c3)";
+        add (Printf.sprintf "c2 = NAND(c1, %s)" (sig_ ()));
+        add "c3 = NOR(c2, c2)";
+        add "c4 = NOT(c2)"
+      | 4 -> add (Printf.sprintf "%s = NAND(%s, %s)" "s1" "s1" (sig_ ()))
+      | 5 -> add (Printf.sprintf "f1 = FROB(%s)" (sig_ ()))
+      | 6 ->
+        add
+          (Rng.pick rng
+             [| Printf.sprintf "a1 = NOT(%s)" (args 2); Printf.sprintf "a1 = AOI21(%s)" (args 2);
+                Printf.sprintf "a1 = DFF(%s)" (args 2); Printf.sprintf "INPUT(%s)" (args 2);
+                "a1 = NAND()"; "a1 = XOR( )"; "OUTPUT()"; "a1 = INPUT(b)" |])
+      | 7 ->
+        add
+          (Rng.pick rng
+             [| "garbage"; "= NOT(a)"; Printf.sprintf "y = NOT %s" (sig_ ()); "FOO(a)";
+                "y = (a)"; "y = NOT(a"; "OUTPUT(zz_never)" |])
+      | 8 ->
+        add
+          (Printf.sprintf "e1 = NOT(%s) # cin=%s" (sig_ ())
+             (Rng.pick rng [| "-1"; "0"; "0.0"; "nan" |]))
+      | _ -> ());
+      let base = List.filter (( <> ) "") (String.split_on_char '\n' (Bench_io.to_string nl)) in
+      let lines = Array.of_list (base @ !extra) in
+      (match Rng.int rng 4 with
+      | 0 -> ()
+      | 1 ->
+        let n = Array.length lines in
+        for i = 0 to (n / 2) - 1 do
+          let l = lines.(i) in
+          lines.(i) <- lines.(n - 1 - i);
+          lines.(n - 1 - i) <- l
+        done
+      | _ ->
+        for i = Array.length lines - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let l = lines.(i) in
+          lines.(i) <- lines.(j);
+          lines.(j) <- l
+        done);
+      let b = Buffer.create 4096 in
+      Array.iter
+        (fun l ->
+          (match Rng.int rng 12 with
+          | 0 -> Buffer.add_string b "\n"
+          | 1 -> Buffer.add_string b "# a comment = NOT(x)\n"
+          | 2 -> Buffer.add_string b "   \t \r\n"
+          | _ -> ());
+          Buffer.add_string b l;
+          (match Rng.int rng 10 with
+          | 0 ->
+            Printf.bprintf b " # cin=%.3f wire=%.3f" (Rng.range rng 1. 20.) (Rng.range rng 0. 3.)
+          | 1 -> Buffer.add_string b "#cin=9 wire=x cin=4.5"
+          | 2 -> Buffer.add_string b "  # note"
+          | _ -> ());
+          Buffer.add_string b (if Rng.int rng 8 = 0 then "\r\n" else "\n"))
+        lines;
+      let text = Buffer.contents b in
+      (* truncation mid-call *)
+      if Rng.int rng 10 = 0 then
+        match String.rindex_opt text '(' with
+        | Some i -> String.sub text 0 (min (String.length text) (i + 1 + Rng.int rng 4))
+        | None -> text
+      else text)
+
+(* everything a parse shows: node ids, kinds, fan-ins, sizes, loads and
+   names, or the diagnostic, or the exception *)
+let parse_view f =
+  match f () with
+  | Ok (t, names) ->
+    let b = Buffer.create 1024 in
+    for id = 0 to Netlist.id_bound t - 1 do
+      let n = Netlist.node t id in
+      Printf.bprintf b "%d:%s:%h:%h:%s;" id
+        (match n.Netlist.kind with
+        | Netlist.Primary_input -> "in"
+        | Netlist.Cell k -> Gate_kind.name k)
+        n.Netlist.cin n.Netlist.wire
+        (String.concat "," (List.map string_of_int (Array.to_list n.Netlist.fanins)))
+    done;
+    List.iter (fun (id, l) -> Printf.bprintf b "o%d:%h;" id l) (Netlist.outputs t);
+    `Ok (Buffer.contents b, Bench_io.to_string t, Bench_io.to_string ~names t, names)
+  | Error d -> `Error (Pops_robust.Diag.one_line d)
+  | exception e -> `Raised (Printexc.to_string e)
+
+let outcome_view = function
+  | Pops_robust.Outcome.Exact _ -> ("exact", [])
+  | Pops_robust.Outcome.Degraded (_, ds) -> ("degraded", List.map Pops_robust.Diag.one_line ds)
+  | Pops_robust.Outcome.Failed d -> ("failed", [ Pops_robust.Diag.one_line d ])
+
+let () =
+  Prop.register ~name:"bench.parse_matches_oracle" bench_text_gen (fun text ->
+      let tech = Tech.cmos025 in
+      let got = parse_view (fun () -> Bench_io.parse_diag tech text) in
+      let want = parse_view (fun () -> Bench_oracle.parse_diag tech text) in
+      (match (got, want) with
+      | `Ok (g, gs, gn, gnames), `Ok (w, ws, wn, wnames) ->
+        require (g = w) "node ids, kinds, fan-ins, sizes or loads differ";
+        require (gs = ws) "to_string differs";
+        require (gn = wn) "to_string ~names differs";
+        require (gnames = wnames) "names differ"
+      | `Error g, `Error w -> requiref (g = w) "diagnostic %S, oracle %S" g w
+      | `Raised g, `Raised w -> requiref (g = w) "raised %S, oracle raised %S" g w
+      | _ -> Prop.failf "outcomes differ in kind");
+      let g = outcome_view (Bench_io.parse_o tech text) in
+      let w = outcome_view (Bench_oracle.parse_o tech text) in
+      requiref (g = w) "parse_o %s [%s], oracle %s [%s]" (fst g)
+        (String.concat "; " (snd g)) (fst w) (String.concat "; " (snd w)))
+
+(* JSON string bodies are copied by runs; the per-byte reader they
+   replaced (test/json_oracle.ml) must agree on every decoded string and
+   every error offset: random bytes, every escape, good and bad \u,
+   unknown escapes, truncation mid-escape and unterminated strings *)
+let json_text_gen =
+  Gen.make ~print:(Printf.sprintf "%S") (fun rng size ->
+      let b = Buffer.create 64 in
+      let piece () =
+        match Rng.int rng 12 with
+        | 0 | 1 | 2 ->
+          for _ = 0 to Rng.int rng (1 + (4 * size)) do
+            Buffer.add_char b (Char.chr (32 + Rng.int rng 95))
+          done
+        | 3 -> Buffer.add_char b (Char.chr (Rng.int rng 256))
+        | 4 ->
+          Buffer.add_char b '\\';
+          Buffer.add_char b (Rng.pick rng [| '"'; '\\'; '/'; 'b'; 'f'; 'n'; 'r'; 't' |])
+        | 5 ->
+          Buffer.add_string b "\\u";
+          for _ = 1 to 4 do
+            Buffer.add_char b (Rng.pick rng [| '0'; '7'; 'a'; 'F'; 'c'; '1'; 'e'; 'D' |])
+          done
+        | 6 ->
+          Buffer.add_string b
+            (Rng.pick rng [| "\\u12g4"; "\\u-123"; "\\u1_2_"; "\\u+7ff"; "\\u00" |])
+        | 7 -> Buffer.add_string b (Rng.pick rng [| "\\x"; "\\a"; "\\U0041"; "\\0" |])
+        | 8 -> Buffer.add_string b "INPUT(a)\\nOUTPUT(y)\\ny = NOT(a)\\n"
+        | _ -> Buffer.add_string b "abc"
+      in
+      for _ = 0 to Rng.int rng (1 + size) do
+        piece ()
+      done;
+      let body = Buffer.contents b in
+      let str =
+        match Rng.int rng 8 with
+        | 0 -> "\"" ^ body (* unterminated *)
+        | 1 -> "\"" ^ body ^ "\\" (* truncated mid-escape *)
+        | 2 -> "\"" ^ body ^ "\\u0" (* truncated \u *)
+        | _ -> "\"" ^ body ^ "\""
+      in
+      match Rng.int rng 3 with
+      | 0 -> str
+      | 1 -> Printf.sprintf "{\"action\": \"analyze\", \"bench\": %s}" str
+      | _ -> Printf.sprintf "[%s, %s]" str str)
+
+let () =
+  Prop.register ~name:"json.string_matches_oracle" json_text_gen (fun text ->
+      let show = function
+        | Ok v -> "ok " ^ Pops_serve.Json.to_string v
+        | Error e -> "error " ^ e
+      in
+      let got = Pops_serve.Json.parse text and want = Json_oracle.parse text in
+      requiref (got = want) "parse gives %s, the oracle %s" (show got) (show want))
+
 (* ================================================================== *)
 (* generator and STA                                                   *)
 (* ================================================================== *)

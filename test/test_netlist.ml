@@ -574,6 +574,25 @@ let test_bench_out_of_order_definitions () =
   in
   Alcotest.(check int) "two gates" 2 (Netlist.gate_count t)
 
+(* Node ids follow the sources, then the gates in (pass, line) order:
+   the order repeated line-order passes over the unbuilt gates build
+   them in.  Here pass 1 builds x1 (line 5); it readies x2 (line 3) and
+   z (line 4), both above it, so they wait for pass 2; x2 there readies
+   w (line 6, below it: same pass) and y (line 2: pass 3). *)
+let test_bench_outputs_first_ids () =
+  let t, names =
+    parse_ok
+      "OUTPUT(y)\ny = NOT(x2)\nx2 = NAND(x1, a)\nz = NOT(x1)\nx1 = NOT(b)\n\
+       w = NOT(x2)\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\n"
+  in
+  Alcotest.(check (list (pair string int))) "names, sorted, with their ids"
+    [ ("a", 0); ("b", 1); ("w", 5); ("x1", 2); ("x2", 3); ("y", 6); ("z", 4) ]
+    names;
+  Alcotest.(check string) "netlist by id"
+    "INPUT(n0)\nINPUT(n1)\nOUTPUT(n6)\nOUTPUT(n4)\nOUTPUT(n5)\nn2 = NOT(n1)\n\
+     n3 = NAND(n2, n0)\nn4 = NOT(n2)\nn5 = NOT(n3)\nn6 = NOT(n3)\n"
+    (Bench_io.to_string t)
+
 (* --- logic cones --- *)
 
 (* a, b, c, d; g1 = NAND(a,b); g2 = NOR(c,d); g3 = NAND(g1,g2); i1 = NOT(g1) *)
@@ -743,6 +762,7 @@ let () =
           Alcotest.test_case "roundtrip adder" `Quick test_bench_roundtrip_adder;
           Alcotest.test_case "errors" `Quick test_bench_errors;
           Alcotest.test_case "out-of-order defs" `Quick test_bench_out_of_order_definitions;
+          Alcotest.test_case "outputs-first id order" `Quick test_bench_outputs_first_ids;
           Alcotest.test_case "packed matches scalar" `Quick test_eval_packed_matches_scalar;
           Alcotest.test_case "aoi22 roundtrip" `Quick test_bench_aoi22_roundtrip;
           qtest prop_bench_roundtrip_fuzz;

@@ -18,6 +18,7 @@ module Json = Pops_serve.Json
 module Job = Pops_serve.Job
 module Engine = Pops_serve.Engine
 module Server = Pops_serve.Server
+module Session = Pops_serve.Session
 
 let tech = Tech.cmos025
 
@@ -70,6 +71,10 @@ let test_json_errors () =
 
 (* --- line framing --------------------------------------------------- *)
 
+let show_line = function
+  | Pops_serve.Session.Linebuf.Line l -> l
+  | Pops_serve.Session.Linebuf.Oversize -> "<oversize>"
+
 (* random chunk splits against a split_on_char oracle: every complete
    line comes out once, CR-trimmed, and the unterminated tail is the
    residue *)
@@ -107,7 +112,7 @@ let test_linebuf_chunks () =
       let rec drain () =
         match Linebuf.pop_line buf with
         | Some l ->
-          got := l :: !got;
+          got := show_line l :: !got;
           drain ()
         | None -> ()
       in
@@ -115,9 +120,90 @@ let test_linebuf_chunks () =
     done;
     Alcotest.(check (list string)) (Printf.sprintf "lines (trial %d)" trial) (fst expect)
       (List.rev !got);
-    Alcotest.(check (option string)) "residue" (Some (snd expect)) (Linebuf.pop_residue buf);
-    Alcotest.(check (option string)) "drained" None (Linebuf.pop_residue buf)
+    Alcotest.(check (option string)) "residue" (Some (snd expect))
+      (Option.map show_line (Linebuf.pop_residue buf));
+    Alcotest.(check (option string)) "drained" None
+      (Option.map show_line (Linebuf.pop_residue buf))
   done
+
+(* a line over the limit between two short ones, under random chunk
+   splits: it pops as one [Oversize] whether it ended or not, its bytes
+   are never kept, and the lines around it come out whole *)
+let test_linebuf_oversize () =
+  let module Linebuf = Pops_serve.Session.Linebuf in
+  let rng = Pops_util.Rng.create 12L in
+  let limit = 1000 in
+  let cases =
+    [ (String.make limit 'x', "\n", [ "first"; String.make limit 'x'; "last" ]);
+      (String.make (limit - 1) 'x', "\r\n", [ "first"; String.make (limit - 1) 'x'; "last" ]);
+      (String.make (limit + 1) 'x', "\n", [ "first"; "<oversize>"; "last" ]);
+      (String.make limit 'x', "\r\n", [ "first"; "<oversize>"; "last" ]);
+      (String.make (7 * limit) '{', "\n", [ "first"; "<oversize>"; "last" ]) ]
+  in
+  List.iter
+    (fun (middle, eol, expect) ->
+      for trial = 1 to 30 do
+        let text = "first" ^ eol ^ middle ^ eol ^ "last" ^ eol in
+        let buf = Linebuf.create ~limit () in
+        let got = ref [] and pos = ref 0 in
+        while !pos < String.length text do
+          let n = min (String.length text - !pos) (1 + Pops_util.Rng.int rng (2 * limit)) in
+          Linebuf.push buf (Bytes.of_string (String.sub text !pos n)) n;
+          pos := !pos + n;
+          let rec drain () =
+            match Linebuf.pop_line buf with
+            | Some l ->
+              got := show_line l :: !got;
+              drain ()
+            | None -> ()
+          in
+          drain ()
+        done;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%d-byte line (trial %d)" (String.length middle) trial)
+          expect (List.rev !got);
+        Alcotest.(check (option string)) "no residue" None
+          (Option.map show_line (Linebuf.pop_residue buf))
+      done)
+    cases;
+  (* pushes that end right at the oversize line's newline, and a reused
+     chunk buffer whose bytes past [n] are stale *)
+  let buf = Linebuf.create ~limit () in
+  let stale = Bytes.make 64 '\n' in
+  let push_str str =
+    Bytes.blit_string str 0 stale 0 (String.length str);
+    Linebuf.push buf stale (String.length str)
+  in
+  push_str "first\n";
+  let big = Bytes.of_string (String.make (limit + 1) 'z') in
+  Linebuf.push buf big (Bytes.length big);
+  let popped = ref [] in
+  let drain () =
+    let rec go () =
+      match Linebuf.pop_line buf with
+      | Some l ->
+        popped := show_line l :: !popped;
+        go ()
+      | None -> ()
+    in
+    go ()
+  in
+  drain ();
+  List.iter (fun str -> push_str str; drain ()) [ "zz"; "z\n"; "la"; "st\n" ];
+  Alcotest.(check (list string)) "newline at a push's end"
+    [ "first"; "<oversize>"; "last" ] (List.rev !popped);
+  (* an oversize last line with no newline: answered once, no residue *)
+  let buf = Linebuf.create ~limit () in
+  let tail = Bytes.of_string ("first\n" ^ String.make (3 * limit) 'y') in
+  Linebuf.push buf tail (Bytes.length tail);
+  let first = Linebuf.pop_line buf in
+  let second = Linebuf.pop_line buf in
+  Alcotest.(check (list string)) "unterminated oversize" [ "first"; "<oversize>" ]
+    (List.map show_line (List.filter_map Fun.id [ first; second ]));
+  Alcotest.(check (option string)) "nothing after it" None
+    (Option.map show_line (Linebuf.pop_line buf));
+  Alcotest.(check (option string)) "no residue" None
+    (Option.map show_line (Linebuf.pop_residue buf))
 
 (* --- job decoding --------------------------------------------------- *)
 
@@ -460,6 +546,49 @@ let test_server_stream () =
       (Json.member "summary" j <> None)
   | Error e -> Alcotest.failf "bad summary: %s" e
 
+(* a line one byte over the real limit, between two good ones, through
+   the stdio loop over a file: one invalid result with a typed
+   diagnostic in its sequence slot, the lines around it served as they
+   are without it *)
+let test_server_oversize () =
+  let good id =
+    Printf.sprintf {|{"id":"%s","bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n","action":"analyze"}|} id
+  in
+  let fname = Filename.temp_file "pops_oversize_test" ".ndjson" in
+  Out_channel.with_open_bin fname (fun oc ->
+      output_string oc (good "a" ^ "\n");
+      let chunk = String.make (1 lsl 20) 'x' in
+      for _ = 1 to Session.in_limit / String.length chunk do
+        output_string oc chunk
+      done;
+      output_string oc ("x\n" ^ good "b" ^ "\n"));
+  let fd = Unix.openfile fname [ Unix.O_RDONLY ] 0 in
+  let code, out =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Sys.remove fname)
+      (fun () -> serve_fd ~summary:false fd)
+  in
+  let _, plain = serve_pipe ~summary:false (good "a" ^ "\n" ^ good "b" ^ "\n") in
+  Alcotest.(check int) "worst exit: invalid" 2 code;
+  match (String.split_on_char '\n' out, String.split_on_char '\n' plain) with
+  | [ a; oversize; b; "" ], [ a'; b'; "" ] ->
+    Alcotest.(check string) "line before" a' a;
+    (* the same line, one sequence slot later *)
+    let renumbered =
+      match String.split_on_char ',' b' with
+      | id :: tenant :: "\"seq\":1" :: rest -> String.concat "," (id :: tenant :: "\"seq\":2" :: rest)
+      | _ -> Alcotest.failf "unexpected result line %s" b'
+    in
+    Alcotest.(check string) "line after" renumbered b;
+    Alcotest.(check string) "oversize result"
+      (Printf.sprintf
+         {|{"id":"job-1","tenant":"default","seq":1,"status":"invalid","exit":2,"diags":["invalid-input (request): line longer than %d bytes, discarded unread"]}|}
+         Session.in_limit)
+      oversize
+  | _ -> Alcotest.failf "unexpected result lines:\n%s" out
+
 let test_server_multi_window () =
   (* 40 jobs, more than two engine windows: analyze (ok), optimize at an
      unreachable tc (unmet) and invalid lines, through the one stdio
@@ -510,6 +639,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "linebuf chunk splits" `Quick test_linebuf_chunks;
+          Alcotest.test_case "linebuf oversize line" `Quick test_linebuf_oversize;
         ] );
       ( "job",
         [
@@ -544,6 +674,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "stream" `Quick test_server_stream;
+          Alcotest.test_case "oversize line" `Quick test_server_oversize;
           Alcotest.test_case "multi-window pipe == file" `Quick
             test_server_multi_window;
         ] );
