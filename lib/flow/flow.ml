@@ -177,8 +177,8 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   in
   (* one persistent analysis for the whole run: every round
      re-propagates only the touched fan-out cone forward (Timing.update),
-     then re-sweeps the slacks and ranks the endpoints
-     (Paths.k_worst_incr) *)
+     then ranks the endpoints (Paths.k_worst_incr), with required times
+     swept only behind the nodes whose slack is read *)
   let timing = in_analysis (fun () -> Timing.analyze ~lib t) in
   let slacks = in_analysis (fun () -> Timing.slacks_make timing ~tc) in
   let sel = Paths.incr_make t slacks in
@@ -261,10 +261,11 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
                slack at its tail gate — on the worst path that equals
                the endpoint violation this cone was selected for *)
             let tail = List.fold_left (fun _ id -> id) (-1) ex.Paths.nodes in
+            (* analysis: above phase 0 the tail drives gates, and this
+               read is where its required times get swept *)
+            let slack = in_analysis (fun () -> Timing.node_slack slacks tail) in
             let wtc =
-              window_tc
-                ~slack:(Timing.node_slack slacks tail)
-                (Path.delay_worst ex.Paths.path sizing_now)
+              window_tc ~slack (Path.delay_worst ex.Paths.path sizing_now)
             in
             (ex, sizing_now, wtc))
           worst

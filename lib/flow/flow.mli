@@ -48,9 +48,10 @@ type report = {
           all rounds. *)
   analysis_ms : float;
       (** wall-clock time of the timing-analysis portion, bracketed
-          directly: the initial analyze and slack sweep, the per-round
-          critical-delay query, and the per-round worst-cone selection
-          with its backward slack sweep.  Everything else in [loop_ms]
+          directly: the initial analyze, the per-round critical-delay
+          query, the per-round worst-cone selection and the window-tail
+          slack reads, where the lazy backward sweeps run.  Everything
+          else in [loop_ms]
           is protocol fan-outs, structural surgery and best-state
           bookkeeping. *)
   loop_ms : float;
@@ -90,9 +91,10 @@ val optimize_o :
     [Failed] instead of raising.
 
     One {!Pops_sta.Timing.t} persists across rounds, so each round
-    re-times only the fan-out cone of its edits; the backward slack
-    sweep and the endpoint ranking ({!Pops_sta.Paths.k_worst_incr}) are
-    recomputed in full every round.
+    re-times only the fan-out cone of its edits.  The endpoint ranking
+    ({!Pops_sta.Paths.k_worst_incr}) is one scan of the outputs per
+    round, and required times are swept only behind the nodes whose
+    slack the round reads (see {!Pops_sta.Timing.node_slack}).
 
     Resilience: the per-round protocol fan-out is {e contained} (a
     crashing path task degrades to a diagnostic, the other decisions

@@ -57,13 +57,20 @@ type t = {
   mutable next_id : int;
   mutable input_ids : int list;  (* reversed *)
   mutable n_inputs : int;
-  mutable output_loads : (int * float) list;  (* reversed designation order *)
+  mutable out_ids : int array;  (* designation order, [n_out] slots used *)
+  mutable n_out : int;
   mutable inputs_fwd : int list option;  (* designation-order views, *)
   mutable outputs_fwd : (int * float) list option;  (* dropped on change *)
   mutable out_load : float array;
-      (* dense terminal loads, nan = not an output; mirrors
-         [output_loads] so {!load_on} and {!set_output} stay O(1) on
-         designs with hundreds of thousands of outputs *)
+      (* by id: terminal load, nan = not an output, so {!load_on},
+         {!is_output} and {!set_output} stay O(1) on designs with
+         hundreds of thousands of outputs *)
+  mutable out_rank : int array;
+      (* by id: the output's slot in [out_ids], -1 = not an output; a
+         designation move rewrites that one slot *)
+  mutable out_shared : bool;
+      (* a move landed on a net that already was an output, which is
+         listed twice from then on: moves scan [out_ids] for every slot *)
   mutable load_cache : float array;  (* nan = stale *)
   mutable level : int array;
   mutable levels_valid : bool;
@@ -91,10 +98,13 @@ let create tech =
     next_id = 0;
     input_ids = [];
     n_inputs = 0;
-    output_loads = [];
+    out_ids = Array.make 64 0;
+    n_out = 0;
     inputs_fwd = None;
     outputs_fwd = None;
     out_load = Array.make 64 Float.nan;
+    out_rank = Array.make 64 (-1);
+    out_shared = false;
     load_cache = Array.make 64 Float.nan;
     level = Array.make 64 0;
     levels_valid = true;
@@ -126,6 +136,9 @@ let grow t =
     let outs = Array.make cap Float.nan in
     Array.blit t.out_load 0 outs 0 (Array.length t.out_load);
     t.out_load <- outs;
+    let ranks = Array.make cap (-1) in
+    Array.blit t.out_rank 0 ranks 0 (Array.length t.out_rank);
+    t.out_rank <- ranks;
     let levels = Array.make cap 0 in
     Array.blit t.level 0 levels 0 (Array.length t.level);
     t.level <- levels
@@ -476,15 +489,19 @@ let add_gate ?cin ?(wire = 0.) t kind fanins =
 let set_output t id ~load =
   ignore (node t id);
   if load < 0. then invalid_arg "Netlist.set_output: negative load";
-  (* the dense mirror makes the already-an-output test O(1); designating
-     a fresh output is a cons, so building a design with 100k+ outputs
-     stays linear (updating an existing one stays O(outputs), which only
-     tests do) *)
-  if Float.is_nan t.out_load.(id) then
-    t.output_loads <- (id, load) :: t.output_loads
-  else
-    t.output_loads <-
-      List.map (fun (i, l) -> if i = id then (i, load) else (i, l)) t.output_loads;
+  (* a fresh output takes the next slot (the slot array doubles, so
+     building a design with 100k+ outputs stays linear); updating an
+     existing one changes its load only *)
+  if Float.is_nan t.out_load.(id) then begin
+    if t.n_out = Array.length t.out_ids then begin
+      let bigger = Array.make (2 * t.n_out) 0 in
+      Array.blit t.out_ids 0 bigger 0 t.n_out;
+      t.out_ids <- bigger
+    end;
+    t.out_ids.(t.n_out) <- id;
+    t.out_rank.(id) <- t.n_out;
+    t.n_out <- t.n_out + 1
+  end;
   t.outputs_fwd <- None;
   t.out_load.(id) <- load;
   invalidate_load t id;
@@ -503,7 +520,13 @@ let rec inputs t =
 let rec outputs t =
   match t.outputs_fwd with
   | Some l -> l
-  | None -> t.outputs_fwd <- Some (List.rev t.output_loads); outputs t
+  | None ->
+    t.outputs_fwd <-
+      Some (List.init t.n_out (fun r -> (t.out_ids.(r), t.out_load.(t.out_ids.(r)))));
+    outputs t
+
+let output_ids t = t.out_ids
+let output_count t = t.n_out
 
 let is_output t id =
   id >= 0 && id < t.next_id && not (Float.is_nan t.out_load.(id))
@@ -607,10 +630,18 @@ let rewire_fanouts t ~from_ ~to_ ~except =
       Array.iteri (fun pin f -> if f = from_ then set_fanin t cn.id ~pin to_) cn.fanins)
     consumers;
   (* move primary-output designation, keeping its position so the
-     output order (and thus logic-equivalence comparisons) is stable *)
+     output order (and thus logic-equivalence comparisons) is stable:
+     one slot rewrite, unless some net is listed twice *)
   if not (Float.is_nan t.out_load.(from_)) then begin
-    t.output_loads <-
-      List.map (fun (i, l) -> if i = from_ then (to_, l) else (i, l)) t.output_loads;
+    if t.out_shared || not (Float.is_nan t.out_load.(to_)) then begin
+      t.out_shared <- true;
+      for r = 0 to t.n_out - 1 do
+        if t.out_ids.(r) = from_ then t.out_ids.(r) <- to_
+      done
+    end
+    else t.out_ids.(t.out_rank.(from_)) <- to_;
+    t.out_rank.(to_) <- t.out_rank.(from_);
+    t.out_rank.(from_) <- -1;
     t.outputs_fwd <- None;
     t.out_load.(to_) <- t.out_load.(from_);
     t.out_load.(from_) <- Float.nan;
@@ -1075,7 +1106,9 @@ let copy t =
         (Option.map (fun n ->
              { n with fanins = Array.copy n.fanins; fanouts = n.fanouts }))
         t.nodes;
+    out_ids = Array.copy t.out_ids;
     out_load = Array.copy t.out_load;
+    out_rank = Array.copy t.out_rank;
     load_cache = Array.copy t.load_cache;
     level = Array.copy t.level;
     (* the copy starts its own edit history: observers of the original
@@ -1102,10 +1135,13 @@ let restore t ~from =
   t.next_id <- from.next_id;
   t.input_ids <- from.input_ids;
   t.n_inputs <- from.n_inputs;
-  t.output_loads <- from.output_loads;
+  t.out_ids <- Array.copy from.out_ids;
+  t.n_out <- from.n_out;
+  t.out_shared <- from.out_shared;
   t.inputs_fwd <- from.inputs_fwd;
   t.outputs_fwd <- from.outputs_fwd;
   t.out_load <- Array.copy from.out_load;
+  t.out_rank <- Array.copy from.out_rank;
   t.load_cache <- Array.copy from.load_cache;
   t.level <- Array.copy from.level;
   t.levels_valid <- from.levels_valid;
@@ -1126,7 +1162,7 @@ let restore t ~from =
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>netlist: %d inputs, %d gates, %d outputs, depth %d@ "
     (input_count t) (gate_count t)
-    (List.length t.output_loads)
+    t.n_out
     (depth t);
   List.iter
     (fun (kind, count) -> Format.fprintf ppf "%s: %d@ " (Gk.name kind) count)

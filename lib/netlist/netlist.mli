@@ -63,7 +63,18 @@ val inputs : t -> int list
     nothing. *)
 
 val outputs : t -> (int * float) list
-(** Primary output ids with terminal loads, in designation order; cached. *)
+(** Primary output ids with terminal loads, in designation order: a
+    list view of {!output_ids}, built on the first call after a
+    designation change and cached. *)
+
+val output_ids : t -> int array
+(** The primary output ids in designation order, in slots [0] to
+    [output_count t - 1]: the storage behind {!outputs}, for scans that
+    must not allocate per output.  Read it, never write it; a later
+    designation may replace or rewrite the array.  Designating a new
+    output and moving a designation ({!rewire_fanouts}) are O(1). *)
+
+val output_count : t -> int
 
 val is_output : t -> int -> bool
 (** O(1) test against the dense terminal-load mirror; false for unknown

@@ -539,50 +539,17 @@ type incr = { in_s : Timing.slacks; in_nl : Netlist.t }
 
 let incr_make nl slacks = { in_s = slacks; in_nl = nl }
 
-(* lexicographic (slack, id) order; unique per endpoint (typed, so the
-   comparisons are float and int ones, not the polymorphic compare) *)
-let[@inline] slack_less (p1 : float) (i1 : int) p2 i2 =
-  p1 < p2 || (p1 = p2 && i1 < i2)
-
-(* The ids of the [limit] lowest (slack, id) outputs with slack below
-   [min_slack], ascending, in one pass over the ids: a sorted prefix of
-   at most [limit] entries, where a candidate that cannot enter a full
-   prefix costs one comparison.  NaN (undefined) slacks never compare
-   below [min_slack]. *)
-let worst_endpoints s t ~min_slack ~limit =
-  let ks = Array.make limit 0. and ki = Array.make limit 0 in
-  let n = ref 0 in
-  for id = 0 to Netlist.id_bound t - 1 do
-    let sl = Timing.node_slack s id in
-    if
-      sl < min_slack && Netlist.is_output t id
-      && (!n < limit || slack_less sl id ks.(limit - 1) ki.(limit - 1))
-    then begin
-      let rec pos j =
-        if j > 0 && slack_less sl id ks.(j - 1) ki.(j - 1) then pos (j - 1)
-        else j
-      in
-      let m = min !n (limit - 1) in
-      let p = pos m in
-      Array.blit ks p ks (p + 1) (m - p);
-      Array.blit ki p ki (p + 1) (m - p);
-      ks.(p) <- sl;
-      ki.(p) <- id;
-      if !n < limit then incr n
-    end
-  done;
-  List.init !n (fun i -> ki.(i))
-
 let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
     ?input_slope ~lib q =
   let s = q.in_s and t = q.in_nl in
-  Timing.slacks_update s;
   let tm = Timing.slacks_timing s in
   (* Bound the candidates probed for disjointness, not just the winners:
      on high-fanout designs thousands of violating endpoints share one
      critical spine, and probing every one of them each round costs more
      than the round's re-timing. *)
-  let candidates = worst_endpoints s t ~min_slack ~limit:(max 64 (16 * k)) in
+  let candidates =
+    Timing.worst_endpoints s ~min_slack ~limit:(max 64 (16 * k))
+  in
   let stamped = Hashtbl.create 64 in
   let results = ref [] and n_results = ref 0 in
   let rec probe = function

@@ -76,11 +76,11 @@ val k_worst_incr :
   ?k:int -> ?min_slack:float -> ?max_cone:int -> ?phase:int ->
   ?input_slope:float -> lib:Pops_cell.Library.t -> incr -> extracted list
 (** Up to [k] (default 5) {e gate-disjoint} critical cones through the
-    currently worst-slack endpoints, worst first.  Brings the slacks up
-    to date ({!Timing.slacks_update}), then ranks the primary outputs
-    whose slack is below [min_slack] (default [0.]: timing met there,
-    nothing critical remains) by (slack, id) in one pass, keeping the
-    [max 64 (16 k)] lowest — on high-fanout designs thousands of
+    currently worst-slack endpoints, worst first.  Ranks the primary
+    outputs whose slack is below [min_slack] (default [0.]: timing met
+    there, nothing critical remains) by (slack, id) at the current
+    revision ({!Timing.worst_endpoints}), keeping the [max 64 (16 k)]
+    lowest — on high-fanout designs thousands of
     violating endpoints share one spine, probing them all costs more
     than the round's re-timing, and the flow only needs the worst few
     disjoint cones.  It probes those in order, skipping any cone that

@@ -106,6 +106,10 @@ type t = {
   (* eval scratch (running best per edge): one block reused across every
      {!eval_store_csr} call instead of a per-call allocation *)
   wl_best : float array;
+  (* {!critical_endpoint}'s answer and the revision it was scanned at
+     (-1: none yet) *)
+  mutable ce : (int * Edge.t) option;
+  mutable ce_rev : int;
 }
 
 (* slot offset of an edge's (time, slope) pair within a node's block *)
@@ -691,6 +695,8 @@ let make ?input_slope ?(input_arrival = 0.) ~lib netlist =
     cursor = Netlist.revision netlist;
     wl_mark = Bytes.make cap '\000';
     wl_best = [| Float.nan; Float.nan |];
+    ce = None;
+    ce_rev = -1;
   }
 
 let analyze ?input_slope ?input_arrival ~lib netlist =
@@ -730,31 +736,40 @@ let node_worst t id =
   | true, false -> (Edge.Falling, arrival t id Edge.Falling)
   | true, true -> raise Not_found
 
-(* The first output, in [Netlist.outputs] order, whose worst arrival is
-   the maximum: [node_worst]'s edge pick (rising on ties and when falling
-   is undefined) read straight from the slots, so no arrival record is
-   built per output.  Deleted or unreachable endpoints have NaN arrivals
-   and drop out like [node_worst]'s Not_found. *)
+(* The first output, in designation order, whose worst arrival is the
+   maximum: [node_worst]'s edge pick (rising on ties and when falling is
+   undefined) read straight from the slots, in one loop over
+   {!Netlist.output_ids} that allocates nothing per output.  Unreachable
+   endpoints have NaN arrivals and drop out like [node_worst]'s
+   Not_found.  The answer is kept until the revision moves: the flow
+   asks twice per round, and [Vt_assign] after every rejected swap. *)
 let critical_endpoint t =
   update t;
-  let best = ref (-1) and time = ref Float.nan in
-  List.iter
-    (fun (id, _) ->
+  if t.ce_rev <> t.cursor then begin
+    let outs = Netlist.output_ids t.netlist in
+    let arr = t.arr in
+    let best = ref (-1) and time = ref Float.nan in
+    for r = 0 to Netlist.output_count t.netlist - 1 do
+      let id = outs.(r) in
       if id >= 0 && id < t.cap then begin
-        let r = t.arr.(4 * id) and f = t.arr.((4 * id) + 2) in
+        let a = arr.(4 * id) and f = arr.((4 * id) + 2) in
         (* a strictly later arrival on either edge takes over; the
            edge is picked only then, off the hot comparison *)
         if
-          r > !time || f > !time
-          || (!best < 0 && not (Float.is_nan r && Float.is_nan f))
+          a > !time || f > !time
+          || (!best < 0 && not (Float.is_nan a && Float.is_nan f))
         then begin
           best := id;
-          time := if Float.is_nan f || r >= f then r else f
+          time := if Float.is_nan f || a >= f then a else f
         end
-      end)
-    (Netlist.outputs t.netlist);
-  if !best < 0 then None
-  else Some (!best, if t.arr.(4 * !best) = !time then Edge.Rising else Edge.Falling)
+      end
+    done;
+    t.ce <-
+      (if !best < 0 then None
+       else Some (!best, if arr.(4 * !best) = !time then Edge.Rising else Edge.Falling));
+    t.ce_rev <- t.cursor
+  end;
+  t.ce
 
 (* the critical endpoint's arrival; 0 when no output has one *)
 let critical_delay t =
@@ -828,7 +843,7 @@ let slack t ~tc id =
   let _, a = node_worst t id in
   tc -. a.time
 
-(* --- required times and slacks (backward sweep) ----------------------- *)
+(* --- required times and slacks (lazy backward sweep) ------------------ *)
 
 (* Required times live in a dense float array with two slots per node id
    — [2id] rising, [2id+1] falling; nan = undefined (no arrival through
@@ -839,13 +854,23 @@ let slack t ~tc id =
    [required(consumer, out_edge) - stage_delay(consumer, out_edge)]
    where the stage delay uses {e this} node's stored slope as [tau_in].
    [slk.(id)] caches the worst (most negative) [required - arrival]
-   over both edges, nan when neither edge has both defined. *)
+   over both edges, nan when neither edge has both defined.
+
+   The arrays are filled lazily, as a suffix of the reverse levelized
+   CSR order: positions [mark] and up hold the values of revision
+   [rev], the rest is garbage.  A query at a node with fan-out lowers
+   [mark] to the node's position, a query at a sink reads its arrivals
+   (its required time is [tc] or nothing), and a revision change resets
+   [mark] without touching the arrays.  The flow reads slacks at its
+   endpoints, which on wide designs are nearly all sinks, and at ≤3
+   window tails per round, so most rounds sweep nothing. *)
 type slacks = {
   s_tm : t;
   s_tc : float;
   mutable req : float array;  (* two required slots per id *)
   mutable slk : float array;  (* one worst-slack slot per id *)
-  mutable nl_cursor : int;  (* netlist revision the arrays reflect *)
+  mutable rev : int;  (* netlist revision [mark] refers to *)
+  mutable mark : int;  (* CSR positions >= mark are current; max_int: none *)
 }
 
 let eval_slack s id =
@@ -861,30 +886,51 @@ let eval_slack s id =
   done;
   s.slk.(id) <- !worst
 
-(* Full backward pass: every slot back to undefined (ids deleted since
-   the last pass must read nan), then the reverse levelized CSR order,
-   so every consumer's required time is stored before its producers
+(* [eval_slack] at a sink: required time [tc] on each edge with an
+   arrival if it is an output, none otherwise.  The same subtractions
+   and the same min, so the bits match a swept sink's. *)
+let sink_slack s id =
+  if not (Netlist.is_output s.s_tm.netlist id) then Float.nan
+  else begin
+    let arr = s.s_tm.arr in
+    let w = s.s_tc -. arr.(4 * id) and wf = s.s_tc -. arr.((4 * id) + 2) in
+    if Float.is_nan wf then w else if Float.is_nan w || wf < w then wf else w
+  end
+
+(* Bring [s] to the netlist's current revision: arrivals first, then a
+   moved revision invalidates every stored required time by resetting
+   the mark.  Every query starts here. *)
+let slacks_update s =
+  update s.s_tm;
+  let rev = Netlist.revision s.s_tm.netlist in
+  if rev <> s.rev then begin
+    s.rev <- rev;
+    s.mark <- max_int
+  end
+
+(* Lower the mark to CSR position [stop]: the backward recurrence over
+   positions [stop, mark) in reverse order, so every consumer's required
+   time (always at a higher position) is stored before its producers
    read it.  Per node this recomputes both required slots from the
    consumers straight off the CSR arrays — the backward counterpart of
    {!sweep_range}, with the same coefficient tables and float groupings
-   (so [x /. 2.] is [x *. 0.5] etc.).  Min is commutative, so any
-   evaluation order over the same consumer set yields the same bits as
-   the record-based {!slacks_reference}.  The running min lives in a
-   one-slot array: a float ref would box on every update. *)
-let slacks_sweep s =
+   (so [x /. 2.] is [x *. 0.5] etc.) — and writes both, NaN included, so
+   nothing from an earlier revision survives in the suffix.  Min is
+   commutative, so any evaluation order over the same consumer set
+   yields the same bits as the record-based {!slacks_reference}.  The
+   running min lives in a one-slot array: a float ref would box on every
+   update. *)
+let lower s (c : Netlist.Csr.t) stop =
   let tm = s.s_tm in
   let nl = tm.netlist in
-  let cap = max 64 (Netlist.id_bound nl) in
-  if cap > Array.length s.slk then begin
+  let bound = Netlist.id_bound nl in
+  (* the arrays only grow after new ids, hence after a revision change
+     reset the mark: nothing in them is current, nothing to copy *)
+  if bound > Array.length s.slk then begin
+    let cap = max 64 (max bound (2 * Array.length s.slk)) in
     s.req <- Array.make (2 * cap) Float.nan;
     s.slk <- Array.make cap Float.nan
-  end
-  else begin
-    Array.fill s.req 0 (Array.length s.req) Float.nan;
-    Array.fill s.slk 0 (Array.length s.slk) Float.nan
   end;
-  s.nl_cursor <- Netlist.revision nl;
-  let c = Netlist.csr nl in
   let tb = tm.tables in
   let arr = tm.arr in
   let req = s.req in
@@ -896,13 +942,14 @@ let slacks_sweep s =
   let fo_off = Netlist.Csr.fanout_off c in
   let fo = Netlist.Csr.fanout c in
   let acc = [| Float.nan |] in
-  for i = Netlist.Csr.length c - 1 downto 0 do
+  for i = min s.mark (Netlist.Csr.length c) - 1 downto stop do
     let id = node_of.(i) in
     let is_out = Netlist.is_output nl id in
     let f_lo = fo_off.(id) and f_hi = fo_off.(id + 1) in
     for eo = 0 to 1 do
       let a = arr.((4 * id) + (2 * eo)) in
-      if not (Float.is_nan a) then begin
+      if Float.is_nan a then req.((2 * id) + eo) <- Float.nan
+      else begin
         let slope = arr.((4 * id) + (2 * eo) + 1) in
         acc.(0) <- (if is_out then s.s_tc else Float.nan);
         for p = f_lo to f_hi - 1 do
@@ -962,12 +1009,12 @@ let slacks_sweep s =
       end
     done;
     eval_slack s id
-  done
+  done;
+  if stop < s.mark then s.mark <- stop
 
 let slacks_make tm ~tc =
-  update tm;
-  let s = { s_tm = tm; s_tc = tc; req = [||]; slk = [||]; nl_cursor = 0 } in
-  slacks_sweep s;
+  let s = { s_tm = tm; s_tc = tc; req = [||]; slk = [||]; rev = -1; mark = max_int } in
+  slacks_update s;
   s
 
 (* the from-scratch oracle: per-node {!Pops_delay.Model.stage_delay}
@@ -979,7 +1026,7 @@ let slacks_reference tm ~tc =
   let cap = max 64 (Netlist.id_bound nl) in
   let s =
     { s_tm = tm; s_tc = tc; req = Array.make (2 * cap) Float.nan;
-      slk = Array.make cap Float.nan; nl_cursor = Netlist.revision nl }
+      slk = Array.make cap Float.nan; rev = Netlist.revision nl; mark = 0 }
   in
   List.iter
     (fun id ->
@@ -1040,21 +1087,115 @@ let slacks_reference tm ~tc =
     (List.rev (Netlist.topological_order nl));
   s
 
-(* a full backward sweep whenever the netlist moved: at the flow's
-   round rate the sweep is a small share of the round, and it leaves
-   nothing to keep consistent across edits *)
-let slacks_update s =
-  update s.s_tm;
-  if Netlist.revision s.s_tm.netlist <> s.nl_cursor then slacks_sweep s
-
 let slacks_timing s = s.s_tm
 let slacks_tc s = s.s_tc
 
+(* The current CSR position of a live id in range, -1 otherwise (deleted
+   ids have no position, so nothing an earlier revision stored for them
+   can be read back). *)
+let slack_pos s id =
+  slacks_update s;
+  let nl = s.s_tm.netlist in
+  if id < 0 || id >= Netlist.id_bound nl then -1
+  else (Netlist.Csr.pos (Netlist.csr nl)).(id)
+
+let is_sink nl id =
+  let off = Netlist.Csr.fanout_off (Netlist.csr nl) in
+  off.(id + 1) = off.(id)
+
 let required s id edge =
-  if id < 0 || id >= Array.length s.slk then raise Not_found;
-  let r = s.req.((2 * id) + edge_bit edge) in
+  let p = slack_pos s id in
+  if p < 0 then raise Not_found;
+  let nl = s.s_tm.netlist in
+  let r =
+    if p >= s.mark then s.req.((2 * id) + edge_bit edge)
+    else if is_sink nl id then
+      if
+        Netlist.is_output nl id
+        && not (Float.is_nan s.s_tm.arr.((4 * id) + edge_off edge))
+      then s.s_tc
+      else Float.nan
+    else begin
+      lower s (Netlist.csr nl) p;
+      s.req.((2 * id) + edge_bit edge)
+    end
+  in
   if Float.is_nan r then raise Not_found;
   r
 
 let node_slack s id =
-  if id < 0 || id >= Array.length s.slk then Float.nan else s.slk.(id)
+  let p = slack_pos s id in
+  if p < 0 then Float.nan
+  else if p >= s.mark then s.slk.(id)
+  else begin
+    let nl = s.s_tm.netlist in
+    if is_sink nl id then sink_slack s id
+    else begin
+      lower s (Netlist.csr nl) p;
+      s.slk.(id)
+    end
+  end
+
+(* lexicographic (slack, id) order; unique per endpoint (typed, so the
+   comparisons are float and int ones, not the polymorphic compare) *)
+let[@inline] slack_less (p1 : float) (i1 : int) p2 i2 =
+  p1 < p2 || (p1 = p2 && i1 < i2)
+
+(* One loop over {!Netlist.output_ids} keeping a sorted prefix of at
+   most [limit] entries, where a candidate that cannot enter a full
+   prefix costs one comparison.  A sink's slack is read off its arrival
+   slots and an output that drives gates lowers the mark, so nothing is
+   allocated per output.  (slack, id) is a total order, so the visiting
+   order does not change the result; a net listed twice as an output is
+   entered once. *)
+let worst_endpoints s ~min_slack ~limit =
+  slacks_update s;
+  let nl = s.s_tm.netlist in
+  let c = Netlist.csr nl in
+  let pos = Netlist.Csr.pos c and fo_off = Netlist.Csr.fanout_off c in
+  let outs = Netlist.output_ids nl in
+  let arr = s.s_tm.arr and tc = s.s_tc in
+  let ks = Array.make limit 0. and ki = Array.make limit 0 in
+  let n = ref 0 in
+  for r = 0 to Netlist.output_count nl - 1 do
+    let id = outs.(r) in
+    let sl =
+      if fo_off.(id + 1) = fo_off.(id) then begin
+        (* {!sink_slack}, with its rise/fall pick (a branch that
+           mispredicts) run only when an edge already qualifies; a NaN
+           edge never does *)
+        let w = tc -. arr.(4 * id) and wf = tc -. arr.((4 * id) + 2) in
+        if not (w < min_slack || wf < min_slack) then Float.nan
+        else if Float.is_nan wf then w
+        else if Float.is_nan w || wf < w then wf
+        else w
+      end
+      else begin
+        let p = pos.(id) in
+        if p < 0 then Float.nan
+        else begin
+          if p < s.mark then lower s c p;
+          s.slk.(id)
+        end
+      end
+    in
+    if sl < min_slack && (!n < limit || slack_less sl id ks.(limit - 1) ki.(limit - 1))
+    then begin
+      let m = min !n (limit - 1) in
+      let p = ref m in
+      while !p > 0 && slack_less sl id ks.(!p - 1) ki.(!p - 1) do
+        decr p
+      done;
+      let p = !p in
+      if p = 0 || ki.(p - 1) <> id then begin
+        for j = m downto p + 1 do
+          ks.(j) <- ks.(j - 1);
+          ki.(j) <- ki.(j - 1)
+        done;
+        ks.(p) <- sl;
+        ki.(p) <- id;
+        if !n < limit then incr n
+      end
+    end
+  done;
+  List.init !n (fun i -> ki.(i))

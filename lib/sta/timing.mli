@@ -70,7 +70,9 @@ val node_worst : t -> int -> Pops_delay.Edge.t * arrival
 (** Worst arrival over both edges at a node. *)
 
 val critical_delay : t -> float
-(** Worst arrival over all primary outputs and edges. *)
+(** Worst arrival over all primary outputs and edges.  One loop over the
+    outputs' arrival slots per revision: a repeated query at the same
+    revision (this, {!critical_path}) reuses the endpoint it found. *)
 
 val critical_path : t -> int list
 (** Node ids (primary input included) of the critical path, source
@@ -110,38 +112,61 @@ val slack : t -> tc:float -> int -> float
     The backward mirror of the arrival engine: per-node, per-edge
     {e required} times propagated from the primary outputs (required
     [tc] there) against the signal flow, and the per-node worst slack
-    [required - arrival].  Unlike arrivals, slacks are not incremental:
-    {!slacks_update} re-runs the full backward sweep whenever the
-    netlist has moved. *)
+    [required - arrival].
+
+    Slacks are {e lazy} and always answer for the netlist's current
+    revision, as arrival queries do: every query first brings the
+    arrivals up to date ({!update}).  What a query costs:
+    - a deleted or out-of-range id: O(1), undefined;
+    - a sink (a node that drives no gate): O(1), read off its arrivals,
+      since its required time is [tc] if it is an output and undefined
+      otherwise;
+    - a node with fan-out: the backward recurrence over the suffix of
+      the reverse levelized CSR order down to the node's position, minus
+      whatever suffix an earlier query at the same revision already
+      swept.  The first query after an edit re-sweeps from the end.
+
+    An edit costs nothing here until the next query.  Every value is
+    bit-identical to {!slacks_reference} over the whole netlist.
+
+    Queries mutate the annotation (arrivals, and the swept suffix), so
+    run them on one domain, like arrival queries. *)
 
 type slacks
 (** Required-time/slack annotation bound to one {!t} and one [tc]. *)
 
 val slacks_make : t -> tc:float -> slacks
-(** Full backward sweep over the reverse levelized CSR order. *)
+(** A lazy annotation: brings the arrivals up to date, sweeps nothing. *)
 
 val slacks_reference : t -> tc:float -> slacks
 (** The record-based from-scratch oracle (per-consumer
     {!Pops_delay.Model.stage_delay} over the reverse list topological
-    order): what the equivalence suites compare {!slacks_make} and
-    {!slacks_update} against.  Not for production use. *)
+    order, every node): what the equivalence suites compare the lazy
+    queries against.  It answers from its own arrays at the revision
+    it was built at; queried after an edit it recomputes like
+    {!slacks_make}.  Not for production use. *)
 
 val slacks_update : slacks -> unit
-(** Bring the required/slack arrays up to date with the netlist: runs
-    {!update}, then the full {!slacks_make} sweep when the netlist has
-    been edited since the last make/update.  Unlike arrivals this is
-    {e not} called implicitly by the accessors — call it once per round,
-    then query. *)
+(** Bring the annotation to the current revision: runs {!update} and
+    drops the swept suffix if the netlist moved.  Every query does this
+    itself; calling it only moves the arrival update to a chosen
+    point. *)
 
 val slacks_timing : slacks -> t
 val slacks_tc : slacks -> float
 
 val required : slacks -> int -> Pops_delay.Edge.t -> float
-(** Required time of the given edge at a node's output, as of the last
-    make/update.  @raise Not_found when undefined (no arrival through
-    that edge, or no constrained path downstream). *)
+(** Required time of the given edge at a node's output.
+    @raise Not_found when undefined (a deleted or unknown id, no arrival
+    through that edge, or no constrained path downstream). *)
 
 val node_slack : slacks -> int -> float
-(** Worst [required - arrival] over both edges, as of the last
-    make/update; negative means the node lies on a violating path.
-    [nan] when undefined. *)
+(** Worst [required - arrival] over both edges; negative means the node
+    lies on a violating path.  [nan] when undefined (deleted and unknown
+    ids included). *)
+
+val worst_endpoints : slacks -> min_slack:float -> limit:int -> int list
+(** The ids of the [limit] lowest primary outputs by (slack, id) among
+    those with slack below [min_slack], ascending: one loop over
+    {!Pops_netlist.Netlist.output_ids} that allocates nothing per
+    output.  Undefined (nan) slacks never qualify. *)

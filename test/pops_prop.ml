@@ -1134,41 +1134,77 @@ let () =
         (Netlist.inputs nl @ Netlist.gate_ids nl))
 
 (* the backward mirror of the invariant above: required times and slacks
-   folded incrementally through an edit sequence must equal a fresh
-   backward sweep of the final netlist, bit for bit (NaN-aware) *)
+   queried lazily through an edit sequence must equal a fresh backward
+   sweep of the netlist of the moment, bit for bit (NaN-aware).  After
+   each edit — sometimes with no [slacks_update], sometimes after an
+   internal gate became an output that drives gates — a random subset of
+   ids (sinks, deep nodes, ids a De Morgan rewrite deleted, out-of-range
+   ids) is queried in random order against a fresh oracle, so the lazily
+   swept suffix is entered from arbitrary points; the critical delay and
+   path must match a fresh analysis too.  Then every id is compared. *)
 let () =
   Prop.register ~name:"sta.incremental_slack_equals_fresh"
-    (Gen.pair C.dag_spec (Gen.list_sized ~min_len:1 C.edit))
-    (fun (d, edits) ->
+    (Gen.triple C.dag_spec (Gen.list_sized ~min_len:1 C.edit) Gen.int64)
+    (fun (d, edits, seed) ->
       let nl = C.build_dag d in
       let lib = C.library (Netlist.tech nl) in
       let t = Timing.analyze ~lib nl in
       let tc = 0.75 *. Timing.critical_delay t in
       let s = Timing.slacks_make t ~tc in
-      List.iter
-        (fun e ->
-          C.apply_edit nl e;
-          Timing.slacks_update s)
-        edits;
-      let fresh = Timing.slacks_make (Timing.analyze ~lib nl) ~tc in
+      let rng = Rng.create seed in
       let same a b = a = b || (Float.is_nan a && Float.is_nan b) in
       let required_opt s id e =
         match Timing.required s id e with r -> r | exception Not_found -> Float.nan
       in
-      List.iter
-        (fun id ->
-          List.iter
-            (fun e ->
-              let a = required_opt s id e and b = required_opt fresh id e in
-              if not (same a b) then
-                Prop.failf "node %d %s: incremental required %.17g <> fresh %.17g"
-                  id (match e with Edge.Rising -> "rise" | Edge.Falling -> "fall")
-                  a b)
-            [ Edge.Rising; Edge.Falling ];
-          let a = Timing.node_slack s id and b = Timing.node_slack fresh id in
-          if not (same a b) then
-            Prop.failf "node %d: incremental slack %.17g <> fresh %.17g" id a b)
-        (Netlist.inputs nl @ Netlist.gate_ids nl))
+      let check ~what oracle id =
+        List.iter
+          (fun e ->
+            let a = required_opt s id e and b = required_opt oracle id e in
+            if not (same a b) then
+              Prop.failf "%s: node %d %s: incremental required %.17g <> fresh %.17g"
+                what id (match e with Edge.Rising -> "rise" | Edge.Falling -> "fall")
+                a b)
+          [ Edge.Rising; Edge.Falling ];
+        let a = Timing.node_slack s id and b = Timing.node_slack oracle id in
+        if not (same a b) then
+          Prop.failf "%s: node %d: incremental slack %.17g <> fresh %.17g" what id a b
+      in
+      List.iteri
+        (fun step e ->
+          let what = Printf.sprintf "after edit %d (%s)" step (C.print_edit e) in
+          C.apply_edit nl e;
+          (if Rng.int rng 3 = 0 then
+             let driving =
+               List.filter
+                 (fun g -> (Netlist.node nl g).Netlist.fanouts <> [])
+                 (Netlist.gate_ids nl)
+             in
+             if driving <> [] then
+               Netlist.set_output nl
+                 (Rng.pick rng (Array.of_list driving))
+                 ~load:(5. +. Rng.float rng 55.));
+          if Rng.bool rng then Timing.slacks_update s;
+          let fresh = Timing.analyze ~lib nl in
+          let oracle = Timing.slacks_reference fresh ~tc in
+          let ids = Array.init (Netlist.id_bound nl + 4) (fun i -> i - 2) in
+          for i = Array.length ids - 1 downto 1 do
+            let j = Rng.int rng (i + 1) in
+            let x = ids.(i) in
+            ids.(i) <- ids.(j);
+            ids.(j) <- x
+          done;
+          for i = 0 to Rng.int rng (Array.length ids) do
+            check ~what oracle ids.(i)
+          done;
+          requiref (Timing.critical_delay t = Timing.critical_delay fresh)
+            "%s: incremental critical delay %.17g <> fresh %.17g" what
+            (Timing.critical_delay t) (Timing.critical_delay fresh);
+          requiref (Timing.critical_path t = Timing.critical_path fresh)
+            "%s: critical path differs from a fresh analysis" what)
+        edits;
+      let fresh = Timing.slacks_reference (Timing.analyze ~lib nl) ~tc in
+      List.iter (check ~what:"final" fresh)
+        (List.init (Netlist.id_bound nl + 4) (fun i -> i - 2)))
 
 (* two disjoint copies of [nl] in one netlist, each output designated
    right after its twin: every arrival has a bit-identical twin, so the

@@ -26,32 +26,51 @@ let same_f a b = a = b || (Float.is_nan a && Float.is_nan b)
 let required_opt s id e =
   match Timing.required s id e with r -> r | exception Not_found -> Float.nan
 
-(* CSR backward sweep vs the record-based oracle: required times (both
-   edges) and worst slacks, bit for bit, over every id ever allocated
-   (deleted ones must read undefined) *)
+(* the lazy annotation against the record-based oracle at one id:
+   required times (both edges) and worst slack, bit for bit *)
+let check_slack_at ~what s oracle id =
+  List.iter
+    (fun e ->
+      let a = required_opt s id e and b = required_opt oracle id e in
+      if not (same_f a b) then
+        Alcotest.failf "%s: node %d required differs: %.17g vs %.17g" what id a b)
+    [ Edge.Rising; Edge.Falling ];
+  let a = Timing.node_slack s id and b = Timing.node_slack oracle id in
+  if not (same_f a b) then
+    Alcotest.failf "%s: node %d slack differs: %.17g vs %.17g" what id a b
+
+let oracle_of s t = Timing.slacks_reference (Timing.analyze ~lib t) ~tc:(Timing.slacks_tc s)
+
+(* lazy slacks vs the record-based oracle over every id ever allocated
+   (deleted ones must read undefined) and two out-of-range ids each
+   side *)
 let check_slacks_oracle ~what ?slacks t =
-  let tc, csr =
+  let s =
     match slacks with
-    | Some s -> (Timing.slacks_tc s, s)
+    | Some s -> s
     | None ->
       let tm = Timing.analyze ~lib t in
-      let tc = 0.8 *. Timing.critical_delay tm in
-      (tc, Timing.slacks_make tm ~tc)
+      Timing.slacks_make tm ~tc:(0.8 *. Timing.critical_delay tm)
   in
-  let ref_ = Timing.slacks_reference (Timing.analyze ~lib t) ~tc in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun e ->
-          let a = required_opt csr id e and b = required_opt ref_ id e in
-          if not (same_f a b) then
-            Alcotest.failf "%s: node %d required differs: %.17g vs %.17g" what
-              id a b)
-        [ Edge.Rising; Edge.Falling ];
-      let a = Timing.node_slack csr id and b = Timing.node_slack ref_ id in
-      if not (same_f a b) then
-        Alcotest.failf "%s: node %d slack differs: %.17g vs %.17g" what id a b)
-    (List.init (Netlist.id_bound t) Fun.id)
+  let oracle = oracle_of s t in
+  for id = -2 to Netlist.id_bound t + 1 do
+    check_slack_at ~what s oracle id
+  done
+
+(* a random subset of the same ids in random order, so the lazily swept
+   suffix is entered from arbitrary points before the full comparison *)
+let check_random_queries ~what rng s t =
+  let oracle = oracle_of s t in
+  let ids = Array.init (Netlist.id_bound t + 4) (fun i -> i - 2) in
+  for i = Array.length ids - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  for i = 0 to Rng.int rng (Array.length ids) do
+    check_slack_at ~what s oracle ids.(i)
+  done
 
 (* Brute-force cone selection: rank every output with a negative slack
    by (slack, id) off a fresh record-based analysis, then probe the
@@ -171,33 +190,57 @@ let random_edit rng t =
   | 4 -> ignore (Transform.de_morgan t (any_gate ()))
   | _ -> Netlist.set_output t (any_gate ()) ~load:(Rng.float rng 50.)
 
+(* One case: selection and slacks against their oracles after each of 6
+   random edits.  After an edit the slacks are queried at random ids
+   first — every other step after a second edit that nothing queried
+   in between — then the critical delay and path are checked against a
+   fresh analysis, and only then do the selection and the full
+   comparison run. *)
+let slacks_and_selection (path_gates, salt) =
+  let p =
+    Generator.make_profile
+      ~name:(Printf.sprintf "fs%d_%d" path_gates salt)
+      ~path_gates ()
+  in
+  let t, _ = Generator.generate tech p in
+  let tm = Timing.analyze ~lib t in
+  (* a tight constraint so plenty of endpoints violate and there
+     are critical cones to hand out *)
+  let tc = 0.6 *. Timing.critical_delay tm in
+  let s = Timing.slacks_make tm ~tc in
+  let sel = Paths.incr_make t s in
+  check_selection ~what:"initial" ~tc sel t;
+  let rng = Rng.create (Int64.of_int (salt + (path_gates * 7_919))) in
+  let queries = Rng.create (Int64.of_int ((salt * 31) + path_gates)) in
+  for step = 1 to 6 do
+    random_edit rng t;
+    let what = Printf.sprintf "step %d" step in
+    if step mod 2 = 0 then begin
+      check_random_queries ~what queries s t;
+      random_edit queries t
+    end;
+    check_random_queries ~what queries s t;
+    let fresh = Timing.analyze ~lib t in
+    if not (same_f (Timing.critical_delay tm) (Timing.critical_delay fresh)) then
+      Alcotest.failf "%s: critical delay %.17g, fresh %.17g" what
+        (Timing.critical_delay tm) (Timing.critical_delay fresh);
+    if Timing.critical_path tm <> Timing.critical_path fresh then
+      Alcotest.failf "%s: critical path differs from a fresh analysis" what;
+    check_selection ~what ~tc sel t;
+    check_slacks_oracle ~what ~slacks:s t
+  done;
+  true
+
 let prop_slacks_and_selection =
   QCheck.Test.make
     ~name:"carried slacks + cone selection == oracles through edits"
     ~count:60
     QCheck.(pair (int_range 4 12) (int_range 0 1_000_000))
-    (fun (path_gates, salt) ->
-      let p =
-        Generator.make_profile
-          ~name:(Printf.sprintf "fs%d_%d" path_gates salt)
-          ~path_gates ()
-      in
-      let t, _ = Generator.generate tech p in
-      let tm = Timing.analyze ~lib t in
-      (* a tight constraint so plenty of endpoints violate and there
-         are critical cones to hand out *)
-      let tc = 0.6 *. Timing.critical_delay tm in
-      let s = Timing.slacks_make tm ~tc in
-      let sel = Paths.incr_make t s in
-      check_selection ~what:"initial" ~tc sel t;
-      let rng = Rng.create (Int64.of_int (salt + (path_gates * 7_919))) in
-      for step = 1 to 6 do
-        random_edit rng t;
-        let what = Printf.sprintf "step %d" step in
-        check_selection ~what ~tc sel t;
-        check_slacks_oracle ~what ~slacks:s t
-      done;
-      true)
+    slacks_and_selection
+
+(* the case where a lazy sweep once served a value stored for an id
+   deleted since (at step 2) *)
+let test_deleted_since_sweep () = ignore (slacks_and_selection (5, 141280))
 
 (* --- the flow against pinned digests ---------------------------------- *)
 
@@ -299,6 +342,8 @@ let () =
         [
           Alcotest.test_case "paper benchmark suite" `Quick test_slacks_profiles;
           qtest prop_slacks_and_selection;
+          Alcotest.test_case "an id deleted since the last sweep" `Quick
+            test_deleted_since_sweep;
         ] );
       ( "cones",
         [ Alcotest.test_case "probe bound on a shared spine" `Quick test_probe_bound ] );
