@@ -2,12 +2,13 @@
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
    analyze vs the pre-refactor reference, incremental update under resize
    and buffer-insertion traffic, the arena k-worst, and (up to 100k) the
-   flow's per-round endpoint work, logic equivalence and power on the
-   snapshot, and (up to 100k, plus an inverter chain) the .bench parse
-   with the text written either way round.  Minor-words-per-gate budgets
-   guard the allocation-free inner loops: a regression fails the run,
-   and so do an endpoint round over one cold analyze and an
-   outputs-first parse over 2x the inputs-first one. *)
+   node store's cold snapshot, copy and restore, the flow's per-round
+   endpoint work, logic equivalence and power on the snapshot, and (up
+   to 100k, plus an inverter chain) the .bench parse with the text
+   written either way round.  Minor-words-per-gate budgets guard the
+   allocation-free inner loops: a regression fails the run, and so do
+   an endpoint round over one cold analyze and an outputs-first parse
+   over 2x the inputs-first one. *)
 
 open Harness
 
@@ -42,6 +43,21 @@ let select_round ~edits ~resize ~timing nl =
     words := !words +. (Gc.minor_words () -. w0)
   done;
   (!secs *. 1e9 /. float_of_int edits, !words /. float_of_int edits)
+
+(* The first [csr] of a netlist restored into a fresh one, which derives
+   the order cold; the restore stays outside the timed region.  Best
+   wall time and mean minor words over [rounds]. *)
+let cold_snapshot ~rounds nl =
+  let best = ref infinity and words = ref 0. in
+  for _ = 1 to rounds do
+    let fresh = Netlist.create tech in
+    Netlist.restore fresh ~from:nl;
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    ignore (Netlist.csr fresh);
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  (!best *. 1e9, !words /. float_of_int rounds)
 
 let sta_scale () =
   let sizes = if !smoke then [ 10_000 ] else [ 10_000; 100_000; 1_000_000 ] in
@@ -97,6 +113,28 @@ let sta_scale () =
       (* single-sweep O(V+E) structural validation *)
       let vd = (time ~rounds [| (fun () -> ignore (Netlist.validate_diags nl)) |]).(0) in
       record ~kernel:"validate_diags" ~shape ~gates vd.ns;
+      (* the node store: a copy and a restore are one array copy per
+         stored array, so each stays under 1 minor word per gate; a
+         record, option or cons per node trips it *)
+      if gates <= 100_000 then begin
+        let ns, words = cold_snapshot ~rounds nl in
+        record ~kernel:"netlist_snapshot_cold" ~shape ~gates ~words:(per_gate words) ns;
+        ignore (Netlist.csr nl);
+        let target = Netlist.copy nl in
+        let m =
+          time ~rounds
+            [| (fun () -> ignore (Netlist.copy nl));
+               (fun () -> Netlist.restore target ~from:nl) |]
+        in
+        List.iteri
+          (fun i kernel ->
+            let words = per_gate m.(i).words in
+            if words >= 1. then
+              fail "sta_scale: %s at %d gates (%s): %.2f minor words/gate, budget under 1"
+                kernel gates shape words;
+            record ~kernel ~shape ~gates ~words m.(i).ns)
+          [ "netlist_copy"; "netlist_restore" ]
+      end;
       (* full CSR analyze, interleaved with the pre-refactor record-based
          reference where it is still affordable (<= 100k) *)
       let analyze () = Timing.analyze ~lib nl in
@@ -121,7 +159,7 @@ let sta_scale () =
       let edits = if gates > 200_000 then 50 else 200 in
       let resize i =
         let g = gate_arr.(i * 9973 mod Array.length gate_arr) in
-        let cur = (Netlist.node nl g).Netlist.cin in
+        let cur = Netlist.cin nl g in
         Netlist.set_cin nl g
           (if cur < 3. *. tech.Tech.cmin then 4. *. tech.Tech.cmin else tech.Tech.cmin);
         Timing.update timing

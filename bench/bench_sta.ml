@@ -79,7 +79,7 @@ let sta_incr () =
       let storm () =
         for i = 1 to edits do
           let g = gate_arr.(i * 37 mod Array.length gate_arr) in
-          let cur = (Netlist.node nl g).Netlist.cin in
+          let cur = Netlist.cin nl g in
           Netlist.set_cin nl g
             (if cur < 3. *. tech.Tech.cmin then 4. *. tech.Tech.cmin else tech.Tech.cmin);
           Timing.update timing

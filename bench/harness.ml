@@ -85,15 +85,12 @@ let netlist_fingerprint t =
   let b = Buffer.create 65536 in
   List.iter
     (fun id ->
-      let n = Netlist.node t id in
       Buffer.add_string b
         (Printf.sprintf "%d:%d:%d:%h:%h" id
-           (match n.Netlist.kind with
-           | Netlist.Primary_input -> -1
-           | Netlist.Cell k -> Netlist.Csr.code_of_kind (Netlist.Cell k))
-           (Pops_process.Vt.to_int n.Netlist.vt)
-           n.Netlist.cin n.Netlist.wire);
-      Array.iter (fun f -> Buffer.add_string b (Printf.sprintf ",%d" f)) n.Netlist.fanins;
+           (Netlist.Csr.code_of_kind (Netlist.kind t id))
+           (Pops_process.Vt.to_int (Netlist.vt_of t id))
+           (Netlist.cin t id) (Netlist.wire t id));
+      Array.iter (fun f -> Buffer.add_string b (Printf.sprintf ",%d" f)) (Netlist.fanins t id);
       Buffer.add_char b ';')
     (Netlist.topological_order t);
   List.iter

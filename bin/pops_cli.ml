@@ -381,10 +381,7 @@ let run_circuit name k tc =
         [ ("#", Table.Right); ("gates", Table.Right); ("delay (ps)", Table.Right) ] in
     List.iteri
       (fun i ex ->
-        let sizing =
-          Array.of_list
-            (List.map (fun id -> (Netlist.node nl id).Netlist.cin) ex.Paths.nodes)
-        in
+        let sizing = Array.of_list (List.map (Netlist.cin nl) ex.Paths.nodes) in
         Table.add_row t
           [ string_of_int (i + 1);
             string_of_int (List.length ex.Paths.nodes);

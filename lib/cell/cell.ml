@@ -14,6 +14,7 @@ type t = {
   leak_factor : float;
   vtn_red : float;
   vtp_red : float;
+  area_coeff : float;
 }
 
 (* NMOS at 0.25 um is strongly velocity saturated: stacking costs less
@@ -67,6 +68,7 @@ let make ?k ?(vt = Pops_process.Vt.Lvt) (tech : Pops_process.Tech.t) kind =
     leak_factor = Pops_process.Tech.vt_leak_factor tech vt;
     vtn_red = Pops_process.Tech.vtn_reduced_vt tech vt;
     vtp_red = Pops_process.Tech.vtp_reduced_vt tech vt;
+    area_coeff = float_of_int (Gate_kind.arity kind) *. area_factor kind;
   }
 
 let arity t = Gate_kind.arity t.kind
@@ -75,8 +77,7 @@ let min_cin t = t.tech.cmin
 
 let cpar t ~cin = t.par_ratio *. cin
 
-let area t ~cin =
-  float_of_int (arity t) *. area_factor t.kind *. cin /. t.tech.cg_per_um
+let area t ~cin = t.area_coeff *. cin /. t.tech.cg_per_um
 
 let cin_of_area t ~area:a =
   a *. t.tech.cg_per_um /. (float_of_int (arity t) *. area_factor t.kind)

@@ -39,6 +39,9 @@ type t = private {
           ({!Pops_process.Tech.vt_leak_factor}); exactly [1.0] for LVT *)
   vtn_red : float;  (** reduced NMOS threshold [(vtn + shift) / vdd] *)
   vtp_red : float;  (** reduced PMOS threshold [(vtp + shift) / vdd] *)
+  area_coeff : float;
+      (** arity times the kind's area factor: {!area} is
+          [area_coeff *. cin /. tech.cg_per_um] *)
 }
 
 val stack_factor_n : float

@@ -185,7 +185,7 @@ let build_dag ?(tech = Tech.cmos025) spec =
   done;
   List.iter
     (fun id ->
-      if (Netlist.node nl id).Netlist.fanouts = [] then
+      if Netlist.fanouts nl id = [] then
         Netlist.set_output nl id ~load:(5. +. Rng.float rng 55.))
     (Netlist.gate_ids nl);
   (match Netlist.outputs nl with
@@ -203,6 +203,7 @@ type edit =
   | Set_load of int * float
   | Insert_buffer of int
   | De_morgan of int
+  | Set_vt of int * Pops_process.Vt.t
 
 let print_edit = function
   | Resize (i, m) -> Printf.sprintf "resize(%d, %.3gx)" i m
@@ -210,6 +211,7 @@ let print_edit = function
   | Set_load (i, l) -> Printf.sprintf "set_load(%d, %.3g fF)" i l
   | Insert_buffer i -> Printf.sprintf "insert_buffer(%d)" i
   | De_morgan i -> Printf.sprintf "de_morgan(%d)" i
+  | Set_vt (i, vt) -> Printf.sprintf "set_vt(%d, %s)" i (Pops_process.Vt.name vt)
 
 let shrink_edit e =
   let ints i rebuild = Seq.map rebuild (Gen.shrink_int ~lo:0 i) in
@@ -225,15 +227,18 @@ let shrink_edit e =
     Seq.append (Seq.return (Resize (i, 1.))) (ints i (fun i' -> Insert_buffer i'))
   | De_morgan i ->
     Seq.append (Seq.return (Resize (i, 1.))) (ints i (fun i' -> De_morgan i'))
+  | Set_vt (i, vt) ->
+    Seq.append (Seq.return (Resize (i, 1.))) (ints i (fun i' -> Set_vt (i', vt)))
 
 let edit =
   Gen.make ~shrink:shrink_edit ~print:print_edit (fun rng _size ->
-      match Rng.int rng 5 with
+      match Rng.int rng 6 with
       | 0 -> Resize (Rng.int rng 64, Rng.log_range rng 1. 32.)
       | 1 -> Set_wire (Rng.int rng 64, Rng.float rng 15.)
       | 2 -> Set_load (Rng.int rng 8, 5. +. Rng.float rng 55.)
       | 3 -> Insert_buffer (Rng.int rng 64)
-      | _ -> De_morgan (Rng.int rng 64))
+      | 4 -> De_morgan (Rng.int rng 64)
+      | _ -> Set_vt (Rng.int rng 64, Rng.pick rng Pops_process.Vt.all))
 
 let nth_wrap l i = match List.length l with 0 -> None | n -> Some (List.nth l (i mod n))
 
@@ -260,6 +265,10 @@ let apply_edit nl e =
   | De_morgan i -> (
     match nth_wrap (Netlist.gate_ids nl) i with
     | Some id -> ignore (Transform.de_morgan nl id)
+    | None -> ())
+  | Set_vt (i, vt) -> (
+    match nth_wrap (Netlist.gate_ids nl) i with
+    | Some id -> Netlist.set_vt nl id vt
     | None -> ())
 
 (* ------------------------------------------------------------------ *)

@@ -76,6 +76,7 @@ type edit =
   | Set_load of int * float  (** output index, terminal load fF *)
   | Insert_buffer of int  (** gate index *)
   | De_morgan of int  (** gate index *)
+  | Set_vt of int * Pops_process.Vt.t  (** gate index, threshold class *)
 
 val print_edit : edit -> string
 val edit : edit Gen.t

@@ -83,7 +83,7 @@ let apply_decision ~record ~size t (nodes : int array) (r : Protocol.report) =
           let node = nodes.(stage) in
           let next = nodes.(stage + 1) in
           let off_path =
-            List.filter (fun c -> c <> next) (Netlist.node t node).Netlist.fanouts
+            List.filter (fun c -> c <> next) (Netlist.fanouts t node)
           in
           if off_path <> [] then begin
             ignore
@@ -143,10 +143,7 @@ let window_tc ~slack wd = if Float.is_nan slack then wd else wd +. slack
 let size_critical ~size ~lib ~tc ~timing ~phase t =
   let d = Timing.critical_delay timing in
   let ex = Paths.critical ~timing ~max_cone ~phase ~lib t in
-  let sizing_now =
-    Array.of_list
-      (List.map (fun id -> (Netlist.node t id).Netlist.cin) ex.Paths.nodes)
-  in
+  let sizing_now = Array.of_list (List.map (Netlist.cin t) ex.Paths.nodes) in
   let wtc =
     window_tc ~slack:(tc -. d) (Path.delay_worst ex.Paths.path sizing_now)
   in
@@ -198,7 +195,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
   let size nodes sizing =
     List.iteri
       (fun i id ->
-        let current = (Netlist.node t id).Netlist.cin in
+        let current = Netlist.cin t id in
         let v = Float.max current (quantize sizing.(i)) in
         if v <> current then ignore (record (Resize (id, v))))
       nodes
@@ -251,12 +248,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
       let snapshots =
         List.map
           (fun (ex : Paths.extracted) ->
-            let sizing_now =
-              Array.of_list
-                (List.map
-                   (fun id -> (Netlist.node t id).Netlist.cin)
-                   ex.Paths.nodes)
-            in
+            let sizing_now = Array.of_list (List.map (Netlist.cin t) ex.Paths.nodes) in
             (* the window's local constraint: absorb the (negative)
                slack at its tail gate — on the worst path that equals
                the endpoint violation this cone was selected for *)

@@ -30,18 +30,17 @@ let leakage_uw ~lib t =
    step itself.  Pure per-gate arithmetic over the current sizes —
    safe to fan out read-only over the pool. *)
 let candidate ~lib t id =
-  let n = Netlist.node t id in
-  match n.Netlist.kind with
+  match Netlist.kind t id with
   | Netlist.Primary_input -> None
   | Netlist.Cell kind -> (
-    let vt = n.Netlist.vt in
+    let vt = Netlist.vt_of t id in
     match Vt.next vt with
     | None -> None
     | Some vt' ->
       let tech = Netlist.tech t in
       let cell = Library.find_vt lib kind vt in
       let cell' = Library.find_vt lib kind vt' in
-      let a = Cell.area cell ~cin:n.Netlist.cin in
+      let a = Cell.area cell ~cin:(Netlist.cin t id) in
       let saving =
         tech.Tech.i_leak_per_um *. a
         *. (cell.Cell.leak_factor -. cell'.Cell.leak_factor)

@@ -839,12 +839,10 @@ let to_string ?(names = []) t =
   let cmin = (Netlist.tech t).Pops_process.Tech.cmin in
   let name_of = name_fn names in
   let buf = Buffer.create 1024 in
-  let annotations n =
-    let parts = ref [] in
-    if n.Netlist.wire > 1e-9 then
-      parts := Printf.sprintf "wire=%.3f" n.Netlist.wire :: !parts;
-    if Float.abs (n.Netlist.cin -. cmin) > 1e-9 then
-      parts := Printf.sprintf "cin=%.3f" n.Netlist.cin :: !parts;
+  let annotations id =
+    let parts = ref [] and wire = Netlist.wire t id and cin = Netlist.cin t id in
+    if wire > 1e-9 then parts := Printf.sprintf "wire=%.3f" wire :: !parts;
+    if Float.abs (cin -. cmin) > 1e-9 then parts := Printf.sprintf "cin=%.3f" cin :: !parts;
     if !parts = [] then "" else " # " ^ String.concat " " !parts
   in
   List.iter
@@ -855,13 +853,12 @@ let to_string ?(names = []) t =
     (Netlist.outputs t);
   List.iter
     (fun id ->
-      let n = Netlist.node t id in
-      match n.Netlist.kind with
+      match Netlist.kind t id with
       | Netlist.Primary_input -> ()
       | Netlist.Cell kind ->
-        let args = Array.to_list (Array.map name_of n.Netlist.fanins) in
+        let args = Array.to_list (Array.map name_of (Netlist.fanins t id)) in
         let line op = Printf.sprintf "%s = %s(%s)%s\n" (name_of id) op
-            (String.concat ", " args) (annotations n) in
+            (String.concat ", " args) (annotations id) in
         (match kind with
         | Gk.Inv -> Buffer.add_string buf (line "NOT")
         | Gk.Buf -> Buffer.add_string buf (line "BUFF")
@@ -873,12 +870,7 @@ let to_string ?(names = []) t =
         | Gk.Oai21 -> Buffer.add_string buf (line "OAI21")
         | Gk.Aoi22 -> Buffer.add_string buf (line "AOI22")
         | Gk.Oai22 -> Buffer.add_string buf (line "OAI22")))
-    (List.filter
-       (fun id ->
-         match (Netlist.node t id).Netlist.kind with
-         | Netlist.Cell _ -> true
-         | Netlist.Primary_input -> false)
-       (Netlist.topological_order t));
+    (Netlist.topological_order t);
   Buffer.contents buf
 
 let write_file ?names t path =

@@ -173,8 +173,8 @@ let generate_grid tech ~name ~gates =
   for id = 0 to bound - 1 do
     if
       Netlist.node_exists t id
-      && (Netlist.node t id).Netlist.fanouts = []
-      && (match (Netlist.node t id).Netlist.kind with
+      && Netlist.fanouts t id = []
+      && (match Netlist.kind t id with
          | Netlist.Cell _ -> true
          | Netlist.Primary_input -> false)
     then Netlist.set_output t id ~load:(tech.Pops_process.Tech.cmin *. 4.)

@@ -201,22 +201,21 @@ let signal_probabilities t ?(input_prob = 0.5) () =
 let cone_limit = 16
 
 (* The transitive fan-in of [id], itself included: its primary inputs
-   ascending, its gates unordered.  A worklist walk over the records,
+   ascending, its gates unordered.  A worklist walk over the fan-ins,
    so a million-gate-deep cone cannot overflow the stack and a cyclic
    netlist does not raise. *)
 let cone t id =
-  ignore (Netlist.node t id);
+  ignore (Netlist.kind t id);
   let seen = Bytes.make (Netlist.id_bound t) '\000' in
   let rec walk support gates = function
     | [] -> (List.sort compare support, gates)
     | x :: rest when Bytes.get seen x <> '\000' -> walk support gates rest
     | x :: rest -> (
       Bytes.set seen x '\001';
-      let n = Netlist.node t x in
-      match n.Netlist.kind with
+      match Netlist.kind t x with
       | Netlist.Primary_input -> walk (x :: support) gates rest
       | Netlist.Cell _ ->
-        let rest = Array.fold_left (fun acc f -> f :: acc) rest n.Netlist.fanins in
+        let rest = Array.fold_left (fun acc f -> f :: acc) rest (Netlist.fanins t x) in
         walk support (x :: gates) rest)
   in
   walk [] [] [ id ]

@@ -1,23 +1,78 @@
 module Gk = Pops_cell.Gate_kind
 module Diag = Pops_robust.Diag
+module Vt = Pops_process.Vt
+module Imap = Map.Make (Int)
 
 type node_kind = Primary_input | Cell of Gk.t
 
 type node = {
   id : int;
-  mutable kind : node_kind;
-  mutable fanins : int array;
-  mutable fanouts : int list;
-  mutable cin : float;
-  mutable wire : float;
-  mutable vt : Pops_process.Vt.t;
-      (* threshold class of the cell instance; Lvt for primary inputs *)
+  kind : node_kind;
+  fanins : int array;
+  fanouts : int list;
+  cin : float;
+  wire : float;
+  vt : Vt.t;
 }
 
-(* Incremental caches.
+(* dense encoding of the cell kinds the library can hold; observers
+   index per-kind coefficient tables with it instead of scanning the
+   library's association list per node *)
+let code_kinds =
+  [|
+    Gk.Inv; Gk.Buf; Gk.Nand 2; Gk.Nand 3; Gk.Nand 4; Gk.Nor 2; Gk.Nor 3;
+    Gk.Nor 4; Gk.Aoi21; Gk.Oai21; Gk.Aoi22; Gk.Oai22; Gk.Xor2; Gk.Xnor2;
+  |]
 
-   [load_cache] memoises {!load_on} per node: a mutator that changes what
-   a net drives invalidates (sets to nan) only the touched nets, and the
+let code_cells = Array.map (fun k -> Cell k) code_kinds
+let input_code = -1
+let wide_code = -2
+let dead_code = -3
+
+let code_of_kind = function
+  | Primary_input -> input_code
+  | Cell k -> (
+    match k with
+    | Gk.Inv -> 0
+    | Gk.Buf -> 1
+    | Gk.Nand 2 -> 2
+    | Gk.Nand 3 -> 3
+    | Gk.Nand 4 -> 4
+    | Gk.Nor 2 -> 5
+    | Gk.Nor 3 -> 6
+    | Gk.Nor 4 -> 7
+    | Gk.Aoi21 -> 8
+    | Gk.Oai21 -> 9
+    | Gk.Aoi22 -> 10
+    | Gk.Oai22 -> 11
+    | Gk.Xor2 -> 12
+    | Gk.Xnor2 -> 13
+    | Gk.Nand _ | Gk.Nor _ -> wide_code)
+
+(* What a structural edit invalidates, derived on the next query: the
+   live ids (level, id)-sorted, each id's index in that order, the level
+   offsets, and the fan-out lists packed in list order.  Never written
+   once built, so copies share it. *)
+type order = {
+  bound : int;  (* id bound at derivation *)
+  node_of : int array;
+  pos : int array;  (* by id, -1 for dead ids *)
+  level_off : int array;
+      (* level l occupies node_of indices [level_off.(l), level_off.(l+1));
+         length depth + 2 *)
+  fanout_off : int array;  (* by id, length bound + 1 *)
+  fanout : int array;
+}
+
+let empty_order =
+  { bound = 0; node_of = [||]; pos = [||]; level_off = [| 0; 0 |];
+    fanout_off = [| 0 |]; fanout = [||] }
+
+(* The node store: one array per attribute, indexed by node id and sized
+   by the node capacity.  {!Csr} hands these very arrays to observers.
+
+   [load] memoises {!load_on} per node: a mutator that changes what a
+   net drives invalidates (sets to nan) only the touched nets, and the
    next query recomputes the value with exactly the same fold as a cold
    computation — so cached and from-scratch loads are bit-identical and
    never drift.
@@ -26,59 +81,44 @@ type node = {
    above its deepest fan-in).  Structural mutators patch levels locally
    by re-propagating over the touched fan-out cone; a suspected cycle
    (level exceeding the live-node count) defers to a full Kahn rebuild,
-   which is also what reports cycles.  [topo_cache] is a by-level order
-   derived from the levels, invalidated on structural edits.
+   which is also what reports cycles.
 
    [dirty_log] is an append-only log of node ids whose local timing
    (own delay or driving load) may have changed; observers such as
    [Pops_sta.Timing] keep a cursor into it and re-propagate only from the
    logged nodes (see docs/performance.md). *)
-type csr = {
-  c_bound : int;  (* id bound at snapshot build *)
-  c_n : int;  (* live node count *)
-  c_node_of : int array;  (* c_n entries, (level, id)-sorted *)
-  c_pos : int array;  (* by id: index into c_node_of, -1 for dead ids *)
-  c_level_off : int array;
-      (* level l occupies c_node_of indices
-         [c_level_off.(l), c_level_off.(l+1)); length depth + 2 *)
-  c_kind_code : int array;  (* by id: -1 input, -2 unknown cell, else 0..13 *)
-  c_vt : int array;  (* by id: Vt.to_int of the node's threshold class *)
-  c_cin : float array;  (* by id *)
-  c_load : float array;  (* by id: load_on snapshot *)
-  c_fanin_off : int array;  (* by id, length c_bound + 1 *)
-  c_fanin : int array;  (* packed fan-in ids in pin order *)
-  c_fanout_off : int array;
-  c_fanout : int array;  (* consumer ids, fanout-list order *)
-}
-
 type t = {
   tech : Pops_process.Tech.t;
-  mutable nodes : node option array;
   mutable next_id : int;
+  mutable kind_code : int array;  (* dead_code for dead ids *)
+  mutable wide : Gk.t Imap.t;  (* the kind behind each wide_code *)
+  mutable vt : int array;  (* Vt.to_int; 0 (LVT) for inputs *)
+  mutable cin : float array;  (* 0 for inputs, nan for dead ids *)
+  mutable wire : float array;
+  mutable load : float array;  (* nan = stale *)
+  mutable out_load : float array;
+      (* terminal load, nan = not an output, so {!load_on}, {!is_output}
+         and {!set_output} stay O(1) on designs with hundreds of
+         thousands of outputs *)
+  mutable out_rank : int array;
+      (* the output's slot in [out_ids], -1 = not an output; a
+         designation move rewrites that one slot *)
+  mutable level : int array;
+  mutable fanin_off : int array;  (* capacity + 1 entries *)
+  mutable fanin : int array;
+      (* packed at alloc in pin order: arities never change, so a rewire
+         rewrites one slot in place *)
+  mutable fanouts : int list array;  (* each consumer once, newest first *)
   mutable input_ids : int list;  (* reversed *)
   mutable n_inputs : int;
   mutable out_ids : int array;  (* designation order, [n_out] slots used *)
   mutable n_out : int;
   mutable inputs_fwd : int list option;  (* designation-order views, *)
   mutable outputs_fwd : (int * float) list option;  (* dropped on change *)
-  mutable out_load : float array;
-      (* by id: terminal load, nan = not an output, so {!load_on},
-         {!is_output} and {!set_output} stay O(1) on designs with
-         hundreds of thousands of outputs *)
-  mutable out_rank : int array;
-      (* by id: the output's slot in [out_ids], -1 = not an output; a
-         designation move rewrites that one slot *)
   mutable out_shared : bool;
       (* a move landed on a net that already was an output, which is
          listed twice from then on: moves scan [out_ids] for every slot *)
-  mutable load_cache : float array;  (* nan = stale *)
-  mutable level : int array;
   mutable levels_valid : bool;
-  mutable topo_cache : int list option;
-  mutable level_counts : int array option;
-      (* suffix population: [counts.(l)] = live nodes at level >= l;
-         length depth + 2 (so the last entry is 0).  Rebuilt with the
-         topo cache; pure resizes keep it valid. *)
   mutable n_live : int;
   mutable n_gates : int;
   mutable dirty_log : int array;
@@ -86,70 +126,103 @@ type t = {
   mutable struct_rev : int;
       (* bumped on every structural edit (alloc/rewire/delete/restore);
          equal revisions mean the id set, edges and levels are unchanged *)
-  mutable csr_cache : csr option;
-  mutable csr_struct_rev : int;  (* struct_rev the cache was built at *)
-  mutable csr_cursor : int;  (* dirty-log position the cache is synced to *)
+  mutable order : order;
+  mutable order_rev : int;  (* struct_rev [order] was derived at, -1 = none *)
+  mutable order_cursor : int;  (* dirty-log position [order] was derived at *)
+  mutable load_cursor : int;  (* dirty-log position loads are fresh up to *)
 }
 
 let create tech =
   {
     tech;
-    nodes = Array.make 64 None;
     next_id = 0;
+    kind_code = Array.make 64 dead_code;
+    wide = Imap.empty;
+    vt = Array.make 64 0;
+    cin = Array.make 64 Float.nan;
+    wire = Array.make 64 0.;
+    load = Array.make 64 Float.nan;
+    out_load = Array.make 64 Float.nan;
+    out_rank = Array.make 64 (-1);
+    level = Array.make 64 0;
+    fanin_off = Array.make 65 0;
+    fanin = Array.make 64 0;
+    fanouts = Array.make 64 [];
     input_ids = [];
     n_inputs = 0;
     out_ids = Array.make 64 0;
     n_out = 0;
     inputs_fwd = None;
     outputs_fwd = None;
-    out_load = Array.make 64 Float.nan;
-    out_rank = Array.make 64 (-1);
     out_shared = false;
-    load_cache = Array.make 64 Float.nan;
-    level = Array.make 64 0;
     levels_valid = true;
-    topo_cache = Some [];
-    level_counts = None;
     n_live = 0;
     n_gates = 0;
     dirty_log = Array.make 64 0;
     dirty_len = 0;
     struct_rev = 0;
-    csr_cache = None;
-    csr_struct_rev = -1;
-    csr_cursor = 0;
+    order = empty_order;
+    order_rev = -1;
+    order_cursor = 0;
+    load_cursor = 0;
   }
 
 let tech t = t.tech
 let id_bound t = t.next_id
 let live_count t = t.n_live
 
+let widen a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow t =
-  if t.next_id >= Array.length t.nodes then begin
-    let cap = 2 * Array.length t.nodes in
-    let bigger = Array.make cap None in
-    Array.blit t.nodes 0 bigger 0 (Array.length t.nodes);
-    t.nodes <- bigger;
-    let loads = Array.make cap Float.nan in
-    Array.blit t.load_cache 0 loads 0 (Array.length t.load_cache);
-    t.load_cache <- loads;
-    let outs = Array.make cap Float.nan in
-    Array.blit t.out_load 0 outs 0 (Array.length t.out_load);
-    t.out_load <- outs;
-    let ranks = Array.make cap (-1) in
-    Array.blit t.out_rank 0 ranks 0 (Array.length t.out_rank);
-    t.out_rank <- ranks;
-    let levels = Array.make cap 0 in
-    Array.blit t.level 0 levels 0 (Array.length t.level);
-    t.level <- levels
+  let cap = Array.length t.kind_code in
+  if t.next_id >= cap then begin
+    let cap = 2 * cap in
+    t.kind_code <- widen t.kind_code cap dead_code;
+    t.vt <- widen t.vt cap 0;
+    t.cin <- widen t.cin cap Float.nan;
+    t.wire <- widen t.wire cap 0.;
+    t.load <- widen t.load cap Float.nan;
+    t.out_load <- widen t.out_load cap Float.nan;
+    t.out_rank <- widen t.out_rank cap (-1);
+    t.level <- widen t.level cap 0;
+    t.fanin_off <- widen t.fanin_off (cap + 1) 0;
+    t.fanouts <- widen t.fanouts cap []
   end
 
-let node_exists t id = id >= 0 && id < t.next_id && t.nodes.(id) <> None
+let node_exists t id = id >= 0 && id < t.next_id && t.kind_code.(id) <> dead_code
 
-let node t id =
+let check t id =
   if not (node_exists t id) then
-    invalid_arg (Printf.sprintf "Netlist.node: unknown id %d" id);
-  match t.nodes.(id) with Some n -> n | None -> assert false
+    invalid_arg (Printf.sprintf "Netlist.node: unknown id %d" id)
+
+let is_cell code = code >= 0 || code = wide_code
+
+(* the kind of a live cell id *)
+let cell_kind t id =
+  let code = t.kind_code.(id) in
+  if code >= 0 then code_kinds.(code) else Imap.find id t.wide
+
+let kind_of t id =
+  match t.kind_code.(id) with
+  | -1 -> Primary_input
+  | -2 -> Cell (Imap.find id t.wide)
+  | code -> code_cells.(code)
+
+let arity_of t id = t.fanin_off.(id + 1) - t.fanin_off.(id)
+let kind t id = check t id; kind_of t id
+let cin t id = check t id; t.cin.(id)
+let wire t id = check t id; t.wire.(id)
+let fanins t id = check t id; Array.sub t.fanin t.fanin_off.(id) (arity_of t id)
+let fanouts t id = check t id; t.fanouts.(id)
+let vt_of t id = check t id; Vt.of_int t.vt.(id)
+
+let node t id : node =
+  check t id;
+  { id; kind = kind_of t id; fanins = fanins t id; fanouts = t.fanouts.(id);
+    cin = t.cin.(id); wire = t.wire.(id); vt = Vt.of_int t.vt.(id) }
 
 (* --- dirty log ------------------------------------------------------ *)
 
@@ -173,16 +246,26 @@ let dirty_since t cursor =
   done;
   !acc
 
-let invalidate_load t id = if id < t.next_id then t.load_cache.(id) <- Float.nan
+let invalidate_load t id = if id < t.next_id then t.load.(id) <- Float.nan
 
-(* mark every distinct fan-in source of [n]: their driven load changed *)
-let rec read_before (fi : int array) f i =
-  i > 0 && (fi.(i - 1) = f || read_before fi f (i - 1))
+(* whether [f] is among pins [0, i) of the segment at [o] *)
+let rec read_before (fi : int array) o f i =
+  i > 0 && (fi.(o + i - 1) = f || read_before fi o f (i - 1))
 
-let touch_fanin_loads t (n : node) =
-  for i = 0 to Array.length n.fanins - 1 do
-    let f = n.fanins.(i) in
-    if not (read_before n.fanins f i) then begin
+(* how many pins of [id] read [f] *)
+let pins_reading t id f =
+  let k = ref 0 in
+  for p = t.fanin_off.(id) to t.fanin_off.(id + 1) - 1 do
+    if t.fanin.(p) = f then incr k
+  done;
+  !k
+
+(* mark every distinct fan-in source of [id]: their driven load changed *)
+let touch_fanin_loads t id =
+  let o = t.fanin_off.(id) in
+  for i = 0 to arity_of t id - 1 do
+    let f = t.fanin.(o + i) in
+    if not (read_before t.fanin o f i) then begin
       invalidate_load t f;
       mark_dirty t f
     end
@@ -193,7 +276,7 @@ let touch_fanin_loads t (n : node) =
 let live_ids t =
   let acc = ref [] in
   for id = t.next_id - 1 downto 0 do
-    if t.nodes.(id) <> None then acc := id :: !acc
+    if node_exists t id then acc := id :: !acc
   done;
   !acc
 
@@ -203,18 +286,12 @@ let live_indegrees t ids =
   let indegree = Array.make (max 1 t.next_id) 0 in
   List.iter
     (fun id ->
-      let n = node t id in
+      let o = t.fanin_off.(id) in
       let deg = ref 0 in
-      Array.iteri
-        (fun i f ->
-          if node_exists t f then begin
-            let dup = ref false in
-            for j = 0 to i - 1 do
-              if n.fanins.(j) = f then dup := true
-            done;
-            if not !dup then incr deg
-          end)
-        n.fanins;
+      for i = 0 to arity_of t id - 1 do
+        let f = t.fanin.(o + i) in
+        if node_exists t f && not (read_before t.fanin o f i) then incr deg
+      done;
       indegree.(id) <- !deg)
     ids;
   indegree
@@ -236,7 +313,7 @@ let find_cycle t =
           indegree.(c) <- indegree.(c) - 1;
           if indegree.(c) = 0 then Queue.add c queue
         end)
-      (node t id).fanouts
+      t.fanouts.(id)
   done;
   let stuck id = indegree.(id) > 0 in
   match List.find_opt stuck ids with
@@ -256,11 +333,11 @@ let find_cycle t =
         in
         Some (List.rev (take [] trail))
       else begin
-        let n = node t id in
         let next = ref (-1) in
-        Array.iter
-          (fun f -> if !next < 0 && node_exists t f && stuck f then next := f)
-          n.fanins;
+        for p = t.fanin_off.(id) to t.fanin_off.(id + 1) - 1 do
+          let f = t.fanin.(p) in
+          if !next < 0 && node_exists t f && stuck f then next := f
+        done;
         if !next < 0 then None
         else begin
           on_trail.(id) <- true;
@@ -286,6 +363,17 @@ let cycle_diag_of ?name cycle =
 
 let cycle_diag ?name t = cycle_diag_of ?name (find_cycle t)
 
+let compute_level t id =
+  if t.kind_code.(id) = input_code then 0
+  else begin
+    let l = ref 0 in
+    for p = t.fanin_off.(id) to t.fanin_off.(id + 1) - 1 do
+      let f = t.fanin.(p) in
+      if node_exists t f then l := Int.max !l t.level.(f)
+    done;
+    1 + !l
+  end
+
 (* full Kahn rebuild: the fallback when local level patching bailed out,
    and the only place a cycle is diagnosed *)
 let rebuild_levels t =
@@ -303,40 +391,19 @@ let rebuild_levels t =
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     incr seen;
-    let n = node t id in
-    let lvl =
-      match n.kind with
-      | Primary_input -> 0
-      | Cell _ ->
-        1
-        + Array.fold_left
-            (fun acc f -> if node_exists t f then Int.max acc t.level.(f) else acc)
-            0 n.fanins
-    in
-    t.level.(id) <- lvl;
+    t.level.(id) <- compute_level t id;
     List.iter
       (fun c ->
         if node_exists t c then begin
           indegree.(c) <- indegree.(c) - 1;
           if indegree.(c) = 0 then Queue.add c queue
         end)
-      n.fanouts
+      t.fanouts.(id)
   done;
   if !seen <> t.n_live then raise (Diag.Fatal (cycle_diag t));
   t.levels_valid <- true
 
 let ensure_levels t = if not t.levels_valid then rebuild_levels t
-
-let compute_level t (n : node) =
-  match n.kind with
-  | Primary_input -> 0
-  | Cell _ ->
-    let l = ref 0 in
-    for i = 0 to Array.length n.fanins - 1 do
-      let f = n.fanins.(i) in
-      if node_exists t f then l := Int.max !l t.level.(f)
-    done;
-    1 + !l
 
 (* re-propagate levels over the fan-out cone of [id] while they change;
    if a level climbs past the live-node count something is cyclic, so
@@ -348,26 +415,22 @@ let patch_levels_from t id =
     while t.levels_valid && not (Queue.is_empty queue) do
       let x = Queue.pop queue in
       if node_exists t x then begin
-        let n = node t x in
-        let lvl = compute_level t n in
+        let lvl = compute_level t x in
         if lvl > t.n_live then t.levels_valid <- false
         else if lvl <> t.level.(x) then begin
           t.level.(x) <- lvl;
-          List.iter (fun c -> Queue.add c queue) n.fanouts
+          List.iter (fun c -> Queue.add c queue) t.fanouts.(x)
         end
       end
     done
   end
 
 let level t id =
-  ignore (node t id);
+  check t id;
   ensure_levels t;
   t.level.(id)
 
-let structural_change t =
-  t.topo_cache <- None;
-  t.level_counts <- None;
-  t.struct_rev <- t.struct_rev + 1
+let structural_change t = t.struct_rev <- t.struct_rev + 1
 
 (* (level, id)-sorted live ids by counting sort: bucket sizes per level,
    prefix offsets, then one ascending-id placement pass (which keeps ids
@@ -377,12 +440,11 @@ let level_sorted_live t =
   ensure_levels t;
   let d = ref 0 in
   for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then d := Int.max !d t.level.(id)
+    if node_exists t id then d := Int.max !d t.level.(id)
   done;
   let off = Array.make (!d + 2) 0 in
   for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then
-      off.(t.level.(id) + 1) <- off.(t.level.(id) + 1) + 1
+    if node_exists t id then off.(t.level.(id) + 1) <- off.(t.level.(id) + 1) + 1
   done;
   for l = 1 to !d + 1 do
     off.(l) <- off.(l) + off.(l - 1)
@@ -390,7 +452,7 @@ let level_sorted_live t =
   let order = Array.make t.n_live 0 in
   let cursor = Array.copy off in
   for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then begin
+    if node_exists t id then begin
       let l = t.level.(id) in
       order.(cursor.(l)) <- id;
       cursor.(l) <- cursor.(l) + 1
@@ -398,69 +460,143 @@ let level_sorted_live t =
   done;
   (order, off)
 
-let topological_order t =
-  match t.topo_cache with
-  | Some order -> order
-  | None ->
-    let arr, _ = level_sorted_live t in
-    let order = Array.to_list arr in
-    t.topo_cache <- Some order;
-    order
+(* --- loads ----------------------------------------------------------- *)
 
-let level_suffix_counts t =
-  match t.level_counts with
-  | Some c -> c
-  | None ->
-    ensure_levels t;
-    let d = ref 0 in
-    for id = 0 to t.next_id - 1 do
-      if t.nodes.(id) <> None then d := Int.max !d t.level.(id)
+(* recompute a stale load: count pins, not consumers — a gate reading
+   this net on several pins presents its input capacitance once per pin *)
+let refresh_load t id =
+  if Float.is_nan t.load.(id) then begin
+    let acc = ref 0. and rest = ref t.fanouts.(id) and more = ref true in
+    while !more do
+      match !rest with
+      | [] -> more := false
+      | c :: tl ->
+        acc := !acc +. (float_of_int (pins_reading t c id) *. t.cin.(c));
+        rest := tl
     done;
-    let counts = Array.make (!d + 2) 0 in
-    for id = 0 to t.next_id - 1 do
-      if t.nodes.(id) <> None then
-        counts.(t.level.(id)) <- counts.(t.level.(id)) + 1
-    done;
-    for l = !d - 1 downto 0 do
-      counts.(l) <- counts.(l) + counts.(l + 1)
-    done;
-    t.level_counts <- Some counts;
-    counts
+    let terminal = if Float.is_nan t.out_load.(id) then 0. else t.out_load.(id) in
+    t.load.(id) <- !acc +. t.wire.(id) +. terminal
+  end
 
-let depth t = Array.length (level_suffix_counts t) - 2
+let load_on t id =
+  check t id;
+  refresh_load t id;
+  t.load.(id)
+
+(* every stale load is named in the dirty log past [load_cursor] *)
+let refresh_loads t =
+  for i = t.load_cursor to t.dirty_len - 1 do
+    let id = t.dirty_log.(i) in
+    if node_exists t id then refresh_load t id
+  done;
+  t.load_cursor <- t.dirty_len
+
+let rec pack (dst : int array) k = function
+  | [] -> ()
+  | c :: rest ->
+    dst.(k) <- c;
+    pack dst (k + 1) rest
+
+(* [Array.blit] into a major-heap int array pays a write barrier per
+   element; a typed loop stores plain words *)
+let blit_ints (src : int array) so (dst : int array) d len =
+  for k = 0 to len - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+(* After a structural edit: the order by counting sort over the level
+   cache, and the fan-out lists packed.  Every edit of a fan-out list
+   logs its id, so an id below the previous order's bound and absent
+   from the log since [order_cursor] kept its list: its packed segment
+   is copied from the previous order in runs of consecutive ids, and
+   only logged and new ids walk their lists.  The previous order's
+   arrays are never written, since copies share them. *)
+let derive t =
+  let prev = t.order and bound = t.next_id in
+  let node_of, level_off = level_sorted_live t in
+  let pos = Array.make (max 1 bound) (-1) in
+  Array.iteri (fun i id -> pos.(id) <- i) node_of;
+  let fresh = Bytes.make (max 1 bound) '\001' in
+  Bytes.fill fresh 0 (min prev.bound bound) '\000';
+  for i = t.order_cursor to t.dirty_len - 1 do
+    if t.dirty_log.(i) < bound then Bytes.set fresh t.dirty_log.(i) '\001'
+  done;
+  let fanout_off = Array.make (bound + 1) 0 in
+  for id = 0 to bound - 1 do
+    fanout_off.(id + 1) <-
+      (fanout_off.(id)
+      +
+      if Bytes.get fresh id = '\000' then prev.fanout_off.(id + 1) - prev.fanout_off.(id)
+      else List.length t.fanouts.(id))
+  done;
+  let fanout = Array.make (max 1 fanout_off.(bound)) 0 in
+  (* ids [a, b) kept their fan-out lists *)
+  let copy_run a b =
+    if b > a then begin
+      let o = prev.fanout_off.(a) in
+      blit_ints prev.fanout o fanout fanout_off.(a) (prev.fanout_off.(b) - o)
+    end
+  in
+  let run = ref 0 in
+  for id = 0 to bound - 1 do
+    if Bytes.get fresh id <> '\000' then begin
+      copy_run !run id;
+      run := id + 1;
+      pack fanout fanout_off.(id) t.fanouts.(id)
+    end
+  done;
+  copy_run !run bound;
+  t.order <- { bound; node_of; pos; level_off; fanout_off; fanout };
+  t.order_rev <- t.struct_rev;
+  t.order_cursor <- t.dirty_len
+
+let order t =
+  if t.order_rev <> t.struct_rev then derive t;
+  t.order
+
+let topological_order t = Array.to_list (order t).node_of
+let depth t = Array.length (order t).level_off - 2
 
 let count_level_ge t l =
-  let counts = level_suffix_counts t in
-  if l <= 0 then counts.(0)
-  else if l >= Array.length counts then 0
-  else counts.(l)
+  let o = order t in
+  let n = Array.length o.node_of in
+  if l <= 0 then n else if l >= Array.length o.level_off then 0 else n - o.level_off.(l)
 
 (* --- construction --------------------------------------------------- *)
 
 let alloc t kind fanins cin wire =
   grow t;
   let id = t.next_id in
-  let n = { id; kind; fanins; fanouts = []; cin; wire; vt = Pops_process.Vt.Lvt } in
-  t.nodes.(id) <- Some n;
+  let o = t.fanin_off.(id) and k = Array.length fanins in
+  if o + k > Array.length t.fanin then
+    t.fanin <- widen t.fanin (2 * (o + k)) 0;
+  Array.blit fanins 0 t.fanin o k;
+  t.fanin_off.(id + 1) <- o + k;
+  let code = code_of_kind kind in
+  t.kind_code.(id) <- code;
+  (match kind with
+  | Cell k when code = wide_code -> t.wide <- Imap.add id k t.wide
+  | Cell _ | Primary_input -> ());
+  t.vt.(id) <- 0;
+  t.cin.(id) <- cin;
+  t.wire.(id) <- wire;
+  t.fanouts.(id) <- [];
   t.next_id <- id + 1;
   t.n_live <- t.n_live + 1;
-  (match kind with Cell _ -> t.n_gates <- t.n_gates + 1 | Primary_input -> ());
+  if is_cell code then t.n_gates <- t.n_gates + 1;
   (* fanout lists hold each consumer once, even when it reads the same
      source on several pins; dedup scans the (tiny) fanin prefix instead
      of the source's whole fanout list *)
-  for i = 0 to Array.length fanins - 1 do
-    let f = fanins.(i) in
-    if not (read_before fanins f i) then begin
-      let src = node t f in
-      src.fanouts <- id :: src.fanouts;
+  for i = 0 to k - 1 do
+    let f = t.fanin.(o + i) in
+    if not (read_before t.fanin o f i) then begin
+      t.fanouts.(f) <- id :: t.fanouts.(f);
       invalidate_load t f;
       mark_dirty t f
     end
   done;
-  t.load_cache.(id) <- Float.nan;
-  if t.levels_valid then t.level.(id) <- compute_level t n;
-  (* a fresh node has no consumers, so appending keeps any cached order
-     valid — but keep it simple and let the next query re-derive it *)
+  t.load.(id) <- Float.nan;
+  if t.levels_valid then t.level.(id) <- compute_level t id;
   structural_change t;
   mark_dirty t id;
   id
@@ -484,10 +620,10 @@ let add_gate ?cin ?(wire = 0.) t kind fanins =
       invalid_arg (Printf.sprintf "Netlist.add_gate: unknown fanin %d" fanins.(i))
   done;
   if cin <= 0. then invalid_arg "Netlist.add_gate: cin <= 0";
-  alloc t (Cell kind) (Array.copy fanins) cin wire
+  alloc t (Cell kind) fanins cin wire
 
 let set_output t id ~load =
-  ignore (node t id);
+  check t id;
   if load < 0. then invalid_arg "Netlist.set_output: negative load";
   (* a fresh output takes the next slot (the slot array doubles, so
      building a design with 100k+ outputs stays linear); updating an
@@ -508,9 +644,10 @@ let set_output t id ~load =
   mark_dirty t id
 
 let gate_kind t id =
-  match (node t id).kind with
-  | Cell k -> k
-  | Primary_input -> invalid_arg (Printf.sprintf "Netlist.gate_kind: %d is an input" id)
+  check t id;
+  if t.kind_code.(id) = input_code then
+    invalid_arg (Printf.sprintf "Netlist.gate_kind: %d is an input" id);
+  cell_kind t id
 
 let rec inputs t =
   match t.inputs_fwd with
@@ -534,9 +671,7 @@ let is_output t id =
 let gate_ids t =
   let acc = ref [] in
   for id = t.next_id - 1 downto 0 do
-    match t.nodes.(id) with
-    | Some n -> (match n.kind with Cell _ -> acc := id :: !acc | Primary_input -> ())
-    | None -> ()
+    if is_cell t.kind_code.(id) then acc := id :: !acc
   done;
   !acc
 
@@ -546,48 +681,40 @@ let input_count t = t.n_inputs
 (* --- mutators ------------------------------------------------------- *)
 
 let set_cin t id cin =
-  let n = node t id in
-  (match n.kind with
-  | Primary_input -> invalid_arg "Netlist.set_cin: primary input"
-  | Cell _ -> ());
+  check t id;
+  if t.kind_code.(id) = input_code then invalid_arg "Netlist.set_cin: primary input";
   if cin <= 0. then invalid_arg "Netlist.set_cin: cin <= 0";
-  if cin <> n.cin then begin
-    n.cin <- cin;
+  if cin <> t.cin.(id) then begin
+    t.cin.(id) <- cin;
     (* the load this gate presents to its drivers changed; its own stage
        delay changed too (cin is its drive strength) *)
-    touch_fanin_loads t n;
+    touch_fanin_loads t id;
     mark_dirty t id
   end
 
 let set_wire t id wire =
   if wire < 0. then invalid_arg "Netlist.set_wire: negative";
-  let n = node t id in
-  if wire <> n.wire then begin
-    n.wire <- wire;
+  check t id;
+  if wire <> t.wire.(id) then begin
+    t.wire.(id) <- wire;
     invalidate_load t id;
     mark_dirty t id
   end
 
 let set_fanin t id ~pin new_src =
-  let n = node t id in
-  if pin < 0 || pin >= Array.length n.fanins then invalid_arg "Netlist.set_fanin: pin";
-  ignore (node t new_src);
-  let old_src = n.fanins.(pin) in
+  check t id;
+  if pin < 0 || pin >= arity_of t id then invalid_arg "Netlist.set_fanin: pin";
+  check t new_src;
+  let o = t.fanin_off.(id) in
+  let old_src = t.fanin.(o + pin) in
   if old_src <> new_src then begin
-    n.fanins.(pin) <- new_src;
+    t.fanin.(o + pin) <- new_src;
     (* remove one occurrence of id from old_src's fanouts, unless another
        pin still reads old_src *)
-    if not (Array.exists (fun f -> f = old_src) n.fanins) then
-      (node t old_src).fanouts <-
-        List.filter (fun f -> f <> id) (node t old_src).fanouts;
+    if pins_reading t id old_src = 0 then
+      t.fanouts.(old_src) <- List.filter (fun f -> f <> id) t.fanouts.(old_src);
     (* the consumer is already listed when another pin reads new_src *)
-    let pins_on_new =
-      Array.fold_left (fun k f -> if f = new_src then k + 1 else k) 0 n.fanins
-    in
-    if pins_on_new = 1 then begin
-      let tgt = node t new_src in
-      tgt.fanouts <- id :: tgt.fanouts
-    end;
+    if pins_reading t id new_src = 1 then t.fanouts.(new_src) <- id :: t.fanouts.(new_src);
     invalidate_load t old_src;
     invalidate_load t new_src;
     mark_dirty t old_src;
@@ -598,36 +725,33 @@ let set_fanin t id ~pin new_src =
   end
 
 let replace_kind t id kind =
-  let n = node t id in
-  (match n.kind with
-  | Primary_input -> invalid_arg "Netlist.replace_kind: primary input"
-  | Cell old ->
-    if Gk.arity old <> Gk.arity kind then
-      invalid_arg "Netlist.replace_kind: arity mismatch");
-  n.kind <- Cell kind;
+  check t id;
+  if t.kind_code.(id) = input_code then invalid_arg "Netlist.replace_kind: primary input";
+  if arity_of t id <> Gk.arity kind then invalid_arg "Netlist.replace_kind: arity mismatch";
+  let code = code_of_kind (Cell kind) in
+  t.kind_code.(id) <- code;
+  if code = wide_code then t.wide <- Imap.add id kind t.wide;
   mark_dirty t id
 
 let set_vt t id vt =
-  let n = node t id in
-  (match n.kind with
-  | Primary_input -> invalid_arg "Netlist.set_vt: primary input"
-  | Cell _ -> ());
-  if not (Pops_process.Vt.equal n.vt vt) then begin
+  check t id;
+  if t.kind_code.(id) = input_code then invalid_arg "Netlist.set_vt: primary input";
+  let code = Vt.to_int vt in
+  if code <> t.vt.(id) then begin
     (* non-structural, like replace_kind: widths and edges are untouched,
        only the node's own stage delay changes *)
-    n.vt <- vt;
+    t.vt.(id) <- code;
     mark_dirty t id
   end
 
-let vt_of t id = (node t id).vt
-
 let rewire_fanouts t ~from_ ~to_ ~except =
-  let src = node t from_ in
-  let consumers = List.filter (fun c -> not (List.mem c except)) src.fanouts in
+  check t from_;
+  let consumers = List.filter (fun c -> not (List.mem c except)) t.fanouts.(from_) in
   List.iter
     (fun c ->
-      let cn = node t c in
-      Array.iteri (fun pin f -> if f = from_ then set_fanin t cn.id ~pin to_) cn.fanins)
+      for pin = 0 to arity_of t c - 1 do
+        if t.fanin.(t.fanin_off.(c) + pin) = from_ then set_fanin t c ~pin to_
+      done)
     consumers;
   (* move primary-output designation, keeping its position so the
      output order (and thus logic-equivalence comparisons) is stable:
@@ -652,261 +776,81 @@ let rewire_fanouts t ~from_ ~to_ ~except =
   end
 
 let delete_gate t id =
-  let n = node t id in
-  if n.fanouts <> [] then invalid_arg "Netlist.delete_gate: has consumers";
+  check t id;
+  if t.fanouts.(id) <> [] then invalid_arg "Netlist.delete_gate: has consumers";
   if not (Float.is_nan t.out_load.(id)) then
     invalid_arg "Netlist.delete_gate: is a primary output";
-  Array.iter
-    (fun f ->
-      if node_exists t f then begin
-        (node t f).fanouts <- List.filter (fun x -> x <> id) (node t f).fanouts;
-        invalidate_load t f;
-        mark_dirty t f
-      end)
-    n.fanins;
-  t.nodes.(id) <- None;
+  for p = t.fanin_off.(id) to t.fanin_off.(id + 1) - 1 do
+    let f = t.fanin.(p) in
+    if node_exists t f then begin
+      t.fanouts.(f) <- List.filter (fun x -> x <> id) t.fanouts.(f);
+      invalidate_load t f;
+      mark_dirty t f
+    end
+  done;
+  if is_cell t.kind_code.(id) then t.n_gates <- t.n_gates - 1;
+  t.kind_code.(id) <- dead_code;
+  t.cin.(id) <- Float.nan;
+  t.load.(id) <- Float.nan;
   t.n_live <- t.n_live - 1;
-  (match n.kind with Cell _ -> t.n_gates <- t.n_gates - 1 | Primary_input -> ());
   structural_change t;
   mark_dirty t id
 
-(* --- loads ----------------------------------------------------------- *)
-
-let load_on t id =
-  let n = node t id in
-  let cached = t.load_cache.(id) in
-  if Float.is_nan cached then begin
-    (* count pins, not consumers: a gate reading this net on several pins
-       presents its input capacitance once per pin *)
-    let fanout_cap =
-      List.fold_left
-        (fun acc c ->
-          let cn = node t c in
-          let pins =
-            Array.fold_left (fun k f -> if f = id then k + 1 else k) 0 cn.fanins
-          in
-          acc +. (float_of_int pins *. cn.cin))
-        0. n.fanouts
-    in
-    let terminal = if Float.is_nan t.out_load.(id) then 0. else t.out_load.(id) in
-    let load = fanout_cap +. n.wire +. terminal in
-    t.load_cache.(id) <- load;
-    load
-  end
-  else cached
-
-(* --- CSR adjacency snapshot ------------------------------------------ *)
+(* --- the CSR view ------------------------------------------------------ *)
 
 module Csr = struct
-  type t = csr
+  type nonrec t = t
 
-  (* dense encoding of the cell kinds the library can hold; observers
-     index per-kind coefficient tables with it instead of scanning the
-     library's association list per node *)
-  let code_kinds =
-    [|
-      Gk.Inv; Gk.Buf; Gk.Nand 2; Gk.Nand 3; Gk.Nand 4; Gk.Nor 2; Gk.Nor 3;
-      Gk.Nor 4; Gk.Aoi21; Gk.Oai21; Gk.Aoi22; Gk.Oai22; Gk.Xor2; Gk.Xnor2;
-    |]
-
-  let code_of_kind = function
-    | Primary_input -> -1
-    | Cell k -> (
-      match k with
-      | Gk.Inv -> 0
-      | Gk.Buf -> 1
-      | Gk.Nand 2 -> 2
-      | Gk.Nand 3 -> 3
-      | Gk.Nand 4 -> 4
-      | Gk.Nor 2 -> 5
-      | Gk.Nor 3 -> 6
-      | Gk.Nor 4 -> 7
-      | Gk.Aoi21 -> 8
-      | Gk.Oai21 -> 9
-      | Gk.Aoi22 -> 10
-      | Gk.Oai22 -> 11
-      | Gk.Xor2 -> 12
-      | Gk.Xnor2 -> 13
-      | Gk.Nand _ | Gk.Nor _ -> -2)
-
-  let bound c = c.c_bound
-  let length c = c.c_n
-  let node_of c = c.c_node_of
-  let pos c = c.c_pos
-  let level_off c = c.c_level_off
-  let kind_code c = c.c_kind_code
-  let vt_code c = c.c_vt
-  let cin c = c.c_cin
-  let load c = c.c_load
-  let fanin_off c = c.c_fanin_off
-  let fanin c = c.c_fanin
-  let fanout_off c = c.c_fanout_off
-  let fanout c = c.c_fanout
-  let depth c = Array.length c.c_level_off - 2
+  let code_kinds = code_kinds
+  let code_of_kind = code_of_kind
+  let bound c = c.order.bound
+  let length c = Array.length c.order.node_of
+  let node_of c = c.order.node_of
+  let pos c = c.order.pos
+  let level_off c = c.order.level_off
+  let kind_code c = c.kind_code
+  let vt_code c = c.vt
+  let cin (c : t) = c.cin
+  let load c = c.load
+  let fanin_off c = c.fanin_off
+  let fanin c = c.fanin
+  let fanout_off c = c.order.fanout_off
+  let fanout c = c.order.fanout
+  let depth c = Array.length c.order.level_off - 2
 end
 
-(* the snapshot of the empty id range: deriving from it reads every id
-   from its record, which is the cold build *)
-let empty_csr =
-  { c_bound = 0; c_n = 0; c_node_of = [||]; c_pos = [||]; c_level_off = [||];
-    c_kind_code = [||]; c_vt = [||]; c_cin = [||]; c_load = [||];
-    c_fanin_off = [| 0 |]; c_fanin = [||]; c_fanout_off = [| 0 |]; c_fanout = [||] }
-
-(* [Array.blit] into a major-heap int array pays a write barrier per
-   element; a typed loop stores plain words *)
-let blit_ints (src : int array) so (dst : int array) d len =
-  for k = 0 to len - 1 do
-    dst.(d + k) <- src.(so + k)
-  done
-
-(* The snapshot of the current structure, derived from [prev] (synced to
-   [csr_cursor]).  The order comes from the level cache by counting sort.
-   Every mutator that changes an id's fan-ins, fan-out list, kind, Vt,
-   cin or load logs the id, so an id below [prev]'s bound and absent from
-   the log suffix kept all of them: its scalar entries stay, its
-   adjacency segments are copied from [prev] in runs of consecutive ids.
-   Only logged ids and ids past the old bound are read from their
-   records, loads through {!load_on} (the canonical fold, so
-   bit-identical to queries).  [prev]'s structure arrays are never
-   written, since copies share them. *)
-let build_csr t prev =
-  let bound = t.next_id in
-  let order, level_off = level_sorted_live t in
-  let pos = Array.make (max 1 bound) (-1) in
-  Array.iteri (fun i id -> pos.(id) <- i) order;
-  let fresh = Bytes.make (max 1 bound) '\001' in
-  Bytes.fill fresh 0 (min prev.c_bound bound) '\000';
-  for i = t.csr_cursor to t.dirty_len - 1 do
-    if t.dirty_log.(i) < bound then Bytes.set fresh t.dirty_log.(i) '\001'
-  done;
-  let fanin_off = Array.make (bound + 1) 0 and fanout_off = Array.make (bound + 1) 0 in
-  for id = 0 to bound - 1 do
-    let fi, fo =
-      if Bytes.get fresh id = '\000' then
-        ( prev.c_fanin_off.(id + 1) - prev.c_fanin_off.(id),
-          prev.c_fanout_off.(id + 1) - prev.c_fanout_off.(id) )
-      else
-        match t.nodes.(id) with
-        | None -> (0, 0)
-        | Some nd -> (Array.length nd.fanins, List.length nd.fanouts)
-    in
-    fanin_off.(id + 1) <- fanin_off.(id) + fi;
-    fanout_off.(id + 1) <- fanout_off.(id) + fo
-  done;
-  (* the scalar arrays are this netlist's own (copies copy them), sized
-     by the node capacity: kept in place, ids below [prev]'s bound
-     included, until the capacity grows *)
-  let own a default =
-    if Array.length a = Array.length t.nodes then a
-    else begin
-      let b = Array.make (Array.length t.nodes) default in
-      Array.blit a 0 b 0 (min prev.c_bound bound);
-      b
-    end
-  in
-  let kind_code = own prev.c_kind_code (-1) and vt = own prev.c_vt 0
-  and cin = own prev.c_cin Float.nan and load = own prev.c_load Float.nan in
-  let fanin = Array.make (max 1 fanin_off.(bound)) 0
-  and fanout = Array.make (max 1 fanout_off.(bound)) 0 in
-  (* ids [a, b) kept their adjacency since [prev] *)
-  let copy_run a b =
-    if b > a then begin
-      let fi = prev.c_fanin_off.(a) and fo = prev.c_fanout_off.(a) in
-      blit_ints prev.c_fanin fi fanin fanin_off.(a) (prev.c_fanin_off.(b) - fi);
-      blit_ints prev.c_fanout fo fanout fanout_off.(a) (prev.c_fanout_off.(b) - fo)
-    end
-  in
-  let run = ref 0 in
-  for id = 0 to bound - 1 do
-    if Bytes.get fresh id <> '\000' then begin
-      copy_run !run id;
-      run := id + 1;
-      match t.nodes.(id) with
-      | None ->
-        kind_code.(id) <- -1;
-        vt.(id) <- 0;
-        cin.(id) <- Float.nan;
-        load.(id) <- Float.nan
-      | Some nd ->
-        kind_code.(id) <- Csr.code_of_kind nd.kind;
-        vt.(id) <- Pops_process.Vt.to_int nd.vt;
-        cin.(id) <- nd.cin;
-        load.(id) <- load_on t id;
-        blit_ints nd.fanins 0 fanin fanin_off.(id) (Array.length nd.fanins);
-        List.iteri (fun i c -> fanout.(fanout_off.(id) + i) <- c) nd.fanouts
-    end
-  done;
-  copy_run !run bound;
-  {
-    c_bound = bound;
-    c_n = Array.length order;
-    c_node_of = order;
-    c_pos = pos;
-    c_level_off = level_off;
-    c_kind_code = kind_code;
-    c_vt = vt;
-    c_cin = cin;
-    c_load = load;
-    c_fanin_off = fanin_off;
-    c_fanin = fanin;
-    c_fanout_off = fanout_off;
-    c_fanout = fanout;
-  }
-
+(* scalar edits write the arrays {!Csr} returns, so only the order
+   can be out of date, and the loads the dirty log names stale *)
 let csr t =
-  let c =
-    match t.csr_cache with
-    | Some c when t.csr_struct_rev = t.struct_rev -> c
-    | prev ->
-      let c = build_csr t (Option.value prev ~default:empty_csr) in
-      t.csr_cache <- Some c;
-      t.csr_struct_rev <- t.struct_rev;
-      t.csr_cursor <- t.dirty_len;
-      c
-  in
-  (* scalar resync: under an unchanged structural revision the id set,
-     edges and levels are fixed, so dirty-log entries can only mean a
-     kind / cin / wire / terminal-load change — refresh those in place *)
-  if t.csr_cursor < t.dirty_len then begin
-    for i = t.csr_cursor to t.dirty_len - 1 do
-      let id = t.dirty_log.(i) in
-      if id < c.c_bound && t.nodes.(id) <> None then begin
-        let nd = node t id in
-        c.c_kind_code.(id) <- Csr.code_of_kind nd.kind;
-        c.c_vt.(id) <- Pops_process.Vt.to_int nd.vt;
-        c.c_cin.(id) <- nd.cin;
-        c.c_load.(id) <- load_on t id
-      end
-    done;
-    t.csr_cursor <- t.dirty_len
-  end;
-  c
+  if t.order_rev <> t.struct_rev then derive t;
+  refresh_loads t;
+  t
 
 (* --- validation ------------------------------------------------------ *)
 
-(* whether [f] is among the first [i] entries of [fi] *)
-(* pin [i] is the first to read its driver, an id below [bound] *)
-let distinct_pin (fi : int array) i bound =
-  let f = fi.(i) in
-  f >= 0 && f < bound && not (read_before fi f i)
+(* pin [i] of the segment at [o] is the first to read its driver, an id
+   below [bound] *)
+let distinct_pin (fi : int array) o i bound =
+  let f = fi.(o + i) in
+  f >= 0 && f < bound && not (read_before fi o f i)
 
-(* Consumers-by-driver CSR derived from the fanin arrays, each distinct
+(* Consumers-by-driver CSR derived from the fan-ins, each distinct
    (driver, consumer) pair once — the same dedup contract the fanout
    lists maintain.  Flat int arrays only, so the two-way fanout-list /
-   fanin-array consistency check below stays O(V + E) with no hashing or
+   fan-in consistency check below stays O(V + E) with no hashing or
    per-edge boxing (a 1M-gate design validates in well under a second,
    see test_csr). *)
 let consumer_csr t =
   let bound = max 1 t.next_id in
   let off = Array.make (bound + 1) 0 in
   for id = 0 to t.next_id - 1 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some n ->
-      for i = 0 to Array.length n.fanins - 1 do
-        if distinct_pin n.fanins i bound then
-          off.(n.fanins.(i) + 1) <- off.(n.fanins.(i) + 1) + 1
+    if node_exists t id then begin
+      let o = t.fanin_off.(id) in
+      for i = 0 to arity_of t id - 1 do
+        if distinct_pin t.fanin o i bound then
+          off.(t.fanin.(o + i) + 1) <- off.(t.fanin.(o + i) + 1) + 1
       done
+    end
   done;
   for f = 0 to bound - 1 do
     off.(f + 1) <- off.(f + 1) + off.(f)
@@ -914,16 +858,16 @@ let consumer_csr t =
   let consumers = Array.make (max 1 off.(bound)) 0 in
   let cur = Array.copy off in
   for id = 0 to t.next_id - 1 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some n ->
-      for i = 0 to Array.length n.fanins - 1 do
-        if distinct_pin n.fanins i bound then begin
-          let f = n.fanins.(i) in
+    if node_exists t id then begin
+      let o = t.fanin_off.(id) in
+      for i = 0 to arity_of t id - 1 do
+        if distinct_pin t.fanin o i bound then begin
+          let f = t.fanin.(o + i) in
           consumers.(cur.(f)) <- id;
           cur.(f) <- cur.(f) + 1
         end
       done
+    end
   done;
   (off, consumers)
 
@@ -936,8 +880,8 @@ let rec stamp_listed stamp f bound listed = function
     stamp_listed stamp f bound (listed + 1) rest
 
 (* The forward direction of fanout-list consistency: every actual
-   consumer (per the fanin arrays) must be named by its driver's fanout
-   list, and the list must not name anyone twice.  [emit] receives
+   consumer (per the fan-ins) must be named by its driver's fanout list,
+   and the list must not name anyone twice.  [emit] receives
    [`Missing (driver, consumer)] or [`Duplicate driver].  Listed-but-wrong
    entries are the backward direction, checked per node by the caller. *)
 let check_fanout_sync t emit =
@@ -946,20 +890,20 @@ let check_fanout_sync t emit =
   (* stamp = f marks the consumers f's fanout list names this round *)
   let stamp = Array.make bound (-1) in
   for f = 0 to t.next_id - 1 do
-    match t.nodes.(f) with
-    | None -> ()
-    | Some n ->
-      let listed = stamp_listed stamp f bound 0 n.fanouts in
+    if node_exists t f then begin
+      let listed = stamp_listed stamp f bound 0 t.fanouts.(f) in
       for i = off.(f) to off.(f + 1) - 1 do
         if stamp.(consumers.(i)) <> f then emit (`Missing (f, consumers.(i)))
       done;
       if listed > off.(f + 1) - off.(f) then emit (`Duplicate f)
+    end
   done
 
 (* The validation pass: it does not stop at the first problem — every
    violation becomes one {!Diag.t}, so a front end can report the whole
    state of a malformed netlist at once.  [name] renders node ids (the
-   CLI passes the .bench signal names). *)
+   CLI passes the .bench signal names).  Arities need no check: the
+   store packs each node's fan-ins at its kind's arity. *)
 let validate_diags ?name t =
   let render id =
     match name with Some f -> f id | None -> Printf.sprintf "n%d" id
@@ -974,12 +918,10 @@ let validate_diags ?name t =
          add
            (Diag.makef Diag.Netlist_dangling ~subject:(render id)
               "fan-out references deleted node %d" c)
-       else
-         let fi = (node t c).fanins in
-         if not (read_before fi id (Array.length fi)) then
-           add
-             (Diag.makef Diag.Netlist_dangling ~subject:(render id)
-                "fan-out %s does not read this net" (render c)));
+       else if not (read_before t.fanin t.fanin_off.(c) id (arity_of t c)) then
+         add
+           (Diag.makef Diag.Netlist_dangling ~subject:(render id)
+              "fan-out %s does not read this net" (render c)));
       check_listed id rest
   in
   (* [render] allocates per call — only pay for it on nodes that
@@ -987,39 +929,26 @@ let validate_diags ?name t =
      sweep (no live_ids list), loops and top-level helpers instead of a
      closure per node keep the pass allocation-free on a clean netlist. *)
   for id = 0 to t.next_id - 1 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some n ->
-      (match n.kind with
-      | Primary_input ->
-        if Array.length n.fanins <> 0 then
-          add
-            (Diag.makef Diag.Internal ~subject:(render id)
-               "primary input with %d fan-ins" (Array.length n.fanins))
-      | Cell kind ->
-        let arity = Gk.arity kind in
-        if Array.length n.fanins <> arity then
-          add
-            (Diag.makef Diag.Internal ~subject:(render id)
-               "%s gate with %d fan-ins (arity %d)" (Gk.name kind)
-               (Array.length n.fanins) arity);
-        if n.cin <= 0. then
-          add
-            (Diag.makef Diag.Netlist_bad_cin ~subject:(render id)
-               "non-positive input capacitance %g fF" n.cin));
-      for i = 0 to Array.length n.fanins - 1 do
-        if not (node_exists t n.fanins.(i)) then
+    let code = t.kind_code.(id) in
+    if code <> dead_code then begin
+      if code <> input_code && t.cin.(id) <= 0. then
+        add
+          (Diag.makef Diag.Netlist_bad_cin ~subject:(render id)
+             "non-positive input capacitance %g fF" t.cin.(id));
+      for p = t.fanin_off.(id) to t.fanin_off.(id + 1) - 1 do
+        if not (node_exists t t.fanin.(p)) then
           add
             (Diag.makef Diag.Netlist_dangling ~subject:(render id)
-               "fan-in references deleted node %d" n.fanins.(i))
+               "fan-in references deleted node %d" t.fanin.(p))
       done;
-      check_listed id n.fanouts;
-      (match n.kind with
-      | Cell _ when n.fanouts = [] && Float.is_nan t.out_load.(id) ->
+      check_listed id t.fanouts.(id);
+      match t.fanouts.(id) with
+      | [] when code <> input_code && Float.is_nan t.out_load.(id) ->
         add
           (Diag.makef Diag.Netlist_zero_fanout ~subject:(render id)
              "gate drives nothing and is not a primary output")
-      | _ -> ())
+      | _ -> ()
+    end
   done;
   check_fanout_sync t (function
     | `Missing (f, c) ->
@@ -1051,25 +980,27 @@ let kind_histogram t =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun id ->
-      match (node t id).kind with
-      | Cell kind ->
-        let key = Gk.name kind in
-        let prev = Option.value ~default:(kind, 0) (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (kind, snd prev + 1)
-      | Primary_input -> ())
+      let kind = gate_kind t id in
+      let key = Gk.name kind in
+      let prev = Option.value ~default:(kind, 0) (Hashtbl.find_opt tbl key) in
+      Hashtbl.replace tbl key (kind, snd prev + 1))
     (gate_ids t);
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (Gk.name a) (Gk.name b))
 
+(* {!Pops_cell.Cell.area}, written out: a call would box the cin read
+   off the store, and its result *)
+let area (cell : Pops_cell.Cell.t) cin =
+  cell.area_coeff *. cin /. cell.tech.Pops_process.Tech.cg_per_um
+[@@inline]
+
 (* gate ids ascending, the order the fingerprints fix, into one unboxed
-   accumulator: no id list and no closure per gate *)
+   accumulator: no id list, no closure and no boxed float per gate *)
 let total_area t lib =
   let acc = ref 0. in
   for id = 0 to t.next_id - 1 do
-    match t.nodes.(id) with
-    | Some { kind = Cell kind; cin; _ } ->
-      acc := !acc +. Pops_cell.Cell.area (Pops_cell.Library.find lib kind) ~cin
-    | Some { kind = Primary_input; _ } | None -> ()
+    if is_cell t.kind_code.(id) then
+      acc := !acc +. area (Pops_cell.Library.find lib (cell_kind t id)) t.cin.(id)
   done;
   !acc
 
@@ -1079,85 +1010,81 @@ let total_area t lib =
 let total_leakage_area t lib =
   let acc = ref 0. in
   for id = 0 to t.next_id - 1 do
-    match t.nodes.(id) with
-    | Some { kind = Cell kind; cin; vt; _ } ->
-      let cell = Pops_cell.Library.find_vt lib kind vt in
-      acc := !acc +. (Pops_cell.Cell.area cell ~cin *. cell.Pops_cell.Cell.leak_factor)
-    | Some { kind = Primary_input; _ } | None -> ()
+    if is_cell t.kind_code.(id) then begin
+      let cell = Pops_cell.Library.find_vt lib (cell_kind t id) (Vt.of_int t.vt.(id)) in
+      acc := !acc +. (area cell t.cin.(id) *. cell.leak_factor)
+    end
   done;
   !acc
 
 let copy t =
-  (* a synced snapshot carries over, sharing the structure arrays only
-     [build_csr] writes, owning the scalar ones [csr] resyncs in place *)
-  let csr_cache, csr_struct_rev =
-    match t.csr_cache with
-    | Some _ when t.csr_struct_rev = t.struct_rev ->
-      let c = csr t and cp = Array.copy in
-      ( Some { c with c_kind_code = cp c.c_kind_code; c_vt = cp c.c_vt;
-               c_cin = cp c.c_cin; c_load = cp c.c_load },
-        t.struct_rev )
-    | Some _ | None -> (None, -1)
-  in
+  (* the copy starts with an empty dirty log, so it must inherit no stale
+     load; a current order carries over, shared *)
+  refresh_loads t;
+  let shared = t.order_rev = t.struct_rev and cp = Array.copy in
   {
     t with
-    nodes =
-      Array.map
-        (Option.map (fun n ->
-             { n with fanins = Array.copy n.fanins; fanouts = n.fanouts }))
-        t.nodes;
-    out_ids = Array.copy t.out_ids;
-    out_load = Array.copy t.out_load;
-    out_rank = Array.copy t.out_rank;
-    load_cache = Array.copy t.load_cache;
-    level = Array.copy t.level;
+    kind_code = cp t.kind_code;
+    vt = cp t.vt;
+    cin = cp t.cin;
+    wire = cp t.wire;
+    load = cp t.load;
+    out_load = cp t.out_load;
+    out_rank = cp t.out_rank;
+    level = cp t.level;
+    fanin_off = cp t.fanin_off;
+    fanin = cp t.fanin;
+    fanouts = cp t.fanouts;
+    out_ids = cp t.out_ids;
     (* the copy starts its own edit history: observers of the original
        must not see the copy's edits and vice versa *)
     dirty_log = Array.make 64 0;
     dirty_len = 0;
-    csr_cache;
-    csr_struct_rev;
-    csr_cursor = 0;
+    order = (if shared then t.order else empty_order);
+    order_rev = (if shared then t.struct_rev else -1);
+    order_cursor = 0;
+    load_cursor = 0;
   }
 
 let restore t ~from =
   (* nodes live before the rewind must be cleared by observers, nodes
      live after it re-evaluated: log both sides (duplicates are fine,
      observers already de-duplicate their wavefront) *)
-  let pre = ref [] in
-  for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then pre := id :: !pre
+  for id = t.next_id - 1 downto 0 do
+    if node_exists t id then mark_dirty t id
   done;
-  t.nodes <-
-    Array.map
-      (Option.map (fun n -> { n with fanins = Array.copy n.fanins }))
-      from.nodes;
+  let cp = Array.copy in
   t.next_id <- from.next_id;
+  t.kind_code <- cp from.kind_code;
+  t.wide <- from.wide;
+  t.vt <- cp from.vt;
+  t.cin <- cp from.cin;
+  t.wire <- cp from.wire;
+  t.load <- cp from.load;
+  t.out_load <- cp from.out_load;
+  t.out_rank <- cp from.out_rank;
+  t.level <- cp from.level;
+  t.fanin_off <- cp from.fanin_off;
+  t.fanin <- cp from.fanin;
+  t.fanouts <- cp from.fanouts;
   t.input_ids <- from.input_ids;
   t.n_inputs <- from.n_inputs;
-  t.out_ids <- Array.copy from.out_ids;
+  t.out_ids <- cp from.out_ids;
   t.n_out <- from.n_out;
   t.out_shared <- from.out_shared;
   t.inputs_fwd <- from.inputs_fwd;
   t.outputs_fwd <- from.outputs_fwd;
-  t.out_load <- Array.copy from.out_load;
-  t.out_rank <- Array.copy from.out_rank;
-  t.load_cache <- Array.copy from.load_cache;
-  t.level <- Array.copy from.level;
   t.levels_valid <- from.levels_valid;
-  t.topo_cache <- from.topo_cache;
-  t.level_counts <- Option.map Array.copy from.level_counts;
   t.n_live <- from.n_live;
   t.n_gates <- from.n_gates;
   t.struct_rev <- t.struct_rev + 1;
-  t.csr_cache <- None;
-  t.csr_struct_rev <- -1;
-  List.iter (mark_dirty t) !pre;
+  t.order <- empty_order;
+  t.order_rev <- -1;
+  (* the log past [load_cursor] names every live id, so the next [csr]
+     refreshes whatever [from] held stale *)
   for id = 0 to t.next_id - 1 do
-    if t.nodes.(id) <> None then mark_dirty t id
-  done;
-  (* no snapshot to sync: the next [csr] reads every record anyway *)
-  t.csr_cursor <- t.dirty_len
+    if node_exists t id then mark_dirty t id
+  done
 
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>netlist: %d inputs, %d gates, %d outputs, depth %d@ "

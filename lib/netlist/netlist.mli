@@ -2,35 +2,39 @@
 
     A netlist is a DAG of nodes: primary inputs and cell instances.  Each
     cell node carries its gate kind, ordered fan-ins, a per-input input
-    capacitance (the sizing), and an extra wire capacitance on its
-    output.  Primary outputs are designated nodes with a terminal load.
+    capacitance (the sizing), a threshold class and an extra wire
+    capacitance on its output.  Primary outputs are designated nodes
+    with a terminal load.
 
     The structure is mutable because the transforms (buffering,
     De Morgan) rewrite it in place; {!validate} re-checks the invariants
     after surgery and the logic/timing layers only consume validated
     netlists.
 
-    The netlist maintains incremental caches so the timing hot path is
-    cheap: per-node output loads ({!load_on} is O(1) on unchanged nets),
-    per-node topological levels (patched locally by structural edits),
-    and an append-only {e dirty log} of nodes whose local timing may have
-    changed.  Observers ({!Pops_sta.Timing}) keep a cursor into the log
-    via {!revision}/{!dirty_since} and re-propagate arrivals only from
-    the logged nodes.  See [docs/performance.md] for the invalidation
-    protocol. *)
+    The storage is a set of flat arrays indexed by node id — kind code,
+    Vt code, [cin], wire, load, level and the packed fan-ins — plus one
+    fan-out list per id.  {!Csr} hands these same arrays to the timing
+    hot path, so a scalar edit is visible there at once; only the order
+    and the packed fan-out adjacency are derived, after structural
+    edits.  The netlist also keeps an append-only {e dirty log} of nodes
+    whose local timing may have changed.  Observers ({!Pops_sta.Timing})
+    keep a cursor into the log via {!revision}/{!dirty_since} and
+    re-propagate arrivals only from the logged nodes.  See
+    [docs/performance.md] for the invalidation protocol. *)
 
 type node_kind = Primary_input | Cell of Pops_cell.Gate_kind.t
 
+(** An allocating view of one node, read off the arrays by {!node}. *)
 type node = private {
   id : int;
-  mutable kind : node_kind;
-  mutable fanins : int array;  (** ordered; empty for inputs *)
-  mutable fanouts : int list;  (** derived, kept consistent *)
-  mutable cin : float;  (** input capacitance per input pin, fF *)
-  mutable wire : float;  (** extra capacitance on the output net, fF *)
-  mutable vt : Pops_process.Vt.t;
+  kind : node_kind;
+  fanins : int array;  (** ordered; empty for inputs; a copy *)
+  fanouts : int list;  (** each consumer once *)
+  cin : float;  (** input capacitance per input pin, fF *)
+  wire : float;  (** extra capacitance on the output net, fF *)
+  vt : Pops_process.Vt.t;
       (** threshold class of the instance; {!Pops_process.Vt.Lvt} for
-          inputs and freshly built gates — mutate via {!set_vt} *)
+          inputs and freshly built gates *)
 }
 
 type t
@@ -51,9 +55,24 @@ val set_output : t -> int -> load:float -> unit
     calling again updates the load. *)
 
 val node : t -> int -> node
-(** @raise Invalid_argument on an unknown or deleted id. *)
+(** A view of every attribute of one node, for tests and reference
+    oracles; the accessors below read one attribute without allocating
+    (except {!fanins}).
+    @raise Invalid_argument on an unknown or deleted id, like every
+    accessor below. *)
 
 val node_exists : t -> int -> bool
+
+val kind : t -> int -> node_kind
+val cin : t -> int -> float
+(** Input capacitance per input pin, fF; [0.] for inputs. *)
+
+val wire : t -> int -> float
+val fanins : t -> int -> int array
+(** The fan-in ids in pin order, as a fresh array. *)
+
+val fanouts : t -> int -> int list
+(** The consumers of a node, each once, newest first. *)
 
 val gate_kind : t -> int -> Pops_cell.Gate_kind.t
 (** @raise Invalid_argument on a primary input or an unknown id. *)
@@ -117,19 +136,19 @@ val delete_gate : t -> int -> unit
     @raise Invalid_argument if consumers remain or it is an output. *)
 
 val topological_order : t -> int list
-(** All live nodes, inputs first (cached; rebuilt from the level cache
-    after structural edits).
+(** All live nodes, inputs first: the derived order of {!Csr.node_of},
+    as a list.
     @raise Pops_robust.Diag.Fatal with a {!Pops_robust.Diag.Netlist_cycle}
     diagnostic naming the actual loop on a cyclic netlist. *)
 
 val depth : t -> int
-(** Longest input-to-output path in gate counts (cached alongside the
-    level population; pure resizes keep it valid). *)
+(** Longest input-to-output path in gate counts, read off the derived
+    level offsets (pure resizes keep them). *)
 
 val count_level_ge : t -> int -> int
 (** [count_level_ge t l] is the number of live nodes whose topological
-    level is [>= l], in O(1) from a cached suffix-population table
-    (rebuilt lazily after structural edits).  Observers use it to bound
+    level is [>= l], in O(1) from the derived level offsets.  Observers
+    use it to bound
     the worst-case fan-out cone of an edit at level [l]: on narrow, deep
     circuits the bound is tight and lets {!Pops_sta.Timing.update} trade
     its worklist for a straight-line sweep. *)
@@ -151,16 +170,17 @@ val load_on : t -> int -> float
     timing hot path runs on.  All arrays are indexed either by node id
     (kind codes, sizes, loads, adjacency offsets) or by {e order index}
     (the (level, id)-sorted live-node permutation), so a propagation
-    sweep touches only unboxed [int]/[float] arrays — no node records,
-    no lists, no allocation.
+    sweep touches only unboxed [int]/[float] arrays — no records, no
+    lists, no allocation.
 
-    The snapshot is owned by the netlist and {e synced in place}: after
-    pure scalar edits (sizes, wires, kinds, terminal loads) {!csr}
-    refreshes only the dirtied entries from the dirty log; after a
-    structural edit (adding, rewiring or deleting nodes) the next call
-    derives a new snapshot, re-sorting the order and re-reading only the
-    logged nodes, and leaves the old one's structure arrays untouched.
-    Do not hold a [Csr.t] across structural edits. *)
+    The by-id scalar arrays and the fan-ins are the netlist's own
+    storage, not copies: a scalar edit (size, wire, kind, Vt, terminal
+    load) writes them, so it is visible through a [Csr.t] at once, and
+    {!csr} then only refreshes the loads the dirty log names.  Only the
+    order ({!node_of}, {!pos}, {!level_off}) and the packed fan-out
+    adjacency are derived, by the first {!csr} after a structural edit
+    (adding, rewiring or deleting nodes).  Such an edit may also move
+    the arrays themselves, so do not hold a [Csr.t] across one. *)
 module Csr : sig
   type t
 
@@ -171,10 +191,11 @@ module Csr : sig
   val code_of_kind : node_kind -> int
   (** The {!kind_code} encoding of one node kind: [-1] for primary
       inputs, [-2] for cells outside {!code_kinds} (per-kind coefficient
-      tables index by this without a snapshot in hand). *)
+      tables index by this without a [Csr.t] in hand). *)
 
   val bound : t -> int
-  (** Exclusive id bound of the snapshot ({!Netlist.id_bound} at build). *)
+  (** Exclusive id bound of the derived order ({!Netlist.id_bound} when
+      it was derived). *)
 
   val length : t -> int
   (** Number of live nodes (the length of {!node_of}). *)
@@ -192,23 +213,24 @@ module Csr : sig
   val depth : t -> int
 
   val kind_code : t -> int array
-  (** By id: [-1] for primary inputs and dead ids, [-2] for cells outside
-      {!code_kinds}, else an index into {!code_kinds}.  This array and
-      {!vt_code}, {!cin} and {!load} span the netlist's node capacity,
-      at least {!bound}. *)
+  (** By id: [-1] for primary inputs, [-2] for cells outside
+      {!code_kinds}, [-3] for dead ids, else an index into {!code_kinds}.
+      This array and {!vt_code}, {!cin} and {!load} span the netlist's
+      node capacity, at least {!bound}. *)
 
   val vt_code : t -> int array
   (** By id: {!Pops_process.Vt.to_int} of the node's threshold class
-      (0 = LVT for inputs).  Scalar-synced like {!kind_code}. *)
+      (0 = LVT for inputs). *)
 
   val cin : t -> float array
   (** By id: input capacitance per pin, fF. *)
 
   val load : t -> float array
-  (** By id: {!Netlist.load_on} snapshot (bit-identical to the query). *)
+  (** By id: the {!Netlist.load_on} memo, refreshed by {!csr}
+      (bit-identical to the query). *)
 
   val fanin_off : t -> int array
-  (** By id, length [bound + 1]: node [id]'s fan-ins are
+  (** By id, at least [bound + 1] long: node [id]'s fan-ins are
       [fanin.(fanin_off.(id))] to [fanin.(fanin_off.(id+1) - 1)], in pin
       order. *)
 
@@ -223,8 +245,8 @@ module Csr : sig
 end
 
 val csr : t -> Csr.t
-(** The current CSR snapshot, rebuilt or resynced as needed (see
-    {!Csr}).  Levels are (re)computed first when stale.
+(** The CSR view, its order derived and its loads refreshed as needed
+    (see {!Csr}).  Levels are (re)computed first when stale.
     @raise Pops_robust.Diag.Fatal on a cyclic netlist (see
     {!topological_order}). *)
 
@@ -277,8 +299,9 @@ val total_leakage_area : t -> Pops_cell.Library.t -> float
     exactly 1.0) weighs bit-identically to its plain area. *)
 
 val copy : t -> t
-(** Deep copy (transforms mutate; benchmarks compare variants).  A
-    current {!csr} snapshot carries over, its scalar arrays copied. *)
+(** Deep copy (transforms mutate; benchmarks compare variants): one
+    [Array.copy] per stored array.  A current derived order carries over,
+    shared, as do the immutable fan-out lists. *)
 
 val restore : t -> from:t -> unit
 (** [restore t ~from] rewinds [t] in place to the state captured earlier
@@ -286,6 +309,7 @@ val restore : t -> from:t -> unit
     either side of the rewind is appended to it, so incremental observers
     holding a cursor ({!revision}/{!dirty_since}) resync on their next
     update instead of going stale.  [from] is not aliased: restoring
-    twice from the same snapshot is fine. *)
+    twice from the same copy is fine.  The next {!csr} derives the order
+    from nothing. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -13,54 +13,52 @@ let insert_buffer_for ?cin1 ?cin2 t ~after ~only =
   let b2 = Netlist.add_gate ?cin:cin2 t Gk.Inv [| b1 |] in
   List.iter
     (fun c ->
-      let cn = Netlist.node t c in
       Array.iteri
         (fun pin f -> if f = after then Netlist.set_fanin t c ~pin b2)
-        cn.Netlist.fanins)
+        (Netlist.fanins t c))
     only;
   (b1, b2)
 
 let de_morgan t id =
-  let n = Netlist.node t id in
-  match n.Netlist.kind with
+  match Netlist.kind t id with
   | Netlist.Primary_input -> Error "primary input"
   | Netlist.Cell kind -> (
     match Gk.de_morgan_dual kind with
     | None -> Error (Printf.sprintf "%s has no De Morgan dual" (Gk.name kind))
     | Some dual ->
-      (* invert (or absorb) each fan-in *)
-      Array.iteri
-        (fun pin src ->
-          let src_node = Netlist.node t src in
-          let feeds_one_pin =
-            Array.fold_left (fun c f -> if f = src then c + 1 else c) 0 n.Netlist.fanins
-            = 1
-          in
-          let absorbable =
-            match src_node.Netlist.kind with
-            | Netlist.Cell Gk.Inv ->
-              src_node.Netlist.fanouts = [ id ]
-              (* an inverter wired to several pins of this gate must stay:
-                 absorbing it at one pin would delete it out from under
-                 the others *)
-              && feeds_one_pin
-              && not (Netlist.is_output t src)
-            | Netlist.Cell
-                ( Gk.Buf | Gk.Nand _ | Gk.Nor _ | Gk.Aoi21 | Gk.Oai21 | Gk.Aoi22
-                | Gk.Oai22 | Gk.Xor2 | Gk.Xnor2 )
-            | Netlist.Primary_input -> false
-          in
-          if absorbable then begin
-            (* skip the inverter: read its own source directly *)
-            let upstream = src_node.Netlist.fanins.(0) in
-            Netlist.set_fanin t id ~pin upstream;
-            Netlist.delete_gate t src
-          end
-          else begin
-            let inv = Netlist.add_gate t Gk.Inv [| src |] in
-            Netlist.set_fanin t id ~pin inv
-          end)
-        n.Netlist.fanins;
+      (* invert (or absorb) each fan-in; a pin counts the pins already
+         rewired, so its fan-ins are read afresh *)
+      for pin = 0 to Gk.arity kind - 1 do
+        let fanins = Netlist.fanins t id in
+        let src = fanins.(pin) in
+        let feeds_one_pin =
+          Array.fold_left (fun c f -> if f = src then c + 1 else c) 0 fanins = 1
+        in
+        let absorbable =
+          match Netlist.kind t src with
+          | Netlist.Cell Gk.Inv ->
+            Netlist.fanouts t src = [ id ]
+            (* an inverter wired to several pins of this gate must stay:
+               absorbing it at one pin would delete it out from under
+               the others *)
+            && feeds_one_pin
+            && not (Netlist.is_output t src)
+          | Netlist.Cell
+              ( Gk.Buf | Gk.Nand _ | Gk.Nor _ | Gk.Aoi21 | Gk.Oai21 | Gk.Aoi22
+              | Gk.Oai22 | Gk.Xor2 | Gk.Xnor2 )
+          | Netlist.Primary_input -> false
+        in
+        if absorbable then begin
+          (* skip the inverter: read its own source directly *)
+          let upstream = (Netlist.fanins t src).(0) in
+          Netlist.set_fanin t id ~pin upstream;
+          Netlist.delete_gate t src
+        end
+        else begin
+          let inv = Netlist.add_gate t Gk.Inv [| src |] in
+          Netlist.set_fanin t id ~pin inv
+        end
+      done;
       Netlist.replace_kind t id dual;
       (* output inverter restores the function; consumers move to it *)
       let out_inv = Netlist.add_gate t Gk.Inv [| id |] in
@@ -70,7 +68,7 @@ let de_morgan t id =
 let cleanup_inverter_pairs t =
   let removed = ref 0 in
   let is_inv id =
-    match (Netlist.node t id).Netlist.kind with
+    match Netlist.kind t id with
     | Netlist.Cell Gk.Inv -> true
     | Netlist.Cell
         ( Gk.Buf | Gk.Nand _ | Gk.Nor _ | Gk.Aoi21 | Gk.Oai21 | Gk.Aoi22 | Gk.Oai22
@@ -86,25 +84,25 @@ let cleanup_inverter_pairs t =
           Netlist.node_exists t id && is_inv id
           && (not (Netlist.is_output t id))
           &&
-          let src = (Netlist.node t id).Netlist.fanins.(0) in
+          let src = (Netlist.fanins t id).(0) in
           is_inv src)
         (Netlist.gate_ids t)
     in
     List.iter
       (fun second ->
         if Netlist.node_exists t second then begin
-          let first = (Netlist.node t second).Netlist.fanins.(0) in
+          let first = (Netlist.fanins t second).(0) in
           if
             Netlist.node_exists t first && is_inv first
             && not (Netlist.is_output t second)
           then begin
-            let origin = (Netlist.node t first).Netlist.fanins.(0) in
+            let origin = (Netlist.fanins t first).(0) in
             Netlist.rewire_fanouts t ~from_:second ~to_:origin ~except:[];
-            if (Netlist.node t second).Netlist.fanouts = [] then begin
+            if Netlist.fanouts t second = [] then begin
               Netlist.delete_gate t second;
               incr removed;
               if
-                (Netlist.node t first).Netlist.fanouts = []
+                Netlist.fanouts t first = []
                 && not (Netlist.is_output t first)
               then begin
                 Netlist.delete_gate t first;

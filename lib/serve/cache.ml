@@ -43,9 +43,8 @@ let parse_entry t text =
 
 let result_of_entry = function
   | Parsed (nl, names, diags) ->
-    (* the copy inherits the pristine's warmed level/load caches and its
-       CSR snapshot: the structure arrays shared, the scalar arrays that
-       are synced in place copied (see Netlist.copy) *)
+    (* the copy inherits the pristine's warmed levels and loads, and
+       shares its derived order (see Netlist.copy) *)
     Ok (Netlist.copy nl, names, diags)
   | Malformed d -> Error d
 

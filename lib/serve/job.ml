@@ -21,6 +21,18 @@ let known_fields =
     "max_rounds"; "k_paths"; "vt_assign" ]
 
 let of_json ~seq json =
+  let ( let* ) = Result.bind in
+  (* a present field must have its type and range; an absent one takes
+     its default *)
+  let field k conv ok what =
+    match Json.member k json with
+    | None -> Ok None
+    | Some v -> (
+      match conv v with
+      | Some x when ok x -> Ok (Some x)
+      | Some _ | None -> Error (Printf.sprintf "%S must be %s" k what))
+  in
+  let any _ = true and positive x = x > 0. && Float.is_finite x in
   match json with
   | Json.Obj _ -> (
     match
@@ -29,9 +41,7 @@ let of_json ~seq json =
     | Some k -> Error (Printf.sprintf "unknown field %S" k)
     | None ->
       let str k = Option.bind (Json.member k json) Json.to_str in
-      let num k = Option.bind (Json.member k json) Json.to_float in
-      let int k = Option.bind (Json.member k json) Json.to_int in
-      let action =
+      let* action =
         match Json.member "action" json with
         | None -> Ok Optimize
         | Some (Json.Str "analyze") -> Ok Analyze
@@ -41,7 +51,7 @@ let of_json ~seq json =
           Error (Printf.sprintf "unknown action %S (analyze | optimize | health)" s)
         | Some _ -> Error "\"action\" must be a string"
       in
-      let source =
+      let* source =
         match (str "bench", str "bench_file") with
         | Some text, None -> Ok (Inline text)
         | None, Some file -> Ok (File file)
@@ -49,30 +59,31 @@ let of_json ~seq json =
         | None, None ->
           if Json.member "bench" json <> None || Json.member "bench_file" json <> None
           then Error "\"bench\" / \"bench_file\" must be strings"
-          else if action = Ok Health then
+          else if action = Health then
             (* a health probe carries no netlist *)
             Ok (Inline "")
           else Error "a netlist is required: \"bench\" or \"bench_file\""
       in
-      match (source, action) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok source, Ok action ->
-        Ok
-          {
-            seq;
-            id = Option.value (str "id") ~default:(Printf.sprintf "job-%d" seq);
-            tenant = Option.value (str "tenant") ~default:"default";
-            source;
-            action;
-            tc_ps = num "tc_ps";
-            tc_ratio = num "tc_ratio";
-            max_rounds = int "max_rounds";
-            k_paths = int "k_paths";
-            vt_assign =
-              Option.value
-                (Option.bind (Json.member "vt_assign" json) Json.to_bool)
-                ~default:false;
-          })
+      let* id = field "id" Json.to_str any "a string" in
+      let* tenant = field "tenant" Json.to_str any "a string" in
+      let* tc_ps = field "tc_ps" Json.to_float positive "a finite number > 0" in
+      let* tc_ratio = field "tc_ratio" Json.to_float positive "a finite number > 0" in
+      let* max_rounds = field "max_rounds" Json.to_int (fun n -> n >= 0) "an integer >= 0" in
+      let* k_paths = field "k_paths" Json.to_int (fun n -> n >= 1) "an integer >= 1" in
+      let* vt_assign = field "vt_assign" Json.to_bool any "a boolean" in
+      Ok
+        {
+          seq;
+          id = Option.value id ~default:(Printf.sprintf "job-%d" seq);
+          tenant = Option.value tenant ~default:"default";
+          source;
+          action;
+          tc_ps;
+          tc_ratio;
+          max_rounds;
+          k_paths;
+          vt_assign = Option.value vt_assign ~default:false;
+        })
   | _ -> Error "a job request must be a JSON object"
 
 type status = Ok_ | Degraded | Unmet | Rejected | Overloaded | Invalid | Failed

@@ -35,7 +35,10 @@ type t = {
 val of_json : seq:int -> Json.t -> (t, string) result
 (** Decode a request object.  Unknown fields are rejected (a typo'd
     option silently ignored is a debugging trap); exactly one of
-    ["bench"] / ["bench_file"] is required. *)
+    ["bench"] / ["bench_file"] is required.  A field that is present
+    must have its type and range (docs/serving.md) or the request is
+    rejected with a message naming it; an absent one takes its
+    default. *)
 
 (** Results.  [status] is the job-level verdict; {!exit_of_status} maps
     it onto the PR 5 CLI exit contract (0 ok / 1 constraint unmet or

@@ -7,7 +7,7 @@ module Model = Pops_delay.Model
 type extracted = { nodes : int list; path : Path.t; total_gates : int }
 
 let is_gate t id =
-  match (Netlist.node t id).Netlist.kind with
+  match Netlist.kind t id with
   | Netlist.Cell _ -> true
   | Netlist.Primary_input -> false
 
@@ -16,8 +16,7 @@ let extract ?input_slope ~lib t nodes =
   if nodes = [] then invalid_arg "Paths.extract: no gates in path";
   let rec check = function
     | a :: (b :: _ as rest) ->
-      let nb = Netlist.node t b in
-      if not (Array.exists (fun f -> f = a) nb.Netlist.fanins) then
+      if not (Array.exists (fun f -> f = a) (Netlist.fanins t b)) then
         invalid_arg
           (Printf.sprintf "Paths.extract: %d does not drive %d" a b);
       check rest
@@ -28,19 +27,12 @@ let extract ?input_slope ~lib t nodes =
   let arr = Array.of_list nodes in
   let n = Array.length arr in
   let stage_of i id =
-    let node = Netlist.node t id in
-    let kind =
-      match node.Netlist.kind with
-      | Netlist.Cell k -> k
-      | Netlist.Primary_input -> assert false
-    in
-    let cell = Pops_cell.Library.find_vt lib kind node.Netlist.vt in
+    let cell = Pops_cell.Library.find_vt lib (Netlist.gate_kind t id) (Netlist.vt_of t id) in
     let total_load = Netlist.load_on t id in
     let branch =
       if i = n - 1 then 0.
       else
-        let next = Netlist.node t arr.(i + 1) in
-        Float.max 0. (total_load -. next.Netlist.cin)
+        Float.max 0. (total_load -. Netlist.cin t arr.(i + 1))
     in
     { Path.cell; branch }
   in
@@ -49,7 +41,7 @@ let extract ?input_slope ~lib t nodes =
     let last_load = Netlist.load_on t arr.(n - 1) in
     Float.max last_load (0.5 *. tech.Pops_process.Tech.cmin)
   in
-  let drive_cin = (Netlist.node t arr.(0)).Netlist.cin in
+  let drive_cin = Netlist.cin t arr.(0) in
   let path = Path.make ?input_slope ~drive_cin ~tech ~c_out stages in
   { nodes; path; total_gates = n }
 
@@ -278,10 +270,7 @@ let rank_candidates ?input_slope ~lib t ~k candidates =
   let with_delay =
     List.map
       (fun e ->
-        let sizing =
-          Array.of_list
-            (List.map (fun id -> (Netlist.node t id).Netlist.cin) e.nodes)
-        in
+        let sizing = Array.of_list (List.map (Netlist.cin t) e.nodes) in
         (Path.delay_worst e.path sizing, e))
       extracted
   in

@@ -33,9 +33,8 @@ let path_breakdown ~lib t timing nodes =
     let prev_arrival = ref 0. in
     List.map
       (fun id ->
-        let n = Netlist.node t id in
         let gate =
-          match n.Netlist.kind with
+          match Netlist.kind t id with
           | Netlist.Primary_input -> "input"
           | Netlist.Cell kind -> Pops_cell.Gate_kind.name kind
         in
@@ -53,7 +52,7 @@ let path_breakdown ~lib t timing nodes =
           {
             node = id;
             gate;
-            fanout = List.length n.Netlist.fanouts;
+            fanout = List.length (Netlist.fanouts t id);
             cap = Netlist.load_on t id;
             incr = arrival -. !prev_arrival;
             arrival;

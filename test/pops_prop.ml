@@ -566,17 +566,31 @@ let csr_arrays c =
     [ bits (K.cin c); bits (K.load c) ],
     (K.bound c, K.length c) )
 
-(* a netlist restored into a fresh one carries no snapshot, so its first
-   [csr] is a cold build *)
-let cold_csr nl =
+(* a netlist restored into a fresh one carries no derived order, so its
+   first [csr] is a cold build *)
+let cold nl =
   let s = Netlist.create (Netlist.tech nl) in
   Netlist.restore s ~from:nl;
-  Netlist.csr s
+  ignore (Netlist.csr s);
+  s
+
+(* what the queries read: liveness below the id bound, and per live id
+   its node view, load (by its bits), output flag and level *)
+let query_state nl =
+  List.init (Netlist.id_bound nl) (fun id ->
+      if not (Netlist.node_exists nl id) then None
+      else
+        Some
+          ( Netlist.node nl id,
+            Int64.bits_of_float (Netlist.load_on nl id),
+            Netlist.is_output nl id,
+            Netlist.level nl id ))
 
 (* the snapshot derived across edits equals a cold build: each step's
    code decides what follows its edit — 0-2 nothing (so [csr] sees a
-   random prefix of edits at once), 3 a check, 4 a check and a switch to
-   a copy sharing the snapshot, 5 a restore to the start first.  Every
+   random prefix of edits at once), 3 a check, 4 a switch to a copy
+   (sharing the order, and taken before any [csr] has refreshed the
+   edit's loads) and a check, 5 a restore to the start first.  Every
    netlist left behind must keep its own snapshot intact. *)
 let () =
   Prop.register ~name:"netlist.csr_resync_matches_rebuild"
@@ -586,19 +600,22 @@ let () =
       ignore (Netlist.csr !nl);
       let start = Netlist.copy !nl and left = ref [] in
       let check what nl =
-        if csr_arrays (Netlist.csr nl) <> csr_arrays (cold_csr nl) then
-          Prop.failf "%s: snapshot differs from a cold build" what
+        let c = cold nl in
+        if csr_arrays (Netlist.csr nl) <> csr_arrays (Netlist.csr c) then
+          Prop.failf "%s: snapshot differs from a cold build" what;
+        if query_state nl <> query_state c then
+          Prop.failf "%s: queries differ from a cold build" what
       in
       List.iteri
         (fun i (e, code) ->
           if code = 5 then Netlist.restore !nl ~from:start;
           C.apply_edit !nl e;
           let what = Printf.sprintf "step %d (%s)" i (C.print_edit e) in
-          if code >= 3 then check what !nl;
           if code = 4 then begin
             left := !nl :: !left;
             nl := Netlist.copy !nl
-          end)
+          end;
+          if code >= 3 then check what !nl)
         steps;
       check "last step" !nl;
       List.iter (check "a netlist left for its copy") !left)

@@ -37,7 +37,35 @@ let test_build_and_query () =
   (* load on h = terminal only; load on g = cin of h *)
   Alcotest.(check bool) "load h" true (Netlist.load_on t h = 12.);
   Alcotest.(check bool) "load g" true
-    (Netlist.load_on t g = (Netlist.node t h).Netlist.cin)
+    (Netlist.load_on t g = (Netlist.node t h).Netlist.cin);
+  (* wide gates have no kind code; their kinds survive copy and restore *)
+  let c = Netlist.add_input t and d = Netlist.add_input t in
+  let wide =
+    [ (Gk.Nand 5, [| a; b; c; d; g |]); (Gk.Nor 7, [| a; b; c; d; g; h; a |]);
+      (Gk.Nand 1, [| c |]) ]
+  in
+  let ids = List.map (fun (k, fi) -> (k, Netlist.add_gate t k fi)) wide in
+  List.iter (fun (_, id) -> Netlist.set_output t id ~load:3.) ids;
+  check_valid t;
+  let kinds what t =
+    List.iter
+      (fun (k, id) ->
+        Alcotest.(check string) (what ^ " kind") (Gk.name k) (Gk.name (Netlist.gate_kind t id)))
+      ids
+  in
+  kinds "built" t;
+  let snap = Netlist.copy t in
+  kinds "copy" snap;
+  (* flip the original's to their duals: the copy keeps its own *)
+  List.iter
+    (fun (k, id) -> Netlist.replace_kind t id (Option.get (Gk.de_morgan_dual k)))
+    ids;
+  kinds "copy after edits" snap;
+  let fresh = Netlist.create tech in
+  Netlist.restore fresh ~from:snap;
+  kinds "restored" fresh;
+  Netlist.restore t ~from:snap;
+  kinds "rewound" t
 
 let test_arity_checked () =
   let t = Netlist.create tech in

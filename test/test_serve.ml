@@ -237,7 +237,32 @@ let test_job_rejects () =
   (* unknown field (typo of tc_ps) *)
   expect_err {|{"bench":"x","action":"optimise"}|};
   (* unknown action *)
-  expect_err {|[1,2]|}
+  expect_err {|[1,2]|};
+  (* a present field of the wrong type or out of range names the field;
+     an absent one takes its default *)
+  List.iter
+    (fun (field, value) ->
+      let s = Printf.sprintf {|{"bench":"x",%S:%s}|} field value in
+      match decode s with
+      | Ok _ -> Alcotest.failf "expected decode error for %s" s
+      | Error e ->
+        let needle = Printf.sprintf "%S" field in
+        let n = String.length needle in
+        let rec names i =
+          i + n <= String.length e && (String.sub e i n = needle || names (i + 1))
+        in
+        if not (names 0) then Alcotest.failf "error for %s does not name the field: %s" s e)
+    [ ("tc_ratio", {|"0.5"|}); ("tc_ratio", "-1"); ("tc_ratio", "0");
+      ("tc_ratio", "1e999"); ("tc_ps", {|"100"|}); ("tc_ps", "-320");
+      ("k_paths", "2.5"); ("k_paths", "0"); ("k_paths", "-2"); ("k_paths", {|"3"|});
+      ("max_rounds", "-1"); ("max_rounds", "1.5"); ("vt_assign", {|"yes"|});
+      ("vt_assign", "1"); ("id", "7"); ("tenant", "null") ];
+  match decode {|{"bench":"x","tc_ratio":0.5,"k_paths":1,"max_rounds":0,"vt_assign":true,"id":"a","tenant":"b"}|} with
+  | Error e -> Alcotest.failf "in-range fields rejected: %s" e
+  | Ok j ->
+    Alcotest.(check bool) "fields kept" true
+      (j.Job.tc_ratio = Some 0.5 && j.Job.k_paths = Some 1 && j.Job.max_rounds = Some 0
+       && j.Job.vt_assign && j.Job.id = "a" && j.Job.tenant = "b")
 
 (* --- workloads ------------------------------------------------------ *)
 
