@@ -13,9 +13,10 @@ let delay_kernel () =
   (* a solve allocates its result, its report and the boxed floats of
      its passes; the Newton vectors live in the per-domain scratch *)
   let solve_budget = 300. in
-  (* one constraint costs a few hundred passes as a KKT case analysis;
-     the nested beta x a search it replaced took 4,335 on fpd *)
-  let passes_budget = 1000 in
+  (* one constraint costs ~120 passes on fpd as a KKT case analysis
+     with two-pass Newton steps; the nested beta x a search it replaced
+     took 4,335 *)
+  let passes_budget = 400 in
   let t = Table.create
       ~title:"delay_kernel - compiled path kernel (ns/op, minor words/op, kernel passes/op)"
       [ ("kernel", Table.Left); ("circuit", Table.Left); ("stages", Table.Right);
@@ -69,7 +70,7 @@ let delay_kernel () =
          the closed form is exercised *)
       let x = Path.min_sizing path in
       Array.iteri (fun i v -> if i > 0 then x.(i) <- v *. 2.5) x;
-      let g = Array.make n 0. in
+      let g = Array.make n 0. and hd = Array.make n 0. and ho = Array.make n 0. in
       let sc = Path.scratch () in
       let hot = if !smoke then 2000 else 20000 in
       bench ~iters:hot ~kernel:"delay_worst" ~circuit:name ~stages:n
@@ -78,6 +79,10 @@ let delay_kernel () =
         ~budget:alloc_budget (fun () -> Path.delay_both path sc x);
       bench ~iters:hot ~kernel:"gradient_into" ~circuit:name ~stages:n
         ~budget:alloc_budget (fun () -> Path.gradient_into path x g);
+      (* the Newton rung's pass: both polarities at beta = 1/2, a < 0 *)
+      bench ~iters:hot ~kernel:"gradient_hessian_into" ~circuit:name ~stages:n
+        ~budget:alloc_budget (fun () ->
+          Path.gradient_hessian_into path ~w_own:0.5 ~w_flip:0.5 ~a:(-1.) x g hd ho);
       bench ~iters:(if !smoke then 5 else 50) ~kernel:"sensitivity_solve"
         ~circuit:name ~stages:n
         ?budget:(if name = "fpd" then Some solve_budget else None)
@@ -90,10 +95,10 @@ let delay_kernel () =
     circuits;
   Table.print t;
   Printf.printf
-    "shape check: the fused kernels (delay_worst, delay_both, gradient_into)\n\
-     stay within the %g minor-words/op accounting budget - i.e. they allocate\n\
-     nothing; sensitivity_solve on fpd stays within %g words/op (its working\n\
-     vectors are reused per domain); size_for_constraint at 1.2 Tmin on fpd\n\
-     stays within %d kernel passes; solver cost is dominated by the pass\n\
-     count (see solve_stats).\n"
+    "shape check: the fused kernels (delay_worst, delay_both, gradient_into,\n\
+     gradient_hessian_into) stay within the %g minor-words/op accounting\n\
+     budget - i.e. they allocate nothing; sensitivity_solve on fpd stays\n\
+     within %g words/op (its working vectors are reused per domain);\n\
+     size_for_constraint at 1.2 Tmin on fpd stays within %d kernel passes;\n\
+     solver cost is dominated by the pass count (see solve_stats).\n"
     alloc_budget solve_budget passes_budget

@@ -162,7 +162,8 @@ let table1 () =
       let pops_ms = pops.ns /. 1e6 and amps_ms = amps.ns /. 1e6 in
       Table.add_row t
         [ p.Profiles.name; string_of_int p.Profiles.path_gates;
-          Table.cell_f ~decimals:1 pops_ms;
+          (* two decimals: short paths size in a few hundredths of a ms *)
+          Table.cell_f ~decimals:2 pops_ms;
           Table.cell_f ~decimals:1 amps_ms;
           Printf.sprintf "%.0fx" (amps_ms /. Float.max 0.01 pops_ms);
           Printf.sprintf "%d" pops.value; Printf.sprintf "%d" amps.value.Amps.evaluations;

@@ -95,29 +95,29 @@ let sweep_kernel (path : Path.t) ~w_own ~w_flip ~a ~skip x =
 
 (* The solvers need a handful of working vectors: the iterate and, for
    Gauss-Seidel, the previous one; for Newton, the trial point, the
-   gradient and its coloured perturbations, the tridiagonal Hessian and
-   the step.  One scratch lives per domain (Domain.DLS), sized to the
-   largest path seen there, so repeated solves — the constraint search
-   warm-starts dozens per path — allocate nothing after the first.  The busy flag covers the (currently impossible) re-entrant
-   case by falling back to a fresh scratch instead of corrupting the one
-   in flight; tasks on the domain pool each run on their own domain, so
-   scratches are never shared. *)
+   gradient, the tridiagonal Hessian, the Thomas multipliers, the step
+   and the active-set mask.  One scratch lives per domain (Domain.DLS),
+   sized to the largest path seen there, so repeated solves — the
+   constraint search warm-starts dozens per path — allocate nothing
+   after the first.  The busy flag covers the (currently impossible)
+   re-entrant case by falling back to a fresh scratch instead of
+   corrupting the one in flight; tasks on the domain pool each run on
+   their own domain, so scratches are never shared. *)
 type vectors = {
   cur : float array;  (** the iterate *)
   prev : float array;  (** previous iterate / Newton trial point *)
   grad : float array;  (** objective gradient at [cur] *)
-  gflip : float array;  (** flipped-polarity gradient *)
-  xp : float array;  (** coloured perturbation of [cur] *)
-  gp : float array;  (** gradient at [xp]; Thomas multipliers *)
   diag : float array;  (** Hessian diagonal *)
-  off : float array;  (** Hessian super-diagonal, symmetrised *)
+  off : float array;  (** Hessian super-diagonal *)
+  mult : float array;  (** Thomas multipliers *)
   dir : float array;  (** Newton step *)
+  free : bool array;  (** the step's active set *)
 }
 
 let make_vectors cap =
   let v () = Array.make cap 0. in
-  { cur = v (); prev = v (); grad = v (); gflip = v (); xp = v (); gp = v ();
-    diag = v (); off = v (); dir = v () }
+  { cur = v (); prev = v (); grad = v (); diag = v (); off = v (); mult = v ();
+    dir = v (); free = Array.make cap false }
 
 type scratch = { mutable cap : int; mutable vec : vectors; mutable busy : bool }
 
@@ -219,12 +219,15 @@ let gauss_seidel ?budget ~damping ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0
    the first rung minimises L directly by projected Newton in
    log-sizing coordinates u_j = ln x_j, where the delay's posynomial
    terms are convex.  dT/dx_j reads only x_{j-1}, x_j and x_{j+1}, so
-   the Hessian is tridiagonal: three gradient passes with the stages
-   j mod 3 = c perturbed together (one colour per pass) give every
-   entry, and the step is one O(n) Thomas solve.
+   the Hessian is tridiagonal: one fused pass
+   ([Path.gradient_hessian_into]) gives the gradient and the exact
+   second derivatives of the closed-form model, and the step is one
+   O(n) Thomas solve on the Hessian in u,
+     H_jj = x_j g_j + x_j^2 d2L/dx_j2,  H_j,j+1 = x_j x_{j+1} d2L/dx_j dx_{j+1}.
 
    - Stages at a drive bound whose gradient points out of the box, and
-     frozen stages, leave the active set (identity row, zero step).
+     frozen stages, leave the active set (identity row, zero step); the
+     test runs once per step, into a mask.
    - A non-positive Thomas pivot adds a Levenberg shift to the active
      diagonal until the factorisation goes through.
    - The step is projected onto the bounds and backtracked until L
@@ -232,35 +235,14 @@ let gauss_seidel ?budget ~damping ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0
    - The solve stops when the accepted step changes no size by [tol]
      or more — the sweep's contract — or after [max_iter] passes.
 
-   Every kernel pass counts as one sweep: a gradient evaluation (both
-   polarities), one coloured Hessian column set, or one evaluation of
-   L.  The cap can fall anywhere in an iteration: the iterate is then
-   the last accepted one, and the reported step the max sizing change
-   of the last trial point (the pending one when the cap fell inside a
-   line search), so it is finite once one direction has been formed. *)
+   Every kernel pass counts as one sweep: a gradient-and-Hessian pass
+   (both polarities) or one evaluation of L.  The cap can fall anywhere
+   in an iteration: the iterate is then the last accepted one, and the
+   reported step the max sizing change of the last trial point (the
+   pending one when the cap fell inside a line search), so it is finite
+   once one direction has been formed. *)
 
 exception Pass_cap
-
-(* coloured-difference step, in u *)
-let fd_step = 1e-6
-
-(* one both-polarity pass: [g] := dL/dx at [x] *)
-let objective_gradient path flip ~w_own ~w_flip ~a x g gflip =
-  let k = path.Path.kernel in
-  let n = k.Path.n in
-  if w_flip = 0. then Path.gradient_into path x g
-  else if w_own = 0. then Path.gradient_into flip x g
-  else begin
-    Path.gradient_into path x g;
-    Path.gradient_into flip x gflip;
-    for j = 1 to n - 1 do
-      g.(j) <- (w_own *. g.(j)) +. (w_flip *. gflip.(j))
-    done
-  end;
-  if a <> 0. then
-    for j = 1 to n - 1 do
-      g.(j) <- g.(j) -. (a *. k.Path.aw.(j))
-    done
 
 (* one pass: L at [x] *)
 let objective path flip ps ~w_own ~w_flip ~a x =
@@ -286,15 +268,16 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
   let n = Path.length path in
   let k = path.Path.kernel in
   let lo = k.Path.lo and hi = k.Path.hi in
+  (* only the flipped-polarity objective (w_own = 0) reads it *)
   let flip =
-    if w_flip = 0. then path
-    else Path.with_input_edge path (Pops_delay.Edge.flip path.Path.input_edge)
+    if w_own = 0. && w_flip <> 0. then
+      Path.with_input_edge path (Pops_delay.Edge.flip path.Path.input_edge)
+    else path
   in
   let ps = Path.scratch () in
   with_scratch n @@ fun v ->
-  let x = v.cur and trial = v.prev and g = v.grad and gflip = v.gflip in
-  let xp = v.xp and gp = v.gp and diag = v.diag and off = v.off in
-  let dir = v.dir in
+  let x = v.cur and trial = v.prev and g = v.grad and diag = v.diag in
+  let off = v.off and mult = v.mult and dir = v.dir and free = v.free in
   Path.clamp_into path x0 x;
   let iter = ref 0 in
   let pass () =
@@ -307,14 +290,6 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
     incr iter;
     Atomic.incr sweep_counter
   in
-  let free j =
-    not
-      (skip j
-      || (x.(j) <= lo.(j) && g.(j) > 0.)
-      || (x.(j) >= hi.(j) && g.(j) < 0.))
-  in
-  let eh = exp fd_step in
-  let up j = x.(j) *. eh <= hi.(j) in
   let last_step = ref Float.nan in
   let converged = ref false and stuck = ref false in
   (try
@@ -324,48 +299,28 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
         the non-finite stage *)
      while Float.is_finite !l_cur && not (!converged || !stuck) do
        pass ();
-       objective_gradient path flip ~w_own ~w_flip ~a x g gflip;
-       (* the tridiagonal Hessian of L in u, one colour per pass *)
-       Array.fill off 0 n 0.;
-       for c = 0 to 2 do
-         Array.blit x 0 xp 0 n;
-         let any = ref false in
-         for j = 1 to n - 1 do
-           if j mod 3 = c && free j then begin
-             any := true;
-             xp.(j) <- (if up j then x.(j) *. eh else x.(j) /. eh)
-           end
-         done;
-         if !any then begin
-           pass ();
-           objective_gradient path flip ~w_own ~w_flip ~a xp gp gflip;
-           for j = 1 to n - 1 do
-             if j mod 3 = c && free j then begin
-               let s = if up j then fd_step else -.fd_step in
-               diag.(j) <- ((xp.(j) *. gp.(j)) -. (x.(j) *. g.(j))) /. s;
-               if j > 1 then
-                 off.(j - 1) <-
-                   off.(j - 1) +. (0.5 *. x.(j - 1) *. (gp.(j - 1) -. g.(j - 1)) /. s);
-               if j < n - 1 then
-                 off.(j) <-
-                   off.(j) +. (0.5 *. x.(j + 1) *. (gp.(j + 1) -. g.(j + 1)) /. s)
-             end
-           done
-         end
-       done;
-       (* inactive stages: identity rows, decoupled *)
+       Path.gradient_hessian_into path ~w_own ~w_flip ~a x g diag off;
+       (* the Hessian in u on the active set; inactive stages get
+          identity rows, decoupled *)
        let scale = ref 0. in
        for j = 1 to n - 1 do
-         if free j then scale := Float.max !scale (Float.abs diag.(j))
-         else begin
-           diag.(j) <- 1.;
-           off.(j - 1) <- 0.;
-           off.(j) <- 0.
+         let xj = x.(j) and gj = g.(j) in
+         let f =
+           not (skip j || (xj <= lo.(j) && gj > 0.) || (xj >= hi.(j) && gj < 0.))
+         in
+         free.(j) <- f;
+         if f then begin
+           diag.(j) <- (xj *. gj) +. (xj *. xj *. diag.(j));
+           scale := Float.max !scale (Float.abs diag.(j))
          end
+         else diag.(j) <- 1.
        done;
        off.(0) <- 0.;
+       for j = 1 to n - 2 do
+         off.(j) <- (if free.(j) && free.(j + 1) then x.(j) *. x.(j + 1) *. off.(j) else 0.)
+       done;
        off.(n - 1) <- 0.;
-       (* Thomas: multipliers into [gp], forward-eliminated right-hand
+       (* Thomas: multipliers into [mult], forward-eliminated right-hand
           side then the step into [dir]; a non-positive pivot retries
           with a larger Levenberg shift *)
        let shift = ref 0. and factored = ref false in
@@ -374,14 +329,13 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
          while !ok && !j < n do
            let i = !j in
            let sub = if i > 1 then off.(i - 1) else 0. in
-           let cprev = if i > 1 then gp.(i - 1) else 0. in
+           let cprev = if i > 1 then mult.(i - 1) else 0. in
            let dprev = if i > 1 then dir.(i - 1) else 0. in
-           let piv =
-             diag.(i) +. (if free i then !shift else 0.) -. (sub *. cprev)
-           in
+           let fi = free.(i) in
+           let piv = diag.(i) +. (if fi then !shift else 0.) -. (sub *. cprev) in
            if piv > 0. && Float.is_finite piv then begin
-             gp.(i) <- off.(i) /. piv;
-             let rhs = if free i then -.(x.(i) *. g.(i)) else 0. in
+             mult.(i) <- off.(i) /. piv;
+             let rhs = if fi then -.(x.(i) *. g.(i)) else 0. in
              dir.(i) <- (rhs -. (sub *. dprev)) /. piv
            end
            else ok := false;
@@ -389,7 +343,7 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
          done;
          if !ok then begin
            for i = n - 2 downto 1 do
-             dir.(i) <- dir.(i) -. (gp.(i) *. dir.(i + 1))
+             dir.(i) <- dir.(i) -. (mult.(i) *. dir.(i + 1))
            done;
            factored := true
          end
@@ -398,12 +352,12 @@ let newton ?budget ~w_own ~w_flip ~a ~skip ~tol ~max_iter path x0 =
          else shift := 10. *. !shift
        done;
        (* projected backtracking line search on L *)
-       let t = ref 1. and accepted = ref (!stuck) in
+       let t = ref 1. and accepted = ref !stuck in
        while not !accepted do
          let step = ref 0. and slope = ref 0. in
          trial.(0) <- x.(0);
          for j = 1 to n - 1 do
-           let d = if free j then dir.(j) else 0. in
+           let d = if free.(j) then dir.(j) else 0. in
            if d = 0. then trial.(j) <- x.(j)
            else begin
              let y = Float.min hi.(j) (Float.max lo.(j) (x.(j) *. exp (!t *. d))) in

@@ -25,7 +25,7 @@
 type solve_stats = {
   iterations : int;
       (** kernel passes performed: Gauss–Seidel sweeps, or Newton's
-          gradient, Hessian-column and objective evaluations *)
+          fused gradient-and-Hessian passes and objective evaluations *)
   residual : float;
       (** final max sizing change, fF: the step of the last sweep, or of
           the last Newton trial point (the pending one when the cap fell
@@ -70,8 +70,9 @@ type report = {
     [L(x) = beta T_own(x) + (1 - beta) T_flip(x) - a sum_j aw_j x_j];
     Newton minimises [L] in log-sizing coordinates.  [dT/dx_j] couples
     only [x_(j-1)], [x_j] and [x_(j+1)], so the Hessian is tridiagonal:
-    three coloured differences of the gradient give it and each step is
-    one O(n) Thomas solve, with a Levenberg shift on a non-positive
+    one fused pass ({!Pops_delay.Path.gradient_hessian_into}) gives the
+    gradient and its exact second derivatives, and each step is that
+    pass, one O(n) Thomas solve, with a Levenberg shift on a non-positive
     pivot, an Armijo backtrack on [L], and stages at a drive bound (or
     [frozen]) held out of the active set.  [~accel:false] runs plain
     Gauss–Seidel.  Both rungs stop on the same contract (max sizing
@@ -153,8 +154,8 @@ val size_for_constraint :
 
 val sweeps_performed : unit -> int
 (** Total kernel passes executed by this process so far — a
-    Gauss–Seidel sweep, or one of Newton's gradient (both polarities),
-    Hessian-column or objective evaluations.  Each costs one whole-path
+    Gauss–Seidel sweep, or one of Newton's fused gradient-and-Hessian
+    passes (both polarities) or objective evaluations.  Each costs one whole-path
     retiming, making this the hardware-independent cost metric the
     Table 1 benchmark reports.  Monotone counter; sample before/after the
     work to measure. *)

@@ -368,6 +368,72 @@ let gradient t x =
   gradient_into t x g;
   g
 
+(* The gradient and the tridiagonal Hessian of
+     L = w_own T_own + w_flip T_flip - a sum_j aw_j x_j
+   in one pass.  With g_j = U_j - O_j (the [upstream] and [own] terms
+   above), U_j reads x_{j-1} and x_j, O_j reads x_j and x_{j+1}
+   (through K_j = B_j + x_{j+1}, D_j = cm_j + L_j), so
+     dg_j/dx_j     = -2 S_{j-1} m_{j-1} cm_prev / dp^3
+                     + S_j K_j ((1 + v_{j+1}) / x_j^3 + 2 m_j^2 (m_j + p_j) / D_j^3)
+     dg_j/dx_{j+1} = -(S_j / 2) ((1 + v_{j+1}) / x_j^2 + 2 m_j^2 (D_j - 2 K_j) / D_j^3)
+   with S = s tau; the area term is linear and adds nothing.  Each
+   polarity's gradient term is spelled exactly as in [gradient_into],
+   and the weighted sum starts from -0. (the additive identity, sign of
+   zero included), so [g] is bitwise the two-pass weighted gradient; the
+   curvature reuses its quotients ((1 + v)/x^2 and 2 m^2/D^2).  Both
+   polarities share the loads and the clamped window, as in
+   [delay_both]; a polarity of weight 0 is skipped. *)
+let gradient_hessian_into t ~w_own ~w_flip ~a x g hd ho =
+  let k = t.kernel in
+  let n = k.n in
+  let tau = t.tech.Pops_process.Tech.tau in
+  g.(0) <- 0.;
+  hd.(0) <- 0.;
+  ho.(0) <- 0.;
+  if n > 1 then begin
+    let xm1 = ref t.drive_cin in
+    let xj = ref (clamp_at k 1 x.(1)) in
+    for j = 1 to n - 1 do
+      let xnext = if j = n - 1 then t.c_out else clamp_at k (j + 1) x.(j + 1) in
+      let l_prev = (k.p.(j - 1) *. !xm1) +. k.kbranch.(j - 1) +. !xj in
+      let k_j = k.kbranch.(j) +. xnext in
+      let l_j = (k.p.(j) *. !xj) +. k_j in
+      let inv_x = 1. /. !xj in
+      let gj = ref (-0.) and hj = ref (-0.) and oj = ref (-0.) in
+      for pol = 0 to 1 do
+        let w = if pol = 0 then w_own else w_flip in
+        if w <> 0. then begin
+          let s = if pol = 0 then k.s_own else k.s_flip in
+          let v = if pol = 0 then k.v_own else k.v_flip in
+          let m = if pol = 0 then k.m_own else k.m_flip in
+          let cm_prev = m.(j - 1) *. !xm1 in
+          let dp = cm_prev +. l_prev in
+          let k1 = 1. +. (2. *. cm_prev *. cm_prev /. (dp *. dp)) in
+          let sp = s.(j - 1) *. tau in
+          let upstream = sp /. (2. *. !xm1) *. (k1 +. v.(j)) in
+          let dj = (m.(j) *. !xj) +. l_j in
+          let v_next = if j + 1 < n then v.(j + 1) else 0. in
+          let sj = s.(j) *. tau in
+          let ax = (1. +. v_next) /. (!xj *. !xj) in
+          let bm = 2. *. m.(j) *. m.(j) /. (dj *. dj) in
+          let r = bm /. dj in
+          gj := !gj +. (w *. (upstream -. (sj *. k_j /. 2. *. (ax +. bm))));
+          hj :=
+            !hj
+            +. w
+               *. ((sj *. k_j *. ((ax *. inv_x) +. (r *. (m.(j) +. k.p.(j)))))
+                  -. (2. *. sp *. m.(j - 1) *. cm_prev /. (dp *. dp *. dp)));
+          oj := !oj -. (w *. (sj /. 2. *. (ax +. bm -. (2. *. k_j *. r))))
+        end
+      done;
+      g.(j) <- (if a <> 0. then !gj -. (a *. k.aw.(j)) else !gj);
+      hd.(j) <- !hj;
+      ho.(j) <- (if j = n - 1 then 0. else !oj);
+      xm1 := !xj;
+      xj := xnext
+    done
+  end
+
 let area_weight t i = t.kernel.aw.(i)
 
 let area t x =

@@ -168,6 +168,26 @@ val gradient_into : t -> float array -> float array -> unit
     (length {!length}; every entry overwritten).  Allocation-free
     variant of {!gradient} for solver inner loops. *)
 
+val gradient_hessian_into :
+  t ->
+  w_own:float ->
+  w_flip:float ->
+  a:float ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  unit
+(** [gradient_hessian_into t ~w_own ~w_flip ~a x g hd ho] is one fused
+    pass over both polarities for the sizing objective
+    [L = w_own T_own + w_flip T_flip - a sum_j aw_j x_j] (a polarity of
+    weight 0 is skipped): [g.(j)] receives [dL/dx_j] (bitwise the
+    weighted sum of the two polarities' {!gradient_into}, less
+    [a aw_j]), [hd.(j)] the exact [d2L/dx_j2] and [ho.(j)] the exact
+    [d2L/dx_j dx_(j+1)] of the closed-form model ([dT/dx_j] reads only
+    [x_(j-1)], [x_j] and [x_(j+1)], so the Hessian is tridiagonal).
+    Entry 0 of each array and [ho.(n-1)] are 0.  Allocation-free. *)
+
 val area : t -> float array -> float
 (** Total transistor width, um (the paper's [Sigma W] metric). *)
 

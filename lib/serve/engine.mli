@@ -70,6 +70,12 @@ val run_batch : t -> Job.t list -> Job.result list
 val run_job : t -> Job.t -> Job.result
 (** A batch of one. *)
 
+val count : t -> Job.result -> unit
+(** Account a result decided before its job reached the engine (a
+    request line rejected at decode, or one discarded as oversize) in
+    {!jobs_run} and the status counts of {!summary_json}, as
+    {!run_batch} accounts its own results. *)
+
 val jobs_run : t -> int
 
 val summary_json : t -> Json.t

@@ -79,12 +79,14 @@ let overloaded_result ~retry_after_ms slot =
   }
 
 (* run one batch of slots: jobs go through the engine together, the
-   results decided at intake slot in between, all in submission order *)
+   results decided at intake slot in between, all in submission order;
+   the engine's counters account both *)
 let run_items engine slots =
   let jobs =
     List.filter_map (function Ok job -> Some job | Error _ -> None) slots
   in
   let results = Engine.run_batch engine jobs in
+  List.iter (function Error r -> Engine.count engine r | Ok _ -> ()) slots;
   let rec merge slots results =
     match (slots, results) with
     | [], [] -> []

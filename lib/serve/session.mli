@@ -45,7 +45,8 @@ val overloaded_result : retry_after_ms:int -> slot -> Job.result
 val run_items : Engine.t -> slot list -> Job.result list
 (** Run one batch: the jobs go through the engine together, and their
     results merge with the ones decided at intake in submission
-    order. *)
+    order.  The engine's counters ({!Engine.summary_json}) account
+    both. *)
 
 val render : Engine.t -> Job.result -> string
 (** One result line (newline-terminated), honouring the engine's

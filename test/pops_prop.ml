@@ -327,6 +327,83 @@ let () =
       close_to ~rtol:1e-3 ~atol:1e-6 "accelerated vs plain fixed point (delay)"
         (Path.delay_avg p x_plain) (Path.delay_avg p x_acc))
 
+(* the Newton rung's objective gradient as two gradient passes form it:
+   the oracle of [Path.gradient_hessian_into]'s gradient *)
+let objective_gradient p ~w_own ~w_flip ~a x =
+  let n = Path.length p in
+  let g = Array.make n 0. and gf = Array.make n 0. in
+  let flip = Path.with_input_edge p (Edge.flip p.Path.input_edge) in
+  if w_flip = 0. then Path.gradient_into p x g
+  else if w_own = 0. then Path.gradient_into flip x g
+  else begin
+    Path.gradient_into p x g;
+    Path.gradient_into flip x gf;
+    for j = 1 to n - 1 do
+      g.(j) <- (w_own *. g.(j)) +. (w_flip *. gf.(j))
+    done
+  end;
+  if a <> 0. then
+    for j = 1 to n - 1 do
+      g.(j) <- g.(j) -. (a *. Path.area_weight p j)
+    done;
+  g
+
+(* The fused pass on both input edges of a random path, at beta in
+   {0, 1/2, 1, random} and a random a <= 0 (the spec draws the slope and
+   coupling terms on or off): its gradient is the two-pass one bit for
+   bit, and its diagonal and super-diagonal are central differences of
+   that gradient (step 1e-5 relative) to 1e-6 relative. *)
+let () =
+  let beta =
+    Gen.pair (Gen.pick ~print:string_of_float [| 0.; 0.5; 1.; Float.nan |])
+      (Gen.float_range 0.01 0.99)
+  in
+  Prop.register ~name:"sens.hessian_matches_differences"
+    (Gen.triple spec beta (Gen.float_range 0. 3.))
+    (fun (s, (pick, r), mag) ->
+      let beta = if Float.is_nan pick then r else pick in
+      let w_own = beta and w_flip = 1. -. beta and a = -.mag in
+      let p0 = path_of s in
+      let x = interior_sizing s in
+      let n = Path.length p0 in
+      let fused p x =
+        let g = Array.make n 0. and hd = Array.make n 0. and ho = Array.make n 0. in
+        Path.gradient_hessian_into p ~w_own ~w_flip ~a x g hd ho;
+        (g, hd, ho)
+      in
+      List.iter
+        (fun p ->
+          let g, hd, ho = fused p x in
+          let g2 = objective_gradient p ~w_own ~w_flip ~a x in
+          Array.iteri
+            (fun j v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float g2.(j) then
+                Prop.failf "g(%d): fused %h, two-pass %h" j v g2.(j))
+            g;
+          require (ho.(n - 1) = 0.) "super-diagonal past the last stage";
+          for j = 1 to n - 1 do
+            let h = 1e-5 *. x.(j) in
+            let at d =
+              let y = Array.copy x in
+              y.(j) <- x.(j) +. d;
+              let g, _, _ = fused p y in
+              g
+            in
+            let gp = at h and gm = at (-.h) in
+            let col i = (gp.(i) -. gm.(i)) /. (2. *. h) in
+            let tol = 1e-12 *. Float.abs hd.(j) in
+            close_to ~rtol:1e-6 ~atol:tol (Printf.sprintf "d2L/dx%d^2" j) (col j) hd.(j);
+            if j > 1 then
+              close_to ~rtol:1e-6 ~atol:tol
+                (Printf.sprintf "d2L/dx%d dx%d" (j - 1) j)
+                (col (j - 1)) ho.(j - 1);
+            if j < n - 1 then
+              close_to ~rtol:1e-6 ~atol:tol
+                (Printf.sprintf "d2L/dx%d dx%d" (j + 1) j)
+                (col (j + 1)) ho.(j)
+          done)
+        [ p0; Path.with_input_edge p0 (Edge.flip p0.Path.input_edge) ])
+
 let () =
   (* long windows were where the sweep stalled at its cap: every solve
      must converge on the first rung to a stationary point of its own

@@ -90,14 +90,17 @@ let prop_flow_keeps_logic_and_validity =
 
 (* a solve cut by its sweep cap reports one solver-stalled warning whose
    message carries the step of its last trial point.  On Adder16's
-   99-stage critical path eight passes stop Newton inside its second
-   iteration, after one accepted step. *)
+   99-stage critical path a Newton step is two passes (the fused
+   gradient-and-Hessian pass, then one objective evaluation that takes
+   the full step), after the start's objective: four passes stop Newton
+   inside its second iteration, after one accepted step, with the line
+   search's trial point pending. *)
 let test_stall_diagnostics_carry_step () =
   let p = Option.get (Pops_circuits.Profiles.find "Adder16") in
   let nl, spine = Pops_circuits.Profiles.circuit tech p in
   let path = (Pops_sta.Paths.extract ~lib nl spine).Pops_sta.Paths.path in
   Alcotest.(check int) "critical path stages" 99 (Pops_delay.Path.length path);
-  let r = Sens.solve ~max_iter:8 path in
+  let r = Sens.solve ~max_iter:4 path in
   let stalls =
     List.filter (fun d -> d.Diag.code = Diag.Solver_stalled) r.Sens.diags
   in

@@ -414,7 +414,10 @@ let passes f =
 
 (* The KKT sizer on the 11 profile paths at seven constraints: each call
    within its pass cap, every row as good as the nested search it
-   replaced (test/sizing_oracle.ml), and at least 5x cheaper in all. *)
+   replaced (test/sizing_oracle.ml), and at least 5x cheaper in all.
+   With two-pass Newton steps the costliest rows take 69 passes
+   (minimum_delay, c5315) and 310 (c432 at 1.02 Tmin); the caps leave
+   ~1.5x headroom. *)
 let test_kkt_profile_rows () =
   let total = ref 0 and total_oracle = ref 0 in
   List.iter
@@ -423,7 +426,7 @@ let test_kkt_profile_rows () =
       let path = profile_path name in
       let (tmin, _, _), md = passes (fun () -> Sens.minimum_delay path) in
       let tmin_o, _, _ = Sizing_oracle.minimum_delay path in
-      if md > 250 then Alcotest.failf "%s: minimum_delay took %d passes" name md;
+      if md > 100 then Alcotest.failf "%s: minimum_delay took %d passes" name md;
       if tmin > tmin_o +. 0.01 then
         Alcotest.failf "%s: tmin %.4f above the oracle's %.4f" name tmin tmin_o;
       List.iter
@@ -433,7 +436,7 @@ let test_kkt_profile_rows () =
           let o, n_o = passes (fun () -> Sizing_oracle.size_for_constraint path ~tc) in
           total := !total + n;
           total_oracle := !total_oracle + n_o;
-          if n > 1200 then
+          if n > 480 then
             Alcotest.failf "%s at %.2f Tmin: %d passes" name ratio n;
           match (r, o) with
           | Ok r, Ok o ->

@@ -614,6 +614,25 @@ let test_server_oversize () =
       oversize
   | _ -> Alcotest.failf "unexpected result lines:\n%s" out
 
+(* a line rejected at decode (an unknown field) between two good ones:
+   the summary counts it with the jobs the engine ran *)
+let test_server_summary_counts_decode_rejects () =
+  let good = {|{"bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n","action":"analyze"}|} in
+  let bad = {|{"bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n","action":"analyze","frob":1}|} in
+  let code, out = serve_pipe ~summary:true (String.concat "\n" [ good; bad; good ] ^ "\n") in
+  Alcotest.(check int) "worst exit: invalid" 2 code;
+  match List.rev (List.filter (( <> ) "") (String.split_on_char '\n' out)) with
+  | summary :: results -> (
+    Alcotest.(check int) "3 results" 3 (List.length results);
+    match Json.parse summary with
+    | Ok j ->
+      let count k = Option.bind (Json.member k j) Json.to_int in
+      Alcotest.(check (option int)) "jobs" (Some 3) (count "jobs");
+      Alcotest.(check (option int)) "ok" (Some 2) (count "ok");
+      Alcotest.(check (option int)) "invalid" (Some 1) (count "invalid")
+    | Error e -> Alcotest.failf "bad summary %s: %s" summary e)
+  | [] -> Alcotest.fail "no output"
+
 let test_server_multi_window () =
   (* 40 jobs, more than two engine windows: analyze (ok), optimize at an
      unreachable tc (unmet) and invalid lines, through the one stdio
@@ -700,6 +719,8 @@ let () =
         [
           Alcotest.test_case "stream" `Quick test_server_stream;
           Alcotest.test_case "oversize line" `Quick test_server_oversize;
+          Alcotest.test_case "summary counts decode rejects" `Quick
+            test_server_summary_counts_decode_rejects;
           Alcotest.test_case "multi-window pipe == file" `Quick
             test_server_multi_window;
         ] );
