@@ -13,17 +13,18 @@ let delay_kernel () =
   (* a solve allocates its result, its report and the boxed floats of
      its passes; the Newton vectors live in the per-domain scratch *)
   let solve_budget = 300. in
-  (* one constraint costs ~120 passes on fpd as a KKT case analysis
-     with two-pass Newton steps; the nested beta x a search it replaced
-     took 4,335 *)
-  let passes_budget = 400 in
+  (* one constraint costs 69 passes (6 solves) on fpd as a Newton search
+     on (ln (-a), beta) steered by implicit-function tangents; the budget
+     is twice that.  The regula falsi search before it took 124, the
+     nested beta x a search before that 4,335 *)
+  let passes_budget = 138 in
   let t = Table.create
       ~title:"delay_kernel - compiled path kernel (ns/op, minor words/op, kernel passes/op)"
       [ ("kernel", Table.Left); ("circuit", Table.Left); ("stages", Table.Right);
         ("ns/op", Table.Right); ("words/op", Table.Right); ("passes", Table.Right);
         ("budget", Table.Left) ]
   in
-  let bench ~iters ~kernel ~circuit ~stages ?budget ?max_passes f =
+  let bench ~iters ~kernel ~circuit ~stages ?budget ?max_passes ?(solves = false) f =
     let loop () =
       for _ = 1 to iters do
         ignore (Sys.opaque_identity (f ()))
@@ -32,10 +33,10 @@ let delay_kernel () =
     let m = (time ~rounds:3 [| loop |]).(0) in
     let ns = m.ns /. float_of_int iters and words = m.words /. float_of_int iters in
     (* deterministic, so one untimed call counts them *)
-    let passes =
-      let s0 = Sens.sweeps_performed () in
+    let passes, n_solves =
+      let s0 = Sens.sweeps_performed () and v0 = Sens.solves_performed () in
       ignore (Sys.opaque_identity (f ()));
-      Sens.sweeps_performed () - s0
+      (Sens.sweeps_performed () - s0, Sens.solves_performed () - v0)
     in
     let budget_cell =
       match (budget, max_passes) with
@@ -52,9 +53,10 @@ let delay_kernel () =
       | None, None -> "-"
     in
     emit "BENCH_kernel.json"
-      [ ("kernel", str kernel); ("circuit", str circuit); ("stages", int stages);
+      ([ ("kernel", str kernel); ("circuit", str circuit); ("stages", int stages);
         ("ns_per_op", num ns); ("minor_words_per_op", num words);
-        ("kernel_passes", int passes) ];
+        ("kernel_passes", int passes) ]
+      @ (if solves then [ ("solves", int n_solves) ] else []));
     Table.add_row t
       [ kernel; circuit; string_of_int stages;
         Table.cell_f ~decimals:1 ns; Table.cell_f ~decimals:1 words;
@@ -91,6 +93,7 @@ let delay_kernel () =
       bench ~iters:(if !smoke then 1 else 3) ~kernel:"size_for_constraint"
         ~circuit:name ~stages:n
         ?max_passes:(if name = "fpd" then Some passes_budget else None)
+        ~solves:true
         (fun () -> Sens.size_for_constraint path ~tc))
     circuits;
   Table.print t;

@@ -275,7 +275,8 @@ let sta_scale () =
           emit "BENCH_scale.json"
             ([ ("kernel", str "bench_parse"); ("shape", str shape); ("order", str order);
                ("gates", int gates); ("domains", int 1); ("ns_per_op", num m.(k).ns);
-               ("minor_words_per_gate", num (m.(k).words /. float_of_int gates)) ]
+               ("minor_words_per_gate", num (m.(k).words /. float_of_int gates));
+               ("major_words_per_gate", num (m.(k).major /. float_of_int gates)) ]
             @ (if k = 1 then [ ("vs_inputs_first", num ratio) ] else [])
             @ [ ("unmeasurable", Json.Bool false) ]);
           Table.add_row t

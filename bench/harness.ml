@@ -156,6 +156,7 @@ type 'a timed = {
   value : 'a;  (* what the thunk returned in the last round *)
   ns : float;  (* minimum wall time of one run, ns *)
   words : float;  (* mean minor words of one run *)
+  major : float;  (* mean words one run allocates straight into the major heap *)
 }
 
 (* Run every thunk once to warm up, settle the GC, then time [rounds]
@@ -169,20 +170,31 @@ let time ~rounds fs =
   Gc.full_major ();
   let best = Array.make (Array.length fs) infinity in
   let words = Array.make (Array.length fs) 0. in
+  let major = Array.make (Array.length fs) 0. in
+  (* major words less promoted ones: the large blocks (over 256 words)
+     that bypass the minor heap.  [Gc.counters] allocates, so it brackets
+     the minor-word reads from outside *)
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
   for _ = 1 to rounds do
     Array.iteri
       (fun i f ->
+        let m0 = direct () in
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         last.(i) <- f ();
         let dt = Unix.gettimeofday () -. t0 in
         words.(i) <- words.(i) +. (Gc.minor_words () -. w0);
+        major.(i) <- major.(i) +. (direct () -. m0);
         if dt < best.(i) then best.(i) <- dt)
       fs
   done;
+  let per_run a = a /. float_of_int rounds in
   Array.mapi
     (fun i value ->
-      { value; ns = best.(i) *. 1e9; words = words.(i) /. float_of_int rounds })
+      { value; ns = best.(i) *. 1e9; words = per_run words.(i); major = per_run major.(i) })
     last
 
 (* --- the domain sweep ----------------------------------------------- *)

@@ -153,6 +153,17 @@ let with_path f circuit gates cout branch =
     exit_invalid
   | Ok (path, label) -> guard (fun () -> f path label)
 
+(* a constraint is a positive, finite ps value or ratio; anything else
+   is invalid input (exit 2), as [Job.of_json] answers it on the serve
+   side.  [k ()] runs the command. *)
+let with_tc tc_ps tc_ratio k =
+  let given = ("--tc-ratio", tc_ratio) :: Option.fold tc_ps ~none:[] ~some:(fun v -> [ ("--tc", v) ]) in
+  match List.find_opt (fun (_, v) -> not (Float.is_finite v && v > 0.)) given with
+  | Some (flag, v) ->
+    prerr_endline (Printf.sprintf "pops: %s %g: must be a positive finite number" flag v);
+    exit_invalid
+  | None -> k ()
+
 let resolve_tc path tc_ps tc_ratio =
   match tc_ps with
   | Some tc -> tc
@@ -204,6 +215,7 @@ let tmin_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_size snap tc_ps tc_ratio circuit gates cout branch =
+  with_tc tc_ps tc_ratio @@ fun () ->
   with_path
     (fun path label ->
       let tc = resolve_tc path tc_ps tc_ratio in
@@ -290,6 +302,7 @@ let flimit_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_protocol tc_ps tc_ratio no_restructure circuit gates cout branch =
+  with_tc tc_ps tc_ratio @@ fun () ->
   with_path
     (fun path label ->
       let tc = resolve_tc path tc_ps tc_ratio in
@@ -459,6 +472,7 @@ let finish_flow outcome =
     | _ -> exit_unmet)
 
 let run_flow name tc_ps tc_ratio rounds vt_assign =
+  with_tc tc_ps tc_ratio @@ fun () ->
   match Profiles.find name with
   | None ->
     prerr_endline ("pops: unknown circuit " ^ name);
@@ -491,6 +505,7 @@ let flow_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_bench_file file do_flow tc_ps tc_ratio vt_assign out =
+  with_tc tc_ps tc_ratio @@ fun () ->
   match Pops_netlist.Bench_io.parse_file_o tech file with
   | Outcome.Failed d ->
     report_diag d;
@@ -865,6 +880,7 @@ let client_cmd =
    it with the incremental flow — the full-chip loop without needing a
    job file or a netlist on disk *)
 let run_optimize_generated gates shape name tc_ps tc_ratio rounds vt_assign =
+  with_tc tc_ps tc_ratio @@ fun () ->
   guard @@ fun () ->
   let shape =
     match String.lowercase_ascii shape with

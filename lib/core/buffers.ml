@@ -147,21 +147,33 @@ let shield_stage ?(fanout_target = 4.) ~lib path ~at =
     Some (p, { stage = at; b1; b2; shield_area })
   end
 
-let objective_eval ~objective p =
+let objective_eval ?x0 ~objective p =
   match objective with
   | `Tmin ->
     (* shared Tmin definition so the semantics agree with Bounds *)
-    let d, x, _ = Sensitivity.minimum_delay p in
+    let d, x, _ = Sensitivity.minimum_delay ?x0 p in
     (d, x, d, Path.area p x)
   | `Area_at tc -> (
-    match Sensitivity.size_for_constraint p ~tc with
+    match Sensitivity.size_for_constraint ?x0 p ~tc with
     | Ok r ->
       (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area)
     | Error (`Infeasible tmin) ->
       (* infeasible: objective value = huge + tmin so that lower tmin
          still compares better among infeasible options *)
-      let x = (Sensitivity.solve p).sizing in
+      let x = (Sensitivity.solve ?x0 p).sizing in
       (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x))
+
+(* a trial's warm start: the incumbent's sizing [x] mapped onto the path
+   with an inverter pair after stage [at], the pair at the geometric
+   steps between stage [at] and the stage it drove *)
+let through_pair x ~at =
+  let n = Array.length x in
+  let next = if at + 1 < n then x.(at + 1) else x.(at) in
+  Array.init (n + 2) (fun i ->
+      if i <= at then x.(i)
+      else if i = at + 1 then Float.cbrt (x.(at) *. x.(at) *. next)
+      else if i = at + 2 then Float.cbrt (x.(at) *. next *. next)
+      else x.(i - 2))
 
 type accum = {
   a_path : Path.t;
@@ -182,8 +194,10 @@ let insert_global ?(objective = `Tmin) ~lib path =
   let score_of ~raw_score ~extra =
     match objective with `Tmin -> raw_score | `Area_at _ -> raw_score +. extra
   in
-  let eval p extra =
-    let raw, x, d, a = objective_eval ~objective p in
+  (* a trial starts from the incumbent's sizing: a shield keeps the
+     stages, a pair is mapped through ({!through_pair}) *)
+  let eval ?x0 p extra =
+    let raw, x, d, a = objective_eval ?x0 ~objective p in
     (score_of ~raw_score:raw ~extra, x, d, a)
   in
   let score0, x0, d0, a0 = eval path 0. in
@@ -224,7 +238,7 @@ let insert_global ?(objective = `Tmin) ~lib path =
     let batch = shield_all base nodes in
     if batch.a_shields = [] then base
     else begin
-      let score', x', d', a' = eval batch.a_path batch.a_extra in
+      let score', x', d', a' = eval ~x0:base.a_sizing batch.a_path batch.a_extra in
       if score' < base.a_score -. 1e-9 then
         { batch with a_score = score'; a_sizing = x'; a_delay = d'; a_area = a' }
       else begin
@@ -235,7 +249,7 @@ let insert_global ?(objective = `Tmin) ~lib path =
             | None -> acc
             | Some (p', sh) ->
               let extra = acc.a_extra +. sh.shield_area in
-              let score', x', d', a' = eval p' extra in
+              let score', x', d', a' = eval ~x0:acc.a_sizing p' extra in
               if score' < acc.a_score -. 1e-9 then
                 { a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
                   a_area = a'; a_extra = extra; a_pairs = acc.a_pairs;
@@ -254,7 +268,7 @@ let insert_global ?(objective = `Tmin) ~lib path =
   in
   let step acc at =
     let p' = insert_pair ~lib acc.a_path ~at in
-    let score', x', d', a' = eval p' acc.a_extra in
+    let score', x', d', a' = eval ~x0:(through_pair acc.a_sizing ~at) p' acc.a_extra in
     if score' < acc.a_score -. 1e-9 then
       { acc with a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
         a_area = a'; a_pairs = at :: acc.a_pairs }

@@ -32,6 +32,11 @@ let sweep_counter = Atomic.make 0
 
 let sweeps_performed () = Atomic.get sweep_counter
 
+(* calls of [solve], each one run of the fallback ladder *)
+let solve_counter = Atomic.make 0
+
+let solves_performed () = Atomic.get solve_counter
+
 let no_skip _ = false
 
 let sweep_kernel (path : Path.t) ~w_own ~w_flip ~a ~skip x =
@@ -539,6 +544,7 @@ let check_a a = if a > 0. then invalid_arg "Sensitivity: a must be <= 0."
 let solve ?budget ?(accel = true) ?(a = 0.) ?(frozen = []) ?x0 ?(beta = 0.5)
     ?(tol = 1e-4) ?(max_iter = 300) path =
   check_a a;
+  Atomic.incr solve_counter;
   let x0 = Option.value x0 ~default:(Path.min_sizing path) in
   let skip = match frozen with [] -> no_skip | l -> fun j -> List.mem j l in
   let beta = Float.min 1. (Float.max 0. beta) in
@@ -576,43 +582,124 @@ let h_of p = p.own -. p.flip
 
 let a_of_s s = if s = Float.neg_infinity then 0. else -.exp s
 
+let weighted p = (p.beta *. p.own) +. ((1. -. p.beta) *. p.flip)
+
 let eval_point path ps ?x0 ~beta s =
   let x = (solve ~a:(a_of_s s) ?x0 ~beta path).sizing in
   Path.delay_both path ps x;
   { x; own = ps.Path.own; flip = ps.Path.flip; beta; s }
 
-(* Anderson-Bjorck regula falsi on a bracket of opposite signs: an end
-   kept twice has its value scaled by 1 - f_new / f_old (else 1/2), a
-   secant through the last two points; a step equal to the value it
-   replaced (a flat stretch: sizes at a bound) makes the next one
-   bisect.  True when [f] meets its tolerance ([None]) within [steps]
-   evaluations and above a bracket [width]. *)
-let regula_falsi ~steps ~width f (lo, f_lo) (hi, f_hi) =
-  let scale r = if r < 1. then 1. -. r else 0.5 in
-  (* [side]: the end the last step replaced *)
-  let rec go lo f_lo hi f_hi side flat k =
-    if k >= steps || Float.abs (hi -. lo) < width then false
-    else
-      let m =
-        if flat then 0.5 *. (lo +. hi) else ((lo *. f_hi) -. (hi *. f_lo)) /. (f_hi -. f_lo)
-      in
-      match f m with
-      | None -> true
-      | Some f_m when f_m > 0. = (f_lo > 0.) ->
-        let f_hi = if side = `Lo then f_hi *. scale (f_m /. f_lo) else f_hi in
-        go m f_m hi f_hi `Lo (f_m = f_lo) (k + 1)
-      | Some f_m ->
-        let f_lo = if side = `Hi then f_lo *. scale (f_m /. f_hi) else f_lo in
-        go lo f_lo m f_m `Hi (f_m = f_hi) (k + 1)
+(* The implicit-function tangents of eq. 6 at a solved point.  On the
+   free stages the link equations read F = beta dT_own + (1 - beta)
+   dT_flip - a aw = 0, so with H their Jacobian in x (the Hessian of L)
+     H dx/da = aw,   H dx/dbeta = -(dT_own - dT_flip),
+   and dx/ds = a dx/da = -e^s H^-1 aw.  Stages at an active bound, and
+   frozen ones, have zero tangent.  One fused pass gives H, the weighted
+   gradient and the polarity difference; one Thomas factorisation serves
+   both right-hand sides.  [ta]/[tb] differentiate the weighted delay
+   T_w = beta T_own + (1 - beta) T_flip ([tb] with its own partial, h),
+   [ha]/[hb] the difference h; [q = aw . dx/da], so near a = 0 the
+   weighted delay is T_w(0) + q a^2 / 2.  A system that does not factor
+   (no strict minimum) gives zero tangents. *)
+type tangents = {
+  xa : float array;  (* dx/da *)
+  xb : float array;  (* dx/dbeta *)
+  ta : float;
+  tb : float;
+  ha : float;
+  hb : float;
+  q : float;
+}
+
+let tangents path ~skip ~beta ~a (p : point) =
+  let n = Path.length path in
+  let k = path.Path.kernel in
+  let lo = k.Path.lo and hi = k.Path.hi and aw = k.Path.aw in
+  let x = p.x in
+  let v () = Array.make n 0. in
+  let g = v () and d = v () and hd = v () and ho = v () in
+  let xa = v () and xb = v () and mult = v () in
+  Atomic.incr sweep_counter;
+  Path.gradient_hessian_into ~diff:d path ~w_own:beta ~w_flip:(1. -. beta) ~a x g hd ho;
+  let free =
+    Array.init n (fun j ->
+        j > 0
+        && not (skip j || (x.(j) <= lo.(j) && g.(j) > 0.) || (x.(j) >= hi.(j) && g.(j) < 0.)))
   in
-  go lo f_lo hi f_hi `Start false 0
+  let ok = ref true in
+  for i = 1 to n - 1 do
+    if free.(i) then begin
+      let sub = if free.(i - 1) then ho.(i - 1) else 0. in
+      let piv = hd.(i) -. (sub *. mult.(i - 1)) in
+      if piv > 0. && Float.is_finite piv then begin
+        if i < n - 1 && free.(i + 1) then mult.(i) <- ho.(i) /. piv;
+        xa.(i) <- (aw.(i) -. (sub *. xa.(i - 1))) /. piv;
+        xb.(i) <- (-.d.(i) -. (sub *. xb.(i - 1))) /. piv
+      end
+      else ok := false
+    end
+  done;
+  for i = n - 2 downto 1 do
+    xa.(i) <- xa.(i) -. (mult.(i) *. xa.(i + 1));
+    xb.(i) <- xb.(i) -. (mult.(i) *. xb.(i + 1))
+  done;
+  if not !ok then begin
+    Array.fill xa 0 n 0.;
+    Array.fill xb 0 n 0.
+  end;
+  (* the weighted delay's gradient is L's plus a aw *)
+  let ta = ref 0. and tb = ref 0. and ha = ref 0. and hb = ref 0. and q = ref 0. in
+  for j = 1 to n - 1 do
+    let gw = g.(j) +. (a *. aw.(j)) in
+    ta := !ta +. (gw *. xa.(j));
+    tb := !tb +. (gw *. xb.(j));
+    ha := !ha +. (d.(j) *. xa.(j));
+    hb := !hb +. (d.(j) *. xb.(j));
+    q := !q +. (aw.(j) *. xa.(j))
+  done;
+  { xa; xb; ta = !ta; tb = h_of p +. !tb; ha = !ha; hb = !hb; q = !q }
+
+(* the first-order sizing at (a', beta') from [p], taken in log sizes
+   (the solver's coordinates, where a long step cannot cross zero) and
+   clamped *)
+let predict path p t ~a' ~beta' =
+  let da = a' -. a_of_s p.s and db = beta' -. p.beta in
+  let y =
+    Array.mapi
+      (fun j xj ->
+        let du = ((da *. t.xa.(j)) +. (db *. t.xb.(j))) /. xj in
+        xj *. exp (Float.min 3. (Float.max (-3.) du)))
+      p.x
+  in
+  Path.clamp_into path y y;
+  y
+
+type tangent = { dx_ds : float array; dx_dbeta : float array; dt_ds : float; dh_dbeta : float }
+
+let tangent ?(frozen = []) path ~a ~beta x =
+  check_a a;
+  let skip = match frozen with [] -> no_skip | l -> fun j -> List.mem j l in
+  let ps = Path.scratch () in
+  Path.delay_both path ps x;
+  let p = { x; own = ps.Path.own; flip = ps.Path.flip; beta; s = 0. } in
+  let t = tangents path ~skip ~beta ~a p in
+  (* dx/ds = (da/ds) dx/da = a dx/da = -e^s dx/da *)
+  { dx_ds = Array.map (fun v -> a *. v) t.xa; dx_dbeta = t.xb; dt_ds = a *. t.ta;
+    dh_dbeta = t.hb }
 
 let least score = function
   | [] -> invalid_arg "Sensitivity.least"
   | p :: ps -> List.fold_left (fun b q -> if score q < score b then q else b) p ps
 
-(* the best point and every point solved, most recent first *)
-let minimum_delay_points path =
+(* Newton on h over beta at a = 0, from the pure own-polarity optimum:
+   a step leaving the bracket (a point with h > 0 below, one with
+   h < 0 above) takes the secant of the bracket instead, or the pure
+   flipped optimum while nothing is known below.  Once both polarities
+   are known to bind (a point with h > 0), or h is within 1% of the
+   delay, the search stops early at a point whose worse delay, an upper
+   bound on Tmin, is at most [enough] (default: never).  The best point
+   and every point solved, most recent first. *)
+let minimum_delay_points ?x0 ?(enough = Float.neg_infinity) path =
   let ps = Path.scratch () in
   let seen = ref [] in
   let eval ?x0 beta =
@@ -620,20 +707,32 @@ let minimum_delay_points path =
     seen := p :: !seen;
     p
   in
-  let p1 = eval 1. in
-  (if h_of p1 < 0. then
-     let p0 = eval ~x0:p1.x 0. in
-     if h_of p0 > 0. then begin
-       let last = ref p0 in
-       let h beta =
-         last := eval ~x0:!last.x beta;
-         if Float.abs (h_of !last) <= 1e-5 *. worst !last then None else Some (h_of !last)
-       in
-       ignore (regula_falsi ~steps:12 ~width:1e-4 h (0., h_of p0) (1., h_of p1))
-     end);
+  let p1 = eval ?x0 1. in
+  let rec go p below above k =
+    let t = tangents path ~skip:no_skip ~beta:p.beta ~a:0. p in
+    let newton = p.beta -. (h_of p /. t.hb) in
+    let floor = match below with Some b -> b.beta | None -> 0. in
+    let beta' =
+      if newton > floor && newton < above.beta then newton
+      else
+        match below with
+        | None -> 0.
+        | Some b -> ((b.beta *. h_of above) -. (above.beta *. h_of b)) /. (h_of above -. h_of b)
+    in
+    let q = eval ~x0:(predict path p t ~a':0. ~beta') beta' in
+    let hq = h_of q in
+    let below, above = if hq > 0. then (Some q, above) else (below, q) in
+    let width = above.beta -. Option.fold ~none:0. ~some:(fun b -> b.beta) below in
+    if (beta' = 0. && hq <= 0.) || Float.abs hq <= 1e-5 *. worst q || k >= 12 || width < 1e-4
+       || (worst q <= enough && (below <> None || Float.abs hq <= 0.01 *. worst q))
+    then ()
+    else go q below above (k + 1)
+  in
+  if h_of p1 < 0. then go p1 None p1 1;
   (least worst !seen, !seen)
 
-let minimum_delay path = match minimum_delay_points path with p, _ -> (worst p, p.x, p.beta)
+let minimum_delay ?x0 path =
+  match minimum_delay_points ?x0 path with p, _ -> (worst p, p.x, p.beta)
 
 type constraint_result = {
   sizing : float array;
@@ -657,17 +756,33 @@ let grid_up path x =
       else Float.min k.Path.hi.(j) (Path.grid ~round:Float.ceil v))
     x
 
-(* [fit beta s] puts the weighted delay beta T_own + (1 - beta) T_flip,
-   monotone in s = ln (-a), in a window under the target: doubling steps
-   in s from [s] until the window is bracketed, then regula falsi; each
-   solve warm-starts from the nearest s solved.  beta = 1 fitted to tc
-   is the answer when T_flip <= T_own there, likewise beta = 0; else
-   regula falsi on beta finds the root of h, with fits eps under tc and
-   |h| <= eps tc so the worse delay meets tc.  A search short of its
-   tolerance falls back on the least-area point meeting tc.  The answer
-   is rounded up onto the grid, and reruns under tc if that breaks it. *)
-let size_for_constraint ?(tol_ps = 0.01) path ~tc =
-  let p_tmin, seen0 = minimum_delay_points path in
+(* A safeguarded Newton search on (s, beta) from the Tmin point, its
+   derivatives read off [tangents] at each solved point.
+
+   - At a pure weight (beta = 1 with h >= 0, or beta = 0 with h <= 0)
+     the weighted delay, monotone in s = ln (-a), must land in a window
+     [w] under the target: Newton in s on [resid], the log of its excess
+     over the a = 0 floor.  The first step, from a = 0, is the model
+     excess = q a^2 / 2.  Points under and over the window's middle
+     bracket s; a step leaving the bracket takes its regula falsi point
+     instead (a doubling step while one side is unknown, a bisection
+     once regula falsi stalls), and no Newton step from a solved point
+     moves s by more than 8.
+   - Otherwise both polarities bind: a 2x2 Newton step on ([resid], h)
+     with beta projected onto [0, 1]; the weighted delay must land eps
+     under the target and |h| within eps of it, so the worse delay meets
+     it.  A step projected onto a pure weight aims at that weight's
+     window.
+   - Every solve warm-starts from the tangent predictor.
+
+   A search short of its tolerance falls back on the least-area point
+   meeting tc.  The answer is rounded up onto the grid, and reruns under
+   tc (from the answer) if that breaks it. *)
+let size_for_constraint ?(tol_ps = 0.01) ?x0 path ~tc =
+  if Float.is_nan tc then invalid_arg "Sensitivity.size_for_constraint: tc is nan";
+  (* Tmin only fixes the window [w] below 1.01 Tmin: above, any point
+     whose worse delay is under tc / 1.01 settles the case analysis *)
+  let p_tmin, seen0 = minimum_delay_points ?x0 ~enough:(tc /. 1.01) path in
   let tmin = worst p_tmin in
   let x_min = Path.min_sizing path in
   let tmax = Path.delay_worst path x_min in
@@ -677,100 +792,157 @@ let size_for_constraint ?(tol_ps = 0.01) path ~tc =
   else begin
     let ps = Path.scratch () in
     let seen = ref seen0 in
-    let solve_at ~beta s =
-      let near = least (fun p -> Float.abs (p.s -. s)) !seen in
-      let p = eval_point path ps ~x0:near.x ~beta s in
+    let solve_at ~beta s x0 =
+      let p = eval_point path ps ~x0 ~beta s in
       seen := p :: !seen;
       p
     in
-    (* the first fit starts from the slope of the Pareto chord *)
-    let s0 =
-      let r = (tmax -. tmin) /. (Path.area path p_tmin.x -. Path.area path x_min) in
-      if Float.is_finite r && r > 0. then log r else 0.
-    in
-    let weighted (p : point) = (p.beta *. p.own) +. ((1. -. p.beta) *. p.flip) in
-    (* the weighted delay rises with s up to its minimum-drive value *)
-    let at_min =
-      Path.delay_both path ps x_min;
-      let own = ps.Path.own and flip = ps.Path.flip in
-      fun beta -> { x = x_min; own; flip; beta; s = Float.infinity }
-    in
     (* relative window; finer near Tmin, where area is steep in delay *)
     let w = Float.min 1e-4 (0.01 *. (tc -. tmin) /. tc) in
-    let fit ?(target = tc) ?(window = w) ?(step0 = 1.) beta s_start =
-      let s_start = if Float.is_finite s_start then s_start else s0 in
-      let lower = target *. (1. -. window) and hit = ref None in
-      (* [None] in the window, else the distance from its middle *)
-      let g p =
-        let t = weighted p in
-        if t >= lower && t <= target then begin
-          hit := Some p;
-          None
-        end
-        else Some (t -. (target *. (1. -. (0.5 *. window))))
-      in
-      let rec step p gp d =
-        let q = solve_at ~beta (if gp > 0. then p.s -. d else p.s +. d) in
-        match g q with
-        | Some gq when gq > 0. <> (gp > 0.) ->
-          let fast = ref (if gq < 0. then q else p) in
-          let f s =
-            let r = solve_at ~beta s in
-            let gr = g r in
-            (match gr with Some x when x < 0. -> fast := r | _ -> ());
-            gr
+    let eps = 0.3 *. w in
+    let pure (p : point) = (p.beta = 1. && h_of p >= 0.) || (p.beta = 0. && h_of p <= 0.) in
+    (* the pure window's middle, and the both-bind one's *)
+    let mid_pure target = target *. (1. -. (0.5 *. w)) in
+    let mid_both target = target *. (1. -. eps) *. (1. -. (0.05 *. w)) in
+    let landed target p =
+      let t = weighted p in
+      (pure p && t >= target *. (1. -. w) && t <= target)
+      ||
+      let top = target *. (1. -. eps) in
+      Float.abs (h_of p) <= eps *. target && t >= top *. (1. -. (0.1 *. w)) && t <= top
+    in
+    (* the weighted delay at a = 0 under [beta], as far as the Tmin
+       points tell: the floor the excess delay of an s-step is over *)
+    let floor beta =
+      List.fold_left
+        (fun acc p ->
+          if p.s = Float.neg_infinity then
+            Float.min acc ((beta *. p.own) +. ((1. -. beta) *. p.flip))
+          else acc)
+        Float.infinity seen0
+    in
+    (* the residual the s-steps drive to 0, with its scale against the
+       delay's: the log of the excess over the floor relative to the
+       goal's, about linear in s (slope 2 near Tmin, where the excess is
+       q a^2 / 2, falling slowly beyond); the plain difference where an
+       excess is not positive *)
+    let resid goal beta t =
+      let t0 = floor beta in
+      let e = t -. t0 and eg = goal -. t0 in
+      if e > 0. && eg > 0. then (log (e /. eg), 1. /. e) else (t -. goal, 1.)
+    in
+    (* The log excess is concave in s: its slope falls from 2 near Tmin
+       towards 1/2 (a hyperbolic delay-area front, excess ~ sqrt (-a)),
+       so a Newton step from under the goal falls short.  A long step
+       (the excess off by more than e^(1/2)) takes the mean of the local
+       slope and 1/2 instead; a short one is plain Newton. *)
+    let slope f fs = if Float.abs f > 0.5 && fs > 0.5 then 0.5 *. (fs +. 0.5) else fs in
+    let search target p0 =
+      (* the s bracket at the current pure weight: points under and over
+         the window's middle, with their residuals *)
+      let under = ref None and over = ref None in
+      (* solved points in a row on the same side of the bracket: regula
+         falsi stalls with one end fixed, so after three it bisects *)
+      let side = ref 0 and same = ref 0 in
+      let rec go (p : point) k d =
+        if landed target p then Some p
+        else if k >= 24 then None
+        else begin
+          let a = a_of_s p.s in
+          let t = tangents path ~skip:no_skip ~beta:p.beta ~a p in
+          let goal = if pure p then mid_pure target else mid_both target in
+          let beta', s_newton, f =
+            if p.s = Float.neg_infinity then
+              (* from a = 0 the excess is q a^2 / 2 *)
+              let y = 2. *. (goal -. weighted p) /. t.q in
+              (p.beta, (if y > 0. then 0.5 *. log y else Float.nan), -1.)
+            else begin
+              let f, sc = resid goal p.beta (weighted p) in
+              let fs = slope f (sc *. a *. t.ta) in
+              if pure p then (p.beta, p.s -. (f /. fs), f)
+              else
+                let fb = sc *. t.tb and hs = a *. t.ha in
+                let b =
+                  p.beta +. (((hs *. f) -. (fs *. h_of p)) /. ((fs *. t.hb) -. (fb *. hs)))
+                in
+                if b > 0. && b < 1. then (b, p.s -. ((f +. (fb *. (b -. p.beta))) /. fs), f)
+                else
+                  (* projected onto a pure weight: aim at its window *)
+                  let b = if b >= 1. then 1. else 0. in
+                  let f', sc' = resid (mid_pure target) p.beta (weighted p) in
+                  let fs' = slope f' (sc' *. a *. t.ta) in
+                  (b, p.s -. ((f' +. (sc' *. t.tb *. (b -. p.beta))) /. fs'), f')
+            end
           in
-          let width = 1e-9 *. Float.max 1. (Float.abs !fast.s) in
-          if regula_falsi ~steps:30 ~width f (p.s, gp) (q.s, gq) then Option.get !hit
-          else begin
-            if weighted !fast < 0.99 *. target then
+          (* the bracket, and the doubling length [d] of the steps that
+             look for it, hold for one weight *)
+          let d =
+            if beta' <> p.beta then begin
+              under := None;
+              over := None;
+              1.
+            end
+            else begin
+              let sd = if f < 0. then -1 else 1 in
+              if sd = !side then incr same else same := 0;
+              side := sd;
+              if f < 0. then under := Some (p, f) else over := Some (p, f);
+              d
+            end
+          in
+          (* no Newton step from a solved point moves s by more than 8: a
+             model that saturates (every size at its bound, a flat delay)
+             cannot fling s *)
+          let s_newton =
+            if p.s = Float.neg_infinity || not (Float.abs (s_newton -. p.s) > 8.) then s_newton
+            else p.s +. Float.copy_sign 8. (s_newton -. p.s)
+          in
+          let inside lo hi = s_newton > lo && s_newton < hi in
+          let s', d' =
+            match (!under, !over) with
+            | Some (u, fu), Some (o, fo) ->
+              if inside u.s o.s && !same < 2 then (s_newton, d)
+              else if u.s = Float.neg_infinity then (o.s -. d, 2. *. d)
+              else
+                let r = ((u.s *. fo) -. (o.s *. fu)) /. (fo -. fu) in
+                ((if r > u.s && r < o.s && !same < 2 then r else 0.5 *. (u.s +. o.s)), d)
+            | Some (u, _), None ->
+              if inside u.s Float.infinity then (s_newton, d) else (u.s +. d, 2. *. d)
+            | None, Some (o, _) ->
+              if inside Float.neg_infinity o.s then (s_newton, d) else (o.s -. d, 2. *. d)
+            | None, None ->
+              if Float.is_finite s_newton then (s_newton, d)
+              else (p.s +. (if f > 0. then -.d else d), 2. *. d)
+          in
+          match (!under, !over) with
+          | Some (u, _), Some (o, _)
+            when o.s -. u.s < 1e-9 *. Float.max 1. (Float.abs o.s) ->
+            if weighted u < 0.99 *. target then
               Watch.emit
                 (Diag.makef Diag.Bracket_collapse ~subject:"size_for_constraint"
                    "sensitivity bracket collapsed at a = %g with delay %.3f ps well \
                     under the %.3f ps target"
-                   (a_of_s !fast.s) (weighted !fast) target);
-            !fast
-          end
-        | Some gq when Float.abs (q.s -. s_start) <= 30. -> step q gq (2. *. d)
-        | _ -> q
-      in
-      if weighted (at_min beta) < lower then at_min beta
-      else
-        let p = solve_at ~beta s_start in
-        match g p with None -> p | Some gp -> step p gp step0
-    in
-    let search target =
-      let p1 = fit ~target 1. s0 in
-      if h_of p1 >= 0. then Some p1
-      else
-        let p0 = fit ~target 0. p1.s in
-        if h_of p0 <= 0. then Some p0
-        else begin
-          let eps = 0.3 *. w and hit = ref None and last = ref p0 in
-          let h beta =
-            last := fit ~target:(target *. (1. -. eps)) ~window:(0.1 *. w) ~step0:0.25 beta !last.s;
-            if Float.abs (h_of !last) > eps *. target then Some (h_of !last)
-            else begin
-              hit := Some !last;
-              None
-            end
-          in
-          ignore (regula_falsi ~steps:24 ~width:1e-6 h (0., h_of p0) (1., h_of p1));
-          !hit
+                   (a_of_s u.s) (weighted u) target);
+            Some u
+          | _ ->
+            let x0 = predict path p t ~a':(a_of_s s') ~beta' in
+            go (solve_at ~beta:beta' s' x0) (k + 1) d'
         end
+      in
+      go p0 0 1.
     in
-    let rec answer k target =
-      let p =
-        match search target with
+    let rec answer k target start =
+      let (p : point) =
+        match search target start with
         | Some p -> p
         | None -> least (fun p -> Path.area path p.x) (List.filter (fun p -> worst p <= tc) !seen)
       in
       let y = grid_up path p.x in
       let over = Path.delay_worst path y -. tc in
       if over <= 0. || k = 0 then (p, if over <= 0. then y else p.x)
-      else answer (k - 1) (target -. over -. (0.5 *. w *. tc))
+      else answer (k - 1) (target -. over -. (0.5 *. w *. tc)) p
     in
-    let p, y = answer 2 tc in
+    let p, y = answer 2 tc p_tmin in
     Ok (result_of path ~beta:p.beta (a_of_s p.s) y)
   end
 

@@ -119,13 +119,38 @@ val solve_trace : ?a:float -> ?tol:float -> ?max_iter:int -> Pops_delay.Path.t -
     solution); reproduces the convergence trajectory of Fig. 1.  Always
     runs the paper's Gauss–Seidel sweep, never the Newton rung. *)
 
-val minimum_delay : Pops_delay.Path.t -> float * float array * float
+val minimum_delay : ?x0:float array -> Pops_delay.Path.t -> float * float array * float
 (** [(tmin, sizing, beta)]: the minimum achievable worst-polarity delay,
     the sizing reaching it and the polarity weight whose link equations
     produced it: [beta = 1] when the own polarity is the worse one at
     its optimum, else [beta = 0] when the flipped one is, else the root
-    of [T_own - T_flip] in [beta] (regula falsi).  The shared Tmin of
-    [Bounds], the constraint sizer and buffer insertion. *)
+    of [T_own - T_flip] in [beta] (Newton on the tangent [dh/dbeta],
+    safeguarded by its bracket).  [x0] warm-starts the first solve
+    (default: the minimum drive).  The shared Tmin of [Bounds], the
+    constraint sizer and buffer insertion. *)
+
+type tangent = {
+  dx_ds : float array;  (** [dx/ds] at fixed [beta], [s = ln (-a)] *)
+  dx_dbeta : float array;  (** [dx/dbeta] at fixed [a] *)
+  dt_ds : float;
+      (** [dT_w/ds] of the weighted delay
+          [T_w = beta T_own + (1 - beta) T_flip] *)
+  dh_dbeta : float;  (** [dh/dbeta] of [h = T_own - T_flip] at fixed [a] *)
+}
+
+val tangent : ?frozen:int list -> Pops_delay.Path.t -> a:float -> beta:float ->
+  float array -> tangent
+(** [tangent path ~a ~beta x]: how the solution of eq. 6 moves with
+    [s = ln (-a)] and [beta] at a sizing [x] that solves it, by the
+    implicit-function theorem on the free stages:
+    [H dx/ds = -e^s aw] and [H dx/dbeta = -(dT_own/dx - dT_flip/dx)],
+    with [H] the exact tridiagonal Hessian of the sizing objective (one
+    {!Pops_delay.Path.gradient_hessian_into} pass) and two Thomas solves
+    on one factorisation; the delay derivatives are dot products with
+    the polarity gradients.  Stages at a drive bound that is active, and
+    [frozen] ones, have zero tangent; at [a = 0] the [s] tangents are 0.
+    The constraint sizer's Newton steps and warm starts read these.
+    @raise Invalid_argument if [a > 0.]. *)
 
 type constraint_result = {
   sizing : float array;
@@ -136,21 +161,27 @@ type constraint_result = {
 }
 
 val size_for_constraint :
-  ?tol_ps:float -> Pops_delay.Path.t -> tc:float ->
+  ?tol_ps:float -> ?x0:float array -> Pops_delay.Path.t -> tc:float ->
   (constraint_result, [ `Infeasible of float ]) result
 (** The minimum-area sizing whose worst-polarity delay meets [tc], by
     the KKT case analysis of [min sum W s.t. T_own <= tc, T_flip <= tc]:
     its stationarity is the [beta]-weighted link equation at [a].
     [beta = 1] is the answer when the own delay binds alone, [beta = 0]
     when the flipped one does, else [beta] is the root of
-    [T_own - T_flip]; for each [beta] a search on [ln (-a)] puts the
-    weighted delay just under [tc].  Sizes come rounded up onto the
-    write-back grid ({!Pops_delay.Path.grid}); [a] and [beta] are the
-    solve's.  A collapsed bracket on [ln (-a)] reports
+    [T_own - T_flip] with the weighted delay just under [tc].  The
+    search is a safeguarded Newton iteration on [(ln (-a), beta)] from
+    the Tmin point, its steps and warm starts read off {!tangent}: in
+    [ln (-a)] alone at a pure weight (bracketed, with a regula falsi
+    fallback), a 2x2 step with [beta] projected onto [[0, 1]] where
+    both polarities bind.  Sizes come rounded up onto the write-back
+    grid ({!Pops_delay.Path.grid}); [a] and [beta] are the solve's.  A
+    collapsed bracket on [ln (-a)] reports
     {!Pops_robust.Diag.Bracket_collapse} through {!Pops_robust.Watch}.
     [`Infeasible tmin] when [tc] is more than [tol_ps] (0.01 ps) below
     Tmin (Section 4 then changes the structure); within it, the Tmin
-    sizing; above the minimum-drive delay, the all-minimum sizing. *)
+    sizing; above the minimum-drive delay, the all-minimum sizing.
+    [x0] warm-starts the Tmin solve (see {!minimum_delay}).
+    @raise Invalid_argument if [tc] is NaN. *)
 
 val sweeps_performed : unit -> int
 (** Total kernel passes executed by this process so far — a
@@ -159,6 +190,10 @@ val sweeps_performed : unit -> int
     retiming, making this the hardware-independent cost metric the
     Table 1 benchmark reports.  Monotone counter; sample before/after the
     work to measure. *)
+
+val solves_performed : unit -> int
+(** Total {!solve} calls by this process so far (each one run of the
+    fallback ladder); monotone, like {!sweeps_performed}. *)
 
 val sutherland : ?iters:int -> Pops_delay.Path.t -> tc:float -> float array
 (** The equal-delay-per-stage constraint distribution (Sutherland/Mead,

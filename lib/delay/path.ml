@@ -382,14 +382,17 @@ let gradient t x =
    zero included), so [g] is bitwise the two-pass weighted gradient; the
    curvature reuses its quotients ((1 + v)/x^2 and 2 m^2/D^2).  Both
    polarities share the loads and the clamped window, as in
-   [delay_both]; a polarity of weight 0 is skipped. *)
-let gradient_hessian_into t ~w_own ~w_flip ~a x g hd ho =
+   [delay_both]; a polarity of weight 0 is skipped unless [diff] asks
+   for the unweighted own-minus-flipped gradient. *)
+let gradient_hessian_into ?diff t ~w_own ~w_flip ~a x g hd ho =
   let k = t.kernel in
   let n = k.n in
   let tau = t.tech.Pops_process.Tech.tau in
+  let want_diff, dg = match diff with Some d -> (true, d) | None -> (false, g) in
   g.(0) <- 0.;
   hd.(0) <- 0.;
   ho.(0) <- 0.;
+  if want_diff then dg.(0) <- 0.;
   if n > 1 then begin
     let xm1 = ref t.drive_cin in
     let xj = ref (clamp_at k 1 x.(1)) in
@@ -399,10 +402,10 @@ let gradient_hessian_into t ~w_own ~w_flip ~a x g hd ho =
       let k_j = k.kbranch.(j) +. xnext in
       let l_j = (k.p.(j) *. !xj) +. k_j in
       let inv_x = 1. /. !xj in
-      let gj = ref (-0.) and hj = ref (-0.) and oj = ref (-0.) in
+      let gj = ref (-0.) and hj = ref (-0.) and oj = ref (-0.) and dj = ref 0. in
       for pol = 0 to 1 do
         let w = if pol = 0 then w_own else w_flip in
-        if w <> 0. then begin
+        if w <> 0. || want_diff then begin
           let s = if pol = 0 then k.s_own else k.s_flip in
           let v = if pol = 0 then k.v_own else k.v_flip in
           let m = if pol = 0 then k.m_own else k.m_flip in
@@ -411,21 +414,26 @@ let gradient_hessian_into t ~w_own ~w_flip ~a x g hd ho =
           let k1 = 1. +. (2. *. cm_prev *. cm_prev /. (dp *. dp)) in
           let sp = s.(j - 1) *. tau in
           let upstream = sp /. (2. *. !xm1) *. (k1 +. v.(j)) in
-          let dj = (m.(j) *. !xj) +. l_j in
+          let d = (m.(j) *. !xj) +. l_j in
           let v_next = if j + 1 < n then v.(j + 1) else 0. in
           let sj = s.(j) *. tau in
           let ax = (1. +. v_next) /. (!xj *. !xj) in
-          let bm = 2. *. m.(j) *. m.(j) /. (dj *. dj) in
-          let r = bm /. dj in
-          gj := !gj +. (w *. (upstream -. (sj *. k_j /. 2. *. (ax +. bm))));
-          hj :=
-            !hj
-            +. w
-               *. ((sj *. k_j *. ((ax *. inv_x) +. (r *. (m.(j) +. k.p.(j)))))
-                  -. (2. *. sp *. m.(j - 1) *. cm_prev /. (dp *. dp *. dp)));
-          oj := !oj -. (w *. (sj /. 2. *. (ax +. bm -. (2. *. k_j *. r))))
+          let bm = 2. *. m.(j) *. m.(j) /. (d *. d) in
+          let r = bm /. d in
+          let gp = upstream -. (sj *. k_j /. 2. *. (ax +. bm)) in
+          if want_diff then dj := if pol = 0 then gp else !dj -. gp;
+          if w <> 0. then begin
+            gj := !gj +. (w *. gp);
+            hj :=
+              !hj
+              +. w
+                 *. ((sj *. k_j *. ((ax *. inv_x) +. (r *. (m.(j) +. k.p.(j)))))
+                    -. (2. *. sp *. m.(j - 1) *. cm_prev /. (dp *. dp *. dp)));
+            oj := !oj -. (w *. (sj /. 2. *. (ax +. bm -. (2. *. k_j *. r))))
+          end
         end
       done;
+      if want_diff then dg.(j) <- !dj;
       g.(j) <- (if a <> 0. then !gj -. (a *. k.aw.(j)) else !gj);
       hd.(j) <- !hj;
       ho.(j) <- (if j = n - 1 then 0. else !oj);

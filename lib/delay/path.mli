@@ -169,6 +169,7 @@ val gradient_into : t -> float array -> float array -> unit
     variant of {!gradient} for solver inner loops. *)
 
 val gradient_hessian_into :
+  ?diff:float array ->
   t ->
   w_own:float ->
   w_flip:float ->
@@ -186,7 +187,11 @@ val gradient_hessian_into :
     [a aw_j]), [hd.(j)] the exact [d2L/dx_j2] and [ho.(j)] the exact
     [d2L/dx_j dx_(j+1)] of the closed-form model ([dT/dx_j] reads only
     [x_(j-1)], [x_j] and [x_(j+1)], so the Hessian is tridiagonal).
-    Entry 0 of each array and [ho.(n-1)] are 0.  Allocation-free. *)
+    Entry 0 of each array and [ho.(n-1)] are 0.  Allocation-free.
+    [diff], when given, also receives [dT_own/dx_j - dT_flip/dx_j]
+    (both polarities evaluated whatever their weights): the
+    derivative of the link equations in the weight, which the constraint
+    sizer's tangents need. *)
 
 val area : t -> float array -> float
 (** Total transistor width, um (the paper's [Sigma W] metric). *)

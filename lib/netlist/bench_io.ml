@@ -635,7 +635,13 @@ let sorted_ids names count =
 
 (* the netlist the statements describe, node ids in (pass, line) order *)
 let build tech ~out_load it st =
-  let t = Netlist.create tech in
+  (* every INPUT, DFF and gate line makes a node (a wide gate several);
+     a parsed netlist is usually edited next, so leave an eighth spare *)
+  let nodes = ref 0 in
+  for i = 0 to st.n - 1 do
+    if st.kind.(i) <> Output then incr nodes
+  done;
+  let t = Netlist.create ~capacity:(!nodes + (!nodes / 8)) tech in
   let names = it.names and n_names = max 1 it.count in
   (* name -> the node driving it, -1 while undefined *)
   let node = Array.make n_names (-1) in

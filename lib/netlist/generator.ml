@@ -43,9 +43,9 @@ let side_mix =
 
 let generate tech profile =
   let rng = Rng.of_string profile.name in
-  let t = Netlist.create tech in
-  let cmin = tech.Pops_process.Tech.cmin in
   let n_inputs = max 4 (profile.path_gates / 4) in
+  let t = Netlist.create ~capacity:(n_inputs + profile.total_gates) tech in
+  let cmin = tech.Pops_process.Tech.cmin in
   let pis = Array.init n_inputs (fun _ -> Netlist.add_input t) in
   (* spine: pin 0 reads the previous spine node so depth is exactly the
      spine position; remaining pins read primary inputs only.  This keeps
@@ -131,7 +131,6 @@ let scale_shape_name = function
    intermediate per-layer lists — so generation streams at any size. *)
 let generate_grid tech ~name ~gates =
   let rng = Rng.of_string name in
-  let t = Netlist.create tech in
   let log2 n =
     let r = ref 0 and v = ref n in
     while !v > 1 do
@@ -142,6 +141,7 @@ let generate_grid tech ~name ~gates =
   in
   let depth = max 8 (3 * log2 (max 2 gates)) in
   let width = max 4 (gates / depth) in
+  let t = Netlist.create ~capacity:(width + gates) tech in
   let mix =
     [| (Gk.Inv, 0.22); (Gk.Nand 2, 0.34); (Gk.Nor 2, 0.22);
        (Gk.Nand 3, 0.12); (Gk.Nor 3, 0.10) |]
@@ -186,8 +186,8 @@ let generate_grid tech ~name ~gates =
    long before a million gates *)
 let generate_spine tech ~name ~gates =
   let rng = Rng.of_string name in
-  let t = Netlist.create tech in
   let n_inputs = 8 in
+  let t = Netlist.create ~capacity:(n_inputs + gates) tech in
   let pis = Array.init n_inputs (fun _ -> Netlist.add_input t) in
   let mix = [| (Gk.Inv, 0.40); (Gk.Nand 2, 0.35); (Gk.Nor 2, 0.25) |] in
   let prev = ref pis.(0) in

@@ -132,22 +132,27 @@ type t = {
   mutable load_cursor : int;  (* dirty-log position loads are fresh up to *)
 }
 
-let create tech =
+(* [capacity] nodes fit before the id-indexed arrays first double; the
+   packed fan-ins get two slots per node and the dirty log three (a
+   node's own entry plus its fan-ins'), what a parse or generator of
+   mostly 1-3-input gates fills *)
+let create ?(capacity = 64) tech =
+  let cap = max 64 capacity in
   {
     tech;
     next_id = 0;
-    kind_code = Array.make 64 dead_code;
+    kind_code = Array.make cap dead_code;
     wide = Imap.empty;
-    vt = Array.make 64 0;
-    cin = Array.make 64 Float.nan;
-    wire = Array.make 64 0.;
-    load = Array.make 64 Float.nan;
-    out_load = Array.make 64 Float.nan;
-    out_rank = Array.make 64 (-1);
-    level = Array.make 64 0;
-    fanin_off = Array.make 65 0;
-    fanin = Array.make 64 0;
-    fanouts = Array.make 64 [];
+    vt = Array.make cap 0;
+    cin = Array.make cap Float.nan;
+    wire = Array.make cap 0.;
+    load = Array.make cap Float.nan;
+    out_load = Array.make cap Float.nan;
+    out_rank = Array.make cap (-1);
+    level = Array.make cap 0;
+    fanin_off = Array.make (cap + 1) 0;
+    fanin = Array.make (2 * cap) 0;
+    fanouts = Array.make cap [];
     input_ids = [];
     n_inputs = 0;
     out_ids = Array.make 64 0;
@@ -158,7 +163,7 @@ let create tech =
     levels_valid = true;
     n_live = 0;
     n_gates = 0;
-    dirty_log = Array.make 64 0;
+    dirty_log = Array.make (3 * cap) 0;
     dirty_len = 0;
     struct_rev = 0;
     order = empty_order;

@@ -39,7 +39,12 @@ type node = private {
 
 type t
 
-val create : Pops_process.Tech.t -> t
+val create : ?capacity:int -> Pops_process.Tech.t -> t
+(** An empty netlist with room for [capacity] nodes (default 64) before
+    its per-node storage first doubles.  A builder that knows its size
+    up front (a parse, a generator) passes it and skips the regrowth;
+    ids and results do not depend on it. *)
+
 val tech : t -> Pops_process.Tech.t
 
 val add_input : ?name:string -> t -> int

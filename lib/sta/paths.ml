@@ -524,9 +524,14 @@ let k_worst_reference ?(k = 5) ?input_slope ~lib t =
 
 (* Slack-driven selection state: the slacks annotation endpoints are
    ranked by, and the netlist whose outputs are ranked. *)
-type incr = { in_s : Timing.slacks; in_nl : Netlist.t }
+type incr = {
+  in_s : Timing.slacks;
+  in_nl : Netlist.t;
+  mutable in_stamp : int array;  (* per id: the last call that selected it *)
+  mutable in_calls : int;
+}
 
-let incr_make nl slacks = { in_s = slacks; in_nl = nl }
+let incr_make nl slacks = { in_s = slacks; in_nl = nl; in_stamp = [||]; in_calls = 0 }
 
 let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
     ?input_slope ~lib q =
@@ -539,7 +544,13 @@ let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
   let candidates =
     Timing.worst_endpoints s ~min_slack ~limit:(max 64 (16 * k))
   in
-  let stamped = Hashtbl.create 64 in
+  (* the gates of this call's winners carry [call] in [in_stamp] *)
+  q.in_calls <- q.in_calls + 1;
+  let call = q.in_calls in
+  let bound = Netlist.id_bound t in
+  if Array.length q.in_stamp < bound then
+    q.in_stamp <- Array.make (max bound (2 * Array.length q.in_stamp)) 0;
+  let stamp = q.in_stamp in
   let results = ref [] and n_results = ref 0 in
   let rec probe = function
     | [] -> ()
@@ -551,10 +562,10 @@ let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
          walks one window upstream (the flow advances the phase when the
          current windows saturate).  A bounded edit window also keeps
          the next round's incremental re-time confined to a small
-         fan-out cone.  Only the window is ever materialized
-         ({!Timing.path_window}): most probes lose the disjointness test
-         below, and paying a full path walk per discarded probe
-         dominated the selection. *)
+         fan-out cone.  Most probes lose the disjointness test, which
+         walks the window's provenance chain against the stamps and
+         allocates nothing; only a winner's window is materialized
+         ({!Timing.path_window}). *)
       (* phase 0 needs no length: the endpoint-side window stops at
          [max_cone] nodes (or the head) on its own, so losing probes
          cost O(max_cone), not O(depth); the full-path walk is deferred
@@ -569,13 +580,12 @@ let k_worst_incr ?(k = 5) ?(min_slack = 0.) ?(max_cone = 48) ?(phase = 0)
           (skip, min max_cone (total - skip))
         end
       in
-      let nodes = Timing.path_window tm id ~skip ~len:len_ in
-      let gates = List.filter (is_gate t) nodes in
-      let disjoint = not (List.exists (fun g -> Hashtbl.mem stamped g) gates) in
-      (if disjoint then
+      (* only gates are ever stamped, so the walk may test every node *)
+      (if not (Timing.window_marked tm id ~skip ~len:len_ stamp call) then
+         let nodes = Timing.path_window tm id ~skip ~len:len_ in
          match extract ?input_slope ~lib t nodes with
          | e ->
-           List.iter (fun g -> Hashtbl.replace stamped g ()) gates;
+           List.iter (fun g -> if is_gate t g then stamp.(g) <- call) nodes;
            results := { e with total_gates = Timing.path_length tm id } :: !results;
            incr n_results
          | exception Invalid_argument _ -> ());

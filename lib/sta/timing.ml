@@ -831,6 +831,16 @@ let path_window t id ~skip ~len =
   in
   go id (worst_edge_bit t id) 0 []
 
+let window_marked t id ~skip ~len stamp mark =
+  update t;
+  let rec go id eb i =
+    (i >= skip && i < skip + len && stamp.(id) = mark)
+    ||
+    let from = if eb = 0 then t.rise_from.(id) else t.fall_from.(id) in
+    from >= 0 && i + 1 < skip + len && go (from / 2) (from land 1) (i + 1)
+  in
+  go id (worst_edge_bit t id) 0
+
 let min_clock_period ?setup t =
   let setup =
     match setup with

@@ -90,10 +90,16 @@ val path_window : t -> int -> skip:int -> len:int -> int list
 (** The [len] nodes of {!path_through}'s result starting [skip] steps
     upstream of the endpoint (so [skip = 0] is the endpoint-side
     window), source side first; shorter when the path ends inside the
-    window.  Only the window is materialized — the probe-and-discard
-    selection in {!Paths.k_worst_incr} calls this per candidate
-    endpoint, where building the full path per probe dominated the
-    round.
+    window.  Only the window is materialized; {!Paths.k_worst_incr}
+    calls this for the cones it selects.
+    @raise Not_found if no arrival reaches [id]. *)
+
+val window_marked : t -> int -> skip:int -> len:int -> int array -> int -> bool
+(** [window_marked t id ~skip ~len stamp mark] is whether some node of
+    [path_window t id ~skip ~len] has [stamp.(node) = mark], by the same
+    walk, allocating nothing: the disjointness probe of
+    {!Paths.k_worst_incr}, which discards most candidates it probes.
+    [stamp] must cover every id below the netlist's id bound.
     @raise Not_found if no arrival reaches [id]. *)
 
 val min_clock_period : ?setup:float -> t -> float

@@ -404,6 +404,62 @@ let () =
           done)
         [ p0; Path.with_input_edge p0 (Edge.flip p0.Path.input_edge) ])
 
+(* The implicit-function tangents of eq. 6 against central differences
+   of tightly converged re-solves: dx/ds and the weighted delay's dT/ds at
+   fixed beta, dx/dbeta and dh/dbeta at fixed a (interior beta only).
+   About a quarter of the stages are frozen; a frozen stage, and one a
+   drive bound holds, has tangent 0 exactly.  A case whose bound set
+   changes within the difference step sits on a kink and is skipped. *)
+let () =
+  let beta =
+    Gen.pair (Gen.pick ~print:string_of_float [| 0.; 1.; Float.nan |])
+      (Gen.float_range 0.05 0.95)
+  in
+  Prop.register ~name:"sens.tangent_matches_differences" ~cases:60
+    (Gen.triple spec beta (Gen.pair (Gen.log_float_range 1e-3 10.) (Gen.int_range 0 1023)))
+    (fun (sp, (pick, r), (mag, mask)) ->
+      let beta = if Float.is_nan pick then r else pick in
+      let p = path_of sp in
+      let n = Path.length p in
+      let k = p.Path.kernel in
+      let stages = List.init (n - 1) succ in
+      let frozen = List.filter (fun j -> (mask lsr (2 * (j mod 5))) land 3 = 0) stages in
+      let x0 = interior_sizing sp in
+      (* Newton's Armijo test cannot resolve L below its rounding, so the
+         sweep polishes its answer to a fixed point *)
+      let solve ~a ~beta =
+        let x0 = (Sens.solve ~a ~beta ~frozen ~x0 p).Sens.sizing in
+        (Sens.solve ~accel:false ~a ~beta ~frozen ~x0 ~tol:1e-13 ~max_iter:100_000 p).Sens.sizing
+      in
+      let a = -.mag and s = log mag and d = 1e-3 in
+      let x = solve ~a ~beta in
+      let t = Sens.tangent ~frozen p ~a ~beta x in
+      let held j = List.mem j frozen || x.(j) <= k.Path.lo.(j) || x.(j) >= k.Path.hi.(j) in
+      let bounds y = List.map (fun j -> y.(j) <= k.Path.lo.(j) || y.(j) >= k.Path.hi.(j)) stages in
+      let ps = Path.scratch () in
+      let delays y = Path.delay_both p ps y; (ps.Path.own, ps.Path.flip) in
+      let t_w y = let o, f = delays y in (beta *. o) +. ((1. -. beta) *. f) in
+      let h y = let o, f = delays y in o -. f in
+      let check what xp xm dx dv v =
+        if bounds xp = bounds x && bounds xm = bounds x then begin
+          List.iter
+            (fun j ->
+              if held j then requiref (dx.(j) = 0.) "%s: held stage %d moves by %g" what j dx.(j)
+              else
+                close_to ~rtol:1e-3 ~atol:(1e-7 *. x.(j))
+                  (Printf.sprintf "dx%d/d%s" j what)
+                  ((xp.(j) -. xm.(j)) /. (2. *. d))
+                  dx.(j))
+            stages;
+          close_to ~rtol:1e-3 ~atol:(1e-9 *. t_w x) ("d/d" ^ what) ((v xp -. v xm) /. (2. *. d)) dv
+        end
+      in
+      check "s" (solve ~a:(-.exp (s +. d)) ~beta) (solve ~a:(-.exp (s -. d)) ~beta)
+        t.Sens.dx_ds t.Sens.dt_ds t_w;
+      if beta > 0. && beta < 1. then
+        check "beta" (solve ~a ~beta:(beta +. d)) (solve ~a ~beta:(beta -. d))
+          t.Sens.dx_dbeta t.Sens.dh_dbeta h)
+
 let () =
   (* long windows were where the sweep stalled at its cap: every solve
      must converge on the first rung to a stationary point of its own
