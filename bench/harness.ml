@@ -164,7 +164,9 @@ type 'a timed = {
    sustained host load perturbs every side of a comparison alike.  Wall
    clock on a shared host is noisy (the same op can vary several-fold
    run to run), so the time reported is the least-perturbed round;
-   allocation counts are exact, so they are averaged. *)
+   allocation counts are exact, so they are averaged.  The clock is the
+   monotonic one, in nanoseconds: a short loop timed to the microsecond
+   would come out quantized. *)
 let time ~rounds fs =
   let last = Array.map (fun f -> f ()) fs in
   Gc.full_major ();
@@ -183,9 +185,9 @@ let time ~rounds fs =
       (fun i f ->
         let m0 = direct () in
         let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Monotonic_clock.now () in
         last.(i) <- f ();
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
         words.(i) <- words.(i) +. (Gc.minor_words () -. w0);
         major.(i) <- major.(i) +. (direct () -. m0);
         if dt < best.(i) then best.(i) <- dt)
@@ -194,7 +196,7 @@ let time ~rounds fs =
   let per_run a = a /. float_of_int rounds in
   Array.mapi
     (fun i value ->
-      { value; ns = best.(i) *. 1e9; words = per_run words.(i); major = per_run major.(i) })
+      { value; ns = best.(i); words = per_run words.(i); major = per_run major.(i) })
     last
 
 (* --- the domain sweep ----------------------------------------------- *)

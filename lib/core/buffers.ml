@@ -147,21 +147,25 @@ let shield_stage ?(fanout_target = 4.) ~lib path ~at =
     Some (p, { stage = at; b1; b2; shield_area })
   end
 
+(* the objective at a trial: score, sizing, delay, path area, and the
+   answer's multipliers (a, beta) when they can bound the next trial *)
 let objective_eval ?x0 ~objective p =
   match objective with
   | `Tmin ->
     (* shared Tmin definition so the semantics agree with Bounds *)
     let d, x, _ = Sensitivity.minimum_delay ?x0 p in
-    (d, x, d, Path.area p x)
+    (d, x, d, Path.area p x, None)
   | `Area_at tc -> (
     match Sensitivity.size_for_constraint ?x0 p ~tc with
     | Ok r ->
-      (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area)
+      (* the Tmin point (a = 0) bounds nothing *)
+      let dual = if r.Sensitivity.a < 0. then Some (r.Sensitivity.a, r.Sensitivity.beta) else None in
+      (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area, dual)
     | Error (`Infeasible tmin) ->
       (* infeasible: objective value = huge + tmin so that lower tmin
          still compares better among infeasible options *)
       let x = (Sensitivity.solve ?x0 p).sizing in
-      (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x))
+      (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x, None))
 
 (* a trial's warm start: the incumbent's sizing [x] mapped onto the path
    with an inverter pair after stage [at], the pair at the geometric
@@ -184,9 +188,21 @@ type accum = {
   a_extra : float;  (* shield area *)
   a_pairs : int list;
   a_shields : shield list;
+  a_dual : (float * float) option;  (* multipliers (a, beta) of [a_sizing] *)
 }
 
 let max_insertion_trials = 8
+
+(* trials the greedy weighs, and those of them the duality screen settles
+   without a constraint search; atomic, since the protocol's candidates
+   run on pool domains *)
+let trial_counter = Atomic.make 0
+
+let screen_counter = Atomic.make 0
+
+let trials_evaluated () = Atomic.get trial_counter
+
+let trials_screened () = Atomic.get screen_counter
 
 let insert_global ?(objective = `Tmin) ~lib path =
   (* the shield area participates in the `Area_at objective but not in
@@ -194,13 +210,41 @@ let insert_global ?(objective = `Tmin) ~lib path =
   let score_of ~raw_score ~extra =
     match objective with `Tmin -> raw_score | `Area_at _ -> raw_score +. extra
   in
-  (* a trial starts from the incumbent's sizing: a shield keeps the
-     stages, a pair is mapped through ({!through_pair}) *)
   let eval ?x0 p extra =
-    let raw, x, d, a = objective_eval ?x0 ~objective p in
-    (score_of ~raw_score:raw ~extra, x, d, a)
+    let raw, x, d, a, dual = objective_eval ?x0 ~objective p in
+    (score_of ~raw_score:raw ~extra, x, d, a, dual)
   in
-  let score0, x0, d0, a0 = eval path 0. in
+  (* Weak duality (docs/model.md §4): at the incumbent's multipliers, a
+     trial's Lagrangian minimum is at most the area of any sizing the
+     constraint search can return for it, so a bound reaching the
+     incumbent's score proves the trial is rejected without the search.
+     The margin covers the bound solve's tolerance. *)
+  let cannot_pay acc ~x0 cand =
+    match (objective, acc.a_dual) with
+    | `Area_at tc, Some (a, beta) -> (
+      match Sensitivity.dual_bound ~x0 cand.a_path ~a ~beta ~tc with
+      | Some lb -> lb +. cand.a_extra >= acc.a_score -. 1e-9 +. (1e-7 *. acc.a_score)
+      | None -> false)
+    | _ -> false
+  in
+  (* the candidate [cand] (its path, shield area and moves) against the
+     incumbent [acc], sized from [x0] (a shield keeps the incumbent's
+     stages, a pair is mapped through {!through_pair}): [cand] sized, when
+     it improves the score *)
+  let trial acc ~x0 cand =
+    Atomic.incr trial_counter;
+    if cannot_pay acc ~x0 cand then begin
+      Atomic.incr screen_counter;
+      None
+    end
+    else begin
+      let score', x', d', a', dual = eval ~x0 cand.a_path cand.a_extra in
+      if score' < acc.a_score -. 1e-9 then
+        Some { cand with a_score = score'; a_sizing = x'; a_delay = d'; a_area = a'; a_dual = dual }
+      else None
+    end
+  in
+  let score0, x0, d0, a0, dual0 = eval path 0. in
   let base =
     {
       a_path = path;
@@ -211,6 +255,7 @@ let insert_global ?(objective = `Tmin) ~lib path =
       a_extra = 0.;
       a_pairs = [];
       a_shields = [];
+      a_dual = dual0;
     }
   in
   let ratios = overload_ratios ~lib path in
@@ -223,41 +268,29 @@ let insert_global ?(objective = `Tmin) ~lib path =
   (* Phase 1 - shields.  Dilutions at distinct stages barely interact, so
      apply them as one batch and evaluate once; fall back to per-node
      greedy acceptance only if the batch does not pay. *)
-  let shield_all acc stages =
-    List.fold_left
-      (fun acc at ->
-        match shield_stage ~lib acc.a_path ~at with
-        | None -> acc
-        | Some (p', sh) ->
-          { acc with a_path = p';
-            a_extra = acc.a_extra +. sh.shield_area;
-            a_shields = sh :: acc.a_shields })
-      acc stages
+  let shielded acc at =
+    match shield_stage ~lib acc.a_path ~at with
+    | None -> None
+    | Some (p', sh) ->
+      Some { acc with a_path = p'; a_extra = acc.a_extra +. sh.shield_area;
+                      a_shields = sh :: acc.a_shields }
   in
   let after_shields =
-    let batch = shield_all base nodes in
+    let batch =
+      List.fold_left (fun acc at -> Option.value (shielded acc at) ~default:acc) base nodes
+    in
     if batch.a_shields = [] then base
-    else begin
-      let score', x', d', a' = eval ~x0:base.a_sizing batch.a_path batch.a_extra in
-      if score' < base.a_score -. 1e-9 then
-        { batch with a_score = score'; a_sizing = x'; a_delay = d'; a_area = a' }
-      else begin
+    else
+      match trial base ~x0:base.a_sizing batch with
+      | Some acc -> acc
+      | None ->
         (* per-node fallback *)
         List.fold_left
           (fun acc at ->
-            match shield_stage ~lib acc.a_path ~at with
+            match shielded acc at with
             | None -> acc
-            | Some (p', sh) ->
-              let extra = acc.a_extra +. sh.shield_area in
-              let score', x', d', a' = eval ~x0:acc.a_sizing p' extra in
-              if score' < acc.a_score -. 1e-9 then
-                { a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
-                  a_area = a'; a_extra = extra; a_pairs = acc.a_pairs;
-                  a_shields = sh :: acc.a_shields }
-              else acc)
+            | Some cand -> Option.value (trial acc ~x0:acc.a_sizing cand) ~default:acc)
           base nodes
-      end
-    end
   in
   (* Phase 2 - series pairs on the most overloaded remaining nodes, one
      greedy accept/reject each (descending stage order keeps indices
@@ -267,12 +300,8 @@ let insert_global ?(objective = `Tmin) ~lib path =
     |> List.sort (fun a b -> compare b a)
   in
   let step acc at =
-    let p' = insert_pair ~lib acc.a_path ~at in
-    let score', x', d', a' = eval ~x0:(through_pair acc.a_sizing ~at) p' acc.a_extra in
-    if score' < acc.a_score -. 1e-9 then
-      { acc with a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
-        a_area = a'; a_pairs = at :: acc.a_pairs }
-    else acc
+    let cand = { acc with a_path = insert_pair ~lib acc.a_path ~at; a_pairs = at :: acc.a_pairs } in
+    Option.value (trial acc ~x0:(through_pair acc.a_sizing ~at) cand) ~default:acc
   in
   let final = List.fold_left step after_shields pair_candidates in
   {

@@ -118,4 +118,23 @@ val insert_global :
     tentative move the whole path is re-sized — minimum delay for
     [`Tmin] (Table 3), minimum area meeting the constraint for
     [`Area_at tc] (Fig. 8's "Global Buff").  Moves that do not improve
-    the objective are rolled back. *)
+    the objective are rolled back.
+
+    Under [`Area_at tc] a trial is first screened by weak duality
+    ({!Sensitivity.dual_bound} at the incumbent's multipliers [(a,
+    beta)]): a bound that reaches the incumbent's score proves the
+    trial would be rolled back, and its constraint search is skipped.
+    The bound is a lower bound on every area the search can return, so
+    the result is the unscreened greedy's bit for bit; only the solves
+    fall, and a screened trial's search emits no diagnostics.  No screen
+    runs for [`Tmin], from an infeasible incumbent or
+    from one at its Tmin point ([a = 0]). *)
+
+val trials_evaluated : unit -> int
+(** Total trials {!insert_global} has weighed in this process (shield
+    batches, per-node shields and series pairs), screened or not;
+    monotone, like {!Sensitivity.solves_performed}. *)
+
+val trials_screened : unit -> int
+(** Of {!trials_evaluated}, those the duality screen rejected without a
+    constraint search; monotone. *)

@@ -778,7 +778,9 @@ let grid_up path x =
    A search short of its tolerance falls back on the least-area point
    meeting tc.  The answer is rounded up onto the grid, and reruns under
    tc (from the answer) if that breaks it. *)
-let size_for_constraint ?(tol_ps = 0.01) ?x0 path ~tc =
+let default_tol_ps = 0.01
+
+let size_for_constraint ?(tol_ps = default_tol_ps) ?x0 path ~tc =
   if Float.is_nan tc then invalid_arg "Sensitivity.size_for_constraint: tc is nan";
   (* Tmin only fixes the window [w] below 1.01 Tmin: above, any point
      whose worse delay is under tc / 1.01 settles the case analysis *)
@@ -944,6 +946,29 @@ let size_for_constraint ?(tol_ps = 0.01) ?x0 path ~tc =
     in
     let p, y = answer 2 tc p_tmin in
     Ok (result_of path ~beta:p.beta (a_of_s p.s) y)
+  end
+
+(* Weak duality on min sum W s.t. T_own <= t^, T_flip <= t^ with
+   t^ = tc + tol_ps, which every default answer of [size_for_constraint
+   ~tc] meets: for multipliers lambda beta and lambda (1 - beta), lambda
+   = -1 / a, the Lagrangian's minimum over the drive box is at most that
+   least area, and [solve ~a ~beta] minimises it (docs/model.md §4).
+   Only a clean first-rung solve is trusted: its own diagnostics are
+   dropped, and any of them voids the bound. *)
+let dual_bound ?x0 path ~a ~beta ~tc =
+  if a = Float.neg_infinity then Some (Path.area path (Path.min_sizing path))
+  else if not (a < 0.) then None
+  else begin
+    let r, _ = Watch.collect (fun () -> solve ~a ?x0 ~beta path) in
+    if r.diags <> [] || r.fallback <> Accelerated then None
+    else begin
+      let beta = Float.min 1. (Float.max 0. beta) in
+      let ps = Path.scratch () in
+      Path.delay_both path ps r.sizing;
+      let t_hat = tc +. default_tol_ps in
+      let excess = (beta *. (ps.Path.own -. t_hat)) +. ((1. -. beta) *. (ps.Path.flip -. t_hat)) in
+      Some (Path.area path r.sizing +. (-1. /. a *. excess))
+    end
   end
 
 let sutherland ?(iters = 4) path ~tc =

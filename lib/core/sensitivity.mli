@@ -183,6 +183,22 @@ val size_for_constraint :
     [x0] warm-starts the Tmin solve (see {!minimum_delay}).
     @raise Invalid_argument if [tc] is NaN. *)
 
+val dual_bound :
+  ?x0:float array -> Pops_delay.Path.t -> a:float -> beta:float -> tc:float ->
+  float option
+(** [dual_bound path ~a ~beta ~tc]: a lower bound, by weak duality, on
+    the area of every sizing [size_for_constraint path ~tc] can return
+    at its default [tol_ps] (docs/model.md §4).  With [lambda = -1/a]
+    and [t^ = tc + tol_ps], it is [area x^ + lambda (beta (T_own x^ - t^) + (1 - beta) (T_flip
+    x^ - t^))] at [x^ = solve ~a ~beta ?x0 path], the minimum of the
+    Lagrangian with multipliers [lambda beta] and [lambda (1 - beta)].
+    At [a = neg_infinity] ([lambda = 0]) it is the minimum-drive area,
+    with no solve.  [None] at [a = 0] (or NaN), and when the solve
+    reports any diagnostic or ends on a rung other than [Accelerated];
+    the solve's diagnostics are dropped, never emitted.  The bound is
+    exact up to the solve's tolerance: a caller comparing it against a
+    threshold keeps a margin. *)
+
 val sweeps_performed : unit -> int
 (** Total kernel passes executed by this process so far — a
     Gauss–Seidel sweep, or one of Newton's fused gradient-and-Hessian

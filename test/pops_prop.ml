@@ -563,6 +563,69 @@ let () =
           r.Sens.sizing
       | Ok _ -> ())
 
+(* Weak duality: at any multipliers (a, beta), the bound is at most the
+   area of the constraint sizer's answer, up to the 1e-7 relative margin
+   the buffer screen keeps.  Tc runs from Tmin - tol_ps (the sizer then
+   returns the Tmin sizing) to 3 Tmin; beta is uniform, pure, Tmin's or
+   the answer's, a log-uniform in [-10, -1e-5], the answer's own, or
+   -infinity (the minimum-drive area). *)
+type dual_case = { d_edge : float option; d_ratio : float; d_a : float; d_beta : int; d_u : float }
+
+let dual_case_gen =
+  let print c =
+    Printf.sprintf "{tc=%s; a=%s; beta=%s}"
+      (match c.d_edge with
+      | Some u -> Printf.sprintf "tmin - %.4g tol_ps" u
+      | None -> Printf.sprintf "%.4g tmin" c.d_ratio)
+      (if c.d_a = 0. then "the answer's" else Printf.sprintf "%.6g" c.d_a)
+      (match c.d_beta with
+      | 0 -> Printf.sprintf "%.4g" c.d_u
+      | 1 -> "0"
+      | 2 -> "1"
+      | 3 -> "tmin's"
+      | _ -> "the answer's")
+  in
+  Gen.make ~print (fun rng _ ->
+      {
+        d_edge = (if Rng.int rng 3 = 0 then Some (Rng.float rng 1.) else None);
+        d_ratio = Rng.range rng 1. 3.;
+        d_a =
+          (match Rng.int rng 10 with
+          | 0 -> Float.neg_infinity
+          | 1 | 2 -> 0.
+          | _ -> -.Rng.log_range rng 1e-5 10.);
+        d_beta = Rng.int rng 5;
+        d_u = Rng.float rng 1.;
+      })
+
+let () =
+  Prop.register ~name:"sens.dual_bound_below_answer" ~cases:200 (Gen.pair spec dual_case_gen)
+    (fun (s, c) ->
+      let p = path_of s in
+      let tmin, x_tmin, beta_tmin = Sens.minimum_delay p in
+      let tc =
+        match c.d_edge with Some u -> tmin -. (u *. 0.01) | None -> c.d_ratio *. tmin
+      in
+      match Sens.size_for_constraint p ~tc with
+      | Error _ -> ()
+      | Ok r ->
+        let a = if c.d_a = 0. then r.Sens.a else c.d_a in
+        let beta =
+          match c.d_beta with
+          | 0 -> c.d_u
+          | 1 -> 0.
+          | 2 -> 1.
+          | 3 -> beta_tmin
+          | _ -> r.Sens.beta
+        in
+        let x0 = if c.d_a = 0. then r.Sens.sizing else x_tmin in
+        (match Sens.dual_bound ~x0 p ~a ~beta ~tc with
+        | None -> ()
+        | Some lb ->
+          requiref (lb <= r.Sens.area *. (1. +. 1e-7))
+            "bound %.9g at a=%g beta=%.4g over the answer's area %.9g (tc=%.6g, tmin=%.6g)"
+            lb a beta r.Sens.area tc tmin))
+
 let () =
   Prop.register ~name:"bounds.tmin_matches_oracle" spec (fun s ->
       let p = path_of s in
@@ -637,6 +700,26 @@ let () =
       let before = Path.delay_worst p x in
       requiref (r.Buffers.delay <= (before *. (1. +. 1e-9)) +. 1e-6)
         "local insertion worsened the path: %.6g -> %.6g" before r.Buffers.delay)
+
+(* The weak-duality screen changes no decision of the greedy: the
+   screened insert_global equals the unscreened one
+   (test/buffers_oracle.ml) bit for bit, with Tc drawn across the
+   infeasible, hard and medium domains (0.9-2.5 Tmin) and branch loads
+   up to 60 fF, so most paths carry overloaded nodes. *)
+let () =
+  Prop.register ~name:"buffers.screen_matches_oracle" ~cases:80
+    (Gen.triple spec (Gen.float_range 0.9 2.5) (Gen.float_range 1. 3.))
+    (fun (s, ratio, heavier) ->
+      let p = path_of { s with C.branch = s.C.branch *. heavier } in
+      let lib = C.library s.C.p_tech in
+      let tc = ratio *. Bounds.tmin p in
+      let r = Buffers.insert_global ~objective:(`Area_at tc) ~lib p in
+      let o = Buffers_oracle.insert_global ~objective:(`Area_at tc) ~lib p in
+      match Buffers_oracle.diff r o with
+      | None -> ()
+      | Some field ->
+        Prop.failf "tc=%.6g (%.3g tmin): the screened greedy differs from the oracle in %s"
+          tc ratio field)
 
 (* ================================================================== *)
 (* netlists, logic, transforms                                         *)

@@ -786,6 +786,42 @@ let test_ladder_budget_keeps_iterate () =
   Alcotest.(check bool) "budget trip reported" true
     (has_code Diag.Budget_exceeded r.Sens.diags)
 
+(* The buffer greedy's duality screen trusts only clean solves.  On a
+   clean run it fires and the greedy still equals the unscreened oracle
+   (test/buffers_oracle.ml), diagnostics included; with every Newton
+   solve forced to diverge, no bound is trusted, nothing is screened and
+   the degraded result and its diagnostics are again the oracle's. *)
+let test_screen_faults_and_diagnostics () =
+  let tc = 1.3 *. (Bounds.compute heavy_path).Bounds.tmin in
+  let objective = `Area_at tc in
+  let screened () = Buffers.insert_global ~objective ~lib heavy_path in
+  let oracle () = Buffers_oracle.insert_global ~objective ~lib heavy_path in
+  let run f =
+    let t0 = Buffers.trials_evaluated () and s0 = Buffers.trials_screened () in
+    let r, diags = Pops_robust.Watch.collect f in
+    (r, List.map Diag.one_line diags, Buffers.trials_evaluated () - t0,
+     Buffers.trials_screened () - s0)
+  in
+  let check_same what r o =
+    match Buffers_oracle.diff r o with
+    | None -> ()
+    | Some field -> Alcotest.failf "%s: differs from the oracle in %s" what field
+  in
+  let r, diags, trials, screens = run screened in
+  let o, diags_o, _, _ = run oracle in
+  Alcotest.(check bool) "trials weighed" true (trials > 0);
+  Alcotest.(check bool) "the screen fires on a clean run" true (screens > 0);
+  check_same "clean" r o;
+  Alcotest.(check (list string)) "clean: the oracle's diagnostics" diags_o diags;
+  let spec = "solver.diverge.accel" in
+  let r, diags, trials, screens = Fault.with_spec spec (fun () -> run screened) in
+  let o, diags_o, _, _ = Fault.with_spec spec (fun () -> run oracle) in
+  Alcotest.(check bool) "faulted: trials weighed" true (trials > 0);
+  Alcotest.(check int) "faulted: the screen fires on nothing" 0 screens;
+  check_same "faulted" r o;
+  Alcotest.(check bool) "faulted: divergence reported" true (diags <> []);
+  Alcotest.(check (list string)) "faulted: the oracle's diagnostics" diags_o diags
+
 (* an ambient POPS_FAULT must not perturb the deterministic cases above;
    the ladder tests arm their own specs through [Fault.with_spec] *)
 let () = Fault.clear ()
@@ -827,6 +863,8 @@ let () =
           Alcotest.test_case "degraded outcome" `Quick test_ladder_degraded_outcome;
           Alcotest.test_case "starved budget keeps iterate" `Quick
             test_ladder_budget_keeps_iterate;
+          Alcotest.test_case "buffer screen under faults" `Quick
+            test_screen_faults_and_diagnostics;
         ] );
       ( "buffers",
         [
