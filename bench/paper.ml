@@ -350,7 +350,7 @@ let fig8 () =
             (* the fixed local recipe: shield every critical node, then
                redistribute the constraint - no per-move evaluation or
                rollback (that is what makes Global "global") *)
-            let nodes = Buffers.critical_nodes ~lib path (Path.min_sizing path) in
+            let nodes = Buffers.critical_nodes ~lib path in
             let shielded, shield_area =
               List.fold_left
                 (fun (q, a) at ->
@@ -482,11 +482,7 @@ let ablation () =
   let t2 = Table.create ~title:"Ablation B - link-equation fixed point vs numerical minimisation"
       [ ("method", Table.Left); ("Tmin (ps)", Table.Right); ("time (ms)", Table.Right) ]
   in
-  (* the fixed point clears the bounds memo first, so every run solves *)
-  let fixed_point () =
-    Bounds.clear_cache ();
-    (Bounds.compute p_full).Bounds.tmin
-  in
+  let fixed_point () = (Bounds.compute p_full).Bounds.tmin in
   let numeric () =
     (* coordinate descent with golden section per stage *)
     let x = ref (Path.min_sizing p_full) in
@@ -568,7 +564,7 @@ let ablation () =
   let ex_tmin, ex_tried = exhaustive () in
   Table.add_row t4
     [ "Flimit-guided (protocol)"; Table.cell_f ~decimals:1 guided.Buffers.delay;
-      string_of_int (List.length (Buffers.critical_nodes ~lib heavy (Path.min_sizing heavy))) ];
+      string_of_int (List.length (Buffers.critical_nodes ~lib heavy)) ];
   Table.add_row t4 [ "exhaustive greedy"; Table.cell_f ~decimals:1 ex_tmin; string_of_int ex_tried ];
   Table.print t4;
   (* discrete drive grid: the price of a real library *)

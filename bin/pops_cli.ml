@@ -567,8 +567,7 @@ module Session = Pops_serve.Session
 module Listener = Pops_serve.Listener
 module Sjson = Pops_serve.Json
 
-let engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap
-    bounds_cache no_times =
+let engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap no_times =
   {
     Engine.default_config with
     Engine.window;
@@ -576,7 +575,6 @@ let engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap
     job_sweeps;
     job_wall_ms;
     netlist_cache = cache_cap;
-    bounds_cache;
     times = not no_times;
   }
 
@@ -603,11 +601,6 @@ let cache_cap_arg =
   Arg.(value & opt int Engine.default_config.Engine.netlist_cache
        & info [ "cache" ] ~docv:"N"
            ~doc:"Parsed-netlist cache capacity (distinct netlist contents).")
-
-let bounds_cache_arg =
-  Arg.(value & opt int Engine.default_config.Engine.bounds_cache
-       & info [ "bounds-cache" ] ~docv:"N"
-           ~doc:"Path-characterisation (Bounds) memo capacity.")
 
 let no_times_arg =
   Arg.(value & flag & info [ "no-times" ]
@@ -679,13 +672,12 @@ let run_listener engine ~listener_config address =
       (Listener.address_name (Listener.address l));
     Listener.run l
 
-let run_serve window tenant_sweeps job_sweeps job_wall_ms cache_cap bounds_cache
-    no_times no_summary socket listen idle_timeout queue_limit max_sessions
+let run_serve window tenant_sweeps job_sweeps job_wall_ms cache_cap no_times
+    no_summary socket listen idle_timeout queue_limit max_sessions
     retry_after_ms =
   guard @@ fun () ->
   let config =
-    engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap
-      bounds_cache no_times
+    engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap no_times
   in
   let engine = Engine.create ~config tech in
   match (socket, listen) with
@@ -733,9 +725,9 @@ let serve_cmd =
                       SIGTERM drains in-flight work before exiting 0. See \
                       docs/serving.md for the schema and the ops contract." ])
     Term.(const run_serve $ window_arg $ tenant_sweeps_arg $ job_sweeps_arg
-          $ job_wall_ms_arg $ cache_cap_arg $ bounds_cache_arg $ no_times_arg
-          $ no_summary_arg $ socket_arg $ listen_arg $ idle_timeout_arg
-          $ queue_limit_arg $ max_sessions_arg $ retry_after_ms_arg)
+          $ job_wall_ms_arg $ cache_cap_arg $ no_times_arg $ no_summary_arg
+          $ socket_arg $ listen_arg $ idle_timeout_arg $ queue_limit_arg
+          $ max_sessions_arg $ retry_after_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client: stream stdin to a listener and report the worst exit        *)
@@ -902,8 +894,7 @@ let run_optimize_generated gates shape name tc_ps tc_ratio rounds vt_assign =
   finish_flow (Pops_flow.Flow.optimize_o ~max_rounds:rounds ~vt_assign ~lib ~tc nl)
 
 let run_optimize jobs gates shape name tc_ps tc_ratio rounds vt_assign window
-    tenant_sweeps job_sweeps job_wall_ms cache_cap bounds_cache no_times summary
-    =
+    tenant_sweeps job_sweeps job_wall_ms cache_cap no_times summary =
   match (jobs, gates) with
   | Some _, Some _ ->
     prerr_endline "pops: give either --jobs or --gates, not both";
@@ -916,8 +907,7 @@ let run_optimize jobs gates shape name tc_ps tc_ratio rounds vt_assign window
   | Some jobs, None ->
     guard @@ fun () ->
     let config =
-      engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap
-        bounds_cache no_times
+      engine_config window tenant_sweeps job_sweeps job_wall_ms cache_cap no_times
     in
     let engine = Engine.create ~config tech in
     let fd = Unix.openfile jobs [ Unix.O_RDONLY ] 0 in
@@ -962,8 +952,8 @@ let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(const run_optimize $ jobs $ gates $ shape $ gen_name $ tc_ps_arg
           $ tc_ratio $ rounds $ vt_assign_arg $ window_arg $ tenant_sweeps_arg
-          $ job_sweeps_arg $ job_wall_ms_arg $ cache_cap_arg $ bounds_cache_arg
-          $ no_times_arg $ summary)
+          $ job_sweeps_arg $ job_wall_ms_arg $ cache_cap_arg $ no_times_arg
+          $ summary)
 
 (* ------------------------------------------------------------------ *)
 

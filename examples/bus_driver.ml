@@ -38,7 +38,7 @@ let () =
   Printf.printf "stage 3 fan-out at minimum drive: F = %.1f, Flimit(nor3) = %.1f -> %s\n"
     fanouts.(3) limit
     (if fanouts.(3) > limit then "critical node" else "fine");
-  let nodes = Buffers.critical_nodes ~lib path (Path.min_sizing path) in
+  let nodes = Buffers.critical_nodes ~lib path in
   Printf.printf "critical nodes: [%s]\n\n" (String.concat "; " (List.map string_of_int nodes));
 
   (* 2. the alternatives at minimum delay *)

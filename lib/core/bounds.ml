@@ -1,6 +1,4 @@
 module Path = Pops_delay.Path
-module Diag = Pops_robust.Diag
-module Watch = Pops_robust.Watch
 
 type t = {
   tmin : float;
@@ -9,73 +7,26 @@ type t = {
   beta_tmin : float;
 }
 
-(* Characterising a path costs the Tmin solves, and the protocol asks
-   for the same path's bounds repeatedly — feasibility check, then the
-   constraint sizer, then reporting.  Memoize by the path's construction
-   uid: a Path.t is immutable and every edit/flip makes a fresh uid, so
-   a hit is always exact.  The table is mutex-guarded for the PR 2
-   domain pool; the solve itself runs outside the lock (a racing
-   duplicate compute is deterministic, so last-write-wins is fine).
+(* characterisations run in this process: what [cache_stats] reports as
+   misses, for the benchmark driver and replay *)
+let characterised = Atomic.make 0
 
-   The memo is a bounded LRU: path uids are never reused, so in a
-   one-shot CLI run stale entries were only a space concern — but in the
-   long-lived serving engine an ever-growing (or periodically
-   reset-to-empty) table is respectively a leak or a recurring cold
-   start.  The LRU keeps the hot working set pinned at a fixed size;
-   [set_cache_capacity] lets the server scale it to its window. *)
-(* Entries carry the diagnostics their solves reported so that a miss
-   can both cache and re-emit them; a hit deliberately does NOT re-emit
-   (the characterisation was not re-run, and replaying the same warning
-   on every feasibility probe would drown real signal). *)
-let default_cache_capacity = 256
+let set_cache_capacity _ = ()
 
-let cache : (int, t * Diag.t list) Pops_util.Lru.t =
-  Pops_util.Lru.create ~capacity:default_cache_capacity ()
+let cache_stats () =
+  { Pops_util.Lru.hits = 0; misses = Atomic.get characterised; evictions = 0; length = 0;
+    capacity = 0 }
 
-let cache_lock = Mutex.create ()
-
-let set_cache_capacity c =
-  Mutex.protect cache_lock (fun () -> Pops_util.Lru.set_capacity cache c)
-
-let cache_stats () = Mutex.protect cache_lock (fun () -> Pops_util.Lru.stats cache)
-
-let clear_cache ?(reset_stats = false) () =
-  Mutex.protect cache_lock (fun () ->
-      Pops_util.Lru.clear cache;
-      if reset_stats then Pops_util.Lru.reset_stats cache)
-
-let compute_uncached path =
-  Watch.collect (fun () ->
-      let x_min = Path.min_sizing path in
-      let tmax = Path.delay_worst path x_min in
-      let tmin, sizing_tmin, beta_tmin = Sensitivity.minimum_delay path in
-      { tmin; tmax; sizing_tmin; beta_tmin })
-
-let compute_diags path =
-  let key = Path.uid path in
-  let hit = Mutex.protect cache_lock (fun () -> Pops_util.Lru.find cache key) in
-  match hit with
-  | Some (b, diags) -> (b, diags)
-  | None ->
-    let b, diags = compute_uncached path in
-    (* re-emit to the ambient collector: Watch.collect above swallowed
-       them into the cache entry *)
-    Watch.emit_all diags;
-    Mutex.protect cache_lock (fun () -> Pops_util.Lru.put cache key (b, diags));
-    (b, diags)
-
-let compute path = fst (compute_diags path)
+let compute path =
+  Atomic.incr characterised;
+  let x_min = Path.min_sizing path in
+  let tmax = Path.delay_worst path x_min in
+  let tmin, sizing_tmin, beta_tmin = Sensitivity.minimum_delay path in
+  { tmin; tmax; sizing_tmin; beta_tmin }
 
 let tmin path = (compute path).tmin
 
-let tmax path =
-  let key = Path.uid path in
-  (* a peek, not a find: an absent entry is served by two cheap delay
-     evaluations, not a solve, so it must not count as a cache miss *)
-  let hit = Mutex.protect cache_lock (fun () -> Pops_util.Lru.peek cache key) in
-  match hit with
-  | Some (b, _) -> b.tmax
-  | None -> Path.delay_worst path (Path.min_sizing path)
+let tmax path = Path.delay_worst path (Path.min_sizing path)
 
 type trace_point = { sum_cin_ratio : float; delay : float }
 

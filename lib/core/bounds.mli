@@ -21,41 +21,24 @@ type t = {
 }
 
 val compute : Pops_delay.Path.t -> t
-(** Memoized by {!Pops_delay.Path.uid}: a path value is immutable and
-    every structural edit or polarity flip constructs a fresh uid, so
-    repeated characterisations of the same path — feasibility check,
-    constraint sizing, reporting — pay the Tmin solves once.
-    Thread-safe (the table is mutex-guarded; the solve itself runs
-    outside the lock).
-
-    The memo is a {e bounded LRU} ({!Pops_util.Lru}), so a long-lived
-    process (the serving engine) holds a fixed working set instead of
-    leaking one entry per path ever characterised.  The default capacity
-    ({!default_cache_capacity}) comfortably covers a one-shot CLI run,
-    preserving its historical behaviour. *)
-
-val default_cache_capacity : int
-(** 256 — the reset bound of the pre-LRU memo. *)
-
-val set_cache_capacity : int -> unit
-(** Resize the memo (shrinking evicts oldest-first).  The serving engine
-    scales it to its job window.  @raise Invalid_argument below 1. *)
-
-val cache_stats : unit -> Pops_util.Lru.stats
-(** Hit/miss/eviction counters of the memo — a miss is a full
-    characterisation solve.  Surfaced in serve-mode reports. *)
-
-val clear_cache : ?reset_stats:bool -> unit -> unit
-(** Drop every memo entry (benchmarks use this to measure cold starts);
-    [reset_stats] (default false) also zeroes the counters. *)
+(** Characterise a path: the minimum-drive delay and the [Tmin] solves.
+    The solver's diagnostics go to the ambient {!Pops_robust.Watch}
+    collector. *)
 
 val tmin : Pops_delay.Path.t -> float
-(** [(compute path).tmin] — shares the cache. *)
+(** [(compute path).tmin]. *)
 
 val tmax : Pops_delay.Path.t -> float
-(** The minimum-drive worst delay.  Served from the cache when the path
-    was already characterised, otherwise computed directly (two delay
-    evaluations) without triggering the full [Tmin] solve. *)
+(** The minimum-drive worst delay, two delay evaluations without the
+    [Tmin] solve; equal to [(compute path).tmax]. *)
+
+val cache_stats : unit -> Pops_util.Lru.stats
+(** The counters of the former characterisation memo: [misses] counts
+    the {!compute} calls of this process, every other field is 0.  Kept
+    for [popsbench/] until ROADMAP item 12 drops it. *)
+
+val set_cache_capacity : int -> unit
+(** No effect.  Kept for [popsbench/] until ROADMAP item 12 drops it. *)
 
 type trace_point = {
   sum_cin_ratio : float;  (** [Sigma C_IN / C_REF] — Fig. 1's x axis *)

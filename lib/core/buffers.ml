@@ -85,9 +85,7 @@ let path_fanouts path sizing =
 (* Identification must happen at the minimum-drive configuration (the
    paper's C_REF initial solution): once the optimizer has sized a path,
    fan-outs self-equalise and an overloaded node hides inside an inflated
-   gate.  The [sizing] argument is therefore ignored for the fan-out
-   computation and kept for API stability; the ratio F / Flimit ranks the
-   overload severity. *)
+   gate.  The ratio F / Flimit ranks the overload severity. *)
 let overload_ratios ~lib path =
   let fanouts = path_fanouts path (Path.min_sizing path) in
   Array.mapi
@@ -97,7 +95,7 @@ let overload_ratios ~lib path =
       f /. limit)
     fanouts
 
-let critical_nodes ~lib path _sizing =
+let critical_nodes ~lib path =
   let ratios = overload_ratios ~lib path in
   let crit = ref [] in
   Array.iteri (fun i r -> if r > 1. then crit := i :: !crit) ratios;
@@ -148,24 +146,26 @@ let shield_stage ?(fanout_target = 4.) ~lib path ~at =
   end
 
 (* the objective at a trial: score, sizing, delay, path area, and the
-   answer's multipliers (a, beta) when they can bound the next trial *)
+   answer's multipliers (a, beta) when they can bound the next trial;
+   [area_eval] reads the `Area_at objective off a constraint answer *)
+let area_eval ?x0 p = function
+  | Ok r ->
+    (* the Tmin point (a = 0) bounds nothing *)
+    let dual = if r.Sensitivity.a < 0. then Some (r.Sensitivity.a, r.Sensitivity.beta) else None in
+    (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area, dual)
+  | Error (`Infeasible tmin) ->
+    (* infeasible: objective value = huge + tmin so that lower tmin
+       still compares better among infeasible options *)
+    let x = (Sensitivity.solve ?x0 p).sizing in
+    (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x, None)
+
 let objective_eval ?x0 ~objective p =
   match objective with
   | `Tmin ->
     (* shared Tmin definition so the semantics agree with Bounds *)
     let d, x, _ = Sensitivity.minimum_delay ?x0 p in
     (d, x, d, Path.area p x, None)
-  | `Area_at tc -> (
-    match Sensitivity.size_for_constraint ?x0 p ~tc with
-    | Ok r ->
-      (* the Tmin point (a = 0) bounds nothing *)
-      let dual = if r.Sensitivity.a < 0. then Some (r.Sensitivity.a, r.Sensitivity.beta) else None in
-      (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area, dual)
-    | Error (`Infeasible tmin) ->
-      (* infeasible: objective value = huge + tmin so that lower tmin
-         still compares better among infeasible options *)
-      let x = (Sensitivity.solve ?x0 p).sizing in
-      (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x, None))
+  | `Area_at tc -> area_eval ?x0 p (Sensitivity.size_for_constraint ?x0 p ~tc)
 
 (* a trial's warm start: the incumbent's sizing [x] mapped onto the path
    with an inverter pair after stage [at], the pair at the geometric
@@ -204,14 +204,18 @@ let trials_evaluated () = Atomic.get trial_counter
 
 let trials_screened () = Atomic.get screen_counter
 
-let insert_global ?(objective = `Tmin) ~lib path =
+let insert_global ?(objective = `Tmin) ?base ~lib path =
   (* the shield area participates in the `Area_at objective but not in
      `Tmin (where the score is the delay) *)
   let score_of ~raw_score ~extra =
     match objective with `Tmin -> raw_score | `Area_at _ -> raw_score +. extra
   in
-  let eval ?x0 p extra =
-    let raw, x, d, a, dual = objective_eval ?x0 ~objective p in
+  let eval ?x0 ?answer p extra =
+    let raw, x, d, a, dual =
+      match (objective, answer) with
+      | `Area_at _, Some r -> area_eval ?x0 p r
+      | _ -> objective_eval ?x0 ~objective p
+    in
     (score_of ~raw_score:raw ~extra, x, d, a, dual)
   in
   (* Weak duality (docs/model.md §4): at the incumbent's multipliers, a
@@ -244,7 +248,7 @@ let insert_global ?(objective = `Tmin) ~lib path =
       else None
     end
   in
-  let score0, x0, d0, a0, dual0 = eval path 0. in
+  let score0, x0, d0, a0, dual0 = eval ?answer:base path 0. in
   let base =
     {
       a_path = path;
@@ -319,7 +323,7 @@ let insert_local ~lib path sizing =
      by an off-path shield pair; no on-path stage is added or resized, so
      the path delay can only improve. *)
   let x = Path.clamp_sizing path sizing in
-  let nodes = critical_nodes ~lib path x in
+  let nodes = critical_nodes ~lib path in
   let p, shields =
     List.fold_left
       (fun (p, shs) at ->

@@ -58,14 +58,12 @@ val characterize_library :
 val path_fanouts : Pops_delay.Path.t -> float array -> float array
 (** Per-stage fan-out [F_i = C_L(i) / C_IN(i)] under a sizing. *)
 
-val critical_nodes :
-  lib:Pops_cell.Library.t -> Pops_delay.Path.t -> float array -> int list
+val critical_nodes : lib:Pops_cell.Library.t -> Pops_delay.Path.t -> int list
 (** Stages whose fan-out exceeds their kind's [Flimit] — the candidates
     for buffer insertion.  Fan-outs are evaluated at the minimum-drive
     configuration (the paper's [C_REF] initial solution): after
     optimization fan-outs self-equalise and overloads hide inside
-    inflated gates.  The sizing argument is kept for API stability and
-    ignored. *)
+    inflated gates. *)
 
 type shield = {
   stage : int;  (** stage whose branch load was diluted *)
@@ -108,6 +106,7 @@ val insert_local :
 
 val insert_global :
   ?objective:[ `Tmin | `Area_at of float ] ->
+  ?base:(Sensitivity.constraint_result, [ `Infeasible of float ]) result ->
   lib:Pops_cell.Library.t ->
   Pops_delay.Path.t ->
   insertion_result
@@ -128,7 +127,14 @@ val insert_global :
     the result is the unscreened greedy's bit for bit; only the solves
     fall, and a screened trial's search emits no diagnostics.  No screen
     runs for [`Tmin], from an infeasible incumbent or
-    from one at its Tmin point ([a = 0]). *)
+    from one at its Tmin point ([a = 0]).
+
+    [base], under [`Area_at tc], is [Sensitivity.size_for_constraint
+    path ~tc] for the unmodified path ([Ok] or [Error]), from a caller
+    that has already searched it: the greedy takes it as its incumbent
+    instead of searching again.  Given that answer, the result is the
+    one without [base], bit for bit, less the search's solves and
+    diagnostics.  Ignored under [`Tmin]. *)
 
 val trials_evaluated : unit -> int
 (** Total trials {!insert_global} has weighed in this process (shield

@@ -38,8 +38,7 @@ type candidate = {
 
 let met_tc ~tc delay = delay <= tc *. (1. +. 1e-6) +. 0.02
 
-let sizing_candidate path ~tc =
-  match Sensitivity.size_for_constraint path ~tc with
+let sizing_candidate path = function
   | Ok r ->
     Some
       {
@@ -58,8 +57,8 @@ let sizing_candidate path ~tc =
 let buffer_count (r : Buffers.insertion_result) =
   (2 * List.length r.Buffers.inserted_after) + (2 * List.length r.Buffers.shields)
 
-let buffers_candidate ~lib path ~tc =
-  let r = Buffers.insert_global ~objective:(`Area_at tc) ~lib path in
+let buffers_candidate ?base ~lib path ~tc =
+  let r = Buffers.insert_global ~objective:(`Area_at tc) ?base ~lib path in
   if buffer_count r = 0 then None
   else
     Some
@@ -139,36 +138,43 @@ let finalize ~tc ~bounds ~domain c =
 let run ?(allow_restructure = true) ~lib ~tc path =
   let bounds = Bounds.compute path in
   let domain = Domains.classify ~tmin:bounds.Bounds.tmin ~tc in
-  let sizing () = sizing_candidate path ~tc in
-  let buffers () = buffers_candidate ~lib path ~tc in
-  let maybe_restructure () =
-    if allow_restructure then restructure_candidate ~lib path ~tc else None
+  let sizing () =
+    Option.to_list (sizing_candidate path (Sensitivity.size_for_constraint path ~tc))
   in
-  (* each per-domain alternative is an independent closed-form solve over
-     the same immutable path, so evaluate them on the pool; the candidate
-     list keeps its submission order, which is what [pick_best]'s
-     min-area tie-breaking keys on — the choice is bit-identical at any
-     domain count *)
-  let generators =
+  (* in the medium and hard domains one constraint answer is both the
+     sizing candidate and the buffer greedy's incumbent *)
+  let sizing_and_buffers () =
+    let answer = Sensitivity.size_for_constraint path ~tc in
+    Option.to_list (sizing_candidate path answer)
+    @ Option.to_list (buffers_candidate ~base:answer ~lib path ~tc)
+  in
+  let buffers () = Option.to_list (buffers_candidate ~lib path ~tc) in
+  let maybe_restructure () =
+    if allow_restructure then Option.to_list (restructure_candidate ~lib path ~tc) else []
+  in
+  (* each task is an independent closed-form solve over the same
+     immutable path, so evaluate them on the pool; the candidate list
+     keeps its submission order, which is what [pick_best]'s min-area
+     tie-breaking keys on — the choice is bit-identical at any domain
+     count *)
+  let tasks =
     match domain with
     | Domains.Weak -> [ sizing ]
-    | Domains.Medium | Domains.Hard -> [ sizing; buffers; maybe_restructure ]
+    | Domains.Medium | Domains.Hard -> [ sizing_and_buffers; maybe_restructure ]
     | Domains.Infeasible -> [ buffers; maybe_restructure ]
   in
-  (* contained fan-out: a crashing candidate generator degrades to a
-     diagnostic and drops out of the comparison instead of killing the
-     run — the sizing alternative (or the fastest-structure fallback)
-     still comes back.  Slot diagnostics re-emit in submission order, so
-     the report is deterministic at any domain count. *)
-  let slots =
-    Pops_util.Pool.map_list_contained (fun gen -> gen ()) generators
-  in
+  (* contained fan-out: a crashing task degrades to a diagnostic and its
+     candidates drop out of the comparison instead of killing the run —
+     the other candidates (or the fastest-structure fallback) still come
+     back.  Slot diagnostics re-emit in submission order, so the report
+     is deterministic at any domain count. *)
+  let slots = Pops_util.Pool.map_list_contained (fun task -> task ()) tasks in
   let candidates =
     List.concat_map
       (fun (result, diags) ->
         Watch.emit_all diags;
         match result with
-        | Ok c -> Option.to_list c
+        | Ok cs -> cs
         | Error d ->
           Watch.emit d;
           [])

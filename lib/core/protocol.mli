@@ -45,12 +45,14 @@ val run :
 (** Run the protocol.  [allow_restructure] (default true) enables the
     Section 4.2 alternative in the hard/infeasible domains.
 
-    The candidate alternatives are evaluated with
-    {!Pops_util.Pool.map_list_contained}: one crashing generator
+    The alternatives run as tasks on
+    {!Pops_util.Pool.map_list_contained}; in the medium and hard domains
+    one task sizes the path once and hands the answer to both the sizing
+    candidate and {!Buffers.insert_global}'s [~base].  A crashing task
     degrades to a {!Pops_robust.Diag.Pool_task_failed} diagnostic and
-    drops out of the min-area comparison instead of aborting the run.
-    Diagnostics flow to the ambient {!Pops_robust.Watch} collector in
-    deterministic submission order. *)
+    its candidates drop out of the min-area comparison instead of
+    aborting the run.  Diagnostics flow to the ambient
+    {!Pops_robust.Watch} collector in deterministic submission order. *)
 
 val strategy_to_string : strategy -> string
 val pp_report : Format.formatter -> report -> unit

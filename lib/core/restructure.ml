@@ -19,7 +19,7 @@ let candidates ~lib path =
   (* restructuring targets the gates buffer insertion would otherwise
      relieve: inefficient kinds (dual has a higher Flimit) that sit on an
      overloaded node.  Rewriting an unloaded NOR only adds stages. *)
-  let critical = Buffers.critical_nodes ~lib path (Path.min_sizing path) in
+  let critical = Buffers.critical_nodes ~lib path in
   let consider i (st : Path.stage) =
     let kind = st.Path.cell.Pops_cell.Cell.kind in
     match Gk.de_morgan_dual kind with

@@ -775,8 +775,9 @@ let grid_up path x =
      window.
    - Every solve warm-starts from the tangent predictor.
 
-   A search short of its tolerance falls back on the least-area point
-   meeting tc.  The answer is rounded up onto the grid, and reruns under
+   A search short of its tolerance, or whose bracket collapses at a
+   point that is not pure, falls back on the least-area point meeting
+   tc.  The answer is rounded up onto the grid, and reruns under
    tc (from the answer) if that breaks it. *)
 let default_tol_ps = 0.01
 
@@ -925,7 +926,11 @@ let size_for_constraint ?(tol_ps = default_tol_ps) ?x0 path ~tc =
                    "sensitivity bracket collapsed at a = %g with delay %.3f ps well \
                     under the %.3f ps target"
                    (a_of_s u.s) (weighted u) target);
-            Some u
+            (* only a pure point under the window is known to meet the
+               target (a landed one was returned when it was solved);
+               otherwise the answer falls back on the least-area point
+               meeting tc *)
+            if pure u then Some u else None
           | _ ->
             let x0 = predict path p t ~a':(a_of_s s') ~beta' in
             go (solve_at ~beta:beta' s' x0) (k + 1) d'

@@ -176,7 +176,11 @@ val size_for_constraint :
     both polarities bind.  Sizes come rounded up onto the write-back
     grid ({!Pops_delay.Path.grid}); [a] and [beta] are the solve's.  A
     collapsed bracket on [ln (-a)] reports
-    {!Pops_robust.Diag.Bracket_collapse} through {!Pops_robust.Watch}.
+    {!Pops_robust.Diag.Bracket_collapse} through {!Pops_robust.Watch} and
+    ends the search: its point under the target is the answer when the
+    weight is pure (it holds the worse polarity alone), otherwise, as
+    after a search that runs out of steps, the least-area solved point
+    meeting [tc].
     [`Infeasible tmin] when [tc] is more than [tol_ps] (0.01 ps) below
     Tmin (Section 4 then changes the structure); within it, the Tmin
     sizing; above the minimum-drive delay, the all-minimum sizing.

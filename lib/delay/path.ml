@@ -11,7 +11,6 @@ type stage = { cell : Pops_cell.Cell.t; branch : float }
    the term-less variants bit-exactly (0-valued numerators), which keeps
    the kernels branch-free. *)
 type kernel = {
-  uid : int;  (** unique per construction; keys external caches *)
   n : int;
   s_own : float array;  (** symmetry factor, own polarity *)
   st_own : float array;  (** s * tau (the cell's tech) — slope product *)
@@ -48,12 +47,6 @@ type coeffs = { s : float; v : float; m : float; p : float }
 type scratch = { mutable own : float; mutable flip : float }
 
 let scratch () = { own = 0.; flip = 0. }
-
-let uid_counter = Atomic.make 0
-
-let next_uid () = Atomic.fetch_and_add uid_counter 1
-
-let uid t = t.kernel.uid
 
 let compute_edges input_edge stages =
   let n = Array.length stages in
@@ -107,7 +100,7 @@ let compile_kernel (opts : Model.opts) stages edges =
     hi.(i) <- max_cin_factor *. lo.(i);
     aw.(i) <- Pops_cell.Cell.area cell ~cin:1.
   done;
-  { uid = next_uid (); n; s_own; st_own; v_own; m_own; s_flip; st_flip;
+  { n; s_own; st_own; v_own; m_own; s_flip; st_flip;
     v_flip; m_flip; p; kbranch; lo; hi; aw; flip_edges }
 
 let make ?(opts = Model.default_opts) ?input_slope ?(input_edge = Edge.Rising)
@@ -304,7 +297,6 @@ let with_input_edge t edge =
       kernel =
         {
           k with
-          uid = next_uid ();
           s_own = k.s_flip;
           st_own = k.st_flip;
           v_own = k.v_flip;

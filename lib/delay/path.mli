@@ -33,7 +33,6 @@ type stage = {
     them branch-free while producing bit-identical values.  The solvers
     in [Pops_core] read these tables directly in their inner loops. *)
 type kernel = private {
-  uid : int;  (** unique per construction; keys external caches *)
   n : int;  (** stage count *)
   s_own : float array;  (** symmetry factor, own polarity *)
   st_own : float array;  (** [s * tau] — the transition-time product *)
@@ -62,12 +61,6 @@ type t = private {
   edges : Edge.t array;  (** output edge of each stage, precomputed *)
   kernel : kernel;  (** compiled coefficient tables (see {!kernel}) *)
 }
-
-val uid : t -> int
-(** Unique identity of this path value (a fresh id per construction,
-    including {!with_input_edge} flips and stage edits).  External
-    caches — e.g. [Pops_core.Bounds] — key on it instead of hashing the
-    whole structure. *)
 
 val make :
   ?opts:Model.opts ->

@@ -3,7 +3,6 @@ module Bench_io = Pops_netlist.Bench_io
 module Timing = Pops_sta.Timing
 module NPower = Pops_sta.Power
 module Flow = Pops_flow.Flow
-module Bounds = Pops_core.Bounds
 module Library = Pops_cell.Library
 module Budget = Pops_robust.Budget
 module Diag = Pops_robust.Diag
@@ -30,7 +29,7 @@ let default_config =
     job_sweeps = None;
     job_wall_ms = None;
     netlist_cache = 64;
-    bounds_cache = Bounds.default_cache_capacity;
+    bounds_cache = 256;
     out_load = None;
     default_tc_ratio = 0.8;
     default_max_rounds = 20;
@@ -63,7 +62,6 @@ type t = {
 
 let create ?(config = default_config) tech =
   if config.window < 1 then invalid_arg "Engine.create: window must be >= 1";
-  Bounds.set_cache_capacity config.bounds_cache;
   {
     config;
     lib = Library.make tech;
@@ -162,8 +160,7 @@ let health_metrics t =
     ("jobs", Json.Num (float_of_int t.jobs_run));
     ("window", Json.Num (float_of_int t.config.window));
     ("domains", Json.Num (float_of_int (Pool.default_size ())));
-    ("netlist_cache", lru_stats_json (Cache.stats t.cache));
-    ("bounds_cache", lru_stats_json (Bounds.cache_stats ())) ]
+    ("netlist_cache", lru_stats_json (Cache.stats t.cache)) ]
 
 let admit t (job : Job.t) =
   if job.Job.action = Job.Health then
@@ -393,5 +390,4 @@ let summary_json t =
       ("invalid", Json.Num (float_of_int c.invalid));
       ("failed", Json.Num (float_of_int c.failed));
       ("netlist_cache", lru_stats_json (Cache.stats t.cache));
-      ("bounds_cache", lru_stats_json (Bounds.cache_stats ()));
       ("tenants", Json.Arr tenants) ]

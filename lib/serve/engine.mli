@@ -4,21 +4,23 @@
     service: batches of {!Job.t}s are admitted sequentially (per-tenant
     {!Pops_robust.Budget} accounting, parsed-netlist cache probes), then
     executed concurrently over the shared {!Pops_util.Pool} with the
-    PR 5 contained-task machinery — a job that crashes (or is killed by
-    an armed [POPS_FAULT] point) degrades to a [Failed] result line and
-    cannot touch any other job.
+    contained-task machinery ({!Pops_util.Pool.map_list_contained}) —
+    a job that crashes (or is killed by an armed [POPS_FAULT] point)
+    degrades to a [Failed] result line and cannot touch any other job.
 
     Determinism contract: with wall-clock caps disabled (the default),
     every {!Job.result} rendered with [times:false] is a pure function
     of the job stream — bit-identical whether the batch ran on 1 domain
     or N, in one batch or many, and identical to running each job alone
-    in a fresh process with the same engine configuration.  The pieces
-    that make this true: intake (admission, budget reservation, cache
-    verdicts) is sequential in submission order; results are emitted in
-    submission order; the caches are semantically transparent (a hit
-    replays the cached computation's outcome, and the {!Pops_core.Bounds}
-    LRU is keyed by path uids that are never shared across jobs); and
-    the underlying flow is bit-identical at any domain count (PR 2).
+    in a fresh process with the same engine configuration.  Health and
+    summary lines read this engine's own state (and, for health, the
+    pool width), never a process-wide counter, so the summary line is a
+    function of the job stream too.  The pieces that make this true: intake
+    (admission, budget reservation, cache verdicts) is sequential in
+    submission order; results are emitted in submission order; the
+    parsed-netlist cache is semantically transparent (a hit replays the
+    cached computation's outcome) and belongs to the engine; and the
+    underlying flow is bit-identical at any domain count.
 
     Tenant budgets are the one stateful coupling between jobs, and they
     are applied at {e batch} granularity: a job's sweep spend is charged
@@ -38,7 +40,8 @@ type config = {
           timing-dependent); off by default. *)
   netlist_cache : int;  (** parsed-netlist LRU capacity *)
   bounds_cache : int;
-      (** {!Pops_core.Bounds} memo capacity installed by {!create} *)
+      (** Read by nothing.  Kept for [popsbench/] until ROADMAP item 12
+          drops it. *)
   out_load : float option;  (** [.bench] terminal load override, fF *)
   default_tc_ratio : float;
       (** [tc] when a job gives neither [tc_ps] nor [tc_ratio], as a
@@ -49,13 +52,13 @@ type config = {
 
 val default_config : config
 (** window 16, unlimited budgets, no wall caps, netlist cache 64,
-    bounds cache {!Pops_core.Bounds.default_cache_capacity}, times on. *)
+    times on. *)
 
 type t
 
 val create : ?config:config -> Pops_process.Tech.t -> t
-(** Also installs [config.bounds_cache] as the {!Pops_core.Bounds} memo
-    capacity (that memo is process-global). *)
+(** A fresh engine: empty netlist cache, no tenants, zero counts.
+    @raise Invalid_argument when [config.window < 1]. *)
 
 val config : t -> config
 
@@ -79,6 +82,6 @@ val count : t -> Job.result -> unit
 val jobs_run : t -> int
 
 val summary_json : t -> Json.t
-(** The end-of-stream summary line: job counts by status, parsed-netlist
-    and bounds-memo cache counters, per-tenant accounting (sorted by
-    tenant name). *)
+(** The end-of-stream summary line: job counts by status, the
+    parsed-netlist cache counters and per-tenant accounting (sorted by
+    tenant name).  A function of this engine's job stream alone. *)

@@ -14,7 +14,7 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable first : ('k, 'v) node option;  (* most recently used *)
   mutable last : ('k, 'v) node option;  (* least recently used *)
-  mutable capacity : int;
+  capacity : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -83,13 +83,6 @@ let find t k =
 
 let mem t k = Hashtbl.mem t.table k
 
-let peek t k =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-    touch t n;
-    Some n.value
-  | None -> None
-
 let put t k v =
   match Hashtbl.find_opt t.table k with
   | Some n ->
@@ -113,13 +106,6 @@ let clear t =
   t.first <- None;
   t.last <- None
 
-let set_capacity (t : (_, _) t) c =
-  if c < 1 then invalid_arg "Lru.set_capacity: capacity must be >= 1";
-  t.capacity <- c;
-  while Hashtbl.length t.table > c do
-    evict_last t
-  done
-
 let stats (t : (_, _) t) : stats =
   {
     hits = t.hits;
@@ -128,11 +114,6 @@ let stats (t : (_, _) t) : stats =
     length = length t;
     capacity = t.capacity;
   }
-
-let reset_stats (t : (_, _) t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
 
 let fold f t init =
   let rec go acc = function

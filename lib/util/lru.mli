@@ -2,15 +2,13 @@
 
     A polymorphic key/value store that holds at most [capacity] entries
     and evicts the least-recently-{e used} one on overflow — both
-    {!find} hits and {!put}s refresh an entry's recency.  Built for the
-    long-lived serving engine, where unbounded memo tables (the former
-    [Bounds.compute] reset-at-a-bound table) are a slow leak: the LRU
-    turns them into a fixed working set whose effectiveness is visible
-    through {!stats}.
+    {!find} hits and {!put}s refresh an entry's recency.  The serving
+    engine's parsed-netlist cache ([Pops_serve.Cache]) is built on it:
+    a long-lived process holds a fixed working set, and {!stats} shows
+    how well it serves.
 
     The structure is {e not} synchronised: concurrent users wrap every
-    operation in their own mutex (see [Pops_core.Bounds] and
-    [Pops_serve.Cache]), which also lets a caller make compound
+    operation in their own mutex, which also lets a caller make compound
     find-or-compute sequences atomic. *)
 
 type ('k, 'v) t
@@ -29,21 +27,12 @@ val create : capacity:int -> unit -> ('k, 'v) t
 val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
-val set_capacity : ('k, 'v) t -> int -> unit
-(** Shrinking evicts oldest-first down to the new bound (counted in
-    {!stats}).  @raise Invalid_argument when the new capacity [< 1]. *)
-
 val find : ('k, 'v) t -> 'k -> 'v option
 (** A hit refreshes the entry to most-recently-used and counts in
     {!stats}; a miss counts too. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Membership probe: does {e not} touch recency or the counters. *)
-
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** {!find} without the counters: refreshes recency on a hit but records
-    neither hit nor miss.  For opportunistic probes whose miss path is
-    cheap and should not dilute the hit-rate statistics. *)
 
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recently-used; evicts the
@@ -53,11 +42,9 @@ val remove : ('k, 'v) t -> 'k -> unit
 (** Drop an entry if present (not an eviction for {!stats}). *)
 
 val clear : ('k, 'v) t -> unit
-(** Drop every entry.  Counters are preserved — use {!reset_stats} to
-    zero them. *)
+(** Drop every entry.  Counters are preserved. *)
 
 val stats : ('k, 'v) t -> stats
-val reset_stats : ('k, 'v) t -> unit
 
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** Fold over the live entries, most-recently-used first; does not

@@ -705,7 +705,9 @@ let () =
    screened insert_global equals the unscreened one
    (test/buffers_oracle.ml) bit for bit, with Tc drawn across the
    infeasible, hard and medium domains (0.9-2.5 Tmin) and branch loads
-   up to 60 fF, so most paths carry overloaded nodes. *)
+   up to 60 fF, so most paths carry overloaded nodes.  So does the greedy
+   handed the base path's constraint answer as its incumbent ([~base],
+   as the protocol runs it), an [Error] answer below Tmin included. *)
 let () =
   Prop.register ~name:"buffers.screen_matches_oracle" ~cases:80
     (Gen.triple spec (Gen.float_range 0.9 2.5) (Gen.float_range 1. 3.))
@@ -713,13 +715,17 @@ let () =
       let p = path_of { s with C.branch = s.C.branch *. heavier } in
       let lib = C.library s.C.p_tech in
       let tc = ratio *. Bounds.tmin p in
-      let r = Buffers.insert_global ~objective:(`Area_at tc) ~lib p in
       let o = Buffers_oracle.insert_global ~objective:(`Area_at tc) ~lib p in
-      match Buffers_oracle.diff r o with
-      | None -> ()
-      | Some field ->
-        Prop.failf "tc=%.6g (%.3g tmin): the screened greedy differs from the oracle in %s"
-          tc ratio field)
+      let check what r =
+        match Buffers_oracle.diff r o with
+        | None -> ()
+        | Some field ->
+          Prop.failf "tc=%.6g (%.3g tmin): the %s greedy differs from the oracle in %s" tc
+            ratio what field
+      in
+      check "screened" (Buffers.insert_global ~objective:(`Area_at tc) ~lib p);
+      let base = Sens.size_for_constraint p ~tc in
+      check "~base" (Buffers.insert_global ~objective:(`Area_at tc) ~base ~lib p))
 
 (* ================================================================== *)
 (* netlists, logic, transforms                                         *)

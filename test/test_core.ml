@@ -234,8 +234,7 @@ let heavy_path =
     { Path.cell = Pops_cell.Library.find lib (Gk.Nor 3); branch = 400. }
 
 let test_critical_nodes_found () =
-  let b = Bounds.compute heavy_path in
-  let nodes = Buffers.critical_nodes ~lib heavy_path b.Bounds.sizing_tmin in
+  let nodes = Buffers.critical_nodes ~lib heavy_path in
   Alcotest.(check bool) "the overloaded NOR3 is critical" true (List.mem 3 nodes)
 
 let test_global_insertion_improves_tmin () =
@@ -269,6 +268,24 @@ let test_global_insertion_never_worse () =
   let b = Bounds.compute path5 in
   let r = Buffers.insert_global ~objective:`Tmin ~lib path5 in
   Alcotest.(check bool) "no regression" true (r.Buffers.delay <= b.Bounds.tmin +. 1e-6)
+
+(* [~base], the base path's constraint answer handed in as the
+   incumbent, gives the unscreened greedy's result bit for bit: below
+   Tmin (an [Error] answer) on a path with no overloaded node, where the
+   incumbent is the result, and on one whose trials win, and above Tmin *)
+let test_global_insertion_from_base () =
+  List.iter
+    (fun (name, p, ratio) ->
+      let tc = ratio *. (Bounds.compute p).Bounds.tmin in
+      let objective = `Area_at tc in
+      let base = Sens.size_for_constraint p ~tc in
+      let r = Buffers.insert_global ~objective ~base ~lib p in
+      match Buffers_oracle.diff r (Buffers_oracle.insert_global ~objective ~lib p) with
+      | None -> ()
+      | Some field ->
+        Alcotest.failf "%s at %.2f Tmin: differs from the oracle in %s" name ratio field)
+    [ ("path5", path5, 0.9); ("path5", path5, 1.3); ("heavy", heavy_path, 0.97);
+      ("heavy", heavy_path, 1.3) ]
 
 let test_local_insertion_keeps_original_sizes () =
   let b = Bounds.compute heavy_path in
@@ -877,6 +894,8 @@ let () =
           Alcotest.test_case "shield dilutes branch" `Quick test_shield_stage_dilutes;
           Alcotest.test_case "shield rejects small branch" `Quick test_shield_stage_rejects_small_branch;
           Alcotest.test_case "global insertion never worse" `Quick test_global_insertion_never_worse;
+          Alcotest.test_case "global insertion from a base answer" `Quick
+            test_global_insertion_from_base;
           Alcotest.test_case "local insertion keeps sizes" `Quick test_local_insertion_keeps_original_sizes;
         ] );
       ( "restructure",

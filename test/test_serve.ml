@@ -636,8 +636,9 @@ let test_server_summary_counts_decode_rejects () =
 let test_server_multi_window () =
   (* 40 jobs, more than two engine windows: analyze (ok), optimize at an
      unreachable tc (unmet) and invalid lines, through the one stdio
-     loop over a pipe and over a regular file.  No summary: its
-     bounds_cache counters are process-wide, so the second run's differ *)
+     loop over a pipe and over a regular file.  The whole stream, summary
+     line included, is a function of the job stream alone: the second
+     run reads the same as the first *)
   let chain =
     Json.to_string
       (Json.Str "INPUT(a)\nOUTPUT(y)\nb = NOT(a)\nc = NOT(b)\ny = NOT(c)\n")
@@ -652,14 +653,25 @@ let test_server_multi_window () =
   let input = String.concat "\n" (List.init 40 line) ^ "\n" in
   Alcotest.(check bool) "longer than two windows" true
     (40 > 2 * config.Engine.window);
-  let pipe_code, pipe_out = serve_pipe ~summary:false input in
-  let file_code, file_out = serve_file ~summary:false input in
+  let pipe_code, pipe_out = serve_pipe ~summary:true input in
+  let file_code, file_out = serve_file ~summary:true input in
   Alcotest.(check int) "pipe: worst exit" 2 pipe_code;
   Alcotest.(check int) "file: worst exit" 2 file_code;
   Alcotest.(check string) "pipe and file streams byte-identical" pipe_out
     file_out;
-  let lines = List.filter (( <> ) "") (String.split_on_char '\n' pipe_out) in
+  let lines, summary =
+    match List.rev (List.filter (( <> ) "") (String.split_on_char '\n' pipe_out)) with
+    | summary :: rest -> (List.rev rest, summary)
+    | [] -> Alcotest.fail "no output"
+  in
   Alcotest.(check int) "40 results" 40 (List.length lines);
+  (match Json.parse summary with
+  | Ok j ->
+    Alcotest.(check (option bool)) "summary line" (Some true)
+      (Option.bind (Json.member "summary" j) Json.to_bool);
+    Alcotest.(check (option int)) "summary counts every job" (Some 40)
+      (Option.bind (Json.member "jobs" j) Json.to_int)
+  | Error e -> Alcotest.failf "bad summary %s: %s" summary e);
   let status l =
     match Json.parse l with
     | Ok j ->

@@ -218,7 +218,19 @@ let test_lru_eviction_order () =
   Alcotest.(check (option int)) "2 evicted" None (Lru.find t 2);
   Alcotest.(check (option int)) "3 kept" (Some 30) (Lru.find t 3);
   Alcotest.(check (option int)) "1 kept" (Some 10) (Lru.find t 1);
-  Alcotest.(check int) "length" 3 (Lru.length t)
+  Alcotest.(check int) "length" 3 (Lru.length t);
+  Alcotest.(check (list int)) "recency order" [ 1; 3; 4 ] (lru_keys t);
+  (* put of an existing key updates in place and refreshes it, no
+     eviction *)
+  Lru.put t 4 50;
+  Alcotest.(check int) "no growth" 3 (Lru.length t);
+  Alcotest.(check (option int)) "update" (Some 50) (Lru.find t 4);
+  Lru.put t 5 50;
+  Alcotest.(check (option int)) "least recent evicted" None (Lru.find t 3);
+  Alcotest.(check int) "evictions" 2 (Lru.stats t).Lru.evictions;
+  Lru.remove t 1;
+  Alcotest.(check int) "remove" 2 (Lru.length t);
+  Alcotest.(check int) "remove is no eviction" 2 (Lru.stats t).Lru.evictions
 
 let test_lru_counters () =
   let t = Lru.create ~capacity:2 () in
@@ -230,8 +242,6 @@ let test_lru_counters () =
   (* miss *)
   ignore (Lru.mem t "b");
   (* neutral *)
-  ignore (Lru.peek t "b");
-  (* neutral *)
   Lru.put t "c" 3;
   (* evicts the least-recent *)
   let s = Lru.stats t in
@@ -241,33 +251,7 @@ let test_lru_counters () =
   Alcotest.(check int) "length" 2 s.Lru.length;
   Lru.clear t;
   Alcotest.(check int) "clear keeps counters" 1 (Lru.stats t).Lru.hits;
-  Alcotest.(check int) "clear empties" 0 (Lru.length t);
-  Lru.reset_stats t;
-  Alcotest.(check int) "reset" 0 (Lru.stats t).Lru.hits
-
-let test_lru_set_capacity () =
-  let t = Lru.create ~capacity:8 () in
-  List.iter (fun k -> Lru.put t k k) [ 1; 2; 3; 4; 5 ];
-  Lru.set_capacity t 2;
-  Alcotest.(check int) "evicted down" 2 (Lru.length t);
-  Alcotest.(check (list int)) "most-recent survive" [ 5; 4 ] (lru_keys t);
-  (* put of an existing key updates in place, no eviction *)
-  Lru.put t 5 50;
-  Alcotest.(check (option int)) "update" (Some 50) (Lru.peek t 5);
-  Alcotest.(check int) "no growth" 2 (Lru.length t)
-
-let test_lru_peek_vs_find () =
-  let t = Lru.create ~capacity:2 () in
-  Lru.put t 1 1;
-  Lru.put t 2 2;
-  (* peek refreshes recency but does not count *)
-  ignore (Lru.peek t 1);
-  Lru.put t 3 3;
-  Alcotest.(check (option int)) "peeked key survives" (Some 1) (Lru.peek t 1);
-  Alcotest.(check (option int)) "other evicted" None (Lru.peek t 2);
-  Alcotest.(check int) "no hits counted" 0 (Lru.stats t).Lru.hits;
-  Lru.remove t 1;
-  Alcotest.(check int) "remove" 1 (Lru.length t)
+  Alcotest.(check int) "clear empties" 0 (Lru.length t)
 
 let prop_lru_never_exceeds_capacity =
   QCheck.Test.make ~name:"lru length <= capacity, most-recent retained"
@@ -422,8 +406,6 @@ let () =
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "counters" `Quick test_lru_counters;
-          Alcotest.test_case "set capacity" `Quick test_lru_set_capacity;
-          Alcotest.test_case "peek vs find" `Quick test_lru_peek_vs_find;
           qtest prop_lru_never_exceeds_capacity;
         ] );
       ( "table",
