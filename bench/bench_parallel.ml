@@ -30,18 +30,6 @@ let parallel () =
          ~cost:(fun m -> m.ns)
          (fun () -> (time ~rounds:(if !smoke then 1 else 3) [| f |]).(0)))
   in
-  (* Flow rounds — K worst paths run the protocol concurrently against
-     round-start snapshots (Flow.optimize phase 2) *)
-  let flow_circuit = if !smoke then "fpd" else "c880" in
-  let flow_base = fst (Profiles.circuit tech (Option.get (Profiles.find flow_circuit))) in
-  let flow_tc =
-    0.8 *. Timing.critical_delay (Timing.analyze ~lib (Netlist.copy flow_base))
-  in
-  kernel ~name:"flow_rounds" ~circuit:flow_circuit ~fingerprint:report_fingerprint
-    (fun () ->
-      Pops_robust.Outcome.get
-        (Flow.optimize_o ~max_rounds:(if !smoke then 3 else 12) ~k_paths:4 ~lib
-           ~tc:flow_tc (Netlist.copy flow_base)));
   (* protocol candidates — sizing / buffering / restructuring evaluated
      concurrently per path (Protocol.run) *)
   let protocol_suite =
@@ -63,7 +51,7 @@ let parallel () =
         protocol_suite);
   (* AMPS restarts — split-seeded random restarts reduced in restart
      order (Random_search.minimum_delay) *)
-  let module Rs = Pops_amps.Random_search in
+  let module Rs = Pops_baselines.Random_search in
   let amps_profile = Option.get (Profiles.find (if !smoke then "c432" else "c1908")) in
   let amps_path = extracted_path amps_profile in
   kernel ~name:"amps_restarts" ~circuit:amps_profile.Profiles.name

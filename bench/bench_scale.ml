@@ -1,7 +1,7 @@
 (* BENCH_scale.json: the full-chip trajectory — the arena/CSR core at
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
-   analyze vs the pre-refactor reference, incremental update under resize
-   and buffer-insertion traffic, the arena k-worst, and (up to 100k) the
+   analyze vs the record-based test oracle, incremental update under
+   resize and buffer-insertion traffic, the arena k-worst, and (up to 100k) the
    node store's cold snapshot, copy and restore, the flow's per-round
    endpoint work, logic equivalence and power on the snapshot, and (up
    to 100k, plus an inverter chain) the .bench parse with the text
@@ -135,10 +135,11 @@ let sta_scale () =
             record ~kernel ~shape ~gates ~words m.(i).ns)
           [ "netlist_copy"; "netlist_restore" ]
       end;
-      (* full CSR analyze, interleaved with the pre-refactor record-based
-         reference where it is still affordable (<= 100k) *)
-      let analyze () = Timing.analyze ~lib nl in
-      let reference () = Timing.analyze_reference ~lib nl in
+      (* full CSR analyze, interleaved with the record-based oracle of
+         the test suites (test/timing_oracle) where it is still
+         affordable (<= 100k) *)
+      let analyze () = ignore (Timing.analyze ~lib nl) in
+      let reference () = ignore (Timing_oracle.analyze ~lib nl) in
       let m =
         time ~rounds (if gates <= 100_000 then [| analyze; reference |] else [| analyze |])
       in
@@ -147,7 +148,7 @@ let sta_scale () =
         else begin
           let s = m.(1).ns /. m.(0).ns in
           record ~kernel:"sta_full_analyze_reference" ~shape ~gates m.(1).ns;
-          Printf.printf "full analyze at %d gates: %.1fx the pre-CSR reference\n%!" gates s;
+          Printf.printf "full analyze at %d gates: %.1fx the record-based oracle\n%!" gates s;
           Some s
         end
       in

@@ -28,7 +28,7 @@ module Domains = Pops_core.Domains
 module Tradeoff = Pops_core.Tradeoff
 module Protocol = Pops_core.Protocol
 module Profiles = Pops_circuits.Profiles
-module Amps = Pops_amps.Amps
+module Amps = Pops_baselines.Amps
 module Flow = Pops_flow.Flow
 module Vt_assign = Pops_flow.Vt_assign
 module Json = Pops_serve.Json

@@ -519,7 +519,7 @@ let ablation () =
     Table.add_row t3 [ "constant sensitivity"; Table.cell_f ~decimals:1 r.Sens.area;
                        Table.cell_f ~decimals:1 r.Sens.delay ]
   | Error _ -> ());
-  let x_suth = Sens.sutherland p_full ~tc in
+  let x_suth = Pops_baselines.Sutherland.size p_full ~tc in
   Table.add_row t3 [ "equal delay (Sutherland)"; Table.cell_f ~decimals:1 (Path.area p_full x_suth);
                      Table.cell_f ~decimals:1 (Path.delay_worst p_full x_suth) ];
   let amps = Amps.size_for_constraint p_full ~tc in
@@ -622,18 +622,18 @@ let ablation () =
   in
   List.iter
     (fun len ->
-      let wire = Pops_core.Repeaters.wire_of_length len in
+      let wire = Pops_baselines.Repeaters.wire_of_length len in
       let un =
         (* same 8x-minimum upstream driver as the repeated variant *)
-        Pops_core.Repeaters.unrepeated_delay ~lib wire
+        Pops_baselines.Repeaters.unrepeated_delay ~lib wire
           ~driver_cin:(8. *. tech.Tech.cmin) ~cload:10.
       in
-      let sol = Pops_core.Repeaters.optimize ~lib wire ~cload:10. in
+      let sol = Pops_baselines.Repeaters.optimize ~lib wire ~cload:10. in
       Table.add_row t7
         [ Table.cell_f ~decimals:1 len; Table.cell_f ~decimals:0 un;
-          Table.cell_f ~decimals:0 sol.Pops_core.Repeaters.delay;
-          string_of_int sol.Pops_core.Repeaters.segments;
-          Table.cell_f ~decimals:1 sol.Pops_core.Repeaters.repeater_cin ])
+          Table.cell_f ~decimals:0 sol.Pops_baselines.Repeaters.delay;
+          string_of_int sol.Pops_baselines.Repeaters.segments;
+          Table.cell_f ~decimals:1 sol.Pops_baselines.Repeaters.repeater_cin ])
     [ 1.; 2.; 4.; 8.; 16. ];
   Table.print t7;
   Printf.printf

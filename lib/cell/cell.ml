@@ -71,16 +71,11 @@ let make ?k ?(vt = Pops_process.Vt.Lvt) (tech : Pops_process.Tech.t) kind =
     area_coeff = float_of_int (Gate_kind.arity kind) *. area_factor kind;
   }
 
-let arity t = Gate_kind.arity t.kind
-
 let min_cin t = t.tech.cmin
 
 let cpar t ~cin = t.par_ratio *. cin
 
 let area t ~cin = t.area_coeff *. cin /. t.tech.cg_per_um
-
-let cin_of_area t ~area:a =
-  a *. t.tech.cg_per_um /. (float_of_int (arity t) *. area_factor t.kind)
 
 let pp ppf t =
   Format.fprintf ppf

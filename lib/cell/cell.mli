@@ -58,8 +58,6 @@ val make : ?k:float -> ?vt:Pops_process.Vt.t -> Pops_process.Tech.t -> Gate_kind
     configuration ratio [tech.k_ratio], [vt] to {!Pops_process.Vt.Lvt}
     (the fastest, leakiest class — the pre-multi-Vt behaviour). *)
 
-val arity : t -> int
-
 val min_cin : t -> float
 (** Smallest available drive (fF per input): the process [cmin] — every
     cell's minimum instance presents one reference load per input. *)
@@ -70,8 +68,5 @@ val cpar : t -> cin:float -> float
 val area : t -> cin:float -> float
 (** Total transistor width of an instance, um — the paper's area (and
     power) metric [Sigma W]. *)
-
-val cin_of_area : t -> area:float -> float
-(** Inverse of {!area}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -33,8 +33,6 @@ let find_vt t kind vt = (find_variants t kind).(Pops_process.Vt.to_int vt)
 
 let inverter t = find t Gate_kind.Inv
 
-let cells t = List.map (fun (_, variants) -> variants.(0)) t.cells
-
 let drive_grid t = Array.copy t.grid
 
 let snap_cin t cin =
@@ -43,8 +41,3 @@ let snap_cin t cin =
   else
     let rec go i = if t.grid.(i) >= cin then t.grid.(i) else go (i + 1) in
     go 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>library (%s):@ " t.tech.name;
-  List.iter (fun (_, variants) -> Format.fprintf ppf "%a@ " Cell.pp variants.(0)) t.cells;
-  Format.fprintf ppf "@]"

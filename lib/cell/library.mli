@@ -25,8 +25,6 @@ val find_vt : t -> Gate_kind.t -> Pops_process.Vt.t -> Cell.t
 val inverter : t -> Cell.t
 (** The inverter cell, used pervasively by buffering code. *)
 
-val cells : t -> Cell.t list
-
 val drive_grid : t -> float array
 (** Available discrete drives as multiples of [cmin]:
     [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]. *)
@@ -35,5 +33,3 @@ val snap_cin : t -> float -> float
 (** [snap_cin lib cin] rounds an input capacitance up to the nearest grid
     drive (never down, so a met delay constraint stays met); values above
     the largest grid point are left unchanged (continuous beyond x64). *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,9 +30,6 @@ val fig4_suite : t list
 val table4_suite : t list
 (** c1355, c1908, c5315, c7552 — Table 4's restructuring circuits. *)
 
-val to_generator_profile : t -> Pops_netlist.Generator.profile
-(** The synthetic-circuit profile used to materialise this benchmark. *)
-
 val circuit : Pops_process.Tech.t -> t -> Pops_netlist.Netlist.t * int list
 (** Materialise (deterministic per name): the netlist and its critical
     spine. *)

@@ -214,9 +214,3 @@ val sweeps_performed : unit -> int
 val solves_performed : unit -> int
 (** Total {!solve} calls by this process so far (each one run of the
     fallback ladder); monotone, like {!sweeps_performed}. *)
-
-val sutherland : ?iters:int -> Pops_delay.Path.t -> tc:float -> float array
-(** The equal-delay-per-stage constraint distribution (Sutherland/Mead,
-    paper refs [4,15]): every stage gets the budget [tc / n].  The fast
-    classical method the paper compares against — it oversizes gates with
-    large logical weight; the benchmark harness quantifies the area gap. *)

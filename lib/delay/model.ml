@@ -31,10 +31,6 @@ let stage_delay ?(opts = default_opts) (cell : Pops_cell.Cell.t) ~edge_out ~tau_
   let delay = slope_term +. (coupling_factor *. tau_out /. 2.) in
   (delay, tau_out)
 
-let fast_input_range cell ~edge_out ~tau_in ~cin ~cload =
-  let tau_out = transition_time cell ~edge:edge_out ~cin ~cload in
-  tau_in <= 3. *. tau_out
-
 let fo4_delay tech =
   let inv = Pops_cell.Cell.make tech Pops_cell.Gate_kind.Inv in
   let cin = tech.Pops_process.Tech.cmin in

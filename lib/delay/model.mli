@@ -42,12 +42,6 @@ val stage_delay :
 val coupling_cap : Pops_cell.Cell.t -> edge_out:Edge.t -> cin:float -> float
 (** The [C_M] used by {!stage_delay} (fF). *)
 
-val fast_input_range : Pops_cell.Cell.t -> edge_out:Edge.t -> tau_in:float -> cin:float -> cload:float -> bool
-(** The model is derived for the "fast input control range" (paper
-    ref. [14]): the input transition must not be much slower than the
-    output one.  True when [tau_in <= 3 * tau_out] — the bound used by the
-    tool's diagnostics. *)
-
 val fo4_delay : Pops_process.Tech.t -> float
 (** Delay of a minimum inverter driving four identical inverters (both
     edges averaged), the conventional process speed metric; used to

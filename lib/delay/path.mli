@@ -153,8 +153,8 @@ val delay_per_stage : t -> float array -> (float * float) array
 
 val gradient : t -> float array -> float array
 (** Exact analytic gradient [dT/dx.(i)] of {!delay} (ps/fF).  Entry 0 is
-    0 (the input gate is not a free variable).  Validated against
-    {!Pops_util.Numerics.gradient} by property tests. *)
+    0 (the input gate is not a free variable).  Validated against a
+    central-difference gradient by property tests. *)
 
 val gradient_into : t -> float array -> float array -> unit
 (** [gradient_into t x g] writes the gradient into the caller-owned [g]

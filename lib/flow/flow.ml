@@ -156,8 +156,7 @@ let size_critical ~size ~lib ~tc ~timing ~phase t =
   in
   size ex.Paths.nodes sizing
 
-let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
-    ?(k_paths = 3) ?(vt_assign = false) ~lib ~tc t =
+let optimize ?budget ?(max_rounds = 20) ?(k_paths = 3) ?(vt_assign = false) ~lib ~tc t =
   let ref_nl = Netlist.copy t in
   let t_loop = Unix.gettimeofday () in
   (* The analysis portion of the loop — building or updating
@@ -276,7 +275,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
         Pops_util.Pool.map_list_contained
           (fun ((ex : Paths.extracted), sizing_now, wtc) ->
             if wtc < Path.delay_worst ex.Paths.path sizing_now then
-              Some (Protocol.run ~allow_restructure ~lib ~tc:wtc ex.Paths.path)
+              Some (Protocol.run ~lib ~tc:wtc ex.Paths.path)
             else None)
           snapshots
       in
@@ -382,8 +381,7 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
    caller's bug, not a degradation), then run the flow under a Watch
    collector so every ladder descent, contained crash and budget trip
    surfaces in the returned Outcome. *)
-let optimize_o ?budget ?max_rounds ?allow_restructure ?k_paths ?vt_assign
-    ?name ~lib ~tc t =
+let optimize_o ?budget ?max_rounds ?k_paths ?vt_assign ?name ~lib ~tc t =
   let problems =
     List.filter
       (fun d -> d.Diag.severity = Diag.Error)
@@ -394,8 +392,7 @@ let optimize_o ?budget ?max_rounds ?allow_restructure ?k_paths ?vt_assign
   | [] -> (
     match
       Watch.collect (fun () ->
-          optimize ?budget ?max_rounds ?allow_restructure ?k_paths ?vt_assign
-            ~lib ~tc t)
+          optimize ?budget ?max_rounds ?k_paths ?vt_assign ~lib ~tc t)
     with
     | r, diags ->
       let diags =

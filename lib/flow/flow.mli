@@ -66,7 +66,6 @@ type report = {
 val optimize_o :
   ?budget:Pops_robust.Budget.t ->
   ?max_rounds:int ->
-  ?allow_restructure:bool ->
   ?k_paths:int ->
   ?vt_assign:bool ->
   ?name:(int -> string) ->
@@ -77,9 +76,9 @@ val optimize_o :
 (** [optimize_o ~lib ~tc netlist] mutates [netlist] in place and returns
     the report as an {!Pops_robust.Outcome}.  [max_rounds] defaults to
     20; [k_paths] (default 3) is how many of the worst {e gate-disjoint}
-    critical cones are optimised per round; [allow_restructure] defaults
-    to true.  The equivalence check runs on a pre-flow copy kept
-    internally.
+    critical cones are optimised per round, each by the full protocol
+    ({!Pops_core.Protocol.run}, restructuring allowed).  The equivalence
+    check runs on a pre-flow copy kept internally.
 
     It runs {!Pops_netlist.Netlist.validate_diags} first and returns
     [Failed] with the first error-severity diagnostic (cycle, dangling

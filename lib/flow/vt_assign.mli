@@ -23,10 +23,6 @@ type report = {
   ms : float;  (** wall-clock of the pass *)
 }
 
-val leakage_uw : lib:Pops_cell.Library.t -> Pops_netlist.Netlist.t -> float
-(** Leakage of the netlist under its current Vt assignment, uW —
-    bitwise the [leakage_uw] field of {!Pops_sta.Power.analyze}. *)
-
 val run :
   ?pool:Pops_util.Pool.t ->
   lib:Pops_cell.Library.t ->

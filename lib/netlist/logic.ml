@@ -108,6 +108,7 @@ let eval t inputs =
     (fun (id, w) -> (id, lane w 0))
     (eval_packed t (Array.map (fun b -> if b then Int64.minus_one else Int64.zero) inputs))
 
+(* maximum input count for exhaustive equivalence *)
 let exhaustive_limit = 12
 
 let equivalent ?(vectors = 512) ?(seed = 0x5EEDL) a b =

@@ -2,8 +2,7 @@
 
     Used to prove that structural transforms (buffering, De Morgan
     restructuring) preserve the circuit function: exhaustively for up to
-    {!exhaustive_limit} primary inputs, by seeded random vectors beyond
-    that.
+    12 primary inputs, by seeded random vectors beyond that.
 
     Every evaluation is one bit-parallel sweep over the netlist's
     {!Netlist.csr} snapshot: 64 vectors per pass, one word per node in a
@@ -28,9 +27,6 @@ val word_of_kind : Pops_cell.Gate_kind.t -> int64 array -> int64
     of {!Pops_cell.Gate_kind.eval}, applied to 64 vectors at once.  The
     sweep evaluates gates with this same function; the property suite
     checks it bit-for-bit against the scalar evaluation. *)
-
-val exhaustive_limit : int
-(** Maximum input count for exhaustive equivalence (12). *)
 
 (** {1 Logic cones}
 

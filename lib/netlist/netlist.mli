@@ -288,11 +288,6 @@ val validate_diags : ?name:(int -> string) -> t -> Pops_robust.Diag.t list
     quality, not correctness).  [name] renders node ids in messages;
     the CLI passes the .bench signal names. *)
 
-val find_cycle : t -> int list option
-(** One combinational loop in signal-flow order (each node drives the
-    next, the last drives the first), or [None] on a DAG.  The probe
-    behind cycle diagnostics; does not raise. *)
-
 val kind_histogram : t -> (Pops_cell.Gate_kind.t * int) list
 val total_area : t -> Pops_cell.Library.t -> float
 (** Total transistor width [Sigma W] over all gates, um. *)

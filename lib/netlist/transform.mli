@@ -26,9 +26,3 @@ val de_morgan : Netlist.t -> int -> (int, string) result
     fan-in is itself a single-fanout inverter it is absorbed instead of
     double-inverted.  Returns the output-inverter id, or [Error] when
     the node has no dual. *)
-
-val cleanup_inverter_pairs : Netlist.t -> int
-(** Collapse [Inv (Inv x)] chains: consumers of the second inverter are
-    rewired to [x]; dead inverters are deleted.  Returns the number of
-    inverters removed.  (Terminal loads stay where they were designated:
-    an output-designated inverter is never removed.) *)

@@ -100,9 +100,6 @@ let at_corner t corner =
     { (named FS) with r_ratio = t.r_ratio *. 1.25; vtn = t.vtn -. vt_shift;
       vtp = t.vtp +. vt_shift }
 
-let vtn_reduced t = t.vtn /. t.vdd
-let vtp_reduced t = t.vtp /. t.vdd
-
 (* Vt-class derivations.  All four functions are the identity at [Lvt]
    (shift 0.0, factors exactly 1.0), which keeps an all-LVT netlist
    bit-identical to the pre-multi-Vt model. *)
@@ -131,17 +128,4 @@ let vtn_reduced_vt t vt =
 let vtp_reduced_vt t vt =
   match vt with Vt.Lvt -> t.vtp /. t.vdd | _ -> (t.vtp +. vt_shift vt) /. t.vdd
 
-let cin_of_width t ~wn ~wp = t.cg_per_um *. (wn +. wp)
-
-let width_of_cin t ~k cin =
-  let wn = cin /. (t.cg_per_um *. (1. +. k)) in
-  (wn, k *. wn)
-
 let kp t = t.kn /. t.r_ratio
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>process %s: VDD=%.2fV VTN=%.2fV VTP=%.2fV tau=%.1fps R=%.2f k=%.2f@ \
-     Cg=%.2ffF/um Cj=%.2ffF/um Cmin=%.2ffF Wmin=%.2fum alpha=%.2f@]"
-    t.name t.vdd t.vtn t.vtp t.tau t.r_ratio t.k_ratio t.cg_per_um t.cj_per_um
-    t.cmin t.wmin t.alpha

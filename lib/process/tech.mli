@@ -66,12 +66,6 @@ val at_corner : t -> corner -> t
     which polarity is critical — the case the beta-weighted optimizer
     exists for. *)
 
-val vtn_reduced : t -> float
-(** [vtn / vdd] — the reduced threshold [v_TN] of eq. (1). *)
-
-val vtp_reduced : t -> float
-(** [vtp / vdd] — the reduced threshold [v_TP] of eq. (1). *)
-
 val vt_shift : Vt.t -> float
 (** Threshold increase of a Vt class over the process nominal, V:
     [0.0] for {!Vt.Lvt}, [0.05] for {!Vt.Svt}, [0.10] for {!Vt.Hvt}. *)
@@ -95,14 +89,5 @@ val vtn_reduced_vt : t -> Vt.t -> float
 val vtp_reduced_vt : t -> Vt.t -> float
 (** PMOS counterpart of {!vtn_reduced_vt}. *)
 
-val cin_of_width : t -> wn:float -> wp:float -> float
-(** Input capacitance (fF) of a transistor pair of given widths (um). *)
-
-val width_of_cin : t -> k:float -> float -> float * float
-(** [width_of_cin tech ~k cin] splits an input capacitance into [(wn, wp)]
-    with [wp = k * wn]. *)
-
 val kp : t -> float
 (** PMOS transconductance derived from {!t.kn} and {!t.r_ratio}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,13 +12,4 @@ let of_int = function
 
 let name = function Lvt -> "lvt" | Svt -> "svt" | Hvt -> "hvt"
 
-let of_string = function
-  | "lvt" -> Some Lvt
-  | "svt" -> Some Svt
-  | "hvt" -> Some Hvt
-  | _ -> None
-
-let equal (a : t) (b : t) = a = b
-let compare a b = Int.compare (to_int a) (to_int b)
 let next = function Lvt -> Some Svt | Svt -> Some Hvt | Hvt -> None
-let pp ppf t = Format.pp_print_string ppf (name t)

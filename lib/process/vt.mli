@@ -29,16 +29,6 @@ val of_int : int -> t
 val name : t -> string
 (** ["lvt"] / ["svt"] / ["hvt"]. *)
 
-val of_string : string -> t option
-(** Inverse of {!name}. *)
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Orders by threshold: [Lvt < Svt < Hvt]. *)
-
 val next : t -> t option
 (** The next-higher-threshold class, if any — the direction leakage
     swaps move in. *)
-
-val pp : Format.formatter -> t -> unit

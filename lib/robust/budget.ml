@@ -10,8 +10,6 @@ let create ?wall_ms ?sweeps () =
   in
   { deadline; sweep_cap = sweeps; sweeps = 0 }
 
-let unlimited () = { deadline = None; sweep_cap = None; sweeps = 0 }
-
 let spend b n = b.sweeps <- b.sweeps + n
 
 let sweeps_spent b = b.sweeps

@@ -14,8 +14,6 @@ val create : ?wall_ms:float -> ?sweeps:int -> unit -> t
 (** [wall_ms] — wall-clock cap from now, milliseconds; [sweeps] — total
     link-equation sweep cap.  Omitted caps are unlimited. *)
 
-val unlimited : unit -> t
-
 val spend : t -> int -> unit
 (** Record [n] sweeps (or abstract work units) against the budget. *)
 

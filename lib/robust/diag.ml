@@ -120,9 +120,6 @@ let one_line d =
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-let fatal ?severity ?subject ?hint code message =
-  raise (Fatal (make ?severity ?subject ?hint code message))
-
 let () =
   Printexc.register_printer (function
     | Fatal d -> Some ("Pops_robust.Diag.Fatal: " ^ to_string d)

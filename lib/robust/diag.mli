@@ -56,33 +56,24 @@ exception Fatal of t
 
 val make :
   ?severity:severity -> ?subject:string -> ?hint:string -> code -> string -> t
-(** [make code message] with the code's {!default_severity} and
-    {!default_hint} unless overridden. *)
+(** [make code message] with the code's default severity and
+    remediation hint unless overridden. *)
 
 val makef :
   ?severity:severity -> ?subject:string -> ?hint:string -> code ->
   ('a, unit, string, t) format4 -> 'a
 (** Formatted {!make}. *)
 
-val fatal : ?severity:severity -> ?subject:string -> ?hint:string -> code -> string -> 'a
-(** [fatal code message] raises {!Fatal} with the built diagnostic. *)
-
 val code_name : code -> string
 (** Stable kebab-case name, e.g. ["solver-divergence"] — the spelling
     used in docs, CLI output and fault specs. *)
-
-val default_severity : code -> severity
-val default_hint : code -> string option
 
 val classify : code -> [ `Invalid_input | `Constraint | `Degradation | `Internal ]
 (** What a front end should do: reject the input (exit 2), report an
     unmet constraint (exit 1), continue with a degraded result (exit 0),
     or treat as an engine bug (exit 3). *)
 
-val severity_name : severity -> string
-val to_string : t -> string
 val one_line : t -> string
-(** [to_string] includes severity and hint; [one_line] is the compact
-    [code (subject): message] form the CLI prints. *)
+(** The compact [code (subject): message] form the CLI prints. *)
 
 val pp : Format.formatter -> t -> unit

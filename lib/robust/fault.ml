@@ -144,8 +144,6 @@ let ambient_error, initial =
 let current : spec option Atomic.t = Atomic.make initial
 let lock = Mutex.create ()
 
-let active () = Option.map (fun s -> s.text) (Atomic.get current)
-
 let clear () = Mutex.protect lock (fun () -> Atomic.set current None)
 
 let arm text =

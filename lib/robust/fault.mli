@@ -41,18 +41,12 @@ val fire : string -> bool
 val inject : string -> unit
 (** [inject point] raises {!Injected} iff [fire point]. *)
 
-val arm : string -> (unit, string) result
-(** Parse a spec and make it current (replacing any previous one). *)
-
 val clear : unit -> unit
 (** Disarm all injection points. *)
 
 val with_spec : string -> (unit -> 'a) -> 'a
 (** Arm a spec around a call, restoring the previous spec after.
     @raise Invalid_argument on a malformed spec. *)
-
-val active : unit -> string option
-(** The currently armed spec text, if any. *)
 
 val ambient : string option
 (** The [POPS_FAULT] environment value captured at program start (armed

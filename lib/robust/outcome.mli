@@ -25,6 +25,3 @@ val get : 'a t -> 'a
 (** @raise Diag.Fatal on [Failed] — the legacy-wrapper bridge. *)
 
 val diags : 'a t -> Diag.t list
-val degraded : 'a t -> bool
-val map : ('a -> 'b) -> 'a t -> 'b t
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

@@ -16,8 +16,6 @@ type frame = Diag.t list ref
 let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let active () = !(Domain.DLS.get stack_key) <> []
-
 let emit d =
   match !(Domain.DLS.get stack_key) with
   | [] -> ()

@@ -18,6 +18,3 @@ val collect : (unit -> 'a) -> 'a * Diag.t list
 
 val emit : Diag.t -> unit
 val emit_all : Diag.t list -> unit
-
-val active : unit -> bool
-(** Is any collector installed on this domain? *)

@@ -72,8 +72,6 @@ let create ?(config = default_config) tech =
   }
 
 let config t = t.config
-let jobs_run t = t.jobs_run
-
 (* ------------------------------------------------------------------ *)
 (* intake: sequential, in submission order — every decision here       *)
 (* (admission, budget reservation, cache verdicts) is deterministic    *)

@@ -76,10 +76,8 @@ val run_job : t -> Job.t -> Job.result
 val count : t -> Job.result -> unit
 (** Account a result decided before its job reached the engine (a
     request line rejected at decode, or one discarded as oversize) in
-    {!jobs_run} and the status counts of {!summary_json}, as
-    {!run_batch} accounts its own results. *)
-
-val jobs_run : t -> int
+    the job and status counts of {!summary_json}, as {!run_batch}
+    accounts its own results. *)
 
 val summary_json : t -> Json.t
 (** The end-of-stream summary line: job counts by status, the

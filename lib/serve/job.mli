@@ -67,7 +67,6 @@ type result = {
   ms : float;  (** wall-clock of the job's execution stage *)
 }
 
-val status_name : status -> string
 val exit_of_status : status -> int
 
 val to_json : times:bool -> result -> Json.t

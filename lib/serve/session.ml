@@ -59,6 +59,11 @@ let oversize_result ~seq =
     ms = 0.;
   }
 
+(* The typed load-shed response for an intake slot: status
+   [overloaded], exit 1, a [retry_after_ms] metric and an
+   {!Pops_robust.Diag.Overloaded} diagnostic.  Echoes the decoded job's
+   [id]/[tenant] when the line parsed; the job never reaches the
+   engine. *)
 let overloaded_result ~retry_after_ms slot =
   let seq, id, tenant =
     match slot with
@@ -302,7 +307,6 @@ let create ~id ~peer ~log ~config engine sock =
   t
 
 let fd t = t.sock
-let peer t = t.peer_label
 let closed t = t.phase = Closed
 let wants_read t = t.phase = Active
 

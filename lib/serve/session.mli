@@ -35,13 +35,6 @@ val decode : seq:int -> string -> item
 
 val bad_line_result : seq:int -> string -> Job.result
 
-val overloaded_result : retry_after_ms:int -> slot -> Job.result
-(** The typed load-shed response for an intake slot: status
-    [overloaded], exit 1, a [retry_after_ms] metric and an
-    {!Pops_robust.Diag.Overloaded} diagnostic.  Echoes the decoded
-    job's [id]/[tenant] when the line parsed; the job never reaches
-    the engine. *)
-
 val run_items : Engine.t -> slot list -> Job.result list
 (** Run one batch: the jobs go through the engine together, and their
     results merge with the ones decided at intake in submission
@@ -98,7 +91,8 @@ val slot_of_line : seq:int -> Linebuf.line -> slot
 type config = {
   queue_limit : int;
       (** max decoded jobs waiting to run; further frames are shed with
-          {!overloaded_result} instead of stalling silently *)
+          an [overloaded] result (exit 1, a [retry_after_ms] metric)
+          instead of stalling silently *)
   idle_timeout : float option;
       (** seconds of inactivity (no bytes read, no write progress)
           before the session is closed with a
@@ -122,7 +116,6 @@ val create :
     non-blocking mode.  [peer] labels the session's diagnostics. *)
 
 val fd : t -> Unix.file_descr
-val peer : t -> string
 val closed : t -> bool
 
 val wants_read : t -> bool

@@ -110,10 +110,3 @@ let endpoint_summary ~lib ?tc t timing =
       Table.add_row tbl row)
     rows;
   Table.render tbl
-
-let full ~lib ?tc t =
-  let timing = Timing.analyze ~lib t in
-  let summary = endpoint_summary ~lib ?tc t timing in
-  let crit = Timing.critical_path timing in
-  let breakdown = render_path ~lib t timing crit in
-  summary ^ "\n" ^ breakdown

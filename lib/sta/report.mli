@@ -2,34 +2,15 @@
     on: per-stage incremental and cumulative arrival along a path, and a
     slack summary over the endpoints. *)
 
-type stage_line = {
-  node : int;
-  gate : string;  (** cell kind, or ["input"] *)
-  fanout : int;  (** consumers of the node *)
-  cap : float;  (** load on the node, fF *)
-  incr : float;  (** stage delay, ps *)
-  arrival : float;  (** cumulative, ps *)
-  edge : Pops_delay.Edge.t;  (** signal edge at the node *)
-}
-
-val path_breakdown :
-  lib:Pops_cell.Library.t -> Pops_netlist.Netlist.t -> Timing.t -> int list ->
-  stage_line list
-(** Per-node lines for a source-first node list (as produced by
-    {!Timing.critical_path}), using the annotated arrivals. *)
-
 val render_path :
   lib:Pops_cell.Library.t -> Pops_netlist.Netlist.t -> Timing.t -> int list ->
   string
-(** The breakdown as an ASCII table. *)
+(** Per-stage incremental and cumulative arrival along a source-first
+    node list (as produced by {!Timing.critical_path}), read off the
+    annotated arrivals, as an ASCII table. *)
 
 val endpoint_summary :
   lib:Pops_cell.Library.t -> ?tc:float -> Pops_netlist.Netlist.t -> Timing.t ->
   string
 (** One line per primary output: worst arrival, edge, and (when [tc] is
     given) slack, sorted worst first. *)
-
-val full :
-  lib:Pops_cell.Library.t -> ?tc:float -> Pops_netlist.Netlist.t -> string
-(** Complete report: runs STA, prints the endpoint summary and the
-    critical path breakdown. *)

@@ -14,7 +14,7 @@ type arrival = { time : float; slope : float; from_ : (int * Edge.t) option }
    [3 * kind_code + vt_code] and [vt*_red] by the Vt code alone (the
    threshold shift is kind-independent).  A kind missing from the
    library has [have = false] and propagating through it raises
-   [Not_found], exactly like the legacy per-node library lookup. *)
+   [Not_found], exactly like a per-node library lookup. *)
 type tables = {
   have : bool array;
   klass : int array;  (* 0 inverting, 1 xor-class, 2 buffer *)
@@ -116,18 +116,9 @@ type t = {
 let edge_off = function Edge.Rising -> 0 | Edge.Falling -> 2
 
 let edge_bit = function Edge.Rising -> 0 | Edge.Falling -> 1
-let pack_from src edge = (2 * src) + edge_bit edge
 let unpack_from = function
   | -1 -> None
   | p -> Some (p / 2, if p land 1 = 0 then Edge.Rising else Edge.Falling)
-
-(* input edges that can cause the given output edge *)
-let causing_input_edges kind edge_out =
-  match kind with
-  | Gk.Xnor2 | Gk.Xor2 -> [ Edge.Rising; Edge.Falling ]
-  | Gk.Inv | Gk.Nand _ | Gk.Nor _ | Gk.Aoi21 | Gk.Oai21 | Gk.Aoi22 | Gk.Oai22 ->
-    [ Edge.flip edge_out ]
-  | Gk.Buf -> [ edge_out ]
 
 let grow t =
   let bound = Netlist.id_bound t.netlist in
@@ -152,81 +143,18 @@ let clear_node t id =
   t.rise_from.(id) <- -1;
   t.fall_from.(id) <- -1
 
-(* recompute both edges of one node from its fan-ins' stored arrivals;
-   identical arithmetic and tie-breaking to a from-scratch pass, so a
-   node whose inputs did not change reproduces its arrival bit for bit *)
-let eval_node t id =
-  let n = Netlist.node t.netlist id in
-  match n.Netlist.kind with
-  | Netlist.Primary_input ->
-    let a = (t.input_arrival, t.input_slope, -1) in
-    (Some a, Some a)
-  | Netlist.Cell kind ->
-    let cell = Pops_cell.Library.find_vt t.lib kind n.Netlist.vt in
-    let cload =
-      Netlist.load_on t.netlist id +. Pops_cell.Cell.cpar cell ~cin:n.Netlist.cin
-    in
-    let eval edge_out =
-      let best = ref None in
-      List.iter
-        (fun edge_in ->
-          let off = edge_off edge_in in
-          Array.iter
-            (fun fanin ->
-              let src = (4 * fanin) + off in
-              if not (Float.is_nan t.arr.(src)) then begin
-                let d, tau_out =
-                  Model.stage_delay cell ~edge_out ~tau_in:t.arr.(src + 1)
-                    ~cin:n.Netlist.cin ~cload
-                in
-                let time = t.arr.(src) +. d in
-                match !best with
-                | Some (bt, _, _) when bt >= time -> ()
-                | Some _ | None ->
-                  best := Some (time, tau_out, pack_from fanin edge_in)
-              end)
-            n.Netlist.fanins)
-        (causing_input_edges kind edge_out);
-      !best
-    in
-    (eval Edge.Rising, eval Edge.Falling)
-
-(* store one edge's result; returns true when time or slope moved (the
-   only components downstream consumers read) *)
-let store_edge arr froms ~toff id = function
-  | None ->
-    let b = (4 * id) + toff in
-    let changed = not (Float.is_nan arr.(b)) in
-    arr.(b) <- Float.nan;
-    arr.(b + 1) <- Float.nan;
-    froms.(id) <- -1;
-    changed
-  | Some (time, slope, from) ->
-    let b = (4 * id) + toff in
-    let changed =
-      Float.is_nan arr.(b) || arr.(b) <> time || arr.(b + 1) <> slope
-    in
-    arr.(b) <- time;
-    arr.(b + 1) <- slope;
-    froms.(id) <- from;
-    changed
-
-let store_node t id (rise, fall) =
-  let r = store_edge t.arr t.rise_from ~toff:0 id rise in
-  let f = store_edge t.arr t.fall_from ~toff:2 id fall in
-  r || f
-
 (* --- CSR level sweep -------------------------------------------------- *)
 
-(* Re-evaluate the order slice [lo, hi) straight off the CSR arrays.
-   This is {!eval_node}+{!store_node} with every indirection peeled off:
+(* Re-evaluate the order slice [lo, hi) straight off the CSR arrays:
    per-kind coefficients come from the prebuilt tables, loads and sizes
    from the snapshot, and the whole loop touches only unboxed arrays —
    no allocation per node (the running best lives in a one-slot float
    array because a float ref would box on every update).  Arithmetic is
    grouped exactly as {!Model.stage_delay} groups it and fan-ins are
    visited in the same (edge, pin) order with the same keep-first tie
-   break, so results are bit-identical to the record-based evaluator.
+   break, so results are bit-identical to a per-node
+   {!Model.stage_delay} evaluation (the test suites' record-based
+   oracle).
 
    Nodes only read arrivals of strictly lower levels, so any partition
    of one level into slices stores the same values.
@@ -407,18 +335,19 @@ let sweep_levels t (c : Netlist.Csr.t) ~from_level =
 
 (* Single-node re-evaluation straight off the CSR arrays — the worklist
    counterpart of {!sweep_range}: the same hoisted coefficients, fan-in
-   visit order and keep-first tie break (so stored bits match both the
-   full sweep and the record-based {!eval_node}), with {!store_edge}'s
-   NaN-aware change test folded into the store.  Returns true when
-   either edge's stored (time, slope) moved.  The event-driven {!update}
-   runs this per popped node; keeping the per-node cost at sweep
-   constants (shared scratch block, no boxed floats, no record or list
-   traffic) is what lets the incremental path beat the flat sweep on
-   small cones instead of losing its asymptotic win to per-node
+   visit order and keep-first tie break (so stored bits match the full
+   sweep), with a NaN-aware change test folded into the store.  Returns
+   true when either edge's stored (time, slope) moved.  The event-driven
+   {!update} runs this per popped node; keeping the per-node cost at
+   sweep constants (shared scratch block, no boxed floats, no record or
+   list traffic) is what lets the incremental path beat the flat sweep
+   on small cones instead of losing its asymptotic win to per-node
    overhead. *)
 
-(* store one edge with {!store_edge}'s change test.  Top-level (not a
-   closure over the eval) so the hot drain allocates nothing per node. *)
+(* store one edge; true when its time or slope moved (the only
+   components downstream consumers read), or when it lost or gained an
+   arrival.  Top-level (not a closure over the eval) so the hot drain
+   allocates nothing per node. *)
 let store_slot arr (fr : int array) id b time tau from =
   if from >= 0 then begin
     let old_t = Array.unsafe_get arr b in
@@ -704,16 +633,6 @@ let analyze ?input_slope ?input_arrival ~lib netlist =
   sweep_levels t (Netlist.csr netlist) ~from_level:0;
   t
 
-(* the pre-CSR from-scratch pass: one record-based {!eval_node} per node
-   of the (list) topological order.  Kept as the oracle the refactored
-   sweep is tested and benchmarked against. *)
-let analyze_reference ?input_slope ?input_arrival ~lib netlist =
-  let t = make ?input_slope ?input_arrival ~lib netlist in
-  List.iter
-    (fun id -> ignore (store_node t id (eval_node t id)))
-    (Netlist.topological_order netlist);
-  t
-
 let arrival t id edge =
   update t;
   if id < 0 || id >= t.cap then raise Not_found;
@@ -841,14 +760,6 @@ let window_marked t id ~skip ~len stamp mark =
   in
   go id (worst_edge_bit t id) 0
 
-let min_clock_period ?setup t =
-  let setup =
-    match setup with
-    | Some s -> s
-    | None -> (Netlist.tech t.netlist).Pops_process.Tech.tau
-  in
-  critical_delay t +. setup
-
 let slack t ~tc id =
   let _, a = node_worst t id in
   tc -. a.time
@@ -927,7 +838,8 @@ let slacks_update s =
    (so [x /. 2.] is [x *. 0.5] etc.) — and writes both, NaN included, so
    nothing from an earlier revision survives in the suffix.  Min is
    commutative, so any evaluation order over the same consumer set
-   yields the same bits as the record-based {!slacks_reference}.  The
+   yields the same bits as a record-based sweep over the reverse
+   topological order.  The
    running min lives in a one-slot array: a float ref would box on every
    update. *)
 let lower s (c : Netlist.Csr.t) stop =
@@ -975,8 +887,9 @@ let lower s (c : Netlist.Csr.t) stop =
               Array.unsafe_get load cid
               +. (Array.unsafe_get tb.par code *. cin_v)
             in
-            (* which consumer output edges our edge can cause: the
-               backward image of {!causing_input_edges}; per edge the
+            (* which consumer output edges our edge can cause (both
+               for an XOR-class consumer, the same edge through a
+               buffer, the other through an inverting gate); per edge the
                term is the consumer's required time minus the stage
                delay through it at our slope *)
             let kl = Array.unsafe_get tb.klass code in
@@ -1027,78 +940,7 @@ let slacks_make tm ~tc =
   slacks_update s;
   s
 
-(* the from-scratch oracle: per-node {!Pops_delay.Model.stage_delay}
-   over the reverse list topological order, record-based — the backward
-   counterpart of {!analyze_reference}, for the equivalence suites *)
-let slacks_reference tm ~tc =
-  update tm;
-  let nl = tm.netlist in
-  let cap = max 64 (Netlist.id_bound nl) in
-  let s =
-    { s_tm = tm; s_tc = tc; req = Array.make (2 * cap) Float.nan;
-      slk = Array.make cap Float.nan; rev = Netlist.revision nl; mark = 0 }
-  in
-  List.iter
-    (fun id ->
-      let n = Netlist.node nl id in
-      let is_out = Netlist.is_output nl id in
-      List.iter
-        (fun edge ->
-          let eo = edge_bit edge in
-          let a = tm.arr.((4 * id) + (2 * eo)) in
-          let r =
-            if Float.is_nan a then Float.nan
-            else begin
-              let slope = tm.arr.((4 * id) + (2 * eo) + 1) in
-              let acc = ref (if is_out then tc else Float.nan) in
-              let add term =
-                if
-                  not (Float.is_nan term)
-                  && (Float.is_nan !acc || term < !acc)
-                then acc := term
-              in
-              List.iter
-                (fun c ->
-                  let cn = Netlist.node nl c in
-                  match cn.Netlist.kind with
-                  | Netlist.Primary_input -> ()
-                  | Netlist.Cell kind ->
-                    let cell =
-                      Pops_cell.Library.find_vt tm.lib kind cn.Netlist.vt
-                    in
-                    let cload =
-                      Netlist.load_on nl c
-                      +. Pops_cell.Cell.cpar cell ~cin:cn.Netlist.cin
-                    in
-                    let term edge_out =
-                      let rc = s.req.((2 * c) + edge_bit edge_out) in
-                      if Float.is_nan rc then Float.nan
-                      else
-                        let d, _ =
-                          Model.stage_delay cell ~edge_out ~tau_in:slope
-                            ~cin:cn.Netlist.cin ~cload
-                        in
-                        rc -. d
-                    in
-                    List.iter
-                      (fun edge_out ->
-                        if
-                          List.mem edge
-                            (causing_input_edges kind edge_out)
-                        then add (term edge_out))
-                      [ Edge.Rising; Edge.Falling ])
-                n.Netlist.fanouts;
-              !acc
-            end
-          in
-          s.req.((2 * id) + eo) <- r)
-        [ Edge.Rising; Edge.Falling ];
-      eval_slack s id)
-    (List.rev (Netlist.topological_order nl));
-  s
-
 let slacks_timing s = s.s_tm
-let slacks_tc s = s.s_tc
 
 (* The current CSR position of a live id in range, -1 otherwise (deleted
    ids have no position, so nothing an earlier revision stored for them

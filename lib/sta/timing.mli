@@ -41,16 +41,9 @@ val analyze :
 
     The pass sweeps the netlist's {!Pops_netlist.Netlist.Csr} snapshot
     level by level with an allocation-free inner loop, sequentially; the
-    result is bit-identical to {!analyze_reference}. *)
-
-val analyze_reference :
-  ?input_slope:float -> ?input_arrival:float ->
-  lib:Pops_cell.Library.t -> Pops_netlist.Netlist.t -> t
-(** The pre-CSR implementation of {!analyze}: per-node record-based
-    evaluation over the list topological order, sequential.  The oracle
-    for the CSR-vs-legacy equivalence suite and the baseline the
-    [sta_scale] benchmark reports speedups against; not for production
-    use. *)
+    result is bit-identical to a record-based per-node
+    {!Pops_delay.Model.stage_delay} evaluation over the topological
+    order (the oracle the test suites compare against). *)
 
 val update : t -> unit
 (** Fold the netlist edits since the last analysis/update back into the
@@ -102,12 +95,6 @@ val window_marked : t -> int -> skip:int -> len:int -> int array -> int -> bool
     [stamp] must cover every id below the netlist's id bound.
     @raise Not_found if no arrival reaches [id]. *)
 
-val min_clock_period : ?setup:float -> t -> float
-(** Minimum clock period for a netlist whose registers were split into
-    pseudo primary inputs/outputs (as {!Pops_netlist.Bench_io} does for
-    [DFF]s): the worst input-to-output arrival plus a setup time
-    (default: one process [tau]). *)
-
 val slack : t -> tc:float -> int -> float
 (** [tc - worst arrival at node] — positive means timing met at that
     node for constraint [tc] (a path-level required-time view; the
@@ -133,7 +120,9 @@ val slack : t -> tc:float -> int -> float
       swept.  The first query after an edit re-sweeps from the end.
 
     An edit costs nothing here until the next query.  Every value is
-    bit-identical to {!slacks_reference} over the whole netlist.
+    bit-identical to a record-based backward sweep over the whole
+    netlist (per-consumer {!Pops_delay.Model.stage_delay} over the
+    reverse topological order).
 
     Queries mutate the annotation (arrivals, and the swept suffix), so
     run them on one domain, like arrival queries. *)
@@ -144,14 +133,6 @@ type slacks
 val slacks_make : t -> tc:float -> slacks
 (** A lazy annotation: brings the arrivals up to date, sweeps nothing. *)
 
-val slacks_reference : t -> tc:float -> slacks
-(** The record-based from-scratch oracle (per-consumer
-    {!Pops_delay.Model.stage_delay} over the reverse list topological
-    order, every node): what the equivalence suites compare the lazy
-    queries against.  It answers from its own arrays at the revision
-    it was built at; queried after an edit it recomputes like
-    {!slacks_make}.  Not for production use. *)
-
 val slacks_update : slacks -> unit
 (** Bring the annotation to the current revision: runs {!update} and
     drops the swept suffix if the netlist moved.  Every query does this
@@ -159,7 +140,6 @@ val slacks_update : slacks -> unit
     point. *)
 
 val slacks_timing : slacks -> t
-val slacks_tc : slacks -> float
 
 val required : slacks -> int -> Pops_delay.Edge.t -> float
 (** Required time of the given edge at a node's output.

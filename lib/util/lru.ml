@@ -40,7 +40,6 @@ let create ~capacity () =
     evictions = 0;
   }
 
-let capacity (t : (_, _) t) = t.capacity
 let length t = Hashtbl.length t.table
 
 (* detach [n] from the recency list (it must be linked) *)
@@ -81,8 +80,6 @@ let find t k =
     t.misses <- t.misses + 1;
     None
 
-let mem t k = Hashtbl.mem t.table k
-
 let put t k v =
   match Hashtbl.find_opt t.table k with
   | Some n ->
@@ -93,13 +90,6 @@ let put t k v =
     let n = { key = k; value = v; prev = None; next = None } in
     Hashtbl.replace t.table k n;
     push_front t n
-
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.table k
-  | None -> ()
 
 let clear t =
   Hashtbl.reset t.table;
@@ -114,10 +104,3 @@ let stats (t : (_, _) t) : stats =
     length = length t;
     capacity = t.capacity;
   }
-
-let fold f t init =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (f n.key n.value acc) n.next
-  in
-  go init t.first

@@ -16,7 +16,7 @@ type ('k, 'v) t
 type stats = {
   hits : int;
   misses : int;  (** {!find}s that came back empty *)
-  evictions : int;  (** entries displaced by capacity, not {!remove}d *)
+  evictions : int;  (** entries displaced by capacity *)
   length : int;  (** current entry count *)
   capacity : int;
 }
@@ -24,28 +24,17 @@ type stats = {
 val create : capacity:int -> unit -> ('k, 'v) t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** A hit refreshes the entry to most-recently-used and counts in
     {!stats}; a miss counts too. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership probe: does {e not} touch recency or the counters. *)
-
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recently-used; evicts the
     least-recently-used entry when the cache is full. *)
-
-val remove : ('k, 'v) t -> 'k -> unit
-(** Drop an entry if present (not an eviction for {!stats}). *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop every entry.  Counters are preserved. *)
 
 val stats : ('k, 'v) t -> stats
-
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Fold over the live entries, most-recently-used first; does not
-    touch recency or the counters. *)

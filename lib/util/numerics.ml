@@ -37,23 +37,6 @@ let bisect ?(caller = "bisect") ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
     in
     if lo <= hi then loop lo hi flo fhi 0 false else loop hi lo fhi flo 0 false
 
-let newton ?(tol = 1e-12) ?(max_iter = 60) ~f ~df ~x0 () =
-  let rec loop x iter =
-    if iter >= max_iter then None
-    else
-      let fx = f x in
-      if Float.abs fx < tol then Some x
-      else
-        let d = df x in
-        if Float.abs d < 1e-300 then None
-        else
-          let x' = x -. (fx /. d) in
-          if not (Float.is_finite x') then None
-          else if Float.abs (x' -. x) < tol *. (1. +. Float.abs x') then Some x'
-          else loop x' (iter + 1)
-  in
-  loop x0 0
-
 let golden_ratio = (sqrt 5. -. 1.) /. 2.
 
 let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
@@ -75,14 +58,6 @@ let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
   let x2 = a +. (golden_ratio *. (b -. a)) in
   loop a b x1 x2 (f x1) (f x2) 0
 
-let fixed_point ?(tol = 1e-9) ?(max_iter = 500) ~step ~distance x0 =
-  let rec loop x iter =
-    let x' = step x in
-    if distance x x' < tol || iter + 1 >= max_iter then (x', iter + 1)
-    else loop x' (iter + 1)
-  in
-  loop x0 0
-
 let fixed_point_trace ?(tol = 1e-9) ?(max_iter = 500) ~step ~distance x0 =
   let rec loop x iter acc =
     let x' = step x in
@@ -91,21 +66,6 @@ let fixed_point_trace ?(tol = 1e-9) ?(max_iter = 500) ~step ~distance x0 =
     else loop x' (iter + 1) acc
   in
   loop x0 0 [ x0 ]
-
-let gradient ~f ?(h = 1e-5) x =
-  let n = Array.length x in
-  let g = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let xi = x.(i) in
-    let step = h *. Float.max 1. (Float.abs xi) in
-    x.(i) <- xi +. step;
-    let fp = f x in
-    x.(i) <- xi -. step;
-    let fm = f x in
-    x.(i) <- xi;
-    g.(i) <- (fp -. fm) /. (2. *. step)
-  done;
-  g
 
 let distance_inf a b =
   assert (Array.length a = Array.length b);

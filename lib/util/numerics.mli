@@ -20,39 +20,20 @@ val bisect :
     returns the bracket midpoint.
     @raise No_bracket if the signs agree. *)
 
-val newton :
-  ?tol:float -> ?max_iter:int ->
-  f:(float -> float) -> df:(float -> float) -> x0:float -> unit -> float option
-(** Newton-Raphson from [x0]; [None] when it diverges or the derivative
-    vanishes.  Callers fall back to {!bisect}. *)
-
 val golden_section_min :
   ?tol:float -> ?max_iter:int ->
   f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
 (** [golden_section_min ~f ~lo ~hi ()] minimises a unimodal [f] on
     [\[lo, hi\]], returning [(argmin, min)]. *)
 
-val fixed_point :
-  ?tol:float -> ?max_iter:int ->
-  step:(float array -> float array) ->
-  distance:(float array -> float array -> float) ->
-  float array -> float array * int
-(** [fixed_point ~step ~distance x0] iterates [step] until
-    [distance x (step x) < tol] or [max_iter] is hit.  Returns the final
-    iterate and the number of iterations performed. *)
-
 val fixed_point_trace :
   ?tol:float -> ?max_iter:int ->
   step:(float array -> float array) ->
   distance:(float array -> float array -> float) ->
   float array -> float array list
-(** Like {!fixed_point} but returns every iterate, first to last.  Used to
-    reproduce the Fig. 1 convergence plot. *)
-
-val gradient : f:(float array -> float) -> ?h:float -> float array -> float array
-(** Central-difference numerical gradient, relative step [h] (default
-    1e-5) scaled by [max 1. |x_i|].  Reference implementation used by
-    property tests to validate analytic gradients. *)
+(** [fixed_point_trace ~step ~distance x0] iterates [step] until
+    [distance x (step x) < tol] or [max_iter] is hit, and returns every
+    iterate, first to last: the Fig. 1 convergence plot. *)
 
 val distance_inf : float array -> float array -> float
 (** L-infinity distance between two vectors of equal length. *)

@@ -65,8 +65,6 @@ let create ?size () =
     pool.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
-let size pool = pool.size
-
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.stopped <- true;
@@ -168,9 +166,6 @@ let parallel_map ?pool f xs =
       slots;
     Array.map (function Done v -> v | Pending | Failed _ -> assert false) slots
   end
-
-let map_list ?pool f xs =
-  Array.to_list (parallel_map ?pool f (Array.of_list xs))
 
 let parallel_reduce ?pool ~map ~combine ~init xs =
   Array.fold_left combine init (parallel_map ?pool map xs)

@@ -31,21 +31,15 @@ val create : ?size:int -> unit -> t
     [Domain.recommended_domain_count ()].  A size of 1 spawns no domains
     and makes every combinator run sequentially in the caller. *)
 
-val size : t -> int
-(** Total parallelism of the pool (including the calling domain). *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool degrades to
     sequential execution afterwards. *)
 
-val default : unit -> t
-(** The process-wide shared pool, created lazily on first use with
-    [create ()].  All library entry points fan out on this pool unless
-    given an explicit one. *)
-
 val default_size : unit -> int
-(** [size (default ())] without forcing worker creation when the
-    configured size is 1. *)
+(** The size of the process-wide shared pool (created lazily on first
+    use with [create ()]; every library entry point fans out on it
+    unless given an explicit one), without forcing worker creation when
+    the configured size is 1. *)
 
 val set_default_size : int -> unit
 (** Replace the shared pool with one of the given size (shutting the old
@@ -59,9 +53,6 @@ val parallel_map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
     ran them.  Exceptions re-raise at the call site (smallest failing
     index wins); remaining tasks still run to completion first. *)
 
-val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map] for lists, preserving order. *)
-
 val parallel_reduce :
   ?pool:t -> map:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc ->
   'a array -> 'acc
@@ -70,20 +61,16 @@ val parallel_reduce :
     deterministic even when [combine] is not associative (floating-point
     sums, first-strictly-better selections). *)
 
-val parallel_map_contained :
-  ?pool:t -> ('a -> 'b) -> 'a array ->
-  (('b, Pops_robust.Diag.t) result * Pops_robust.Diag.t list) array
-(** Contained fan-out: like {!parallel_map}, but a task that raises
-    degrades its own slot to [Error diag] instead of re-raising at the
-    call site — one crashing candidate cannot kill the whole fan-out.
-    Each slot also carries the diagnostics the task emitted
-    ({!Pops_robust.Watch}) on whichever domain ran it, so the caller can
-    re-emit them in deterministic submission order.  The
-    [pool.raise] fault-injection point fires here.  Exceptions become
-    {!Pops_robust.Diag.Pool_task_failed} diagnostics (a
-    {!Pops_robust.Diag.Fatal} payload passes through unchanged). *)
-
 val map_list_contained :
   ?pool:t -> ('a -> 'b) -> 'a list ->
   (('b, Pops_robust.Diag.t) result * Pops_robust.Diag.t list) list
-(** {!parallel_map_contained} for lists, preserving order. *)
+(** Contained fan-out: like {!parallel_map} over a list, preserving
+    order, but a task that raises degrades its own slot to [Error diag]
+    instead of re-raising at the call site — one crashing candidate
+    cannot kill the whole fan-out.  Each slot also carries the
+    diagnostics the task emitted ({!Pops_robust.Watch}) on whichever
+    domain ran it, so the caller can re-emit them in deterministic
+    submission order.  The [pool.raise] fault-injection point fires
+    here.  Exceptions become {!Pops_robust.Diag.Pool_task_failed}
+    diagnostics (a {!Pops_robust.Diag.Fatal} payload passes through
+    unchanged). *)

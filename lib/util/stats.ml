@@ -2,14 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-    sqrt (ss /. float_of_int (n - 1))
-
 let sorted xs =
   let ys = Array.copy xs in
   Array.sort compare ys;
@@ -27,21 +19,3 @@ let percentile xs p =
     else
       let w = rank -. float_of_int lo in
       ((1. -. w) *. ys.(lo)) +. (w *. ys.(hi))
-
-let median xs = percentile xs 50.
-
-let minimum xs =
-  if Array.length xs = 0 then invalid_arg "Stats.minimum: empty";
-  Array.fold_left Float.min xs.(0) xs
-
-let maximum xs =
-  if Array.length xs = 0 then invalid_arg "Stats.maximum: empty";
-  Array.fold_left Float.max xs.(0) xs
-
-let geometric_mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.
-  else begin
-    Array.iter (fun x -> assert (x > 0.)) xs;
-    exp (Array.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int n)
-  end

@@ -3,21 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. on the empty array. *)
 
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); 0. when n < 2. *)
-
-val median : float array -> float
-(** Median (does not mutate its argument); 0. on the empty array. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], linear interpolation between
     order statistics; 0. on the empty array. *)
-
-val minimum : float array -> float
-(** Smallest element. @raise Invalid_argument on the empty array. *)
-
-val maximum : float array -> float
-(** Largest element. @raise Invalid_argument on the empty array. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive values; 0. on the empty array. *)

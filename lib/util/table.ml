@@ -1,12 +1,10 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
-
 type t = {
   title : string option;
   header : string list;
   aligns : align array;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title columns =
@@ -27,19 +25,15 @@ let add_row t cells =
     else if len < n then cells @ List.init (n - len) (fun _ -> "")
     else List.filteri (fun i _ -> i < n) cells
   in
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.header) in
-  let update_widths = function
-    | Separator -> ()
-    | Cells cs ->
-      List.iteri
-        (fun i c -> if i < Array.length widths then widths.(i) <- max widths.(i) (String.length c))
-        cs
+  let update_widths cs =
+    List.iteri
+      (fun i c -> if i < Array.length widths then widths.(i) <- max widths.(i) (String.length c))
+      cs
   in
   List.iter update_widths rows;
   let buf = Buffer.create 1024 in
@@ -64,14 +58,10 @@ let render t =
   hline ();
   line t.header;
   hline ();
-  List.iter (function Separator -> hline () | Cells cs -> line cs) rows;
+  List.iter line rows;
   hline ();
   Buffer.contents buf
 
 let print t = print_string (render t); print_newline ()
 
 let cell_f ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-
-let cell_time ps =
-  if Float.abs ps >= 1000. then Printf.sprintf "%.3f ns" (ps /. 1000.)
-  else Printf.sprintf "%.1f ps" ps

@@ -16,9 +16,6 @@ val add_row : t -> string list -> unit
 (** Appends a row.  Rows shorter than the header are right-padded with
     empty cells; longer rows are truncated.  *)
 
-val add_separator : t -> unit
-(** Appends a horizontal rule between row groups. *)
-
 val render : t -> string
 (** Renders the table; every call reflects all rows added so far. *)
 
@@ -27,6 +24,3 @@ val print : t -> unit
 
 val cell_f : ?decimals:int -> float -> string
 (** Format a float cell with [decimals] fraction digits (default 2). *)
-
-val cell_time : float -> string
-(** Format a time-in-ps cell adaptively (ps / ns). *)

@@ -271,6 +271,58 @@ let apply_edit nl e =
     | Some id -> Netlist.set_vt nl id vt
     | None -> ())
 
+let cleanup_inverter_pairs t =
+  let removed = ref 0 in
+  let is_inv id =
+    match Netlist.kind t id with
+    | Netlist.Cell Gate_kind.Inv -> true
+    | Netlist.Cell
+        ( Gate_kind.Buf | Gate_kind.Nand _ | Gate_kind.Nor _ | Gate_kind.Aoi21
+        | Gate_kind.Oai21 | Gate_kind.Aoi22 | Gate_kind.Oai22 | Gate_kind.Xor2
+        | Gate_kind.Xnor2 )
+    | Netlist.Primary_input -> false
+  in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    let candidates =
+      List.filter
+        (fun id ->
+          Netlist.node_exists t id && is_inv id
+          && (not (Netlist.is_output t id))
+          &&
+          let src = (Netlist.fanins t id).(0) in
+          is_inv src)
+        (Netlist.gate_ids t)
+    in
+    List.iter
+      (fun second ->
+        if Netlist.node_exists t second then begin
+          let first = (Netlist.fanins t second).(0) in
+          if
+            Netlist.node_exists t first && is_inv first
+            && not (Netlist.is_output t second)
+          then begin
+            let origin = (Netlist.fanins t first).(0) in
+            Netlist.rewire_fanouts t ~from_:second ~to_:origin ~except:[];
+            if Netlist.fanouts t second = [] then begin
+              Netlist.delete_gate t second;
+              incr removed;
+              if
+                Netlist.fanouts t first = []
+                && not (Netlist.is_output t first)
+              then begin
+                Netlist.delete_gate t first;
+                incr removed
+              end;
+              progress := true
+            end
+          end
+        end)
+      candidates
+  done;
+  !removed
+
 (* ------------------------------------------------------------------ *)
 (* spine circuits                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -86,6 +86,13 @@ val apply_edit : Pops_netlist.Netlist.t -> edit -> unit
     inapplicable edits (e.g. De Morgan on an inverter) are no-ops, so any
     generated sequence is a valid workload. *)
 
+val cleanup_inverter_pairs : Pops_netlist.Netlist.t -> int
+(** Collapse [Inv (Inv x)] chains: consumers of the second inverter are
+    rewired to [x]; dead inverters are deleted.  Returns the number of
+    inverters removed.  (Terminal loads stay where they were designated:
+    an output-designated inverter is never removed.)  The node-deleting
+    edit of the incremental-STA suites. *)
+
 (** {1 Spine circuits} (via [Netlist.Generator]) *)
 
 type spine_spec = {

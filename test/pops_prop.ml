@@ -214,7 +214,7 @@ let () =
       let p = path_of s in
       let x = interior_sizing s in
       let g = Path.gradient p x in
-      let g_fd = Numerics.gradient ~f:(fun x -> Path.delay p x) x in
+      let g_fd = Numeric_oracle.gradient ~f:(fun x -> Path.delay p x) x in
       require (g.(0) = 0.) "gradient entry 0 must be 0 (fixed input gate)";
       Array.iteri
         (fun i gi ->
@@ -874,7 +874,7 @@ let edited_dag (d, edits) =
       match e mod 4 with
       | 0 -> ignore (Transform.de_morgan nl pick)
       | 1 -> ignore (Transform.insert_buffer nl ~after:pick)
-      | 2 -> ignore (Transform.cleanup_inverter_pairs nl)
+      | 2 -> ignore (C.cleanup_inverter_pairs nl)
       | _ ->
         let nodes = Array.of_list (Netlist.inputs nl @ Netlist.gate_ids nl) in
         let n = [| 1; 5; 7 |].((e / 4) mod 3) in
@@ -1044,11 +1044,11 @@ let () =
           ignore (Transform.insert_buffer b ~after:(List.nth gates (pick mod List.length gates))))
         picks;
       let rounds = ref 0 in
-      while Transform.cleanup_inverter_pairs b > 0 && !rounds < 20 do
+      while C.cleanup_inverter_pairs b > 0 && !rounds < 20 do
         incr rounds
       done;
       requiref (!rounds < 20) "cleanup_inverter_pairs did not reach a fixpoint in 20 rounds";
-      require (Transform.cleanup_inverter_pairs b = 0) "fixpoint not stable";
+      require (C.cleanup_inverter_pairs b = 0) "fixpoint not stable";
       (match Netlist.validate b with
       | Ok () -> ()
       | Error e -> Prop.failf "netlist invalid after cleanup: %s" e);
@@ -1373,14 +1373,15 @@ let () =
         (Netlist.inputs nl @ Netlist.gate_ids nl))
 
 (* the backward mirror of the invariant above: required times and slacks
-   queried lazily through an edit sequence must equal a fresh backward
-   sweep of the netlist of the moment, bit for bit (NaN-aware).  After
-   each edit — sometimes with no [slacks_update], sometimes after an
-   internal gate became an output that drives gates — a random subset of
-   ids (sinks, deep nodes, ids a De Morgan rewrite deleted, out-of-range
-   ids) is queried in random order against a fresh oracle, so the lazily
-   swept suffix is entered from arbitrary points; the critical delay and
-   path must match a fresh analysis too.  Then every id is compared. *)
+   queried lazily through an edit sequence must equal the record-based
+   oracle's fresh backward sweep of the netlist of the moment, bit for
+   bit (NaN-aware).  After each edit — sometimes with no [slacks_update],
+   sometimes after an internal gate became an output that drives gates —
+   a random subset of ids (sinks, deep nodes, ids a De Morgan rewrite
+   deleted, out-of-range ids) is queried in random order against a fresh
+   oracle, so the lazily swept suffix is entered from arbitrary points;
+   the critical delay and path must match the oracle's too.  Then every
+   id is compared. *)
 let () =
   Prop.register ~name:"sta.incremental_slack_equals_fresh"
     (Gen.triple C.dag_spec (Gen.list_sized ~min_len:1 C.edit) Gen.int64)
@@ -1392,19 +1393,18 @@ let () =
       let s = Timing.slacks_make t ~tc in
       let rng = Rng.create seed in
       let same a b = a = b || (Float.is_nan a && Float.is_nan b) in
-      let required_opt s id e =
-        match Timing.required s id e with r -> r | exception Not_found -> Float.nan
-      in
+      let required get id e = match get id e with r -> r | exception Not_found -> Float.nan in
       let check ~what oracle id =
         List.iter
           (fun e ->
-            let a = required_opt s id e and b = required_opt oracle id e in
+            let a = required (Timing.required s) id e
+            and b = required (Timing_oracle.required oracle) id e in
             if not (same a b) then
               Prop.failf "%s: node %d %s: incremental required %.17g <> fresh %.17g"
                 what id (match e with Edge.Rising -> "rise" | Edge.Falling -> "fall")
                 a b)
           [ Edge.Rising; Edge.Falling ];
-        let a = Timing.node_slack s id and b = Timing.node_slack oracle id in
+        let a = Timing.node_slack s id and b = Timing_oracle.node_slack oracle id in
         if not (same a b) then
           Prop.failf "%s: node %d: incremental slack %.17g <> fresh %.17g" what id a b
       in
@@ -1423,8 +1423,8 @@ let () =
                  (Rng.pick rng (Array.of_list driving))
                  ~load:(5. +. Rng.float rng 55.));
           if Rng.bool rng then Timing.slacks_update s;
-          let fresh = Timing.analyze ~lib nl in
-          let oracle = Timing.slacks_reference fresh ~tc in
+          let fresh = Timing_oracle.analyze ~lib nl in
+          let oracle = Timing_oracle.slacks fresh ~tc in
           let ids = Array.init (Netlist.id_bound nl + 4) (fun i -> i - 2) in
           for i = Array.length ids - 1 downto 1 do
             let j = Rng.int rng (i + 1) in
@@ -1435,13 +1435,13 @@ let () =
           for i = 0 to Rng.int rng (Array.length ids) do
             check ~what oracle ids.(i)
           done;
-          requiref (Timing.critical_delay t = Timing.critical_delay fresh)
+          requiref (Timing.critical_delay t = Timing_oracle.critical_delay fresh)
             "%s: incremental critical delay %.17g <> fresh %.17g" what
-            (Timing.critical_delay t) (Timing.critical_delay fresh);
-          requiref (Timing.critical_path t = Timing.critical_path fresh)
+            (Timing.critical_delay t) (Timing_oracle.critical_delay fresh);
+          requiref (Timing.critical_path t = Timing_oracle.critical_path fresh)
             "%s: critical path differs from a fresh analysis" what)
         edits;
-      let fresh = Timing.slacks_reference (Timing.analyze ~lib nl) ~tc in
+      let fresh = Timing_oracle.slacks (Timing_oracle.analyze ~lib nl) ~tc in
       List.iter (check ~what:"final" fresh)
         (List.init (Netlist.id_bound nl + 4) (fun i -> i - 2)))
 
@@ -1599,24 +1599,28 @@ let () =
       require (draws 16 p <> draws 16 c) "child stream mirrors the parent stream")
 
 (* the CSR level sweep must be bit-identical to the record-based
-   reference: same arithmetic grouping, same fan-in visit order, same
-   keep-first tie break *)
+   oracle: same arithmetic grouping, same fan-in visit order, same
+   keep-first tie break; and so must the critical endpoint scan and the
+   provenance walk behind the critical delay and path *)
 let () =
   Prop.register ~cases:25 ~name:"sta.csr_sweep_equals_reference" C.dag_spec
     (fun d ->
       let nl = C.build_dag d in
       let lib = C.library (Netlist.tech nl) in
-      let reference = Timing.analyze_reference ~lib nl in
+      let reference = Timing_oracle.analyze ~lib nl in
       let t = Timing.analyze ~lib nl in
       requiref
-        (Timing.critical_delay t = Timing.critical_delay reference)
+        (Timing.critical_delay t = Timing_oracle.critical_delay reference)
         "critical delay %.17g <> reference %.17g" (Timing.critical_delay t)
-        (Timing.critical_delay reference);
+        (Timing_oracle.critical_delay reference);
+      require
+        (Timing.critical_path t = Timing_oracle.critical_path reference)
+        "critical path differs from the reference";
       List.iter
         (fun id ->
           List.iter
             (fun e ->
-              let a = Timing.arrival t id e and b = Timing.arrival reference id e in
+              let a = Timing.arrival t id e and b = Timing_oracle.arrival reference id e in
               if
                 not
                   (a.Timing.time = b.Timing.time
@@ -2085,7 +2089,7 @@ let () =
       List.iter
         (fun id ->
           require
-            (Vt.equal (Netlist.vt_of nl id) Vt.Lvt)
+            (Netlist.vt_of nl id = Vt.Lvt)
             "a rejected swap left a non-LVT gate behind")
         (Netlist.gate_ids nl);
       requiref
@@ -2170,7 +2174,7 @@ let () =
         List.iter
           (fun id ->
             require
-              (Vt.equal (Netlist.vt_of nl id) Vt.Lvt)
+              (Netlist.vt_of nl id = Vt.Lvt)
               "aborted pass left a promoted gate behind")
           (Netlist.gate_ids nl);
         (* tc >= the initial delay, so the sizing loop is a no-op and the

@@ -18,13 +18,8 @@ let check_close ?(eps = 1e-9) msg expected actual =
 (* --- tech --- *)
 
 let test_reduced_thresholds () =
-  check_close "vtn" (0.5 /. 2.5) (Tech.vtn_reduced tech);
-  check_close "vtp" (0.55 /. 2.5) (Tech.vtp_reduced tech)
-
-let test_width_cin_roundtrip () =
-  let wn, wp = Tech.width_of_cin tech ~k:2. 5.6 in
-  check_close "k ratio" 2. (wp /. wn);
-  check_close ~eps:1e-9 "roundtrip" 5.6 (Tech.cin_of_width tech ~wn ~wp)
+  check_close "vtn" (0.5 /. 2.5) (Tech.vtn_reduced_vt tech Pops_process.Vt.Lvt);
+  check_close "vtp" (0.55 /. 2.5) (Tech.vtp_reduced_vt tech Pops_process.Vt.Lvt)
 
 let test_kp_smaller_than_kn () =
   Alcotest.(check bool) "P weaker than N" true (Tech.kp tech < tech.Tech.kn)
@@ -110,11 +105,10 @@ let test_parasitic_grows_with_stack () =
   let p k = (Library.find lib k).Cell.par_ratio in
   Alcotest.(check bool) "nand3 > inv" true (p (Gk.Nand 3) > p Gk.Inv)
 
-let test_area_monotone_and_roundtrip () =
+let test_area_monotone () =
   let nand2 = Library.find lib (Gk.Nand 2) in
   let a1 = Cell.area nand2 ~cin:5. and a2 = Cell.area nand2 ~cin:10. in
-  Alcotest.(check bool) "monotone" true (a2 > a1);
-  check_close ~eps:1e-9 "roundtrip" 5. (Cell.cin_of_area nand2 ~area:a1)
+  Alcotest.(check bool) "monotone" true (a2 > a1)
 
 let test_coupling_ratios () =
   let inv = Library.find lib Gk.Inv in
@@ -125,8 +119,8 @@ let test_coupling_ratios () =
 
 let test_min_cin () =
   List.iter
-    (fun c -> check_close "min cin is cmin" tech.Tech.cmin (Cell.min_cin c))
-    (Library.cells lib)
+    (fun k -> check_close "min cin is cmin" tech.Tech.cmin (Cell.min_cin (Library.find lib k)))
+    Gk.all
 
 (* --- library --- *)
 
@@ -174,11 +168,7 @@ let test_buf_kind () =
 
 let test_pp_smoke () =
   let s = Format.asprintf "%a" Cell.pp (Library.find lib (Gk.Nand 3)) in
-  Alcotest.(check bool) "mentions kind" true (String.length s > 5);
-  let s2 = Format.asprintf "%a" Library.pp lib in
-  Alcotest.(check bool) "library dump" true (String.length s2 > 50);
-  let s3 = Format.asprintf "%a" Pops_process.Tech.pp tech in
-  Alcotest.(check bool) "tech dump" true (String.length s3 > 30)
+  Alcotest.(check bool) "mentions kind" true (String.length s > 5)
 
 let test_corners () =
   let tt = tech in
@@ -287,7 +277,6 @@ let () =
       ( "tech",
         [
           Alcotest.test_case "reduced thresholds" `Quick test_reduced_thresholds;
-          Alcotest.test_case "width/cin roundtrip" `Quick test_width_cin_roundtrip;
           Alcotest.test_case "kp < kn" `Quick test_kp_smaller_than_kn;
         ] );
       ( "gate_kind",
@@ -308,7 +297,7 @@ let () =
           Alcotest.test_case "inverter symmetry" `Quick test_inverter_symmetry;
           Alcotest.test_case "logical weight ordering" `Quick test_logical_weight_ordering;
           Alcotest.test_case "parasitic grows with stack" `Quick test_parasitic_grows_with_stack;
-          Alcotest.test_case "area monotone + roundtrip" `Quick test_area_monotone_and_roundtrip;
+          Alcotest.test_case "area monotone" `Quick test_area_monotone;
           Alcotest.test_case "coupling ratios" `Quick test_coupling_ratios;
           Alcotest.test_case "min cin" `Quick test_min_cin;
           qtest prop_area_linear_in_cin;

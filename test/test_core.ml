@@ -168,7 +168,7 @@ let test_sutherland_vs_sensitivity_area () =
      sensitivity method needs less area than equal-delay distribution. *)
   let b = Bounds.compute path11 in
   let tc = 1.2 *. b.Bounds.tmin in
-  let x_suth = Sens.sutherland path11 ~tc in
+  let x_suth = Pops_baselines.Sutherland.size path11 ~tc in
   let d_suth = Path.delay path11 x_suth in
   match Sens.size_for_constraint path11 ~tc with
   | Error _ -> Alcotest.fail "feasible tc"
@@ -591,7 +591,7 @@ let test_margin_for_yield () =
 
 (* --- repeaters --- *)
 
-module Repeaters = Pops_core.Repeaters
+module Repeaters = Pops_baselines.Repeaters
 
 let test_wire_validation () =
   match Repeaters.wire_of_length 0. with

@@ -1,8 +1,10 @@
 (* CSR-vs-legacy equivalence: the arena/CSR hot core must reproduce the
-   record-based reference implementations bit for bit — arrivals,
-   slacks, loads, k-worst paths — on the paper's benchmark suite, on
-   random circuits through edit sequences, and at full-chip scale
-   without a Stack_overflow. *)
+   record-based reference implementations bit for bit — arrivals, the
+   critical delay and path, slacks, loads, k-worst paths — on the
+   paper's benchmark suite, on random circuits through edit sequences,
+   and at full-chip scale without a Stack_overflow.  The STA side is
+   compared against test/timing_oracle, which answers every query from
+   its own arrays. *)
 
 module Tech = Pops_process.Tech
 module Library = Pops_cell.Library
@@ -20,10 +22,8 @@ let qtest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC5A0 |])
 let tech = Tech.cmos025
 let lib = Library.make tech
 
-let arrival_opt timing id edge =
-  match Timing.arrival timing id edge with
-  | a -> Some a
-  | exception Not_found -> None
+let arrival_opt get id edge =
+  match get id edge with a -> Some a | exception Not_found -> None
 
 (* the same pin-counting fold load_on performs, without the cache *)
 let reference_load t id =
@@ -47,13 +47,16 @@ let reference_load t id =
    provenance), critical delay/path, per-node slacks and cached loads *)
 let check_sta_equiv ?(check_loads = true) ~what t =
   let csr = Timing.analyze ~lib t in
-  let ref_ = Timing.analyze_reference ~lib t in
+  let ref_ = Timing_oracle.analyze ~lib t in
   let ids = Netlist.topological_order t in
   List.iter
     (fun id ->
       List.iter
         (fun edge ->
-          match (arrival_opt csr id edge, arrival_opt ref_ id edge) with
+          match
+            (arrival_opt (Timing.arrival csr) id edge,
+             arrival_opt (Timing_oracle.arrival ref_) id edge)
+          with
           | None, None -> ()
           | Some a, Some b ->
             if a.Timing.time <> b.Timing.time || a.Timing.slope <> b.Timing.slope
@@ -67,15 +70,15 @@ let check_sta_equiv ?(check_loads = true) ~what t =
             Alcotest.failf "%s: node %d arrival presence differs" what id)
         [ Edge.Rising; Edge.Falling ])
     ids;
-  if Timing.critical_delay csr <> Timing.critical_delay ref_ then
+  if Timing.critical_delay csr <> Timing_oracle.critical_delay ref_ then
     Alcotest.failf "%s: critical delay differs: %.17g vs %.17g" what
-      (Timing.critical_delay csr) (Timing.critical_delay ref_);
-  if Timing.critical_path csr <> Timing.critical_path ref_ then
+      (Timing.critical_delay csr) (Timing_oracle.critical_delay ref_);
+  if Timing.critical_path csr <> Timing_oracle.critical_path ref_ then
     Alcotest.failf "%s: critical path differs" what;
-  let tc = 1.1 *. Timing.critical_delay ref_ in
+  let tc = 1.1 *. Timing_oracle.critical_delay ref_ in
   List.iter
     (fun id ->
-      if Timing.slack csr ~tc id <> Timing.slack ref_ ~tc id then
+      if Timing.slack csr ~tc id <> Timing_oracle.slack ref_ ~tc id then
         Alcotest.failf "%s: node %d slack differs" what id)
     ids;
   if check_loads then
@@ -105,6 +108,13 @@ let test_profile_suite () =
       check_sta_equiv ~what:p.Profiles.name t;
       check_k_worst_equiv ~what:p.Profiles.name t)
     Profiles.all
+
+(* the two Builder fixtures; the chain's critical endpoint is its only,
+   hence last, designated output *)
+let test_fixtures () =
+  check_sta_equiv ~what:"c17" (Pops_netlist.Builder.c17 tech);
+  check_sta_equiv ~what:"inverter chain"
+    (Pops_netlist.Builder.inverter_chain tech ~n:5 ~out_load:30.)
 
 (* --- random circuits through edit sequences -------------------------- *)
 
@@ -291,6 +301,7 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "paper benchmark suite" `Quick test_profile_suite;
+          Alcotest.test_case "c17 and an inverter chain" `Quick test_fixtures;
           qtest prop_csr_matches_legacy;
         ] );
       ( "copy",

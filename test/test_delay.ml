@@ -57,7 +57,7 @@ let test_slope_term_adds_delay () =
     Model.stage_delay inv ~edge_out:Edge.Falling ~tau_in:100. ~cin:5. ~cload:10.
   in
   check_close ~eps:1e-9 "slope contributes vT*tau_in/2"
-    (Tech.vtn_reduced tech *. 100. /. 2.)
+    (Tech.vtn_reduced_vt tech Pops_process.Vt.Lvt *. 100. /. 2.)
     (d_slow -. d_fast)
 
 let test_opts_disable_terms () =
@@ -91,12 +91,6 @@ let test_fo4_plausible () =
   let d = Model.fo4_delay tech in
   Alcotest.(check bool) (Printf.sprintf "FO4 = %.1f ps plausible for 250nm" d) true
     (d > 30. && d < 300.)
-
-let test_fast_input_range () =
-  Alcotest.(check bool) "fast input ok" true
-    (Model.fast_input_range inv ~edge_out:Edge.Falling ~tau_in:10. ~cin:5. ~cload:10.);
-  Alcotest.(check bool) "slow input flagged" false
-    (Model.fast_input_range inv ~edge_out:Edge.Falling ~tau_in:10000. ~cin:5. ~cload:10.)
 
 (* --- path --- *)
 
@@ -258,7 +252,7 @@ let prop_gradient_matches_numerical =
     (fun (p, x) ->
       let x = Path.clamp_sizing p x in
       let g = Path.gradient p x in
-      let gn = N.gradient ~f:(fun y -> Path.delay p y) x in
+      let gn = Numeric_oracle.gradient ~f:(fun y -> Path.delay p y) x in
       let ok = ref true in
       for i = 1 to Array.length x - 1 do
         let scale = Float.max 1e-3 (Float.max (Float.abs g.(i)) (Float.abs gn.(i))) in
@@ -302,7 +296,6 @@ let () =
           Alcotest.test_case "opts disable terms" `Quick test_opts_disable_terms;
           Alcotest.test_case "coupling increases delay" `Quick test_coupling_increases_delay;
           Alcotest.test_case "FO4 plausible" `Quick test_fo4_plausible;
-          Alcotest.test_case "fast input range" `Quick test_fast_input_range;
         ] );
       ( "path",
         [

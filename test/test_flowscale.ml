@@ -1,9 +1,10 @@
 (* The optimization loop's analysis against from-scratch oracles: the
-   backward slack sweep against its record-based oracle, the bounded
-   cone selection against a brute-force ranking of every endpoint (on
-   random edit-heavy circuits and at 10k-gate scale), and the flow's
-   final netlists and reports against pinned digests on the paper's
-   benchmark suite and at 10k-gate scale. *)
+   backward slack sweep against the record-based oracle of
+   test/timing_oracle, the bounded cone selection against a brute-force
+   ranking of every endpoint (on random edit-heavy circuits and at
+   10k-gate scale), and the flow's final netlists and reports against
+   pinned digests on the paper's benchmark suite and at 10k-gate
+   scale. *)
 
 module Tech = Pops_process.Tech
 module Library = Pops_cell.Library
@@ -23,44 +24,37 @@ let tech = Tech.cmos025
 let lib = Library.make tech
 let same_f a b = a = b || (Float.is_nan a && Float.is_nan b)
 
-let required_opt s id e =
-  match Timing.required s id e with r -> r | exception Not_found -> Float.nan
+let nan_of_not_found f id e = match f id e with r -> r | exception Not_found -> Float.nan
 
 (* the lazy annotation against the record-based oracle at one id:
    required times (both edges) and worst slack, bit for bit *)
 let check_slack_at ~what s oracle id =
   List.iter
     (fun e ->
-      let a = required_opt s id e and b = required_opt oracle id e in
+      let a = nan_of_not_found (Timing.required s) id e
+      and b = nan_of_not_found (Timing_oracle.required oracle) id e in
       if not (same_f a b) then
         Alcotest.failf "%s: node %d required differs: %.17g vs %.17g" what id a b)
     [ Edge.Rising; Edge.Falling ];
-  let a = Timing.node_slack s id and b = Timing.node_slack oracle id in
+  let a = Timing.node_slack s id and b = Timing_oracle.node_slack oracle id in
   if not (same_f a b) then
     Alcotest.failf "%s: node %d slack differs: %.17g vs %.17g" what id a b
 
-let oracle_of s t = Timing.slacks_reference (Timing.analyze ~lib t) ~tc:(Timing.slacks_tc s)
+let oracle_of ~tc t = Timing_oracle.slacks (Timing_oracle.analyze ~lib t) ~tc
 
-(* lazy slacks vs the record-based oracle over every id ever allocated
-   (deleted ones must read undefined) and two out-of-range ids each
-   side *)
-let check_slacks_oracle ~what ?slacks t =
-  let s =
-    match slacks with
-    | Some s -> s
-    | None ->
-      let tm = Timing.analyze ~lib t in
-      Timing.slacks_make tm ~tc:(0.8 *. Timing.critical_delay tm)
-  in
-  let oracle = oracle_of s t in
+(* lazy slacks for [tc] vs the record-based oracle over every id ever
+   allocated (deleted ones must read undefined) and two out-of-range
+   ids each side *)
+let check_slacks_oracle ~what ~tc s t =
+  let oracle = oracle_of ~tc t in
   for id = -2 to Netlist.id_bound t + 1 do
     check_slack_at ~what s oracle id
   done
 
 (* a random subset of the same ids in random order, so the lazily swept
    suffix is entered from arbitrary points before the full comparison *)
-let check_random_queries ~what rng s t =
-  let oracle = oracle_of s t in
+let check_random_queries ~what ~tc rng s t =
+  let oracle = oracle_of ~tc t in
   let ids = Array.init (Netlist.id_bound t + 4) (fun i -> i - 2) in
   for i = Array.length ids - 1 downto 1 do
     let j = Rng.int rng (i + 1) in
@@ -78,13 +72,13 @@ let check_random_queries ~what rng s t =
    windows of at most [max_cone] nodes, cut from the full critical path
    through the endpoint. *)
 let oracle_cones ~k ~max_cone ~tc t =
-  let tm = Timing.analyze ~lib t in
-  let s = Timing.slacks_reference tm ~tc in
+  let tm = Timing_oracle.analyze ~lib t in
+  let s = Timing_oracle.slacks tm ~tc in
   let ranked =
     List.sort_uniq compare
       (List.filter_map
          (fun (id, _) ->
-           let sl = Timing.node_slack s id in
+           let sl = Timing_oracle.node_slack s id in
            if sl < 0. then Some (sl, id) else None)
          (Netlist.outputs t))
   in
@@ -94,7 +88,7 @@ let oracle_cones ~k ~max_cone ~tc t =
   List.iteri
     (fun i (_, id) ->
       if i < limit && List.length !picked < k then begin
-        let path = Timing.path_through tm id in
+        let path = Timing_oracle.path_through tm id in
         let len = List.length path in
         let window = List.filteri (fun j _ -> j >= len - max_cone) path in
         let gates =
@@ -168,7 +162,9 @@ let test_slacks_profiles () =
   List.iter
     (fun (p : Profiles.t) ->
       let t, _ = Profiles.circuit tech p in
-      check_slacks_oracle ~what:p.Profiles.name t)
+      let tm = Timing.analyze ~lib t in
+      let tc = 0.8 *. Timing.critical_delay tm in
+      check_slacks_oracle ~what:p.Profiles.name ~tc (Timing.slacks_make tm ~tc) t)
     Profiles.all
 
 (* --- the slack engine and selection through random edit sequences ---- *)
@@ -194,7 +190,7 @@ let random_edit rng t =
    random edits.  After an edit the slacks are queried at random ids
    first — every other step after a second edit that nothing queried
    in between — then the critical delay and path are checked against a
-   fresh analysis, and only then do the selection and the full
+   fresh oracle analysis, and only then do the selection and the full
    comparison run. *)
 let slacks_and_selection (path_gates, salt) =
   let p =
@@ -216,18 +212,18 @@ let slacks_and_selection (path_gates, salt) =
     random_edit rng t;
     let what = Printf.sprintf "step %d" step in
     if step mod 2 = 0 then begin
-      check_random_queries ~what queries s t;
+      check_random_queries ~what ~tc queries s t;
       random_edit queries t
     end;
-    check_random_queries ~what queries s t;
-    let fresh = Timing.analyze ~lib t in
-    if not (same_f (Timing.critical_delay tm) (Timing.critical_delay fresh)) then
+    check_random_queries ~what ~tc queries s t;
+    let fresh = Timing_oracle.analyze ~lib t in
+    if not (same_f (Timing.critical_delay tm) (Timing_oracle.critical_delay fresh)) then
       Alcotest.failf "%s: critical delay %.17g, fresh %.17g" what
-        (Timing.critical_delay tm) (Timing.critical_delay fresh);
-    if Timing.critical_path tm <> Timing.critical_path fresh then
+        (Timing.critical_delay tm) (Timing_oracle.critical_delay fresh);
+    if Timing.critical_path tm <> Timing_oracle.critical_path fresh then
       Alcotest.failf "%s: critical path differs from a fresh analysis" what;
     check_selection ~what ~tc sel t;
-    check_slacks_oracle ~what ~slacks:s t
+    check_slacks_oracle ~what ~tc s t
   done;
   true
 

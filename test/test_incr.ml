@@ -176,7 +176,7 @@ let test_cleanup_pairs_incremental () =
   let timing = Timing.analyze ~lib t in
   List.iteri (fun i g -> if i mod 9 = 0 then ignore (Transform.insert_buffer t ~after:g)) spine;
   check_equiv ~what:"after buffers" t timing;
-  ignore (Transform.cleanup_inverter_pairs t);
+  ignore (Pops_check.Circuit.cleanup_inverter_pairs t);
   check_equiv ~what:"after cleanup" t timing
 
 let test_update_is_noop_when_clean () =

@@ -191,7 +191,7 @@ let ref_solve ?(a = 0.) path =
     ref_sweep path ~a y;
     y
   in
-  N.fixed_point ~tol:1e-6 ~max_iter:300 ~step ~distance:N.distance_inf
+  Numeric_oracle.fixed_point ~tol:1e-6 ~max_iter:300 ~step ~distance:N.distance_inf
     (Path.min_sizing path)
 
 (* --- the bitwise equivalence tests ---------------------------------- *)

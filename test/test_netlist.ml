@@ -341,7 +341,7 @@ let test_cleanup_inverter_pairs () =
   let g = Netlist.add_gate t (Gk.Nand 2) [| i2; a |] in
   Netlist.set_output t g ~load:5.;
   let reference = Netlist.copy t in
-  let removed = Transform.cleanup_inverter_pairs t in
+  let removed = Pops_check.Circuit.cleanup_inverter_pairs t in
   check_valid t;
   Alcotest.(check int) "two inverters removed" 2 removed;
   (match Logic.equivalent reference t with

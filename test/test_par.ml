@@ -12,7 +12,7 @@ module Timing = Pops_sta.Timing
 module Bounds = Pops_core.Bounds
 module Protocol = Pops_core.Protocol
 module Profiles = Pops_circuits.Profiles
-module Random_search = Pops_amps.Random_search
+module Random_search = Pops_baselines.Random_search
 module Flow = Pops_flow.Flow
 module Pool = Pops_util.Pool
 
@@ -37,13 +37,6 @@ let test_map_ordered () =
       Alcotest.(check (array int)) "ordered results" seq par;
       Alcotest.(check (array int)) "empty input" [||]
         (Pool.parallel_map ~pool (fun i -> i) [||]))
-
-let test_map_list () =
-  let pool = Pool.create ~size:3 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-      let xs = List.init 37 string_of_int in
-      Alcotest.(check (list string)) "map_list" (List.map String.uppercase_ascii xs)
-        (Pool.map_list ~pool String.uppercase_ascii xs))
 
 let test_exception_smallest_index () =
   let pool = Pool.create ~size:4 () in
@@ -212,7 +205,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "parallel_map is ordered" `Quick test_map_ordered;
-          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "first-index exception" `Quick test_exception_smallest_index;
           Alcotest.test_case "ordered reduction" `Quick test_reduce_ordered;
           Alcotest.test_case "nested fan-out" `Quick test_nested_map;

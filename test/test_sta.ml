@@ -216,43 +216,42 @@ let test_input_slope_propagates () =
   let d_slow = Timing.critical_delay (Timing.analyze ~input_slope:400. ~lib t) in
   Alcotest.(check bool) "slope slows" true (d_slow > d_fast)
 
-let test_min_clock_period () =
-  let text =
-    "INPUT(a)\nOUTPUT(q2)\nq1 = DFF(d1)\nq2 = DFF(d2)\n\
-     d1 = NAND(a, q1)\nd2 = NOR(q1, a)\n"
-  in
-  match Pops_netlist.Bench_io.parse_diag tech text with
-  | Error d -> Alcotest.failf "parse: %s" (Pops_robust.Diag.one_line d)
-  | Ok (t, _) ->
-    let timing = Timing.analyze ~lib t in
-    let period = Timing.min_clock_period timing in
-    Alcotest.(check bool) "period > critical delay" true
-      (period > Timing.critical_delay timing);
-    Alcotest.(check bool) "setup honored" true
-      (Float.abs (Timing.min_clock_period ~setup:100. timing
-                  -. (Timing.critical_delay timing +. 100.)) < 1e-9)
-
 (* --- report --- *)
 
 module Report = Pops_sta.Report
 
+(* the rendered breakdown: a header and one row per path node, whose
+   "incr (ps)" column sums (to the printed rounding) to the "arrival
+   (ps)" column, which ends at the critical delay *)
 let test_report_breakdown_consistent () =
   let t = Builder.inverter_chain tech ~n:4 ~out_load:30. in
   let timing = Timing.analyze ~lib t in
   let crit = Timing.critical_path timing in
-  let lines = Report.path_breakdown ~lib t timing crit in
-  Alcotest.(check int) "line per node" (List.length crit) (List.length lines);
-  (* increments sum to the endpoint arrival *)
-  let total = List.fold_left (fun acc l -> acc +. l.Report.incr) 0. lines in
-  let last = List.nth lines (List.length lines - 1) in
+  let rows =
+    List.filter_map
+      (fun l ->
+        if String.length l > 0 && l.[0] = '|' then
+          Some (Array.of_list (List.map String.trim (String.split_on_char '|' l)))
+        else None)
+      (String.split_on_char '\n' (Report.render_path ~lib t timing crit))
+  in
+  Alcotest.(check int) "line per node" (List.length crit) (List.length rows - 1);
+  let nodes = List.tl rows in
+  let total = List.fold_left (fun acc r -> acc +. float_of_string r.(6)) 0. nodes in
+  let last = float_of_string (List.nth nodes (List.length nodes - 1)).(7) in
   Alcotest.(check bool) "increments sum to arrival" true
-    (Float.abs (total -. last.Report.arrival) < 1e-6);
-  Alcotest.(check bool) "matches critical delay" true
-    (Float.abs (last.Report.arrival -. Timing.critical_delay timing) < 1e-6)
+    (Float.abs (total -. last) <= 0.05 *. float_of_int (List.length nodes + 1));
+  Alcotest.(check string) "matches critical delay"
+    (Printf.sprintf "%.1f" (Timing.critical_delay timing))
+    (Printf.sprintf "%.1f" last)
 
 let test_report_renders () =
   let t = Builder.c17 tech in
-  let s = Report.full ~lib ~tc:500. t in
+  let timing = Timing.analyze ~lib t in
+  let s =
+    Report.endpoint_summary ~lib ~tc:500. t timing
+    ^ Report.render_path ~lib t timing (Timing.critical_path timing)
+  in
   Alcotest.(check bool) "has endpoint table" true
     (String.length s > 100);
   (* the slack column appears when tc is given *)
@@ -351,42 +350,42 @@ let small_path =
 let test_tilos_meets_constraint () =
   let b = Bounds.compute small_path in
   let tc = 1.5 *. b.Bounds.tmin in
-  let r = Pops_amps.Tilos.size_for_constraint small_path ~tc in
-  Alcotest.(check bool) "met" true r.Pops_amps.Tilos.met;
-  Alcotest.(check bool) "delay <= tc" true (r.Pops_amps.Tilos.delay <= tc +. 0.1)
+  let r = Pops_baselines.Tilos.size_for_constraint small_path ~tc in
+  Alcotest.(check bool) "met" true r.Pops_baselines.Tilos.met;
+  Alcotest.(check bool) "delay <= tc" true (r.Pops_baselines.Tilos.delay <= tc +. 0.1)
 
 let test_tilos_never_beats_tmin () =
   let b = Bounds.compute small_path in
-  let r = Pops_amps.Tilos.size_for_constraint small_path ~tc:(0.5 *. b.Bounds.tmin) in
-  Alcotest.(check bool) "cannot meet sub-Tmin" false r.Pops_amps.Tilos.met;
+  let r = Pops_baselines.Tilos.size_for_constraint small_path ~tc:(0.5 *. b.Bounds.tmin) in
+  Alcotest.(check bool) "cannot meet sub-Tmin" false r.Pops_baselines.Tilos.met;
   (* Bounds.tmin is evaluated on a small polarity-weight grid, so a
      direct worst-delay greedy may undercut it by a sliver — never by
      more than ~1% *)
   Alcotest.(check bool) "delay >= 0.99 tmin" true
-    (r.Pops_amps.Tilos.delay >= 0.99 *. b.Bounds.tmin)
+    (r.Pops_baselines.Tilos.delay >= 0.99 *. b.Bounds.tmin)
 
 let test_random_search_near_tmin () =
   let b = Bounds.compute small_path in
-  let r = Pops_amps.Random_search.minimum_delay small_path in
+  let r = Pops_baselines.Random_search.minimum_delay small_path in
   Alcotest.(check bool)
-    (Printf.sprintf "pseudo-random Tmin %.1f >= deterministic %.1f" r.Pops_amps.Random_search.delay
+    (Printf.sprintf "pseudo-random Tmin %.1f >= deterministic %.1f" r.Pops_baselines.Random_search.delay
        b.Bounds.tmin)
     true
-    (r.Pops_amps.Random_search.delay >= b.Bounds.tmin -. 0.5);
+    (r.Pops_baselines.Random_search.delay >= b.Bounds.tmin -. 0.5);
   Alcotest.(check bool) "within 30% of optimum" true
-    (r.Pops_amps.Random_search.delay <= 1.3 *. b.Bounds.tmin)
+    (r.Pops_baselines.Random_search.delay <= 1.3 *. b.Bounds.tmin)
 
 let test_random_search_deterministic () =
-  let r1 = Pops_amps.Random_search.minimum_delay ~restarts:2 ~steps:50 small_path in
-  let r2 = Pops_amps.Random_search.minimum_delay ~restarts:2 ~steps:50 small_path in
+  let r1 = Pops_baselines.Random_search.minimum_delay ~restarts:2 ~steps:50 small_path in
+  let r2 = Pops_baselines.Random_search.minimum_delay ~restarts:2 ~steps:50 small_path in
   Alcotest.(check bool) "same result same seed" true
-    (r1.Pops_amps.Random_search.delay = r2.Pops_amps.Random_search.delay)
+    (r1.Pops_baselines.Random_search.delay = r2.Pops_baselines.Random_search.delay)
 
 let test_amps_facade () =
   let b = Bounds.compute small_path in
-  let r = Pops_amps.Amps.size_for_constraint small_path ~tc:(1.3 *. b.Bounds.tmin) in
-  Alcotest.(check bool) "facade met" true r.Pops_amps.Amps.met;
-  Alcotest.(check bool) "evaluations counted" true (r.Pops_amps.Amps.evaluations > 0)
+  let r = Pops_baselines.Amps.size_for_constraint small_path ~tc:(1.3 *. b.Bounds.tmin) in
+  Alcotest.(check bool) "facade met" true r.Pops_baselines.Amps.met;
+  Alcotest.(check bool) "evaluations counted" true (r.Pops_baselines.Amps.evaluations > 0)
 
 let prop_pops_beats_or_ties_amps_area =
   (* Fig. 4's claim on random circuits: at 1.2 Tmin the deterministic
@@ -404,9 +403,9 @@ let prop_pops_beats_or_ties_amps_area =
       let tc = 1.2 *. b.Bounds.tmin in
       match Sens.size_for_constraint path ~tc with
       | Ok r ->
-        let amps = Pops_amps.Amps.size_for_constraint path ~tc in
-        (not amps.Pops_amps.Amps.met)
-        || r.Sens.area <= amps.Pops_amps.Amps.area *. 1.02
+        let amps = Pops_baselines.Amps.size_for_constraint path ~tc in
+        (not amps.Pops_baselines.Amps.met)
+        || r.Sens.area <= amps.Pops_baselines.Amps.area *. 1.02
       | Error _ -> false)
 
 (* a stray POPS_FAULT must not perturb this deterministic suite;
@@ -444,8 +443,6 @@ let () =
           Alcotest.test_case "input-only window wraps" `Quick
             test_critical_window_wraps_input_only;
         ] );
-      ( "sequential",
-        [ Alcotest.test_case "min clock period" `Quick test_min_clock_period ] );
       ( "report",
         [
           Alcotest.test_case "breakdown consistent" `Quick test_report_breakdown_consistent;
