@@ -55,7 +55,7 @@ let optimize ?(max_segments = 40) ?driver_cin ~lib wire ~cload =
   let best = ref None in
   for segments = 1 to max_segments do
     let cin, delay =
-      Pops_util.Numerics.golden_section_min ~tol:1e-3
+      Golden.section_min ~tol:1e-3
         ~f:(fun cin -> delay_of ?driver_cin ~lib wire ~cload ~segments ~repeater_cin:cin)
         ~lo:cmin ~hi:(4096. *. cmin) ()
     in

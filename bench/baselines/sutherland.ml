@@ -1,11 +1,27 @@
 module Path = Pops_delay.Path
 module Model = Pops_delay.Model
 
+let delay_per_stage path x =
+  let x = Path.clamp_sizing path x in
+  let loads = Path.loads path x in
+  let n = Path.length path in
+  let out = Array.make n (0., 0.) in
+  let tau_in = ref path.Path.input_slope in
+  for i = 0 to n - 1 do
+    let d, tau_out =
+      Model.stage_delay ~opts:path.Path.opts path.Path.stages.(i).Path.cell
+        ~edge_out:path.Path.edges.(i) ~tau_in:!tau_in ~cin:x.(i) ~cload:loads.(i)
+    in
+    out.(i) <- (d, tau_out);
+    tau_in := tau_out
+  done;
+  out
+
 let size ?(iters = 4) path ~tc =
   let n = Path.length path in
   let x = ref (Path.min_sizing path) in
   for _ = 1 to iters do
-    let per = Path.delay_per_stage path !x in
+    let per = delay_per_stage path !x in
     let slopes = Array.make n path.Path.input_slope in
     for i = 1 to n - 1 do
       slopes.(i) <- snd per.(i - 1)

@@ -1,7 +1,8 @@
 (* BENCH_scale.json: the full-chip trajectory — the arena/CSR core at
    10k/100k/1M gates.  Per size: the O(V+E) validation sweep, full CSR
    analyze vs the record-based test oracle, incremental update under
-   resize and buffer-insertion traffic, the arena k-worst, and (up to 100k) the
+   resize and buffer-insertion traffic (after spread gates, and on the
+   iscas shape after spine gates), the arena k-worst, and (up to 100k) the
    node store's cold snapshot, copy and restore, the flow's per-round
    endpoint work, logic equivalence and power on the snapshot, and (up
    to 100k, plus an inverter chain) the .bench parse with the text
@@ -195,12 +196,36 @@ let sta_scale () =
           Timing.update surgery_timing
         done
       in
-      let buf = (time ~rounds:3 [| surgery |]).(0) in
-      let per_buffer = buf.ns /. float_of_int buffers in
-      if per_buffer > 3. *. m.(0).ns then
-        fail "sta_scale: %s at %d gates: a buffer insertion + update costs %.1fx a cold analyze (budget 3x)"
-          shape gates (per_buffer /. m.(0).ns);
-      record ~kernel:"sta_incr_buffer" ~shape ~gates per_buffer;
+      let buffer_row kernel surgery =
+        let buf = (time ~rounds:3 [| surgery |]).(0) in
+        let per_buffer = buf.ns /. float_of_int buffers in
+        if per_buffer > 3. *. m.(0).ns then
+          fail "sta_scale: %s at %d gates: a %s op costs %.1fx a cold analyze (budget 3x)"
+            shape gates kernel (per_buffer /. m.(0).ns);
+        record ~kernel ~shape ~gates per_buffer
+      in
+      buffer_row "sta_incr_buffer" surgery;
+      (* the same loop after gates of the critical path's endpoint-side
+         window, where the flow's buffers go (its phase-0 window of 48
+         gates), which on the iscas shape lies on the spine: each pair
+         relevels the spine suffix and its readers, so the refreshed
+         order moves thousands of ids where a sink's buffer moves none *)
+      if shape_kind = Generator.Iscas && gates <= 100_000 then begin
+        let spine_nl = Netlist.copy nl in
+        let spine_timing = Timing.analyze ~lib spine_nl in
+        let path = Array.of_list (Timing.critical_path spine_timing) in
+        let window = Int.min 48 (Array.length path - 1) in
+        let spine = Array.sub path (Array.length path - window) window in
+        let spine_surgery () =
+          for _ = 1 to buffers do
+            k := !k + 1;
+            let g = spine.(!k * 7919 mod Array.length spine) in
+            ignore (Pops_netlist.Transform.insert_buffer spine_nl ~after:g);
+            Timing.update spine_timing
+          done
+        in
+        buffer_row "sta_incr_spine_buffer" spine_surgery
+      end;
       (* arena k-worst with a persistent scratch: metric arrays, arena
          and queue are reused across calls, so steady-state minor words
          cover only the materialized winner paths *)

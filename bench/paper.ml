@@ -494,7 +494,7 @@ let ablation () =
           Path.delay_avg p_full (Path.clamp_sizing p_full y)
         in
         let v, _ =
-          Pops_util.Numerics.golden_section_min ~tol:1e-3 ~f:try_x
+          Pops_baselines.Golden.section_min ~tol:1e-3 ~f:try_x
             ~lo:tech.Tech.cmin ~hi:(400. *. tech.Tech.cmin) ()
         in
         !x.(j) <- v

@@ -76,8 +76,3 @@ let min_cin t = t.tech.cmin
 let cpar t ~cin = t.par_ratio *. cin
 
 let area t ~cin = t.area_coeff *. cin /. t.tech.cg_per_um
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%a: k=%.2f DW(hl/lh)=%.2f/%.2f S(hl/lh)=%.2f/%.2f par=%.2f"
-    Gate_kind.pp t.kind t.k t.dw_hl t.dw_lh t.s_hl t.s_lh t.par_ratio

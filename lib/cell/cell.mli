@@ -68,5 +68,3 @@ val cpar : t -> cin:float -> float
 val area : t -> cin:float -> float
 (** Total transistor width of an instance, um — the paper's area (and
     power) metric [Sigma W]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -185,22 +185,6 @@ let loads t x =
   let x = clamp_sizing t x in
   Array.init (Array.length t.stages) (load t x)
 
-let delay_per_stage t x =
-  let x = clamp_sizing t x in
-  let n = Array.length t.stages in
-  let out = Array.make n (0., 0.) in
-  let tau_in = ref t.input_slope in
-  for i = 0 to n - 1 do
-    let cload = load t x i in
-    let d, tau_out =
-      Model.stage_delay ~opts:t.opts t.stages.(i).cell ~edge_out:t.edges.(i)
-        ~tau_in:!tau_in ~cin:x.(i) ~cload
-    in
-    out.(i) <- (d, tau_out);
-    tau_in := tau_out
-  done;
-  out
-
 (* The fused delay loops below clamp on the fly — the clamped value of
    stage i+1 is computed once, used as stage i's load and carried
    forward as stage i+1's own drive — so no sizing copy is ever made,

@@ -147,10 +147,6 @@ val delay_avg : t -> float array -> float
     polarity under-sizes the other's weak gates; minimising the average
     is the standard practice and a convex proxy for the minimax). *)
 
-val delay_per_stage : t -> float array -> (float * float) array
-(** Per-stage [(delay, tau_out)] pairs, for reports and the simulator
-    cross-check. *)
-
 val gradient : t -> float array -> float array
 (** Exact analytic gradient [dT/dx.(i)] of {!delay} (ps/fF).  Entry 0 is
     0 (the input gate is not a free variable).  Validated against a

@@ -377,15 +377,18 @@ let optimize ?budget ?(max_rounds = 20) ?(k_paths = 3) ?(vt_assign = false) ~lib
     vt;
   }
 
-(* The boundary entry point: validate first (a malformed netlist is the
-   caller's bug, not a degradation), then run the flow under a Watch
-   collector so every ladder descent, contained crash and budget trip
-   surfaces in the returned Outcome. *)
+(* The boundary entry point: validate first, unless a validation
+   already passed at this revision (a parse validates what it builds; a
+   malformed netlist is the caller's bug, not a degradation), then run
+   the flow under a Watch collector so every ladder descent, contained
+   crash and budget trip surfaces in the returned Outcome. *)
 let optimize_o ?budget ?max_rounds ?k_paths ?vt_assign ?name ~lib ~tc t =
   let problems =
-    List.filter
-      (fun d -> d.Diag.severity = Diag.Error)
-      (Netlist.validate_diags ?name t)
+    if Netlist.validated t then []
+    else
+      List.filter
+        (fun d -> d.Diag.severity = Diag.Error)
+        (Netlist.validate_diags ?name t)
   in
   match problems with
   | d :: _ -> Pops_robust.Outcome.Failed d

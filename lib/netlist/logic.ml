@@ -1,5 +1,5 @@
 (* One evaluator, [sweep]: gates in topological order over a flat byte
-   buffer of one 64-lane word per node id, kinds and fan-ins read from
+   buffer of 64-lane words per node id, kinds and fan-ins read from
    the {!Netlist.Csr} snapshot.  Scalar and packed evaluation,
    equivalence and cone tables are all that sweep; signal probabilities
    are one float pass over the same order, with truth tables read off
@@ -64,42 +64,61 @@ let[@inline] set buf id w = Bytes.set_int64_le buf (id lsl 3) w
 let words_for c = Bytes.make (8 * max 1 (Csr.bound c)) '\000'
 
 (* The one evaluator: gates [ids.(lo)] to [ids.(hi - 1)], in topological
-   order, read their pins' words from [buf] and store their own. *)
-let sweep t csr buf ids lo hi =
+   order, read their pins' words from [buf] and store their own; node
+   [id] holds [nw] words from slot [id * nw], evaluated lane by lane. *)
+let sweep t csr buf nw ids lo hi =
   let kind = Csr.kind_code csr and off = Csr.fanin_off csr and fanin = Csr.fanin csr in
   for i = lo to hi - 1 do
     let id = ids.(i) in
     let o = off.(id) in
     let k = off.(id + 1) - o in
+    let dst = id * nw in
     match kind.(id) with
-    | -2 -> set buf id (wide (Netlist.gate_kind t id) k (fun p -> get buf fanin.(o + p)))
+    | -2 ->
+      let kind = Netlist.gate_kind t id in
+      for w = 0 to nw - 1 do
+        set buf (dst + w) (wide kind k (fun p -> get buf ((fanin.(o + p) * nw) + w)))
+      done
     | code ->
-      let a = get buf fanin.(o) in
-      let b = if k > 1 then get buf fanin.(o + 1) else Int64.zero in
-      let c = if k > 2 then get buf fanin.(o + 2) else Int64.zero in
-      let d = if k > 3 then get buf fanin.(o + 3) else Int64.zero in
-      set buf id (word code a b c d)
+      let pa = fanin.(o) * nw in
+      let pb = if k > 1 then fanin.(o + 1) * nw else -1 in
+      let pc = if k > 2 then fanin.(o + 2) * nw else -1 in
+      let pd = if k > 3 then fanin.(o + 3) * nw else -1 in
+      for w = 0 to nw - 1 do
+        let a = get buf (pa + w) in
+        let b = if pb >= 0 then get buf (pb + w) else Int64.zero in
+        let c = if pc >= 0 then get buf (pc + w) else Int64.zero in
+        let d = if pd >= 0 then get buf (pd + w) else Int64.zero in
+        set buf (dst + w) (word code a b c d)
+      done
   done
 
-(* a netlist set up for whole sweeps; [outputs] as {!Netlist.outputs} *)
-type sim = { nl : Netlist.t; csr : Csr.t; buf : Bytes.t; ins : int array; outs : int array }
+(* a netlist set up for whole sweeps of [nw] words per node *)
+type sim = { nl : Netlist.t; csr : Csr.t; buf : Bytes.t; nw : int; ins : int array }
 
-let sim t outputs =
+let sim t nw =
   let c = Netlist.csr t in
-  { nl = t; csr = c; buf = words_for c; ins = Array.of_list (Netlist.inputs t);
-    outs = Array.map fst (Array.of_list outputs) }
+  { nl = t; csr = c; buf = Bytes.create (8 * nw * max 1 (Csr.bound c)); nw;
+    ins = Array.of_list (Netlist.inputs t) }
 
-(* input [i] takes [inputs.(i)]; inputs are level 0 of the order *)
-let run s inputs =
-  Array.iteri (fun i id -> set s.buf id inputs.(i)) s.ins;
-  sweep s.nl s.csr s.buf (Csr.node_of s.csr) (Csr.level_off s.csr).(1) (Csr.length s.csr)
+(* input [i] takes [words.(base + w).(i)] in lane word [w] (zero past the
+   last chunk); inputs are level 0 of the order *)
+let run s words base =
+  Array.iteri
+    (fun i id ->
+      for w = 0 to s.nw - 1 do
+        let c = base + w in
+        set s.buf ((id * s.nw) + w) (if c < Array.length words then words.(c).(i) else 0L)
+      done)
+    s.ins;
+  sweep s.nl s.csr s.buf s.nw (Csr.node_of s.csr) (Csr.level_off s.csr).(1) (Csr.length s.csr)
 
 let eval_packed t inputs =
   if Array.length inputs <> Netlist.input_count t then
     invalid_arg "Logic.eval_packed: input vector length mismatch";
-  let s = sim t (Netlist.outputs t) in
-  run s inputs;
-  Array.to_list (Array.map (fun id -> (id, get s.buf id)) s.outs)
+  let s = sim t 1 in
+  run s [| inputs |] 0;
+  List.map (fun (id, _) -> (id, get s.buf id)) (Netlist.outputs t)
 
 let eval t inputs =
   if Array.length inputs <> Netlist.input_count t then
@@ -111,49 +130,66 @@ let eval t inputs =
 (* maximum input count for exhaustive equivalence *)
 let exhaustive_limit = 12
 
+(* chunks a pass evaluates at once, one word each per node *)
+let pass_chunks = 8
+
 let equivalent ?(vectors = 512) ?(seed = 0x5EEDL) a b =
-  let n_in = Netlist.input_count a in
-  let outs_a = Netlist.outputs a and outs_b = Netlist.outputs b in
+  let n_in = Netlist.input_count a and n_out = Netlist.output_count a in
   if n_in <> Netlist.input_count b then Error "input counts differ"
-  else if List.compare_lengths outs_a outs_b <> 0 then Error "output counts differ"
+  else if n_out <> Netlist.output_count b then Error "output counts differ"
   else begin
     (* 64 vectors a chunk: every assignment when the input count
        allows, else seeded random words drawn chunk by chunk *)
-    let chunks, chunk =
+    let words =
       if n_in <= exhaustive_limit then begin
         let total = 1 lsl n_in in
-        ((total + 63) / 64, fun c -> Array.init n_in (assignment_word ~total (c * 64)))
+        Array.init ((total + 63) / 64) (fun c -> Array.init n_in (assignment_word ~total (c * 64)))
       end
       else begin
         let rng = Pops_util.Rng.create seed in
-        ((vectors + 63) / 64, fun _ -> Array.init n_in (fun _ -> Pops_util.Rng.int64 rng))
+        Array.init
+          (Int.max 0 ((vectors + 63) / 64))
+          (fun _ -> Array.init n_in (fun _ -> Pops_util.Rng.int64 rng))
       end
     in
-    let rec check sa sb c =
-      if c >= chunks then Ok ()
-      else begin
-        let words = chunk c in
-        run sa words;
-        run sb words;
-        (* outputs pair up in designation order *)
-        let diff = ref Int64.zero in
-        for i = 0 to Array.length sa.outs - 1 do
-          let x = Int64.logxor (get sa.buf sa.outs.(i)) (get sb.buf sb.outs.(i)) in
-          diff := Int64.logor !diff x
-        done;
-        if !diff = Int64.zero then check sa sb (c + 1)
-        else begin
-          let j = lowest_lane !diff 0 in
-          Error
-            (Printf.sprintf "mismatch on %s"
-               (String.init n_in (fun i -> if lane words.(i) j then '1' else '0')))
-        end
-      end
-    in
-    if chunks <= 0 then Ok ()
+    let chunks = Array.length words in
+    if chunks = 0 then Ok ()
     else begin
-      let sa = sim a outs_a in
-      check sa (sim b outs_b) 0
+      (* one sweep per netlist per pass; outputs pair up in designation
+         order, each output's words differenced into [diff] by chunk *)
+      let nw = Int.min chunks pass_chunks in
+      let sa = sim a nw and sb = sim b nw in
+      let outs_a = Netlist.output_ids a and outs_b = Netlist.output_ids b in
+      let diff = Bytes.create (8 * nw) in
+      let rec pass base =
+        if base >= chunks then Ok ()
+        else begin
+          run sa words base;
+          run sb words base;
+          Bytes.fill diff 0 (8 * nw) '\000';
+          for r = 0 to n_out - 1 do
+            let xa = outs_a.(r) * nw and xb = outs_b.(r) * nw in
+            for w = 0 to nw - 1 do
+              set diff w
+                (Int64.logor (get diff w)
+                   (Int64.logxor (get sa.buf (xa + w)) (get sb.buf (xb + w))))
+            done
+          done;
+          (* the lowest chunk that differs, then its lowest lane *)
+          let rec first w =
+            if w >= nw || base + w >= chunks then pass (base + nw)
+            else if get diff w = Int64.zero then first (w + 1)
+            else begin
+              let j = lowest_lane (get diff w) 0 and v = words.(base + w) in
+              Error
+                (Printf.sprintf "mismatch on %s"
+                   (String.init n_in (fun i -> if lane v.(i) j then '1' else '0')))
+            end
+          in
+          first 0
+        end
+      in
+      pass 0
     end
   end
 
@@ -235,7 +271,7 @@ let table_over t id support gates =
   let total = 1 lsl Array.length support in
   Array.init ((total + 63) / 64) (fun w ->
       Array.iteri (fun i pid -> set buf pid (assignment_word ~total (w * 64) i)) support;
-      sweep t c buf gates 0 (Array.length gates);
+      sweep t c buf 1 gates 0 (Array.length gates);
       let live = total - (w * 64) in
       if live >= 64 then get buf id
       else Int64.logand (get buf id) (Int64.sub (Int64.shift_left 1L live) 1L))

@@ -5,8 +5,9 @@
     12 primary inputs, by seeded random vectors beyond that.
 
     Every evaluation is one bit-parallel sweep over the netlist's
-    {!Netlist.csr} snapshot: 64 vectors per pass, one word per node in a
-    flat buffer.  A cyclic netlist raises the
+    {!Netlist.csr} snapshot, 64 vectors per word, its words per node in
+    one flat buffer: one word per node for {!eval_packed}, up to eight
+    (512 vectors) for {!equivalent}.  A cyclic netlist raises the
     {!Pops_robust.Diag.Fatal} of {!Netlist.csr}. *)
 
 val eval : Netlist.t -> bool array -> (int * bool) list
@@ -19,8 +20,8 @@ val eval : Netlist.t -> bool array -> (int * bool) list
 val eval_packed : Netlist.t -> int64 array -> (int * int64) list
 (** Bit-parallel evaluation: input [i]'s 64 bits are 64 independent
     vectors, evaluated simultaneously with word-wide boolean algebra.
-    Returns the primary outputs' packed values.  This is what
-    {!equivalent} runs on. *)
+    Returns the primary outputs' packed values.  {!equivalent} runs the
+    same sweep on several words per node. *)
 
 val word_of_kind : Pops_cell.Gate_kind.t -> int64 array -> int64
 (** The bit-parallel boolean function of a gate: the packed counterpart
@@ -62,8 +63,9 @@ val equivalent :
     on the same number of inputs and outputs — exhaustively when the
     input count allows, otherwise with [vectors] (default 512) seeded
     random vectors.  Inputs are matched by position, outputs in
-    designation order.  The error message names the first mismatching
-    vector. *)
+    designation order.  Each netlist is swept once per eight chunks of
+    64 vectors.  The error message names the first mismatching vector:
+    the lowest chunk, then the lowest lane. *)
 
 val signal_probabilities : Netlist.t -> ?input_prob:float -> unit -> float array
 (** One forward pass: indexed by node id, each live node's probability of

@@ -49,23 +49,27 @@ let code_of_kind = function
     | Gk.Xnor2 -> 13
     | Gk.Nand _ | Gk.Nor _ -> wide_code)
 
-(* What a structural edit invalidates, derived on the next query: the
+(* What a structural edit invalidates, refreshed on the next query: the
    live ids (level, id)-sorted, each id's index in that order, the level
-   offsets, and the fan-out lists packed in list order.  Never written
-   once built, so copies share it. *)
+   offsets, and the fan-out lists packed in list order.  The arrays carry
+   capacity, so a consumer reads [node_of] below [len], [pos] below
+   [bound], [level_off] up to [depth + 1] and [fanout_off] up to [bound].
+   A refresh writes them in place only while no copy shares them (see
+   [order_owned]). *)
 type order = {
   bound : int;  (* id bound at derivation *)
+  len : int;  (* live ids *)
+  depth : int;
   node_of : int array;
   pos : int array;  (* by id, -1 for dead ids *)
   level_off : int array;
-      (* level l occupies node_of indices [level_off.(l), level_off.(l+1));
-         length depth + 2 *)
-  fanout_off : int array;  (* by id, length bound + 1 *)
+      (* level l occupies node_of indices [level_off.(l), level_off.(l+1)) *)
+  fanout_off : int array;  (* by id *)
   fanout : int array;
 }
 
 let empty_order =
-  { bound = 0; node_of = [||]; pos = [||]; level_off = [| 0; 0 |];
+  { bound = 0; len = 0; depth = 0; node_of = [||]; pos = [||]; level_off = [||];
     fanout_off = [| 0 |]; fanout = [||] }
 
 (* The node store: one array per attribute, indexed by node id and sized
@@ -127,8 +131,20 @@ type t = {
       (* bumped on every structural edit (alloc/rewire/delete/restore);
          equal revisions mean the id set, edges and levels are unchanged *)
   mutable order : order;
+  mutable order_owned : bool;
+      (* no copy shares [order]'s arrays, so a refresh may write them *)
   mutable order_rev : int;  (* struct_rev [order] was derived at, -1 = none *)
   mutable order_cursor : int;  (* dirty-log position [order] was derived at *)
+  mutable moved : int array;
+      (* ids whose level changed or that died since [order], in [n_moved]
+         slots: with the ids at or above its bound, all a refresh re-sorts *)
+  mutable n_moved : int;
+  mutable spare_off : int array;  (* the fan-out pair the next refresh *)
+  mutable spare_fo : int array;  (* packs into, swapped with [order]'s *)
+  mutable sort_tail : int array;  (* refresh scratch, never shared: the *)
+  mutable sort_count : int array;  (* old tail, the counting sort's offsets *)
+  mutable marks : Bytes.t;  (* by id, all zero between refreshes *)
+  mutable valid_rev : int;  (* revision {!validate_diags} last passed at *)
   mutable load_cursor : int;  (* dirty-log position loads are fresh up to *)
 }
 
@@ -167,8 +183,17 @@ let create ?(capacity = 64) tech =
     dirty_len = 0;
     struct_rev = 0;
     order = empty_order;
+    order_owned = false;
     order_rev = -1;
     order_cursor = 0;
+    moved = [||];
+    n_moved = 0;
+    spare_off = [||];
+    spare_fo = [||];
+    sort_tail = [||];
+    sort_count = [||];
+    marks = Bytes.empty;
+    valid_rev = -1;
     load_cursor = 0;
   }
 
@@ -379,9 +404,27 @@ let compute_level t id =
     1 + !l
   end
 
+(* forget the derived order: the next refresh is a cold build *)
+let drop_order t =
+  t.order <- empty_order;
+  t.order_owned <- false;
+  t.order_rev <- -1;
+  t.n_moved <- 0
+
+(* every change of an old id's level or liveness is logged here; a log
+   longer than the id bound is worth less than a cold build *)
+let log_moved t id =
+  if t.n_moved > t.next_id then drop_order t
+  else begin
+    if t.n_moved = Array.length t.moved then t.moved <- widen t.moved (64 + (2 * t.n_moved)) 0;
+    t.moved.(t.n_moved) <- id;
+    t.n_moved <- t.n_moved + 1
+  end
+
 (* full Kahn rebuild: the fallback when local level patching bailed out,
    and the only place a cycle is diagnosed *)
 let rebuild_levels t =
+  drop_order t;
   let ids = live_ids t in
   let indegree = live_indegrees t ids in
   let queue = Queue.create () in
@@ -424,6 +467,7 @@ let patch_levels_from t id =
         if lvl > t.n_live then t.levels_valid <- false
         else if lvl <> t.level.(x) then begin
           t.level.(x) <- lvl;
+          log_moved t x;
           List.iter (fun c -> Queue.add c queue) t.fanouts.(x)
         end
       end
@@ -436,34 +480,6 @@ let level t id =
   t.level.(id)
 
 let structural_change t = t.struct_rev <- t.struct_rev + 1
-
-(* (level, id)-sorted live ids by counting sort: bucket sizes per level,
-   prefix offsets, then one ascending-id placement pass (which keeps ids
-   sorted within a level).  O(V + depth), no comparator closures — the
-   stable sort this replaces allocated a tuple pair per comparison. *)
-let level_sorted_live t =
-  ensure_levels t;
-  let d = ref 0 in
-  for id = 0 to t.next_id - 1 do
-    if node_exists t id then d := Int.max !d t.level.(id)
-  done;
-  let off = Array.make (!d + 2) 0 in
-  for id = 0 to t.next_id - 1 do
-    if node_exists t id then off.(t.level.(id) + 1) <- off.(t.level.(id) + 1) + 1
-  done;
-  for l = 1 to !d + 1 do
-    off.(l) <- off.(l) + off.(l - 1)
-  done;
-  let order = Array.make t.n_live 0 in
-  let cursor = Array.copy off in
-  for id = 0 to t.next_id - 1 do
-    if node_exists t id then begin
-      let l = t.level.(id) in
-      order.(cursor.(l)) <- id;
-      cursor.(l) <- cursor.(l) + 1
-    end
-  done;
-  (order, off)
 
 (* --- loads ----------------------------------------------------------- *)
 
@@ -496,8 +512,9 @@ let refresh_loads t =
   done;
   t.load_cursor <- t.dirty_len
 
+(* packs a fan-out list at [k]; returns the index past it *)
 let rec pack (dst : int array) k = function
-  | [] -> ()
+  | [] -> k
   | c :: rest ->
     dst.(k) <- c;
     pack dst (k + 1) rest
@@ -509,63 +526,222 @@ let blit_ints (src : int array) so (dst : int array) d len =
     dst.(d + k) <- src.(so + k)
   done
 
-(* After a structural edit: the order by counting sort over the level
-   cache, and the fan-out lists packed.  Every edit of a fan-out list
-   logs its id, so an id below the previous order's bound and absent
-   from the log since [order_cursor] kept its list: its packed segment
-   is copied from the previous order in runs of consecutive ids, and
-   only logged and new ids walk their lists.  The previous order's
-   arrays are never written, since copies share them. *)
-let derive t =
-  let prev = t.order and bound = t.next_id in
-  let node_of, level_off = level_sorted_live t in
-  let pos = Array.make (max 1 bound) (-1) in
-  Array.iteri (fun i id -> pos.(id) <- i) node_of;
-  let fresh = Bytes.make (max 1 bound) '\001' in
-  Bytes.fill fresh 0 (min prev.bound bound) '\000';
-  for i = t.order_cursor to t.dirty_len - 1 do
-    if t.dirty_log.(i) < bound then Bytes.set fresh t.dirty_log.(i) '\001'
-  done;
-  let fanout_off = Array.make (bound + 1) 0 in
-  for id = 0 to bound - 1 do
-    fanout_off.(id + 1) <-
-      (fanout_off.(id)
-      +
-      if Bytes.get fresh id = '\000' then prev.fanout_off.(id + 1) - prev.fanout_off.(id)
-      else List.length t.fanouts.(id))
-  done;
-  let fanout = Array.make (max 1 fanout_off.(bound)) 0 in
-  (* ids [a, b) kept their fan-out lists *)
-  let copy_run a b =
-    if b > a then begin
-      let o = prev.fanout_off.(a) in
-      blit_ints prev.fanout o fanout fanout_off.(a) (prev.fanout_off.(b) - o)
+(* the ids a refresh re-sorts: live, and new or marked *)
+let[@inline] live_moved t marks pb id =
+  (id >= pb || Bytes.get marks id <> '\000') && t.kind_code.(id) <> dead_code
+
+(* [a] when [reuse] and it holds [n] entries, else a fresh array with
+   room to grow in place and [a]'s first [keep] entries *)
+let array_for ~reuse (a : int array) n ~keep =
+  if reuse && Array.length a >= n then a
+  else begin
+    let b = Array.make (n + (n / 8) + 64) 0 in
+    blit_ints a 0 b 0 keep;
+    b
+  end
+
+(* The order after a structural edit, patched from [prev].  The moved
+   ids are the old ids [moved] names (re-leveled or dead) and the ids at
+   or above [prev.bound].  [prev] minus the moved ids is still (level,
+   id)-sorted, since no other level changed, and stands as it was below
+   [p0]: the lowest old position of a moved id, or the start of the
+   lowest level a moved id lands on.  The live moved ids are
+   counting-sorted by level into the end of the new order and merged
+   there with the saved old tail; [pos] and [level_off] are rewritten
+   from [p0].  With no previous order every id is moved: that is the
+   cold build.  Returns [(len, depth, node_of, pos, level_off)]. *)
+let patch_order t prev ~owned =
+  let bound = t.next_id and level = t.level and pb = prev.bound in
+  if pb > 0 && Bytes.length t.marks < pb then
+    t.marks <- Bytes.make (Array.length t.kind_code) '\000';
+  let marks = t.marks in
+  (* mark the moved old ids; the lowest id and old position among them *)
+  let id_lo = ref pb and p_lo = ref prev.len in
+  for i = 0 to t.n_moved - 1 do
+    let id = t.moved.(i) in
+    if id < pb && Bytes.get marks id = '\000' then begin
+      Bytes.set marks id '\001';
+      id_lo := Int.min !id_lo id;
+      if prev.pos.(id) >= 0 then p_lo := Int.min !p_lo prev.pos.(id)
     end
+  done;
+  let id_lo = !id_lo in
+  (* how many live moved ids, and their level range *)
+  let k = ref 0 and lmin = ref max_int and lmax = ref (-1) in
+  for id = id_lo to bound - 1 do
+    if live_moved t marks pb id then begin
+      incr k;
+      lmin := Int.min !lmin level.(id);
+      lmax := Int.max !lmax level.(id)
+    end
+  done;
+  let k = !k and lmin = !lmin and range = !lmax - !lmin + 1 in
+  let p0 =
+    if k = 0 || prev.len = 0 then !p_lo
+    else Int.min !p_lo (if lmin > prev.depth then prev.len else prev.level_off.(lmin))
   in
-  let run = ref 0 in
-  for id = 0 to bound - 1 do
-    if Bytes.get fresh id <> '\000' then begin
-      copy_run !run id;
-      run := id + 1;
-      pack fanout fanout_off.(id) t.fanouts.(id)
+  (* the old tail past [p0], minus the moved ids *)
+  let tail = array_for ~reuse:true t.sort_tail (prev.len - p0) ~keep:0 in
+  t.sort_tail <- tail;
+  let tl = ref 0 in
+  for i = p0 to prev.len - 1 do
+    let id = prev.node_of.(i) in
+    if Bytes.get marks id = '\000' then begin
+      tail.(!tl) <- id;
+      incr tl
     end
   done;
-  copy_run !run bound;
-  t.order <- { bound; node_of; pos; level_off; fanout_off; fanout };
+  let tl = !tl in
+  let len = p0 + tl + k in
+  let node_of = array_for ~reuse:owned prev.node_of len ~keep:p0 in
+  (* counting sort by level into [len - k, len); ids are visited
+     ascending, so each level's stay sorted *)
+  if k > 0 then begin
+    let cnt = array_for ~reuse:true t.sort_count (range + 1) ~keep:0 in
+    t.sort_count <- cnt;
+    Array.fill cnt 0 (range + 1) 0;
+    for id = id_lo to bound - 1 do
+      if live_moved t marks pb id then begin
+        let l = level.(id) - lmin + 1 in
+        cnt.(l) <- cnt.(l) + 1
+      end
+    done;
+    for l = 1 to range - 1 do
+      cnt.(l) <- cnt.(l) + cnt.(l - 1)
+    done;
+    for id = id_lo to bound - 1 do
+      if live_moved t marks pb id then begin
+        let l = level.(id) - lmin in
+        node_of.(len - k + cnt.(l)) <- id;
+        cnt.(l) <- cnt.(l) + 1
+      end
+    done
+  end;
+  (* merge forward from [p0]: the write index never passes the unread
+     moved ids, which the tail's length keeps ahead of it *)
+  let i = ref 0 and j = ref (len - k) and w = ref p0 in
+  while !i < tl do
+    let x = tail.(!i) in
+    let y = if !j < len then node_of.(!j) else -1 in
+    if y >= 0 && (level.(y) < level.(x) || (level.(y) = level.(x) && y < x)) then begin
+      node_of.(!w) <- y;
+      incr j
+    end
+    else begin
+      node_of.(!w) <- x;
+      incr i
+    end;
+    incr w
+  done;
+  let pos = array_for ~reuse:owned prev.pos bound ~keep:pb in
+  for i = 0 to t.n_moved - 1 do
+    let id = t.moved.(i) in
+    if id < pb then begin
+      Bytes.set marks id '\000';
+      pos.(id) <- -1
+    end
+  done;
+  for id = pb to bound - 1 do
+    pos.(id) <- -1
+  done;
+  for i = p0 to len - 1 do
+    pos.(node_of.(i)) <- i
+  done;
+  (* level offsets: those up to the level just below [p0] are kept *)
+  let depth = if len = 0 then 0 else level.(node_of.(len - 1)) in
+  let kept = if p0 = 0 then -1 else level.(node_of.(p0 - 1)) in
+  let level_off = array_for ~reuse:owned prev.level_off (depth + 2) ~keep:(kept + 1) in
+  let l = ref (kept + 1) in
+  for i = p0 to len - 1 do
+    while !l <= level.(node_of.(i)) do
+      level_off.(!l) <- i;
+      incr l
+    done
+  done;
+  while !l <= depth + 1 do
+    level_off.(!l) <- len;
+    incr l
+  done;
+  (len, depth, node_of, pos, level_off)
+
+(* The fan-out lists packed, into the spare pair.  Every edit of a
+   fan-out list logs its id, so an old id absent from the dirty log
+   since [order_cursor] kept its list: from the lowest logged or new id
+   on, kept segments are copied from [prev]'s packing in runs of
+   consecutive ids, and only logged and new ids walk their lists.
+   Returns [(fanout_off, fanout)]. *)
+let repack_fanout t prev =
+  let bound = t.next_id and pb = prev.bound and marks = t.marks in
+  let old_off = prev.fanout_off and old_fo = prev.fanout in
+  (* mark the logged old ids, size the new packing *)
+  let lo = ref pb and edges = ref old_off.(pb) in
+  if pb > 0 then
+    for i = t.order_cursor to t.dirty_len - 1 do
+      let id = t.dirty_log.(i) in
+      if id < pb && Bytes.get marks id = '\000' then begin
+        Bytes.set marks id '\001';
+        lo := Int.min !lo id;
+        edges := !edges - (old_off.(id + 1) - old_off.(id)) + List.length t.fanouts.(id)
+      end
+    done;
+  for id = pb to bound - 1 do
+    edges := !edges + List.length t.fanouts.(id)
+  done;
+  let lo = !lo in
+  let off = array_for ~reuse:true t.spare_off (bound + 1) ~keep:0 in
+  let fo = array_for ~reuse:true t.spare_fo !edges ~keep:0 in
+  blit_ints old_off 0 off 0 (lo + 1);
+  blit_ints old_fo 0 fo 0 old_off.(lo);
+  (* ids [a, b) below [pb] kept their lists *)
+  let copy_run a b =
+    let delta = off.(a) - old_off.(a) in
+    blit_ints old_fo old_off.(a) fo off.(a) (old_off.(b) - old_off.(a));
+    for id = a + 1 to b do
+      off.(id) <- old_off.(id) + delta
+    done
+  in
+  let run = ref lo in
+  for id = lo to bound - 1 do
+    if id >= pb || Bytes.get marks id <> '\000' then begin
+      if !run < id then copy_run !run id;
+      if id < pb then Bytes.set marks id '\000';
+      off.(id + 1) <- pack fo off.(id) t.fanouts.(id);
+      run := id + 1
+    end
+  done;
+  if !run < pb then copy_run !run pb;
+  (off, fo)
+
+(* After a structural edit.  The order arrays are written in place only
+   while [order_owned], and only an owned fan-out pair becomes the
+   spare: after a copy, the first refresh allocates, with room to
+   grow. *)
+let derive t =
+  ensure_levels t;
+  let prev = t.order and owned = t.order_owned in
+  let len, depth, node_of, pos, level_off = patch_order t prev ~owned in
+  let fanout_off, fanout = repack_fanout t prev in
+  t.spare_off <- (if owned then prev.fanout_off else [||]);
+  t.spare_fo <- (if owned then prev.fanout else [||]);
+  t.order <- { bound = t.next_id; len; depth; node_of; pos; level_off; fanout_off; fanout };
+  t.order_owned <- true;
   t.order_rev <- t.struct_rev;
-  t.order_cursor <- t.dirty_len
+  t.order_cursor <- t.dirty_len;
+  t.n_moved <- 0
 
 let order t =
   if t.order_rev <> t.struct_rev then derive t;
   t.order
 
-let topological_order t = Array.to_list (order t).node_of
-let depth t = Array.length (order t).level_off - 2
+let topological_order t =
+  let o = order t in
+  List.init o.len (fun i -> o.node_of.(i))
+
+let depth t = (order t).depth
 
 let count_level_ge t l =
   let o = order t in
-  let n = Array.length o.node_of in
-  if l <= 0 then n else if l >= Array.length o.level_off then 0 else n - o.level_off.(l)
+  if l <= 0 then o.len else if l > o.depth then 0 else o.len - o.level_off.(l)
 
 (* --- construction --------------------------------------------------- *)
 
@@ -799,6 +975,7 @@ let delete_gate t id =
   t.load.(id) <- Float.nan;
   t.n_live <- t.n_live - 1;
   structural_change t;
+  log_moved t id;
   mark_dirty t id
 
 (* --- the CSR view ------------------------------------------------------ *)
@@ -809,7 +986,7 @@ module Csr = struct
   let code_kinds = code_kinds
   let code_of_kind = code_of_kind
   let bound c = c.order.bound
-  let length c = Array.length c.order.node_of
+  let length c = c.order.len
   let node_of c = c.order.node_of
   let pos c = c.order.pos
   let level_off c = c.order.level_off
@@ -821,7 +998,7 @@ module Csr = struct
   let fanin c = c.fanin
   let fanout_off c = c.order.fanout_off
   let fanout c = c.order.fanout
-  let depth c = Array.length c.order.level_off - 2
+  let depth c = c.order.depth
 end
 
 (* scalar edits write the arrays {!Csr} returns, so only the order
@@ -973,7 +1150,11 @@ let validate_diags ?name t =
     match find_cycle t with
     | Some _ as cycle -> add (cycle_diag_of ?name cycle)
     | None -> add (Diag.make Diag.Netlist_cycle "combinational cycle detected")));
+  if not (List.exists (fun d -> d.Diag.severity = Diag.Error) !diags) then
+    t.valid_rev <- t.dirty_len;
   List.rev !diags
+
+let validated t = t.valid_rev = t.dirty_len
 
 (* the first error among the diagnostics, on one line *)
 let validate t =
@@ -1024,9 +1205,11 @@ let total_leakage_area t lib =
 
 let copy t =
   (* the copy starts with an empty dirty log, so it must inherit no stale
-     load; a current order carries over, shared *)
+     load; a current order carries over, shared, and then neither side
+     may write it in place *)
   refresh_loads t;
   let shared = t.order_rev = t.struct_rev and cp = Array.copy in
+  if shared then t.order_owned <- false;
   {
     t with
     kind_code = cp t.kind_code;
@@ -1046,8 +1229,18 @@ let copy t =
     dirty_log = Array.make 64 0;
     dirty_len = 0;
     order = (if shared then t.order else empty_order);
+    order_owned = false;
     order_rev = (if shared then t.struct_rev else -1);
     order_cursor = 0;
+    moved = [||];
+    n_moved = 0;
+    spare_off = [||];
+    spare_fo = [||];
+    sort_tail = [||];
+    sort_count = [||];
+    marks = Bytes.empty;
+    (* a validation at the source's revision holds at the copy's first *)
+    valid_rev = (if validated t then 0 else -1);
     load_cursor = 0;
   }
 
@@ -1083,8 +1276,8 @@ let restore t ~from =
   t.n_live <- from.n_live;
   t.n_gates <- from.n_gates;
   t.struct_rev <- t.struct_rev + 1;
-  t.order <- empty_order;
-  t.order_rev <- -1;
+  drop_order t;
+  t.valid_rev <- -1;
   (* the log past [load_cursor] names every live id, so the next [csr]
      refreshes whatever [from] held stale *)
   for id = 0 to t.next_id - 1 do

@@ -184,8 +184,12 @@ val load_on : t -> int -> float
     {!csr} then only refreshes the loads the dirty log names.  Only the
     order ({!node_of}, {!pos}, {!level_off}) and the packed fan-out
     adjacency are derived, by the first {!csr} after a structural edit
-    (adding, rewiring or deleting nodes).  Such an edit may also move
-    the arrays themselves, so do not hold a [Csr.t] across one. *)
+    (adding, rewiring or deleting nodes), and patched in place from the
+    previous order where they can be.  Such an edit may also move or
+    rewrite the arrays themselves, so do not hold a [Csr.t] or its
+    arrays across one.  Every array may be longer than what it holds:
+    read {!node_of} below {!length}, {!pos} below {!bound},
+    {!level_off} up to [depth + 1] and {!fanout_off} up to {!bound}. *)
 module Csr : sig
   type t
 
@@ -213,7 +217,7 @@ module Csr : sig
 
   val level_off : t -> int array
   (** Level [l] occupies {!node_of} indices [level_off.(l)] to
-      [level_off.(l+1) - 1]; length [depth + 2]. *)
+      [level_off.(l+1) - 1], for [l] up to {!depth}. *)
 
   val depth : t -> int
 
@@ -242,9 +246,9 @@ module Csr : sig
   val fanin : t -> int array
 
   val fanout_off : t -> int array
-  (** Like {!fanin_off} for the packed consumer array; entries follow the
-      node's fanout-list order, so folds over them replay list folds
-      bit-identically. *)
+  (** Like {!fanin_off} for the packed consumer array, read up to
+      {!bound}; entries follow the node's fanout-list order, so folds
+      over them replay list folds bit-identically. *)
 
   val fanout : t -> int array
 end
@@ -288,6 +292,11 @@ val validate_diags : ?name:(int -> string) -> t -> Pops_robust.Diag.t list
     quality, not correctness).  [name] renders node ids in messages;
     the CLI passes the .bench signal names. *)
 
+val validated : t -> bool
+(** Whether {!validate_diags} found no error at the current {!revision}:
+    every edit moves the revision, a copy of a validated netlist starts
+    validated and {!restore} clears it. *)
+
 val kind_histogram : t -> (Pops_cell.Gate_kind.t * int) list
 val total_area : t -> Pops_cell.Library.t -> float
 (** Total transistor width [Sigma W] over all gates, um. *)
@@ -301,7 +310,8 @@ val total_leakage_area : t -> Pops_cell.Library.t -> float
 val copy : t -> t
 (** Deep copy (transforms mutate; benchmarks compare variants): one
     [Array.copy] per stored array.  A current derived order carries over,
-    shared, as do the immutable fan-out lists. *)
+    shared, as do the immutable fan-out lists; the first refresh after
+    the copy, on either side, then allocates its own order. *)
 
 val restore : t -> from:t -> unit
 (** [restore t ~from] rewinds [t] in place to the state captured earlier

@@ -330,8 +330,7 @@ let sweep_range t (c : Netlist.Csr.t) lo hi =
 (* propagation from [from_level] to the sinks: the levels from there on
    are one contiguous slice of the CSR order *)
 let sweep_levels t (c : Netlist.Csr.t) ~from_level =
-  let level_off = Netlist.Csr.level_off c in
-  sweep_range t c level_off.(from_level) level_off.(Array.length level_off - 1)
+  sweep_range t c (Netlist.Csr.level_off c).(from_level) (Netlist.Csr.length c)
 
 (* Single-node re-evaluation straight off the CSR arrays — the worklist
    counterpart of {!sweep_range}: the same hoisted coefficients, fan-in
@@ -600,15 +599,20 @@ let make ?input_slope ?(input_arrival = 0.) ~lib netlist =
     Option.value input_slope ~default:(2. *. tech.Pops_process.Tech.tau)
   in
   let bound = Netlist.id_bound netlist in
-  let cap = max 64 bound in
+  (* sized to the node store, so ids added up to its capacity (a parse
+     leaves an eighth spare) grow nothing *)
+  let cap = max 64 (Array.length (Netlist.Csr.kind_code (Netlist.csr netlist))) in
   (* both callers immediately run a full pass that writes all four
      slots of every live node before anything reads them, so when ids
      are dense (no dead ids whose slots must read as NaN for the
-     {!arrival} Not_found contract, no padding beyond [bound]) the
-     O(cap) NaN prefill is redundant *)
+     {!arrival} Not_found contract) only the slots past [bound] need
+     the NaN prefill *)
   let arr =
-    if cap = bound && Netlist.live_count netlist = bound then
-      Array.create_float (4 * cap)
+    if Netlist.live_count netlist = bound then begin
+      let a = Array.create_float (4 * cap) in
+      Array.fill a (4 * bound) (4 * (cap - bound)) Float.nan;
+      a
+    end
     else Array.make (4 * cap) Float.nan
   in
   {
@@ -849,7 +853,9 @@ let lower s (c : Netlist.Csr.t) stop =
   (* the arrays only grow after new ids, hence after a revision change
      reset the mark: nothing in them is current, nothing to copy *)
   if bound > Array.length s.slk then begin
-    let cap = max 64 (max bound (2 * Array.length s.slk)) in
+    let cap =
+      max 64 (max (Array.length (Netlist.Csr.kind_code c)) (2 * Array.length s.slk))
+    in
     s.req <- Array.make (2 * cap) Float.nan;
     s.slk <- Array.make cap Float.nan
   end;

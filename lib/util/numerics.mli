@@ -20,12 +20,6 @@ val bisect :
     returns the bracket midpoint.
     @raise No_bracket if the signs agree. *)
 
-val golden_section_min :
-  ?tol:float -> ?max_iter:int ->
-  f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
-(** [golden_section_min ~f ~lo ~hi ()] minimises a unimodal [f] on
-    [\[lo, hi\]], returning [(argmin, min)]. *)
-
 val fixed_point_trace :
   ?tol:float -> ?max_iter:int ->
   step:(float array -> float array) ->

@@ -163,7 +163,7 @@ let () =
   Prop.register ~name:"path.stage_sum" spec (fun s ->
       let p = path_of s in
       let x = C.sizing s in
-      let sum = Array.fold_left (fun acc (d, _) -> acc +. d) 0. (Path.delay_per_stage p x) in
+      let sum = Array.fold_left (fun acc (d, _) -> acc +. d) 0. (Pops_baselines.Sutherland.delay_per_stage p x) in
       close_to ~rtol:1e-9 "sum of stage delays = path delay" sum (Path.delay p x))
 
 (* the zero-allocation compiled kernel against a hand-rolled reference
@@ -779,14 +779,19 @@ let () =
           "count_level_ge %d = %d, direct count %d" l (Netlist.count_level_ge nl l) direct
       done)
 
-(* every array of a CSR snapshot, floats by their bits (dead ids hold nan) *)
+(* every array of a CSR snapshot over the part a consumer reads, floats
+   by their bits (dead ids hold nan): the derived order's arrays carry
+   capacity past it *)
 let csr_arrays c =
   let module K = Netlist.Csr in
   let bits a = Array.map Int64.bits_of_float a in
-  ( [ K.node_of c; K.pos c; K.level_off c; K.kind_code c; K.vt_code c;
-      K.fanin_off c; K.fanin c; K.fanout_off c; K.fanout c ],
+  let bound = K.bound c in
+  ( [ Array.sub (K.node_of c) 0 (K.length c); Array.sub (K.pos c) 0 bound;
+      Array.sub (K.level_off c) 0 (K.depth c + 2); K.kind_code c; K.vt_code c;
+      K.fanin_off c; K.fanin c; Array.sub (K.fanout_off c) 0 (bound + 1);
+      Array.sub (K.fanout c) 0 (K.fanout_off c).(bound) ],
     [ bits (K.cin c); bits (K.load c) ],
-    (K.bound c, K.length c) )
+    (bound, K.length c, K.depth c) )
 
 (* a netlist restored into a fresh one carries no derived order, so its
    first [csr] is a cold build *)
@@ -808,15 +813,47 @@ let query_state nl =
             Netlist.is_output nl id,
             Netlist.level nl id ))
 
+(* what the resync property draws: an edit of [C.edit], or the flow's
+   shield, a buffer pair taking over a subset of a gate's consumers (the
+   subset a bit mask over its fan-out list) *)
+type resync_edit = Edit of C.edit | Shield of int * int
+
+let print_resync_edit = function
+  | Edit e -> C.print_edit e
+  | Shield (i, mask) -> Printf.sprintf "shield(%d, mask 0x%x)" i mask
+
+let resync_edit =
+  Gen.make ~print:print_resync_edit
+    ~shrink:(function
+      | Edit e -> Seq.map (fun e -> Edit e) (C.edit.Gen.shrink e)
+      | Shield (i, mask) -> Seq.map (fun i -> Shield (i, mask)) (Gen.shrink_int ~lo:0 i))
+    (fun rng size ->
+      if Rng.int rng 4 = 0 then Shield (Rng.int rng 64, 1 + Rng.int rng 255)
+      else Edit (C.edit.Gen.gen rng size))
+
+let apply_resync_edit nl = function
+  | Edit e -> C.apply_edit nl e
+  | Shield (i, mask) -> (
+    match Netlist.gate_ids nl with
+    | [] -> ()
+    | gates ->
+      let g = List.nth gates (i mod List.length gates) in
+      let only =
+        List.filteri (fun k _ -> mask land (1 lsl (k mod 8)) <> 0) (Netlist.fanouts nl g)
+      in
+      if only <> [] then ignore (Transform.insert_buffer_for nl ~after:g ~only))
+
 (* the snapshot derived across edits equals a cold build: each step's
    code decides what follows its edit — 0-2 nothing (so [csr] sees a
    random prefix of edits at once), 3 a check, 4 a switch to a copy
    (sharing the order, and taken before any [csr] has refreshed the
-   edit's loads) and a check, 5 a restore to the start first.  Every
-   netlist left behind must keep its own snapshot intact. *)
+   edit's loads) and a check, 5 a restore to the start first, 6 a copy
+   left behind while the source goes on (as the flow keeps its
+   reference copy) and a check.  Every netlist left behind must keep its
+   own snapshot intact. *)
 let () =
   Prop.register ~name:"netlist.csr_resync_matches_rebuild"
-    (Gen.pair C.dag_spec (Gen.list_sized ~min_len:1 (Gen.pair C.edit (Gen.int_range 0 5))))
+    (Gen.pair C.dag_spec (Gen.list_sized ~min_len:1 (Gen.pair resync_edit (Gen.int_range 0 6))))
     (fun (d, steps) ->
       let nl = ref (C.build_dag d) in
       ignore (Netlist.csr !nl);
@@ -831,12 +868,13 @@ let () =
       List.iteri
         (fun i (e, code) ->
           if code = 5 then Netlist.restore !nl ~from:start;
-          C.apply_edit !nl e;
-          let what = Printf.sprintf "step %d (%s)" i (C.print_edit e) in
+          apply_resync_edit !nl e;
+          let what = Printf.sprintf "step %d (%s)" i (print_resync_edit e) in
           if code = 4 then begin
             left := !nl :: !left;
             nl := Netlist.copy !nl
           end;
+          if code = 6 then left := Netlist.copy !nl :: !left;
           if code >= 3 then check what !nl)
         steps;
       check "last step" !nl;
@@ -1015,6 +1053,39 @@ let () =
             match Logic.cone_equivalent nl id b inv_id with
             | Ok () -> ()
             | Error e -> Prop.failf "de_morgan changed the local cone: %s" e))
+
+(* The one-pass check against the chunked one of [Logic_oracle], on
+   DAGs of up to 20 inputs (exhaustive up to 12, random vectors above),
+   the second netlist edited by function-preserving edits and, when
+   drawn, a gate swapped for its De Morgan dual with no inverters: the
+   same verdict and, on a mismatch, the same message. *)
+let () =
+  Prop.register ~name:"logic.equivalent_matches_chunked"
+    (Gen.triple
+       (Gen.pair C.dag_spec (Gen.int_range 2 20))
+       (Gen.list_sized C.edit)
+       (Gen.triple Gen.bool (Gen.int_range 0 1023)
+          (Gen.pick ~print:string_of_int [| 512; 64; 100; 700; 1 |])))
+    (fun ((d, n_inputs), edits, (wrong, pick, vectors)) ->
+      let a = C.build_dag { d with C.n_inputs } in
+      let b = Netlist.copy a in
+      List.iter (C.apply_edit b) edits;
+      (if wrong then
+         let duals =
+           List.filter_map
+             (fun id ->
+               Option.map (fun k -> (id, k)) (Gate_kind.de_morgan_dual (Netlist.gate_kind b id)))
+             (Netlist.gate_ids b)
+         in
+         match duals with
+         | [] -> ()
+         | _ :: _ ->
+           let id, dual = List.nth duals (pick mod List.length duals) in
+           Netlist.replace_kind b id dual);
+      let show = function Ok () -> "Ok" | Error m -> "Error " ^ m in
+      let got = Logic.equivalent ~vectors a b
+      and want = Logic_oracle.equivalent_chunked ~vectors a b in
+      if got <> want then Prop.failf "one pass: %s; chunked: %s" (show got) (show want))
 
 let () =
   Prop.register ~name:"transform.insert_buffer_preserves_logic"
@@ -1480,6 +1551,9 @@ let () =
       let t = Timing.analyze ~lib nl in
       let path = Timing.critical_path t in
       require (path <> []) "critical path is empty";
+      let source = List.hd path in
+      requiref (Netlist.kind nl source = Netlist.Primary_input)
+        "critical path starts at %d, not a primary input" source;
       let rec check_chain = function
         | a :: (b :: _ as rest) ->
           let fi = (Netlist.node nl b).Netlist.fanins in

@@ -34,7 +34,7 @@ let minimum_delay path =
   let _, _, beta_grid = best_of (List.hd candidates) (List.tl candidates) in
   let lo = Float.max 0. (beta_grid -. 0.5) and hi = Float.min 1. (beta_grid +. 0.5) in
   let beta_refined, _ =
-    N.golden_section_min ~tol:0.02 ~max_iter:10
+    Pops_baselines.Golden.section_min ~tol:0.02 ~max_iter:10
       ~f:(fun beta ->
         let d, _, _ = eval beta in
         d)
@@ -159,7 +159,7 @@ let size_for_constraint ?(tol_ps = 0.01) path ~tc =
       let lo = Float.max 0. (best_beta_on_grid -. 0.5) in
       let hi = Float.min 1. (best_beta_on_grid +. 0.5) in
       let refined_beta, _ =
-        N.golden_section_min ~tol:0.04 ~max_iter:8 ~f:area_of ~lo ~hi ()
+        Pops_baselines.Golden.section_min ~tol:0.04 ~max_iter:8 ~f:area_of ~lo ~hi ()
       in
       let all_candidates =
         List.filter_map candidate (refined_beta :: grid)

@@ -166,10 +166,6 @@ let test_buf_kind () =
   Alcotest.(check int) "single input" 1 (Gk.arity Gk.Buf);
   Alcotest.(check bool) "has weights" true (buf.Cell.dw_hl > 0. && buf.Cell.dw_lh > 0.)
 
-let test_pp_smoke () =
-  let s = Format.asprintf "%a" Cell.pp (Library.find lib (Gk.Nand 3)) in
-  Alcotest.(check bool) "mentions kind" true (String.length s > 5)
-
 let test_corners () =
   let tt = tech in
   let ss = Tech.at_corner tt Tech.SS in
@@ -310,7 +306,6 @@ let () =
           Alcotest.test_case "drive grid sorted" `Quick test_drive_grid_sorted;
           Alcotest.test_case "cmos018 library" `Quick test_cmos018_library;
           Alcotest.test_case "buf kind" `Quick test_buf_kind;
-          Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
           Alcotest.test_case "corners" `Quick test_corners;
           Alcotest.test_case "corner delay ordering" `Quick test_corner_delay_ordering;
           qtest prop_snap_never_decreases;

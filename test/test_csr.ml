@@ -180,13 +180,19 @@ let prop_csr_matches_legacy =
 
 let bits a = Array.map Int64.bits_of_float a
 
-(* every array of a snapshot, floats by their bits (dead ids hold nan) *)
+(* every array of a snapshot over the part a consumer reads, floats by
+   their bits (dead ids hold nan): the derived order's arrays carry
+   capacity past it *)
 let snapshot c =
   let module C = Netlist.Csr in
-  ( [ C.node_of c; C.pos c; C.level_off c; C.kind_code c; C.vt_code c;
-      C.fanin_off c; C.fanin c; C.fanout_off c; C.fanout c ],
+  let bound = C.bound c in
+  let fo_len = (C.fanout_off c).(bound) in
+  ( [ Array.sub (C.node_of c) 0 (C.length c); Array.sub (C.pos c) 0 bound;
+      Array.sub (C.level_off c) 0 (C.depth c + 2); C.kind_code c; C.vt_code c;
+      C.fanin_off c; C.fanin c; Array.sub (C.fanout_off c) 0 (bound + 1);
+      Array.sub (C.fanout c) 0 fo_len ],
     [ bits (C.cin c); bits (C.load c) ],
-    (C.bound c, C.length c) )
+    (bound, C.length c, C.depth c) )
 
 (* the snapshot a rebuild gives: [restore] into a fresh netlist carries
    no snapshot, so its first [csr] builds one *)

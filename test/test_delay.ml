@@ -147,7 +147,7 @@ let test_oversizing_eventually_hurts () =
 
 let test_delay_per_stage_sums () =
   let x = Path.min_sizing chain5 in
-  let per = Path.delay_per_stage chain5 x in
+  let per = Pops_baselines.Sutherland.delay_per_stage chain5 x in
   let sum = Array.fold_left (fun acc (d, _) -> acc +. d) 0. per in
   check_close ~eps:1e-9 "per-stage sums to total" (Path.delay chain5 x) sum
 

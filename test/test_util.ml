@@ -25,7 +25,7 @@ let test_bisect_no_bracket () =
   | _ -> Alcotest.fail "expected No_bracket"
 
 let test_golden_section () =
-  let x, fx = N.golden_section_min ~f:(fun x -> (x -. 3.) ** 2. +. 1.) ~lo:0. ~hi:10. () in
+  let x, fx = Pops_baselines.Golden.section_min ~f:(fun x -> (x -. 3.) ** 2. +. 1.) ~lo:0. ~hi:10. () in
   check_close ~eps:1e-6 "argmin" 3. x;
   check_close ~eps:1e-6 "min" 1. fx
 
